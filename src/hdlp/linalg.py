@@ -98,7 +98,11 @@ def project_out(basis, v) -> np.ndarray:
         )
     if basis.shape[1] == 0:
         return v.copy()
-    Q = orthonormal_columns(basis)
+    return orthogonal_residual(orthonormal_columns(basis), v)
+
+
+def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v minus its projection on the orthonormal columns of Q, in two passes."""
     r = v - Q @ (Q.T @ v)
     r -= Q @ (Q.T @ r)
     return r

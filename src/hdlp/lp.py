@@ -3,10 +3,13 @@
 For each horizon h the raw series matrix is turned into an aligned dataset
 (response led h steps, shock at time t, contemporaneous controls, lagged
 controls up to the configured depth) and the shock coefficient is estimated
-either by the double-selection route (select controls once against the
-response, once against the shock, regress on the union) or by the plain
-regression on everything. Confidence intervals use the long-run variance of
-psi = v * u scaled by the fourth power of the shock-residual second moment.
+by one partialling-out core, ``_partial_out``. It chooses a control set,
+either by double selection (select controls once against the response, once
+against the shock, keep the union) or by taking every control, factorizes
+that set once and reads beta off the two residuals (Frisch-Waugh-Lovell).
+The no-selection benchmark and the panel estimator in ``lpdid`` call the same
+core. Confidence intervals use the long-run variance of psi = v * u scaled by
+the fourth power of the shock-residual second moment.
 
 The intercept, when requested, rides along as a protected design column:
 always in the projection, never a selection candidate, exempt from the
@@ -23,13 +26,14 @@ import numpy as np
 from .errors import (
     DegenerateShock,
     DimensionMismatch,
+    HdlpError,
     InsufficientSample,
     NonFinite,
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import ols_fit, project_out
-from .selection import OgaConfig, SelectionPath, oga_hdaic_select
+from .linalg import orthogonal_residual, orthonormal_columns, project_out
+from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
 CONVENTIONAL_LP = "conventional_lp"
@@ -206,15 +210,6 @@ def build_lp_dataset(data: TimeSeriesMatrix, spec: LpSpec, h: int) -> LpDataset:
     )
 
 
-def _split_candidates(dataset: LpDataset) -> tuple[np.ndarray, np.ndarray | None]:
-    cand = list(dataset.candidate_indices)
-    Wc = dataset.W[:, cand]
-    base = None
-    if dataset.intercept_index is not None:
-        base = dataset.W[:, [dataset.intercept_index]]
-    return Wc, base
-
-
 def _confidence_intervals(
     beta: float, se: float, levels
 ) -> dict[float, tuple[float, float]]:
@@ -225,42 +220,98 @@ def _confidence_intervals(
     return cis
 
 
-def _finalize(
-    dataset: LpDataset,
-    method: str,
-    union: tuple[int, ...],
-    v_hat: np.ndarray,
-    selected_y: tuple[int, ...],
-    selected_x: tuple[int, ...],
-    hac_config: HacConfig,
-    levels,
-    e_hat: np.ndarray | None = None,
-    c_star_y: float | None = None,
-    c_star_x: float | None = None,
-) -> LpEstimate:
-    Wc, base = _split_candidates(dataset)
-    controls = Wc[:, list(union)]
-    if base is not None:
-        controls = np.column_stack([controls, base])
+@dataclass(frozen=True, eq=False)
+class _Partialled:
+    """Output of the partialling-out core for one regression."""
 
-    x_resid = project_out(controls, dataset.x) if controls.shape[1] else dataset.x
-    T = dataset.effective_T
-    if float(x_resid @ x_resid) / T < 1e-12:
+    beta: float
+    u: np.ndarray  # final-regression residual
+    v: np.ndarray  # shock residual on the shock-selected controls
+    e: np.ndarray | None  # outcome residual on the outcome-selected controls
+    rank: int  # rank of the final design: union controls, base and the shock
+    selected_y: tuple[int, ...]
+    selected_x: tuple[int, ...]
+    union: tuple[int, ...]
+    c_star_y: float | None
+    c_star_x: float | None
+
+
+def _partial_out(
+    C: np.ndarray,
+    base: np.ndarray | None,
+    x: np.ndarray,
+    y: np.ndarray,
+    method: str,
+    oga_config: OgaConfig | None,
+    first_stage_e: bool = False,
+) -> _Partialled:
+    """Shock coefficient of y on x, controlling for chosen columns of C and all of base.
+
+    DOUBLE_OGA selects columns of C against y and against x and controls for
+    the union; CONVENTIONAL_LP, or an empty C, controls for every column. One
+    orthonormal basis of the union plus base gives both residuals, and
+    beta = x_resid'y_resid / x_resid'x_resid (Frisch-Waugh-Lovell). The shock
+    residual v (and, on request, the outcome residual e) is taken on its own
+    selected set, reusing the union residual when the sets coincide.
+    """
+    p = C.shape[1]
+    if p and float(np.var(x)) < 1e-12:
+        raise DegenerateShock("shock series is constant")
+    sel_y = sel_x = None
+    if method == DOUBLE_OGA and p:
+        oga_config = oga_config or OgaConfig()
+        sel_y = oga_hdaic_select(C, y, oga_config, base=base)
+        sel_x = oga_hdaic_select(C, x, oga_config, base=base)
+        set_y = tuple(sorted(sel_y.chosen_set))
+        set_x = tuple(sorted(sel_x.chosen_set))
+    else:
+        set_y = set_x = tuple(range(p))
+    union = tuple(sorted(set(set_y) | set(set_x)))
+
+    def controls(cols):
+        return C[:, cols] if base is None else np.column_stack([C[:, cols], base])
+
+    Q = orthonormal_columns(controls(list(union)))
+    x_resid = orthogonal_residual(Q, x)
+    T = x.shape[0]
+    xx = float(x_resid @ x_resid)
+    if xx / T < 1e-12:
         raise DegenerateShock(
             "shock has no variation left after projecting on the selected controls"
         )
+    y_resid = orthogonal_residual(Q, y)
+    beta = float(x_resid @ y_resid) / xx
+    v = x_resid if set_x == union else project_out(controls(list(set_x)), x)
+    e = None
+    if first_stage_e:
+        e = y_resid if set_y == union else project_out(controls(list(set_y)), y)
+    return _Partialled(
+        beta=beta, u=y_resid - beta * x_resid, v=v, e=e, rank=Q.shape[1] + 1,
+        selected_y=set_y, selected_x=set_x, union=union,
+        c_star_y=sel_y.c_star_used if sel_y else None,
+        c_star_x=sel_x.c_star_used if sel_x else None,
+    )
 
-    design = np.column_stack([dataset.x, controls])
-    fit = ols_fit(design, dataset.y)
-    beta = float(fit.coefficients[0])
-    u_hat = fit.residuals
 
-    u_for_psi = u_hat
-    if hac_config.psi_source == PSI_FIRST_STAGE_E:
-        if e_hat is None:
-            raise ValueError("first-stage residuals unavailable for this method")
-        u_for_psi = e_hat
-    sigma_sq, tau_sq, omega, K = hac_variance(v_hat, u_for_psi, hac_config.bandwidth)
+def _estimate(
+    dataset: LpDataset,
+    method: str,
+    oga_config: OgaConfig | None,
+    hac_config: HacConfig | None,
+    levels,
+) -> LpEstimate:
+    hac_config = hac_config or HacConfig()
+    first_stage_e = hac_config.psi_source == PSI_FIRST_STAGE_E
+    Wc = dataset.W[:, list(dataset.candidate_indices)]
+    base = None
+    if dataset.intercept_index is not None:
+        base = dataset.W[:, [dataset.intercept_index]]
+    fit = _partial_out(
+        Wc, base, dataset.x, dataset.y, method, oga_config, first_stage_e
+    )
+    u_for_psi = fit.e if first_stage_e else fit.u
+    sigma_sq, tau_sq, omega, K = hac_variance(fit.v, u_for_psi, hac_config.bandwidth)
+    T = dataset.effective_T
     if hac_config.dof_correction:
         dof = T - fit.rank
         if dof <= 0:
@@ -272,21 +323,21 @@ def _finalize(
     return LpEstimate(
         horizon=dataset.horizon,
         method=method,
-        beta=beta,
+        beta=fit.beta,
         se=se,
-        cis=_confidence_intervals(beta, se, levels),
-        selected_y=selected_y,
-        selected_x=selected_x,
-        union=union,
+        cis=_confidence_intervals(fit.beta, se, levels),
+        selected_y=fit.selected_y,
+        selected_x=fit.selected_x,
+        union=fit.union,
         tau_sq=tau_sq,
         omega=omega,
         sigma_sq=sigma_sq,
         bandwidth=K,
         effective_T=T,
-        c_star_y=c_star_y,
-        c_star_x=c_star_x,
-        residuals_u=u_hat,
-        residuals_v=v_hat,
+        c_star_y=fit.c_star_y,
+        c_star_x=fit.c_star_x,
+        residuals_u=fit.u,
+        residuals_v=fit.v,
     )
 
 
@@ -303,37 +354,7 @@ def double_oga_lp(
     for the variance is the one from the shock selection equation, not a
     re-residualization on the union.
     """
-    oga_config = oga_config or OgaConfig()
-    hac_config = hac_config or HacConfig()
-    Wc, base = _split_candidates(dataset)
-    if Wc.shape[1] == 0:
-        return _simple_regression(dataset, DOUBLE_OGA, hac_config, levels)
-    if float(np.var(dataset.x)) < 1e-12:
-        raise DegenerateShock("shock series is constant")
-
-    sel_y: SelectionPath = oga_hdaic_select(Wc, dataset.y, oga_config, base=base)
-    sel_x: SelectionPath = oga_hdaic_select(Wc, dataset.x, oga_config, base=base)
-
-    x_controls = Wc[:, list(sel_x.chosen_set)]
-    if base is not None:
-        x_controls = np.column_stack([x_controls, base])
-    v_hat = project_out(x_controls, dataset.x)
-
-    e_hat = None
-    if hac_config.psi_source == PSI_FIRST_STAGE_E:
-        y_controls = Wc[:, list(sel_y.chosen_set)]
-        if base is not None:
-            y_controls = np.column_stack([y_controls, base])
-        e_hat = project_out(y_controls, dataset.y)
-
-    union = tuple(sorted(set(sel_y.chosen_set) | set(sel_x.chosen_set)))
-    return _finalize(
-        dataset, DOUBLE_OGA, union, v_hat,
-        selected_y=tuple(sorted(sel_y.chosen_set)),
-        selected_x=tuple(sorted(sel_x.chosen_set)),
-        hac_config=hac_config, levels=levels, e_hat=e_hat,
-        c_star_y=sel_y.c_star_used, c_star_x=sel_x.c_star_used,
-    )
+    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels)
 
 
 def conventional_lp(
@@ -342,38 +363,7 @@ def conventional_lp(
     levels=DEFAULT_LEVELS,
 ) -> LpEstimate:
     """No selection: regress on the shock and every control, same variance."""
-    hac_config = hac_config or HacConfig()
-    Wc, base = _split_candidates(dataset)
-    if Wc.shape[1] == 0:
-        return _simple_regression(dataset, CONVENTIONAL_LP, hac_config, levels)
-    if float(np.var(dataset.x)) < 1e-12:
-        raise DegenerateShock("shock series is constant")
-    all_controls = Wc if base is None else np.column_stack([Wc, base])
-    v_hat = project_out(all_controls, dataset.x)
-    e_hat = None
-    if hac_config.psi_source == PSI_FIRST_STAGE_E:
-        e_hat = project_out(all_controls, dataset.y)
-    union = tuple(range(Wc.shape[1]))
-    return _finalize(
-        dataset, CONVENTIONAL_LP, union, v_hat,
-        selected_y=union, selected_x=union,
-        hac_config=hac_config, levels=levels, e_hat=e_hat,
-    )
-
-
-def _simple_regression(
-    dataset: LpDataset, method: str, hac_config: HacConfig, levels
-) -> LpEstimate:
-    """Regression with no selectable controls (at most an intercept)."""
-    _, base = _split_candidates(dataset)
-    v_hat = project_out(base, dataset.x) if base is not None else dataset.x.copy()
-    e_hat = None
-    if hac_config.psi_source == PSI_FIRST_STAGE_E:
-        e_hat = project_out(base, dataset.y) if base is not None else dataset.y.copy()
-    return _finalize(
-        dataset, method, (), v_hat, (), (),
-        hac_config=hac_config, levels=levels, e_hat=e_hat,
-    )
+    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels)
 
 
 def estimate_lp(
@@ -400,8 +390,9 @@ def estimate_irf(
 ) -> IrfResult:
     """Estimate the shock coefficient at every requested horizon.
 
-    Horizons are independent regressions; a failure at one horizon is
-    recorded and does not abort the others.
+    Horizons are independent regressions; a package error or a linear-algebra
+    failure at one horizon is recorded and does not abort the others. Any
+    other exception is a bug and propagates.
     """
     estimates: list[LpEstimate] = []
     errors: dict[int, str] = {}
@@ -411,6 +402,6 @@ def estimate_irf(
             estimates.append(
                 estimate_lp(dataset, method, oga_config, hac_config, levels)
             )
-        except Exception as exc:  # noqa: BLE001 - per-horizon isolation
+        except (HdlpError, np.linalg.LinAlgError) as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
     return IrfResult(method=method, estimates=tuple(estimates), errors=errors)

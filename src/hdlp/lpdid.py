@@ -4,11 +4,14 @@ For horizon h the long difference y_{t+h} - y_{t-1} is regressed on the
 treatment switch for observations that are either newly treated at t or
 still untreated at t+h; everything else (already treated, or treated during
 the window) is dropped. Time effects are absorbed by within-period
-demeaning, which keeps them out of the penalty; lagged outcomes and extra
-covariates can be screened by the double-selection engine. Standard errors
-come from the same v*u long-run variance as the time-series estimator,
-computed over the restricted sample ordered by (time, unit), or from a
-by-unit cluster sum.
+demeaning, which keeps them out of the penalty. The regression itself is the
+time-series partialling-out core (``lp._partial_out``): lagged outcomes and
+extra covariates are screened by double selection or all kept, and the
+switch coefficient is read off the residuals. What is specific to panels
+stays here: the demeaning, the variance choice and the absorbed time effects
+in the degrees of freedom. Standard errors come from the same v*u long-run
+variance as the time-series estimator, computed over the restricted sample
+ordered by (time, unit), or from a by-unit cluster sum.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ import numpy as np
 from .errors import (
     DegenerateShock,
     DimensionMismatch,
+    HdlpError,
     NoCleanControls,
     NonAbsorbingTreatment,
     NoTreatedUnits,
 )
 from .hac import HacConfig, hac_variance
-from .linalg import ols_fit, project_out
-from .lp import CONVENTIONAL_LP, DOUBLE_OGA, METHODS, _confidence_intervals
-from .selection import OgaConfig, oga_hdaic_select
+from .linalg import SPAN_RTOL
+from .lp import DOUBLE_OGA, METHODS, _confidence_intervals, _partial_out
+from .selection import OgaConfig
 
 TREATED = "treated"
 CLEAN = "clean"
@@ -232,16 +236,23 @@ def _assemble(panel: PanelDataset, spec: LpDidSpec, h: int):
 
 
 def _demean_within(groups: np.ndarray, *arrays):
-    """Subtract group means, in place on copies; returns the demeaned arrays."""
-    out = [np.array(a, dtype=np.float64, copy=True) for a in arrays]
-    for g in np.unique(groups):
-        mask = groups == g
-        for a in out:
-            if a.ndim == 1:
-                a[mask] -= a[mask].mean()
-            else:
-                a[mask] -= a[mask].mean(axis=0)
+    """Subtract group means from 1-D or 2-D arrays; returns demeaned copies."""
+    _, g = np.unique(groups, return_inverse=True)
+    counts = np.bincount(g)
+    out = []
+    for a in arrays:
+        cols = np.asarray(a, dtype=np.float64).reshape(g.shape[0], -1)
+        means = np.empty((counts.shape[0], cols.shape[1]))
+        for j in range(cols.shape[1]):
+            means[:, j] = np.bincount(g, weights=cols[:, j]) / counts
+        out.append((cols - means[g]).reshape(np.shape(a)))
     return out
+
+
+def _cluster_omega(groups: np.ndarray, psi: np.ndarray) -> float:
+    """Sum over groups of the squared within-group sum of psi."""
+    _, g = np.unique(groups, return_inverse=True)
+    return float(np.sum(np.bincount(g, weights=psi) ** 2))
 
 
 def _lpdid_one(
@@ -255,51 +266,32 @@ def _lpdid_one(
     n_treated = int(np.sum(dd == 1.0))
     n_clean = int(np.sum(dd == 0.0))
 
+    keep = np.arange(C.shape[1])
     if spec.time_effects:
-        dy_w, dd_w, C_w = _demean_within(times, dy, dd, C)
+        norms = np.linalg.norm(C, axis=0)
+        dy, dd, C = _demean_within(times, dy, dd, C)
+        # a control the time effects absorb is left with rounding noise only
+        keep = np.flatnonzero(np.linalg.norm(C, axis=0) > SPAN_RTOL * norms)
+        C = C[:, keep]
         base = None
     else:
-        dy_w, dd_w, C_w = dy, dd, C
         base = np.ones((dy.shape[0], 1))
 
-    if float(dd_w @ dd_w) / dd_w.shape[0] < 1e-12:
+    if float(dd @ dd) / dd.shape[0] < 1e-12:
         raise DegenerateShock(
             "treatment switch has no variation within time cells"
         )
 
-    if C_w.shape[1] == 0 or spec.method == CONVENTIONAL_LP:
-        union = tuple(range(C_w.shape[1]))
-        controls = C_w if base is None else np.column_stack([C_w, base])
-        v_hat = project_out(controls, dd_w) if controls.shape[1] else dd_w.copy()
-    else:
-        sel_y = oga_hdaic_select(C_w, dy_w, oga_config, base=base)
-        sel_x = oga_hdaic_select(C_w, dd_w, oga_config, base=base)
-        union = tuple(sorted(set(sel_y.chosen_set) | set(sel_x.chosen_set)))
-        x_controls = C_w[:, list(sel_x.chosen_set)]
-        if base is not None:
-            x_controls = np.column_stack([x_controls, base])
-        v_hat = project_out(x_controls, dd_w) if x_controls.shape[1] else dd_w.copy()
-        controls = C_w[:, list(union)]
-        if base is not None:
-            controls = np.column_stack([controls, base])
-
-    design = np.column_stack([dd_w, controls]) if controls.shape[1] else dd_w[:, None]
-    fit = ols_fit(design, dy_w)
-    beta = float(fit.coefficients[0])
-    u_hat = fit.residuals
-    T = dy_w.shape[0]
+    fit = _partial_out(C, base, dd, dy, spec.method, oga_config)
+    T = dy.shape[0]
 
     if spec.variance == VARIANCE_HAC:
-        sigma_sq, _, _, bandwidth = hac_variance(v_hat, u_hat, hac_config.bandwidth)
+        sigma_sq, _, _, bandwidth = hac_variance(fit.v, fit.u, hac_config.bandwidth)
     else:
-        tau_sq = float(v_hat @ v_hat) / T
+        tau_sq = float(fit.v @ fit.v) / T
         if tau_sq < 1e-12:
             raise DegenerateShock("treatment residual variance is numerically zero")
-        psi = v_hat * u_hat
-        omega = 0.0
-        for g in np.unique(units):
-            omega += float(psi[units == g].sum()) ** 2
-        omega /= T
+        omega = _cluster_omega(units, fit.v * fit.u) / T
         sigma_sq = omega / tau_sq**2
         bandwidth = None
     if hac_config.dof_correction:
@@ -316,12 +308,12 @@ def _lpdid_one(
     return LpDidEstimate(
         horizon=h,
         method=spec.method,
-        beta=beta,
+        beta=fit.beta,
         se=se,
-        cis=_confidence_intervals(beta, se, spec.levels),
+        cis=_confidence_intervals(fit.beta, se, spec.levels),
         n_treated=n_treated,
         n_clean=n_clean,
-        selected=union,
+        selected=tuple(int(keep[j]) for j in fit.union),
         control_names=control_names,
         bandwidth=bandwidth,
         variance=spec.variance,
@@ -335,7 +327,11 @@ def lpdid_estimate(
     oga_config: OgaConfig | None = None,
     hac_config: HacConfig | None = None,
 ) -> LpDidResult:
-    """Per-horizon event-study estimates; failures recorded, not fatal."""
+    """Per-horizon event-study estimates.
+
+    Package errors and linear-algebra failures at one horizon are recorded
+    and do not abort the others; any other exception propagates.
+    """
     oga_config = oga_config or OgaConfig()
     hac_config = hac_config or HacConfig()
     estimates: list[LpDidEstimate] = []
@@ -343,6 +339,6 @@ def lpdid_estimate(
     for h in spec.horizons:
         try:
             estimates.append(_lpdid_one(panel, spec, h, oga_config, hac_config))
-        except Exception as exc:  # noqa: BLE001 - per-horizon isolation
+        except (HdlpError, np.linalg.LinAlgError) as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
     return LpDidResult(estimates=tuple(estimates), errors=errors)

@@ -18,7 +18,7 @@ penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,18 +83,6 @@ class SelectionPath:
     chosen_m: int
     chosen_set: tuple[int, ...]
     c_star_used: float
-
-
-def mu_score(w_col, residual, T: int) -> float:
-    """Scaled correlation (w'residual) / (sqrt(T) * ||w||); scale-invariant in w."""
-    w = np.asarray(w_col, dtype=np.float64).ravel()
-    r = np.asarray(residual, dtype=np.float64).ravel()
-    if w.shape[0] != T or r.shape[0] != T:
-        raise DimensionMismatch("column and residual must both have length T")
-    nrm = np.linalg.norm(w)
-    if nrm <= 0.0:
-        raise ZeroNormColumn("cannot score a zero-norm column")
-    return float(w @ r) / (math.sqrt(T) * nrm)
 
 
 def max_steps(T: int, p: int, config: OgaConfig) -> int:
@@ -249,11 +237,14 @@ def select_c_star(
     else:
         b_tr = b_te = None
 
+    # c_star only decides where the greedy path is cut, so one path serves
+    # every candidate
+    p = W.shape[1]
+    order, sigma_sq = oga_order(W_tr, y_tr, max_steps(n_train, p, config), base=b_tr)
     best_c = None
     best_mspe = math.inf
     for c in sorted(candidates):
-        path = oga_hdaic_select(W_tr, y_tr, replace(config, c_star=float(c)), base=b_tr)
-        cols = list(path.chosen_set)
+        cols = order[: select_hdaic(sigma_sq, p, n_train, float(c))]
         X_tr = W_tr[:, cols] if b_tr is None else np.column_stack([W_tr[:, cols], b_tr])
         X_te = W_te[:, cols] if b_te is None else np.column_stack([W_te[:, cols], b_te])
         fit = ols_fit(X_tr, y_tr)

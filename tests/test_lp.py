@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hdlp.lp
+import hdlp.lpdid
 from hdlp.errors import InsufficientSample, UnknownColumn
-from hdlp.hac import HacConfig
+from hdlp.hac import HacConfig, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
+    LpDataset,
     LpSpec,
     TimeSeriesMatrix,
+    _partial_out,
     build_lp_dataset,
     conventional_lp,
     double_oga_lp,
     estimate_irf,
 )
-from hdlp.linalg import project_out
+from hdlp.linalg import ols_fit, project_out
+from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.selection import OgaConfig
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
@@ -182,6 +189,35 @@ class TestDoubleOgaLp:
         beta_fw = float(x_t @ y_t) / float(x_t @ x_t)
         assert est.beta == pytest.approx(beta_fw, abs=1e-8)
 
+    def test_variance_residuals_come_from_their_own_selections(self):
+        # the shock loads on w1 and the response on w2 alone, so the union
+        # is larger than either selected set
+        rng = np.random.default_rng(20)
+        T = 300
+        w = rng.standard_normal((T + 1, 3))
+        x = 0.9 * w[:, 0] + 0.5 * rng.standard_normal(T + 1)
+        y = np.zeros(T + 1)
+        y[1:] = 0.9 * w[:-1, 1] + 0.5 * rng.standard_normal(T)
+        data = TimeSeriesMatrix(values=np.column_stack([y, x, w]),
+                                columns=("y", "x", "w1", "w2", "w3"))
+        spec = LpSpec(response="y", shock="x", horizons=(1,),
+                      contemporaneous=("w1", "w2", "w3"))
+        ds = build_lp_dataset(data, spec, 1)
+        hac = HacConfig(psi_source="first_stage_e")
+        est = double_oga_lp(ds, OgaConfig(c_star=2.0), hac)
+        assert est.selected_x == (0,) and est.selected_y == (1,)
+
+        def resid(cols, target):
+            return project_out(ds.W[:, list(cols) + [ds.intercept_index]], target)
+
+        v, e = resid(est.selected_x, ds.x), resid(est.selected_y, ds.y)
+        np.testing.assert_allclose(est.residuals_v, v, atol=1e-12)
+        assert est.tau_sq == pytest.approx(float(v @ v) / ds.effective_T, rel=1e-12)
+        assert est.omega == pytest.approx(newey_west(v * e, est.bandwidth), rel=1e-9)
+        x_u, y_u = resid(est.union, ds.x), resid(est.union, ds.y)
+        beta = float(x_u @ y_u) / float(x_u @ x_u)
+        np.testing.assert_allclose(est.residuals_u, y_u - beta * x_u, atol=1e-12)
+
     def test_ci_nesting(self):
         rng = np.random.default_rng(10)
         data = make_data(rng, 90, 3)
@@ -311,3 +347,115 @@ class TestEstimateIrf:
                       lags=1)
         result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
         assert [est.horizon for est in result.estimates] == [3, 1, 2]
+
+
+def random_design(seed, T, p, n_dup, with_intercept):
+    """Candidates with some exact duplicates and exact linear combinations."""
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((T, p))
+    extra = []
+    for k in range(n_dup if p else 0):
+        i, j = rng.integers(0, p, size=2)
+        extra.append(C[:, i] if k % 2 == 0 else C[:, i] - 2.0 * C[:, j])
+    if extra:
+        C = np.column_stack([C, *extra])[:, rng.permutation(p + n_dup)]
+    x = C @ rng.normal(0, 0.3, C.shape[1]) + rng.standard_normal(T)
+    y = 0.7 * x + C @ rng.normal(0, 0.3, C.shape[1]) + rng.standard_normal(T)
+    base = np.ones((T, 1)) if with_intercept else None
+    return C, base, x + with_intercept, y
+
+
+design_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(30, 120),
+    p=st.integers(0, 10),
+    n_dup=st.integers(0, 3),
+    with_intercept=st.booleans(),
+)
+
+
+class TestPartialOutCore:
+    @given(method=st.sampled_from((DOUBLE_OGA, CONVENTIONAL_LP)), **design_args)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_ols_on_the_chosen_controls(
+        self, method, seed, T, p, n_dup, with_intercept
+    ):
+        C, base, x, y = random_design(seed, T, p, n_dup, with_intercept)
+        fit = _partial_out(C, base, x, y, method, OgaConfig(c_star=2.0))
+        cols = [x[:, None], C[:, list(fit.union)]]
+        if base is not None:
+            cols.append(base)
+        ols = ols_fit(np.column_stack(cols), y)
+        assert fit.beta == pytest.approx(ols.coefficients[0], rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(fit.u, ols.residuals, rtol=1e-9, atol=1e-9)
+        assert fit.rank == ols.rank
+        if method == CONVENTIONAL_LP:
+            assert fit.union == tuple(range(C.shape[1]))
+
+    @given(**{**design_args, "p": st.integers(1, 10)})
+    @settings(max_examples=40, deadline=None)
+    def test_conventional_equals_double_selection_of_everything(
+        self, seed, T, p, n_dup, with_intercept
+    ):
+        C, base, x, y = random_design(seed, T, p, n_dup, with_intercept)
+        W = C if base is None else np.column_stack([C, base])
+        ds = LpDataset(
+            y=y, x=x, W=W, column_map=tuple(("w", j) for j in range(W.shape[1])),
+            horizon=1, effective_T=T,
+            intercept_index=C.shape[1] if with_intercept else None,
+        )
+        conv = conventional_lp(ds, HacConfig())
+        full = double_oga_lp(ds, FULL_SELECTION, HacConfig())
+        assert full.beta == pytest.approx(conv.beta, rel=1e-9, abs=1e-12)
+        assert full.se == pytest.approx(conv.se, rel=1e-9)
+        if n_dup == 0:
+            assert full.union == conv.union
+        else:
+            # greedy selection skips columns its path already spans
+            assert set(full.union) <= set(conv.union)
+            assert (np.linalg.matrix_rank(C[:, list(full.union)])
+                    == np.linalg.matrix_rank(C))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           method=st.sampled_from((DOUBLE_OGA, CONVENTIONAL_LP)))
+    @settings(max_examples=15, deadline=None)
+    def test_lpdid_without_time_effects_is_the_time_series_core(self, seed, method):
+        rng = np.random.default_rng(seed)
+        n_units, n_periods = 12, 10
+        adopt = rng.integers(3, 12, size=n_units)  # >= 10 means never
+        unit = np.repeat(np.arange(n_units), n_periods)
+        time = np.tile(np.arange(n_periods), n_units)
+        treat = (time >= adopt[unit]).astype(float)
+        outcome = rng.standard_normal(unit.size) + treat + 0.1 * time
+        panel = PanelDataset(unit=unit, time=time, outcome=outcome,
+                             treatment=treat,
+                             covariates={"z": rng.standard_normal(unit.size)})
+        spec = LpDidSpec(horizons=(1,), outcome_lags=2, extra_controls=("z",),
+                         time_effects=False, method=method)
+        oga = OgaConfig(c_star=2.0)
+        result = lpdid_estimate(panel, spec, oga, HacConfig())
+        _, _, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
+        fit = _partial_out(C, np.ones((dy.shape[0], 1)), dd, dy, method, oga)
+        assert result.by_horizon()[1].beta == fit.beta
+
+
+class TestBugsPropagate:
+    def test_type_error_in_core_is_not_a_failed_horizon(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(hdlp.lp, "_partial_out", broken)
+        monkeypatch.setattr(hdlp.lpdid, "_partial_out", broken)
+        rng = np.random.default_rng(18)
+        data = make_data(rng, 60, 2, names=("y", "x"))
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y",),
+                      lags=1)
+        for method in (DOUBLE_OGA, CONVENTIONAL_LP):
+            with pytest.raises(TypeError, match="injected"):
+                estimate_irf(data, spec, method=method)
+        unit = np.repeat(np.arange(4), 6)
+        time = np.tile(np.arange(6), 4)
+        panel = PanelDataset(unit=unit, time=time, outcome=rng.standard_normal(24),
+                             treatment=(time >= 3) * (unit < 2))
+        with pytest.raises(TypeError, match="injected"):
+            lpdid_estimate(panel, LpDidSpec(horizons=(1,)))

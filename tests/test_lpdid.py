@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlp.errors import NoCleanControls, NonAbsorbingTreatment, NoTreatedUnits
 from hdlp.hac import HacConfig
-from hdlp.lp import CONVENTIONAL_LP
+from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA
 from hdlp.lpdid import (
     CLEAN,
     TREATED,
     LpDidSpec,
     PanelDataset,
+    _cluster_omega,
+    _demean_within,
     lpdid_estimate,
     restrict_sample,
 )
@@ -214,6 +218,26 @@ class TestLpDidEstimate:
             two.by_horizon()[1].beta, abs=1e-9
         )
 
+    @pytest.mark.parametrize("method", [DOUBLE_OGA, CONVENTIONAL_LP])
+    def test_control_absorbed_by_time_effects_changes_nothing(self, method):
+        rng = np.random.default_rng(7)
+        panel = build_panel(
+            30, 12, lambda i, t, d: rng.standard_normal() + d,
+            adopt={i: 4 + i % 12 for i in range(30) if i % 3},
+            covariates={"season": lambda i, t: 3.7 * np.sin(1.3 * t),
+                        "z": lambda i, t: np.cos(i * t)},
+        )
+        plain, with_season = (
+            lpdid_estimate(panel, LpDidSpec(horizons=(0, 1, 2), method=method,
+                                            extra_controls=controls))
+            for controls in (("z",), ("season", "z"))
+        )
+        assert not plain.errors and not with_season.errors
+        for a, b in zip(plain.estimates, with_season.estimates):
+            assert b.beta == pytest.approx(a.beta, rel=1e-12)
+            assert b.se == pytest.approx(a.se, rel=1e-12)
+            assert b.selected == tuple(j + 1 for j in a.selected)
+
     def test_double_selection_with_outcome_lags(self):
         rng = np.random.default_rng(5)
         state = {}
@@ -266,3 +290,59 @@ class TestLpDidEstimate:
         panel = build_panel(2, 6, lambda i, t, d: float(t), adopt={0: 3, 1: 3})
         result = lpdid_estimate(panel, LpDidSpec(horizons=(1,)))
         assert "DegenerateShock" in result.errors[1]
+
+
+def demean_within_loop(groups, *arrays):
+    """Reference: one boolean mask per group."""
+    out = [np.array(a, dtype=np.float64, copy=True) for a in arrays]
+    for g in np.unique(groups):
+        mask = groups == g
+        for a in out:
+            a[mask] -= a[mask].mean(axis=0)
+    return out
+
+
+def cluster_omega_loop(groups, psi):
+    """Reference: one boolean mask per cluster."""
+    return sum(float(psi[groups == g].sum()) ** 2 for g in np.unique(groups))
+
+
+def random_cells(seed, n_units, n_times):
+    """Stacked (unit, time) cells: string unit ids, a time grid with gaps."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.integers(1, 4, size=n_times)) + 1990
+    cells = [(f"unit-{i:03d}", t) for i in range(n_units) for t in grid
+             if rng.random() < 0.8]
+    cells = cells or [("unit-000", int(grid[0]))]
+    order = rng.permutation(len(cells))
+    units = np.array([cells[k][0] for k in order], dtype=object)
+    times = np.array([cells[k][1] for k in order])
+    return rng, units, times
+
+
+class TestVectorizedGroupSums:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.integers(1, 12),
+           st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_demean_matches_per_group_loop(self, seed, n_units, n_times, k):
+        rng, units, times = random_cells(seed, n_units, n_times)
+        n = units.shape[0]
+        y = rng.normal(5.0, 3.0, n)
+        X = rng.normal(-2.0, 1.0, (n, k))
+        for groups in (times, units):
+            got = _demean_within(groups, y, X)
+            want = demean_within_loop(groups, y, X)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=1e-12,
+                                           atol=1e-12 * np.abs(b).max(initial=1.0))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_cluster_omega_matches_per_unit_loop(self, seed, n_units, n_times):
+        rng, units, times = random_cells(seed, n_units, n_times)
+        psi = rng.standard_normal(units.shape[0])
+        want = cluster_omega_loop(units, psi)
+        assert _cluster_omega(units, psi) == pytest.approx(want, rel=1e-12)
+        assert _cluster_omega(times, psi) == pytest.approx(
+            cluster_omega_loop(times, psi), rel=1e-12)
