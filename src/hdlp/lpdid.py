@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateShock,
     DimensionMismatch,
     HdlpError,
@@ -46,6 +47,7 @@ class PanelDataset:
 
     Treatment must be absorbing within each unit. Outcome and covariates may
     contain NaN; such rows drop out per horizon wherever they are needed.
+    ``unit_code`` holds each row's unit as its rank among the sorted units.
     """
 
     unit: np.ndarray
@@ -71,29 +73,57 @@ class PanelDataset:
             if v.shape[0] != n:
                 raise DimensionMismatch(f"covariate {k!r} length differs")
         if not np.all(np.isin(self.treatment, (0.0, 1.0))):
-            raise ValueError("treatment must be binary 0/1 with no missing values")
+            raise DataError("treatment must be binary 0/1 with no missing values")
+        if n and not -(2**62) < self.time.min() <= self.time.max() < 2**62:
+            # keeps time + k lookups clear of int64 wrap-around
+            raise DataError("time values must lie strictly within +-2**62")
 
-        self._row: dict[tuple, int] = {}
-        for r, (i, t) in enumerate(zip(self.unit, self.time)):
-            key = (i, int(t))
-            if key in self._row:
-                raise ValueError(f"duplicate (unit, time) pair {key}")
-            self._row[key] = r
+        # one key per row, (unit code, time rank) flattened: memory stays
+        # O(rows) however sparse the time coding is
+        self._units, self.unit_code = np.unique(self.unit, return_inverse=True)
+        self._times, time_rank = np.unique(self.time, return_inverse=True)
+        key = self.unit_code * self._times.shape[0] + time_rank
+        self._order = np.argsort(key)
+        self._keys = key[self._order]
 
-        for i in np.unique(self.unit):
-            mask = self.unit == i
-            d = self.treatment[mask][np.argsort(self.time[mask])]
-            if np.any(np.diff(d) < 0):
-                raise NonAbsorbingTreatment(
-                    f"unit {i!r} switches from treated back to untreated"
-                )
+        same = np.diff(self._keys) == 0
+        if np.any(same):
+            r = self._order[np.argmax(same)]
+            raise DataError(
+                f"duplicate (unit, time) pair ({self.unit[r]!r}, {self.time[r]})"
+            )
+        same_unit = np.diff(self.unit_code[self._order]) == 0
+        back = same_unit & (np.diff(self.treatment[self._order]) < 0)
+        if np.any(back):
+            i = self.unit[self._order[np.argmax(back)]]
+            raise NonAbsorbingTreatment(
+                f"unit {i!r} switches from treated back to untreated"
+            )
 
     @property
     def n_rows(self) -> int:
         return self.unit.shape[0]
 
+    def _find(self, codes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Row of each (unit code, time) cell, -1 where the panel lacks it."""
+        rank = np.searchsorted(self._times, times)
+        rank_ok = rank < self._times.shape[0]
+        rank = np.where(rank_ok, rank, 0)
+        key = codes * self._times.shape[0] + rank
+        pos = np.minimum(np.searchsorted(self._keys, key), self._keys.shape[0] - 1)
+        found = rank_ok & (self._times[rank] == times) & (self._keys[pos] == key)
+        return np.where(found, self._order[pos], -1)
+
+    def _at(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Row of the same unit k periods after each row's time, or -1."""
+        return self._find(self.unit_code[rows], self.time[rows] + k)
+
     def row(self, unit, time: int) -> int | None:
-        return self._row.get((unit, int(time)))
+        code = np.flatnonzero(self._units == unit)
+        if code.size == 0:
+            return None
+        r = int(self._find(code, np.array([int(time)]))[0])
+        return r if r >= 0 else None
 
 
 def restrict_sample(panel: PanelDataset, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,27 +134,19 @@ def restrict_sample(panel: PanelDataset, h: int) -> tuple[np.ndarray, np.ndarray
     untreated at t+h. Previously treated rows satisfy neither and drop out.
     Returned indices are ordered by (time, unit).
     """
-    keep: list[int] = []
-    labels: list[str] = []
-    for r in range(panel.n_rows):
-        i, t = panel.unit[r], int(panel.time[r])
-        prev = panel.row(i, t - 1)
-        ahead = panel.row(i, t + h)
-        if prev is None or ahead is None:
-            continue
-        if not np.isfinite(panel.outcome[prev]) or not np.isfinite(panel.outcome[ahead]):
-            continue
-        delta_d = panel.treatment[r] - panel.treatment[prev]
-        if delta_d == 1.0:
-            keep.append(r)
-            labels.append(TREATED)
-        elif delta_d == 0.0 and panel.treatment[ahead] == 0.0:
-            keep.append(r)
-            labels.append(CLEAN)
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    labels_arr = np.asarray(labels, dtype=object)
-    order = np.lexsort((panel.unit[keep_arr], panel.time[keep_arr])) if keep else []
-    return keep_arr[order], labels_arr[order]
+    rows = np.arange(panel.n_rows)
+    prev, ahead = panel._at(rows, -1), panel._at(rows, h)
+    y, d = panel.outcome, panel.treatment
+    seen = (prev >= 0) & (ahead >= 0)
+    seen[seen] = np.isfinite(y[prev[seen]]) & np.isfinite(y[ahead[seen]])
+    rows, prev, ahead = rows[seen], prev[seen], ahead[seen]
+    delta_d = d[rows] - d[prev]
+    treated = delta_d == 1.0
+    keep = treated | ((delta_d == 0.0) & (d[ahead] == 0.0))
+    rows, treated = rows[keep], treated[keep]
+    order = np.lexsort((panel.unit_code[rows], panel.time[rows]))
+    labels = np.where(treated[order], TREATED, CLEAN).astype(object)
+    return rows[order], labels
 
 
 @dataclass(frozen=True)
@@ -190,44 +212,21 @@ def _assemble(panel: PanelDataset, spec: LpDidSpec, h: int):
         f"outcome_lag{j}" for j in range(1, spec.outcome_lags + 1)
     ) + spec.extra_controls
 
-    rows = []
-    for r, label in zip(idx, labels):
-        i, t = panel.unit[r], int(panel.time[r])
-        prev = panel.row(i, t - 1)
-        ahead = panel.row(i, t + h)
-        controls = []
-        complete = True
-        for j in range(1, spec.outcome_lags + 1):
-            rl = panel.row(i, t - j)
-            val = panel.outcome[rl] if rl is not None else np.nan
-            if not np.isfinite(val):
-                complete = False
-                break
-            controls.append(val)
-        if complete:
-            for name in spec.extra_controls:
-                val = panel.covariates[name][r]
-                if not np.isfinite(val):
-                    complete = False
-                    break
-                controls.append(val)
-        if not complete:
-            continue
-        dy = panel.outcome[ahead] - panel.outcome[prev]
-        dd = 1.0 if label == TREATED else 0.0
-        rows.append((int(panel.time[r]), panel.unit[r], dy, dd, controls))
-
-    if not rows:
+    cols = []
+    for j in range(1, spec.outcome_lags + 1):
+        lag = panel._at(idx, -j)
+        cols.append(np.where(lag >= 0, panel.outcome[lag], np.nan))
+    cols += [panel.covariates[name][idx] for name in spec.extra_controls]
+    C = np.column_stack(cols) if cols else np.zeros((idx.shape[0], 0))
+    complete = np.isfinite(C).all(axis=1)
+    idx, C = idx[complete], C[complete]
+    if idx.size == 0:
         raise NoTreatedUnits(f"no complete observations at horizon {h}")
-    times = np.array([r[0] for r in rows])
-    units = np.array([r[1] for r in rows], dtype=object)
-    dy = np.array([r[2] for r in rows])
-    dd = np.array([r[3] for r in rows])
-    C = (
-        np.array([r[4] for r in rows])
-        if control_names
-        else np.zeros((len(rows), 0))
-    )
+
+    times = panel.time[idx]
+    units = panel.unit_code[idx]
+    dy = panel.outcome[panel._at(idx, h)] - panel.outcome[panel._at(idx, -1)]
+    dd = (labels[complete] == TREATED).astype(np.float64)
     if not np.any(dd == 1.0):
         raise NoTreatedUnits(f"no newly treated observations survive at horizon {h}")
     if not np.any(dd == 0.0):

@@ -339,6 +339,27 @@ class TestLpdidCommand:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main(["lpdid", "--config", cfg_path]) == 3
 
+    @pytest.mark.parametrize("bad_row", [
+        ["b", 2, 2.0, 0],    # a second (b, 2) row
+        ["b", 4, 4.0, 0.5],  # treatment neither 0 nor 1
+    ])
+    def test_bad_panel_cell_is_data_error(self, tmp_path, capsys, bad_row):
+        path = tmp_path / "bad_panel.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["unit", "time", "outcome", "treatment"])
+            for unit, adopt in (("a", 2), ("b", 9)):
+                for t in range(4):
+                    writer.writerow([unit, t, float(t), int(t >= adopt)])
+            writer.writerow(bad_row)
+        out = tmp_path / "did.csv"
+        cfg = {"data": str(path), "output": str(out), "horizons": [1]}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["lpdid", "--config", cfg_path]) == 3
+        assert "data error" in capsys.readouterr().err
+        # no table, no failure log, no leftover temporary file
+        assert set(tmp_path.iterdir()) == {path, tmp_path / "cfg.yaml"}
+
 
 class TestExampleConfigs:
     def test_bundled_configs_parse(self, tmp_path):

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlp.errors import NoCleanControls, NonAbsorbingTreatment, NoTreatedUnits
+from hdlp.errors import (
+    DataError,
+    HdlpError,
+    NoCleanControls,
+    NonAbsorbingTreatment,
+    NoTreatedUnits,
+)
 from hdlp.hac import HacConfig
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA
 from hdlp.lpdid import (
@@ -11,6 +19,7 @@ from hdlp.lpdid import (
     TREATED,
     LpDidSpec,
     PanelDataset,
+    _assemble,
     _cluster_omega,
     _demean_within,
     lpdid_estimate,
@@ -54,13 +63,77 @@ class TestPanelValidation:
             )
 
     def test_rejects_duplicate_cells(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="duplicate"):
             PanelDataset(
                 unit=np.array(["a", "a"], dtype=object),
                 time=np.array([3, 3]),
                 outcome=np.zeros(2),
                 treatment=np.zeros(2),
             )
+
+    def test_rejects_non_binary_treatment(self):
+        with pytest.raises(DataError, match="binary"):
+            PanelDataset(
+                unit=np.array(["a", "a"], dtype=object),
+                time=np.array([0, 1]),
+                outcome=np.zeros(2),
+                treatment=np.array([0.0, 0.5]),
+            )
+
+    def test_rejects_times_near_the_int64_limits(self):
+        # t - 1 at the smallest int64 would wrap around to the largest
+        with pytest.raises(DataError, match="time values"):
+            PanelDataset(
+                unit=np.array(["a", "a"], dtype=object),
+                time=np.array([-(2**63), 2**63 - 1]),
+                outcome=np.zeros(2),
+                treatment=np.zeros(2),
+            )
+
+    def test_non_absorbing_on_shuffled_rows_names_the_unit(self):
+        # unit "b" goes 0, 1, 0 in time order; its rows are interleaved
+        # with the other units' and out of time order
+        unit = np.array(["c", "b", "a", "b", "c", "a", "b", "c", "a"], dtype=object)
+        time = np.array([2, 7, 0, 3, 0, 1, 5, 1, 2])
+        treat = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(NonAbsorbingTreatment, match="unit 'b' "):
+            PanelDataset(unit=unit, time=time, outcome=np.zeros(9), treatment=treat)
+
+    def test_row_lookup_matches_a_per_row_dict(self):
+        rng = np.random.default_rng(11)
+        panel = random_panel(rng, 6, 7, balanced=False, gaps=True, int_ids=False)
+        cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
+        assert cells
+        for u in ["u0", "u3", "u5", "nobody"]:
+            for t in range(1985, 2020):
+                assert panel.row(u, t) == cells.get((u, t))
+        assert panel.row(3, 1991) is None
+
+    def test_far_apart_times_build_small_and_look_up_right(self):
+        # a dense unit x time grid over this span would need ~10**13 cells
+        far = 10**12
+        unit = np.array([2, 1, 2, 1, 1, 2, 2, 2])
+        time = np.array([far, 0, 1, 1, far, far + 1, 0, far + 2])
+        treat = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+        tracemalloc.start()
+        try:
+            panel = PanelDataset(unit=unit, time=time, outcome=np.arange(8.0),
+                                 treatment=treat)
+            idx, labels = restrict_sample(panel, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # unit 2 is observed at 0, 1, far, far + 1, far + 2 and adopts at
+        # far + 1; unit 1 at 0, 1, far and never adopts
+        assert list(panel._at(np.arange(8), -1)) == [-1, -1, 6, 1, -1, 0, -1, 5]
+        assert list(panel._at(np.arange(8), 1)) == [5, 3, -1, -1, -1, 7, 2, -1]
+        # only unit 2's t = far + 1 has both t-1 and t+1, and it is newly treated
+        assert list(idx) == [5] and list(labels) == [TREATED]
+        idx0, labels0 = restrict_sample(panel, 0)
+        assert [(int(panel.unit[r]), int(panel.time[r])) for r in idx0] == [
+            (1, 1), (2, 1), (2, far + 1)]
+        assert list(labels0) == [CLEAN, CLEAN, TREATED]
 
 
 class TestRestrictSample:
@@ -346,3 +419,153 @@ class TestVectorizedGroupSums:
         assert _cluster_omega(units, psi) == pytest.approx(want, rel=1e-12)
         assert _cluster_omega(times, psi) == pytest.approx(
             cluster_omega_loop(times, psi), rel=1e-12)
+
+
+def old_restrict_sample(panel, h):
+    """Reference: the per-row engine, one dict lookup per cell."""
+    cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
+    keep, labels = [], []
+    for r in range(panel.n_rows):
+        i, t = panel.unit[r], int(panel.time[r])
+        prev = cells.get((i, t - 1))
+        ahead = cells.get((i, t + h))
+        if prev is None or ahead is None:
+            continue
+        if not np.isfinite(panel.outcome[prev]) or not np.isfinite(panel.outcome[ahead]):
+            continue
+        delta_d = panel.treatment[r] - panel.treatment[prev]
+        if delta_d == 1.0:
+            keep.append(r)
+            labels.append(TREATED)
+        elif delta_d == 0.0 and panel.treatment[ahead] == 0.0:
+            keep.append(r)
+            labels.append(CLEAN)
+    keep_arr = np.asarray(keep, dtype=np.int64)
+    labels_arr = np.asarray(labels, dtype=object)
+    order = np.lexsort((panel.unit[keep_arr], panel.time[keep_arr])) if keep else []
+    return keep_arr[order], labels_arr[order]
+
+
+def old_assemble(panel, spec, h):
+    """Reference: per-row long differences and controls, units as values."""
+    cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
+    idx, labels = old_restrict_sample(panel, h)
+    if idx.size == 0 or not np.any(labels == TREATED):
+        raise NoTreatedUnits(f"no newly treated observations at horizon {h}")
+    if not np.any(labels == CLEAN):
+        raise NoCleanControls(f"no clean-control observations at horizon {h}")
+    n_controls = spec.outcome_lags + len(spec.extra_controls)
+    rows = []
+    for r, label in zip(idx, labels):
+        i, t = panel.unit[r], int(panel.time[r])
+        controls = []
+        for j in range(1, spec.outcome_lags + 1):
+            rl = cells.get((i, t - j))
+            controls.append(panel.outcome[rl] if rl is not None else np.nan)
+        controls += [panel.covariates[name][r] for name in spec.extra_controls]
+        if not np.all(np.isfinite(controls)):
+            continue
+        dy = panel.outcome[cells[(i, t + h)]] - panel.outcome[cells[(i, t - 1)]]
+        rows.append((t, i, dy, 1.0 if label == TREATED else 0.0, controls))
+    if not rows:
+        raise NoTreatedUnits(f"no complete observations at horizon {h}")
+    times = np.array([r[0] for r in rows])
+    units = np.array([r[1] for r in rows], dtype=object)
+    dy = np.array([r[2] for r in rows])
+    dd = np.array([r[3] for r in rows])
+    C = np.array([r[4] for r in rows]) if n_controls else np.zeros((len(rows), 0))
+    if not np.any(dd == 1.0):
+        raise NoTreatedUnits(f"no newly treated observations survive at horizon {h}")
+    if not np.any(dd == 0.0):
+        raise NoCleanControls(f"no clean controls survive at horizon {h}")
+    return times, units, dy, dd, C
+
+
+def random_panel(rng, n_units, n_times, balanced, gaps, int_ids):
+    """Absorbing adoption at random periods, rows in shuffled order, 10% NaN
+    in the outcome and in both covariates."""
+    steps = np.ones(n_times, dtype=np.int64)
+    if gaps:  # a quarter of the steps skip one or two periods
+        steps += (rng.random(n_times) < 0.25) * rng.integers(1, 3, size=n_times)
+    grid = 1990 + np.cumsum(steps)
+    # about a third never adopt; the rest switch after the first period
+    adopt = np.where(rng.random(n_units) < 1 / 3, n_times,
+                     rng.integers(1, max(n_times, 2), size=n_units))
+    ids = [7 * i + 3 for i in range(n_units)] if int_ids else [
+        f"u{i}" for i in range(n_units)]
+    cells = [(ids[i], t, float(k >= adopt[i]))
+             for i in range(n_units) for k, t in enumerate(grid)
+             if balanced or rng.random() < 0.75]
+    cells = [cells[k] for k in rng.permutation(len(cells))]
+    n = len(cells)
+
+    def with_nan(x):
+        x[rng.random(n) < 0.1] = np.nan
+        return x
+
+    return PanelDataset(
+        unit=np.array([c[0] for c in cells], dtype=np.int64 if int_ids else object),
+        time=np.array([c[1] for c in cells], dtype=np.int64),
+        outcome=with_nan(rng.normal(size=n)),
+        treatment=np.array([c[2] for c in cells]),
+        covariates={"z1": with_nan(rng.normal(size=n)),
+                    "z2": with_nan(rng.normal(size=n))},
+    )
+
+
+class TestVectorizedPanelEngine:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 10),
+           st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4),
+           st.integers(0, 3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_engine(self, seed, n_units, n_times, balanced,
+                                        gaps, int_ids, h, lags, covariates):
+        rng = np.random.default_rng(seed)
+        panel = random_panel(rng, n_units, n_times, balanced, gaps, int_ids)
+        idx, labels = restrict_sample(panel, h)
+        ref_idx, ref_labels = old_restrict_sample(panel, h)
+        assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+        assert list(labels) == list(ref_labels)
+
+        spec = LpDidSpec(horizons=(h,), outcome_lags=lags,
+                         extra_controls=("z1", "z2") if covariates else ())
+        try:
+            want = old_assemble(panel, spec, h)
+        except HdlpError as exc:
+            with pytest.raises(type(exc)):
+                _assemble(panel, spec, h)
+            return
+        times, units, dy, dd, C, names = _assemble(panel, spec, h)
+        assert len(names) == lags + 2 * covariates
+        for got, ref in ((times, want[0]), (dy, want[2]), (dd, want[3]),
+                         (C, want[4])):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+        # same unit per row, so the same grouping in the same group order
+        assert units.dtype.kind == "i"
+        assert np.array_equal(np.unique(units, return_inverse=True)[1],
+                              np.unique(want[1], return_inverse=True)[1])
+
+    def test_scale_smoke_96k_rows(self):
+        # 4,000 units x 24 periods, a third never treated, the rest adopting
+        # between periods 4 and 19; horizons 0-4 with two outcome lags
+        rng = np.random.default_rng(21)
+        n_units, n_periods = 4000, 24
+        adopt = np.where(rng.random(n_units) < 1 / 3, n_periods,
+                         rng.integers(4, 20, size=n_units))
+        unit = np.repeat(np.arange(n_units), n_periods)
+        time = np.tile(np.arange(n_periods), n_units)
+        treat = (time >= adopt[unit]).astype(np.float64)
+        outcome = (rng.normal(size=n_units)[unit] + rng.normal(size=n_periods)[time]
+                   + 0.5 * treat + rng.normal(0.0, 0.5, size=unit.size))
+        perm = rng.permutation(unit.size)
+        panel = PanelDataset(unit=unit[perm], time=time[perm],
+                             outcome=outcome[perm], treatment=treat[perm])
+        assert panel.n_rows == 96_000
+        result = lpdid_estimate(
+            panel, LpDidSpec(horizons=(0, 1, 2, 3, 4), outcome_lags=2))
+        assert not result.errors
+        assert [est.horizon for est in result.estimates] == [0, 1, 2, 3, 4]
+        for est in result.estimates:
+            assert est.n_treated + est.n_clean == est.effective_T
+            assert np.isfinite(est.beta) and np.isfinite(est.se) and est.se > 0
