@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -241,44 +242,35 @@ def _checkpoint_path(out_path: Path) -> Path:
     return out_path.with_suffix(out_path.suffix + ".ckpt")
 
 
+# fields that do not change the report, so a checkpoint survives edits to them
+_NOT_FINGERPRINTED = ("out_path", "parallelism", "checkpoint")
+
+
+def _fingerprint_value(value):
+    """JSON-ready copy of value: dataclasses by field, arrays as nested lists,
+    floats at 17 significant digits."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _fingerprint_value(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_fingerprint_value(v) for v in value]
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError(f"cannot fingerprint a {type(value).__name__}")
+
+
 def _config_fingerprint(run: MontecarloRun) -> str:
-    """Identity of a run for checkpoint compatibility."""
+    """Identity of a run for checkpoint compatibility: every field of the run
+    that can change the report."""
     payload = {
-        "seed": run.seed,
-        "n_reps": run.n_reps,
-        "methods": list(run.methods),
-        "levels": [format(v, ".17g") for v in run.levels],
-        "horizons": list(run.design.lp_spec.horizons),
-        "T": run.design.T,
-        "dgp": {
-            "n": run.design.dgp.n,
-            "K": run.design.dgp.K,
-            "B": [b.tolist() for b in run.design.dgp.B],
-            "sigma": run.design.dgp.sigma.tolist(),
-            "burn_in": run.design.dgp.burn_in,
-        },
-        "lp": {
-            "response": run.design.lp_spec.response,
-            "shock": run.design.lp_spec.shock,
-            "contemporaneous": list(run.design.lp_spec.contemporaneous),
-            "lagged": list(run.design.lp_spec.lagged),
-            "lags": run.design.lp_spec.lags,
-            "lag_augment": run.design.lp_spec.lag_augment,
-            "intercept": run.design.lp_spec.include_intercept,
-        },
-        "oga": {
-            "c_star": run.design.oga.c_star,
-            "candidates": list(run.design.oga.c_star_candidates),
-            "max_steps": run.design.oga.max_steps_override,
-            "mbar_scale": run.design.oga.mbar_scale,
-            "delta": run.design.oga.delta_assumed,
-            "eval_fraction": run.design.oga.eval_fraction,
-        },
-        "hac": {
-            "bandwidth": run.design.hac.bandwidth,
-            "psi_source": run.design.hac.psi_source,
-            "dof_correction": run.design.hac.dof_correction,
-        },
+        f.name: _fingerprint_value(getattr(run, f.name))
+        for f in dataclasses.fields(run) if f.name not in _NOT_FINGERPRINTED
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -6,6 +6,7 @@ shock residual v, Omega is the Bartlett-kernel long-run variance of the
 product series psi = v * u, and the coefficient variance is Omega / tau_sq**2
 (the partialled-regression asymptotics; note the fourth power, not the
 second). Documented prominently because the scaling is easy to get wrong.
+Panels may replace the Bartlett Omega by a by-cluster sum of psi.
 """
 
 from __future__ import annotations
@@ -75,25 +76,37 @@ def newey_west(psi, K: int) -> float:
     return omega
 
 
+def cluster_omega(groups, psi) -> float:
+    """Sum over groups of the squared within-group sum of psi."""
+    _, g = np.unique(groups, return_inverse=True)
+    return float(np.sum(np.bincount(g, weights=psi) ** 2))
+
+
 def hac_variance(
-    residuals_v, residuals_u, K: int | None = None
-) -> tuple[float, float, float, int]:
+    residuals_v, residuals_u, K: int | None = None, clusters=None
+) -> tuple[float, float, float, int | None]:
     """(sigma_sq_h, tau_sq_hat, omega_hat, K_used) from the two residual series.
 
     tau_sq_hat = mean(v**2), omega_hat = newey_west(v * u, K),
     sigma_sq_h = omega_hat / tau_sq_hat**2. K None means auto_bandwidth(T).
+    With clusters (one group label per observation) omega_hat is instead
+    cluster_omega(clusters, v * u) / T, K is unused and K_used is None.
     """
     v = np.asarray(residuals_v, dtype=np.float64).ravel()
     u = np.asarray(residuals_u, dtype=np.float64).ravel()
     if v.shape[0] != u.shape[0]:
         raise DimensionMismatch("residual series must have equal length")
     T = v.shape[0]
-    if T < 8:
+    if clusters is None and T < 8:
         raise DimensionMismatch("need at least 8 observations for the variance")
     tau_sq = float(v @ v) / T
     if tau_sq < 1e-12:
         raise DegenerateShock("shock residual variance is numerically zero")
-    K_used = auto_bandwidth(T) if K is None else int(K)
-    omega = newey_west(v * u, K_used)
+    if clusters is None:
+        K_used = auto_bandwidth(T) if K is None else int(K)
+        omega = newey_west(v * u, K_used)
+    else:
+        K_used = None
+        omega = cluster_omega(clusters, v * u) / T
     sigma_sq_h = omega / tau_sq**2
     return sigma_sq_h, tau_sq, omega, K_used

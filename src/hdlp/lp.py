@@ -5,10 +5,11 @@ For each horizon h the raw series matrix is turned into an aligned dataset
 controls up to the configured depth) and the shock coefficient is estimated
 by one partialling-out core, ``_partial_out``. It chooses a control set,
 either by double selection (select controls once against the response, once
-against the shock, keep the union) or by taking every control, factorizes
-that set once and reads beta off the two residuals (Frisch-Waugh-Lovell).
-The no-selection benchmark and the panel estimator in ``lpdid`` call the same
-core. Confidence intervals use the long-run variance of psi = v * u scaled by
+against the shock, keep the union) or by taking every control, and reads
+beta off the two residuals on one orthonormal basis of that set
+(Frisch-Waugh-Lovell). The no-selection benchmark and the panel estimator
+in ``lpdid`` call the same core and the same inference tail, ``_inference``:
+intervals use the long-run (or by-cluster) variance of psi = v * u scaled by
 the fourth power of the shock-residual second moment.
 
 The intercept, when requested, rides along as a protected design column:
@@ -32,7 +33,7 @@ from .errors import (
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import orthogonal_residual, orthonormal_columns, project_out
+from .linalg import gram_schmidt_extend, orthogonal_residual, orthonormal_columns
 from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
@@ -184,40 +185,27 @@ def build_lp_dataset(data: TimeSeriesMatrix, spec: LpSpec, h: int) -> LpDataset:
     contemp = [data.index(c) for c in spec.contemporaneous]
     lagged = [data.index(c) for c in spec.lagged]
 
-    t = np.arange(depth, data.n_rows - h)
+    # rows t = depth .. n_rows-h-1; one block per lag, so W at horizon h is
+    # the first rows of W at any shorter horizon
     vals = data.values
-    y = vals[t + h, resp]
-    x = vals[t, shock]
-
-    cols: list[np.ndarray] = []
-    cmap: list[tuple[str, int]] = []
-    for name, j in zip(spec.contemporaneous, contemp):
-        cols.append(vals[t, j])
-        cmap.append((name, 0))
-    for ell in range(1, depth + 1):
-        for name, j in zip(spec.lagged, lagged):
-            cols.append(vals[t - ell, j])
-            cmap.append((name, ell))
+    start, stop = depth, data.n_rows - h
+    y = vals[start + h : stop + h, resp].copy()
+    x = vals[start:stop, shock].copy()
+    lagged_vals = vals.take(lagged, axis=1)  # row-major, as are its row slices
+    blocks = [vals.take(contemp, axis=1)[start:stop]]
+    blocks += [lagged_vals[start - ell : stop - ell] for ell in range(1, depth + 1)]
+    cmap = [(name, 0) for name in spec.contemporaneous]
+    cmap += [(name, ell) for ell in range(1, depth + 1) for name in spec.lagged]
     intercept_index = None
     if spec.include_intercept:
-        cols.append(np.ones(eff))
+        blocks.append(np.ones((eff, 1)))
         cmap.append((INTERCEPT_NAME, 0))
-        intercept_index = len(cols) - 1
-    W = np.column_stack(cols) if cols else np.zeros((eff, 0))
+        intercept_index = len(cmap) - 1
+    W = np.concatenate(blocks, axis=1)
     return LpDataset(
         y=y, x=x, W=W, column_map=tuple(cmap), horizon=h,
         effective_T=eff, intercept_index=intercept_index,
     )
-
-
-def _confidence_intervals(
-    beta: float, se: float, levels
-) -> dict[float, tuple[float, float]]:
-    cis = {}
-    for level in levels:
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-        cis[float(level)] = (beta - z * se, beta + z * se)
-    return cis
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +215,7 @@ class _Partialled:
     beta: float
     u: np.ndarray  # final-regression residual
     v: np.ndarray  # shock residual on the shock-selected controls
-    e: np.ndarray | None  # outcome residual on the outcome-selected controls
+    e: np.ndarray  # outcome residual on the outcome-selected controls
     rank: int  # rank of the final design: union controls, base and the shock
     selected_y: tuple[int, ...]
     selected_x: tuple[int, ...]
@@ -243,16 +231,15 @@ def _partial_out(
     y: np.ndarray,
     method: str,
     oga_config: OgaConfig | None,
-    first_stage_e: bool = False,
 ) -> _Partialled:
     """Shock coefficient of y on x, controlling for chosen columns of C and all of base.
 
     DOUBLE_OGA selects columns of C against y and against x and controls for
-    the union; CONVENTIONAL_LP, or an empty C, controls for every column. One
-    orthonormal basis of the union plus base gives both residuals, and
-    beta = x_resid'y_resid / x_resid'x_resid (Frisch-Waugh-Lovell). The shock
-    residual v (and, on request, the outcome residual e) is taken on its own
-    selected set, reusing the union residual when the sets coincide.
+    the union, whose basis is the shock path's own orthonormal basis extended
+    by Gram-Schmidt with the outcome-only columns (in index order, skipping
+    spanned ones); v and e come off each path's basis. CONVENTIONAL_LP, or an
+    empty C, controls for every column with one pivoted QR. beta =
+    x_resid'y_resid / x_resid'x_resid on the union basis.
     """
     p = C.shape[1]
     if p and float(np.var(x)) < 1e-12:
@@ -264,14 +251,19 @@ def _partial_out(
         sel_x = oga_hdaic_select(C, x, oga_config, base=base)
         set_y = tuple(sorted(sel_y.chosen_set))
         set_x = tuple(sorted(sel_x.chosen_set))
+        Q = Q_x = sel_x.basis
+        Q_y = sel_y.basis
+        for j in sorted(set(set_y) - set(set_x)):
+            q = gram_schmidt_extend(Q, C[:, j])
+            if q is not None:
+                Q = np.column_stack([Q, q])
     else:
         set_y = set_x = tuple(range(p))
+        Q = Q_y = Q_x = orthonormal_columns(
+            C if base is None else np.column_stack([C, base])
+        )
     union = tuple(sorted(set(set_y) | set(set_x)))
 
-    def controls(cols):
-        return C[:, cols] if base is None else np.column_stack([C[:, cols], base])
-
-    Q = orthonormal_columns(controls(list(union)))
     x_resid = orthogonal_residual(Q, x)
     T = x.shape[0]
     xx = float(x_resid @ x_resid)
@@ -281,16 +273,49 @@ def _partial_out(
         )
     y_resid = orthogonal_residual(Q, y)
     beta = float(x_resid @ y_resid) / xx
-    v = x_resid if set_x == union else project_out(controls(list(set_x)), x)
-    e = None
-    if first_stage_e:
-        e = y_resid if set_y == union else project_out(controls(list(set_y)), y)
     return _Partialled(
-        beta=beta, u=y_resid - beta * x_resid, v=v, e=e, rank=Q.shape[1] + 1,
-        selected_y=set_y, selected_x=set_x, union=union,
+        beta=beta, u=y_resid - beta * x_resid,
+        v=orthogonal_residual(Q_x, x), e=orthogonal_residual(Q_y, y),
+        rank=Q.shape[1] + 1, selected_y=set_y, selected_x=set_x, union=union,
         c_star_y=sel_y.c_star_used if sel_y else None,
         c_star_x=sel_x.c_star_used if sel_x else None,
     )
+
+
+def _inference(
+    fit: _Partialled,
+    hac_config: HacConfig,
+    levels,
+    clusters: np.ndarray | None = None,
+    absorbed: int = 0,
+):
+    """(se, cis, sigma_sq, tau_sq, omega, bandwidth) for fit.beta.
+
+    psi = v * u with u the final residual, or the outcome-selection residual
+    e under psi_source first_stage_e; Omega is its Bartlett long-run variance,
+    or its by-cluster sum when clusters are given. The dof factor is
+    T / (T - rank - absorbed), absorbed counting effects removed before the
+    core ran.
+    """
+    u = fit.e if hac_config.psi_source == PSI_FIRST_STAGE_E else fit.u
+    sigma_sq, tau_sq, omega, K = hac_variance(
+        fit.v, u, hac_config.bandwidth, clusters
+    )
+    T = u.shape[0]
+    if hac_config.dof_correction:
+        dof = T - fit.rank - absorbed
+        if dof <= 0:
+            raise InsufficientSample(
+                f"no residual degrees of freedom: T={T}, design rank "
+                f"{fit.rank} plus {absorbed} absorbed effects"
+            )
+        sigma_sq *= T / dof
+    se = float(np.sqrt(sigma_sq / T))
+    cis = {}
+    for level in levels:
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
+        cis[float(level)] = (fit.beta - z * se, fit.beta + z * se)
+    return se, cis, sigma_sq, tau_sq, omega, K
 
 
 def _estimate(
@@ -300,32 +325,20 @@ def _estimate(
     hac_config: HacConfig | None,
     levels,
 ) -> LpEstimate:
-    hac_config = hac_config or HacConfig()
-    first_stage_e = hac_config.psi_source == PSI_FIRST_STAGE_E
     Wc = dataset.W[:, list(dataset.candidate_indices)]
     base = None
     if dataset.intercept_index is not None:
         base = dataset.W[:, [dataset.intercept_index]]
-    fit = _partial_out(
-        Wc, base, dataset.x, dataset.y, method, oga_config, first_stage_e
+    fit = _partial_out(Wc, base, dataset.x, dataset.y, method, oga_config)
+    se, cis, sigma_sq, tau_sq, omega, K = _inference(
+        fit, hac_config or HacConfig(), levels
     )
-    u_for_psi = fit.e if first_stage_e else fit.u
-    sigma_sq, tau_sq, omega, K = hac_variance(fit.v, u_for_psi, hac_config.bandwidth)
-    T = dataset.effective_T
-    if hac_config.dof_correction:
-        dof = T - fit.rank
-        if dof <= 0:
-            raise InsufficientSample(
-                f"no residual degrees of freedom: T={T}, design rank {fit.rank}"
-            )
-        sigma_sq *= T / dof
-    se = float(np.sqrt(sigma_sq / T))
     return LpEstimate(
         horizon=dataset.horizon,
         method=method,
         beta=fit.beta,
         se=se,
-        cis=_confidence_intervals(fit.beta, se, levels),
+        cis=cis,
         selected_y=fit.selected_y,
         selected_x=fit.selected_x,
         union=fit.union,
@@ -333,7 +346,7 @@ def _estimate(
         omega=omega,
         sigma_sq=sigma_sq,
         bandwidth=K,
-        effective_T=T,
+        effective_T=dataset.effective_T,
         c_star_y=fit.c_star_y,
         c_star_x=fit.c_star_x,
         residuals_u=fit.u,

@@ -9,9 +9,9 @@ time-series partialling-out core (``lp._partial_out``): lagged outcomes and
 extra covariates are screened by double selection or all kept, and the
 switch coefficient is read off the residuals. What is specific to panels
 stays here: the demeaning, the variance choice and the absorbed time effects
-in the degrees of freedom. Standard errors come from the same v*u long-run
-variance as the time-series estimator, computed over the restricted sample
-ordered by (time, unit), or from a by-unit cluster sum.
+in the degrees of freedom. Standard errors come from the time-series
+inference tail (``lp._inference``): the same v*u long-run variance, computed
+over the restricted sample ordered by (time, unit), or a by-unit cluster sum.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .errors import (
     NonAbsorbingTreatment,
     NoTreatedUnits,
 )
-from .hac import HacConfig, hac_variance
+from .hac import HacConfig
 from .linalg import SPAN_RTOL
-from .lp import DOUBLE_OGA, METHODS, _confidence_intervals, _partial_out
+from .lp import DOUBLE_OGA, METHODS, _inference, _partial_out
 from .selection import OgaConfig
 
 TREATED = "treated"
@@ -248,12 +248,6 @@ def _demean_within(groups: np.ndarray, *arrays):
     return out
 
 
-def _cluster_omega(groups: np.ndarray, psi: np.ndarray) -> float:
-    """Sum over groups of the squared within-group sum of psi."""
-    _, g = np.unique(groups, return_inverse=True)
-    return float(np.sum(np.bincount(g, weights=psi) ** 2))
-
-
 def _lpdid_one(
     panel: PanelDataset,
     spec: LpDidSpec,
@@ -282,41 +276,24 @@ def _lpdid_one(
         )
 
     fit = _partial_out(C, base, dd, dy, spec.method, oga_config)
-    T = dy.shape[0]
-
-    if spec.variance == VARIANCE_HAC:
-        sigma_sq, _, _, bandwidth = hac_variance(fit.v, fit.u, hac_config.bandwidth)
-    else:
-        tau_sq = float(fit.v @ fit.v) / T
-        if tau_sq < 1e-12:
-            raise DegenerateShock("treatment residual variance is numerically zero")
-        omega = _cluster_omega(units, fit.v * fit.u) / T
-        sigma_sq = omega / tau_sq**2
-        bandwidth = None
-    if hac_config.dof_correction:
-        absorbed = len(np.unique(times)) if spec.time_effects else 0
-        dof = T - fit.rank - absorbed
-        if dof <= 0:
-            raise DegenerateShock(
-                f"no residual degrees of freedom: T={T}, design rank "
-                f"{fit.rank} plus {absorbed} absorbed time effects"
-            )
-        sigma_sq *= T / dof
-    se = float(np.sqrt(sigma_sq / T))
-
+    se, cis, _, _, _, bandwidth = _inference(
+        fit, hac_config, spec.levels,
+        clusters=units if spec.variance == VARIANCE_CLUSTER else None,
+        absorbed=len(np.unique(times)) if spec.time_effects else 0,
+    )
     return LpDidEstimate(
         horizon=h,
         method=spec.method,
         beta=fit.beta,
         se=se,
-        cis=_confidence_intervals(fit.beta, se, spec.levels),
+        cis=cis,
         n_treated=n_treated,
         n_clean=n_clean,
         selected=tuple(int(keep[j]) for j in fit.union),
         control_names=control_names,
         bandwidth=bandwidth,
         variance=spec.variance,
-        effective_T=T,
+        effective_T=dy.shape[0],
     )
 
 

@@ -18,7 +18,7 @@ penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class OgaConfig:
 
 @dataclass(frozen=True)
 class SelectionPath:
-    """Result of one greedy run: ordering, criterion curve, chosen model."""
+    """Result of one greedy run: ordering, criterion curve, chosen model, and
+    an orthonormal basis of the base columns and the chosen set (pick order)."""
 
     ordered_indices: tuple[int, ...]
     sigma_sq_path: tuple[float, ...]
@@ -83,6 +84,7 @@ class SelectionPath:
     chosen_m: int
     chosen_set: tuple[int, ...]
     c_star_used: float
+    basis: np.ndarray = field(compare=False, repr=False)
 
 
 def max_steps(T: int, p: int, config: OgaConfig) -> int:
@@ -99,15 +101,17 @@ def max_steps(T: int, p: int, config: OgaConfig) -> int:
     return max(m, 1)
 
 
-def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float]]:
+def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarray]:
     """Order up to M columns of W greedily by residual-variance reduction.
 
     Each step adds the admissible column whose inclusion drops the RSS the
     most (ties go to the lowest index). Columns whose component orthogonal
     to the current fit falls below 1e-10 of their norm are treated as
-    already spanned and skipped. Returns the ordering and the per-step
-    residual variances ||r_m||^2 / T; the path is shorter than M when the
-    admissible pool empties first.
+    already spanned and skipped. Returns the ordering, the per-step
+    residual variances ||r_m||^2 / T, and the orthonormal basis built along
+    the way: the orthonormalized base columns, then one column per pick in
+    pick order. The path is shorter than M when the admissible pool empties
+    first.
     """
     W = np.asarray(W, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -155,7 +159,7 @@ def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float]]:
         proj_sq = np.maximum(proj_sq - c * c, 0.0)
         alive &= proj_sq >= (SPAN_RTOL**2) * norms_sq
         sigma_sq.append(float(r @ r) / T)
-    return order, sigma_sq
+    return order, sigma_sq, Q
 
 
 def hdaic(sigma_sq: float, m: int, p, T: int, c_star: float) -> float:
@@ -190,7 +194,7 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
         c_star = float(config.c_star)
 
     M = max_steps(T, p, config)
-    order, sigma_sq = oga_order(W, y, M, base=base)
+    order, sigma_sq, Q = oga_order(W, y, M, base=base)
     m_hat = select_hdaic(sigma_sq, p, T, c_star)
     hdaic_path = tuple(
         hdaic(s, m, p, T, c_star) for m, s in enumerate(sigma_sq, start=1)
@@ -202,6 +206,7 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
         chosen_m=m_hat,
         chosen_set=tuple(order[:m_hat]),
         c_star_used=c_star,
+        basis=Q[:, : Q.shape[1] - len(order) + m_hat],
     )
 
 
@@ -213,7 +218,8 @@ def select_c_star(
 
     The sample is split by time order: selection and fitting on the leading
     (1 - eval_fraction) share, squared prediction error on the tail. Ties go
-    to the smaller candidate.
+    to the smaller candidate. Candidates that cut the path at the same step
+    share one holdout fit.
     """
     candidates = tuple(candidates)
     if not candidates:
@@ -238,19 +244,15 @@ def select_c_star(
         b_tr = b_te = None
 
     # c_star only decides where the greedy path is cut, so one path serves
-    # every candidate
+    # every candidate and one fit serves every candidate with the same cut
     p = W.shape[1]
-    order, sigma_sq = oga_order(W_tr, y_tr, max_steps(n_train, p, config), base=b_tr)
-    best_c = None
-    best_mspe = math.inf
-    for c in sorted(candidates):
-        cols = order[: select_hdaic(sigma_sq, p, n_train, float(c))]
+    order, sigma_sq, _ = oga_order(W_tr, y_tr, max_steps(n_train, p, config), base=b_tr)
+    cuts = {c: select_hdaic(sigma_sq, p, n_train, float(c)) for c in candidates}
+    mspe = {}
+    for m in sorted(set(cuts.values())):
+        cols = order[:m]
         X_tr = W_tr[:, cols] if b_tr is None else np.column_stack([W_tr[:, cols], b_tr])
         X_te = W_te[:, cols] if b_te is None else np.column_stack([W_te[:, cols], b_te])
-        fit = ols_fit(X_tr, y_tr)
-        err = y_te - X_te @ fit.coefficients
-        mspe = float(err @ err) / err.shape[0]
-        if mspe < best_mspe:
-            best_mspe = mspe
-            best_c = float(c)
-    return best_c
+        err = y_te - X_te @ ols_fit(X_tr, y_tr).coefficients
+        mspe[m] = float(err @ err) / err.shape[0]
+    return float(min(sorted(candidates), key=lambda c: mspe[cuts[c]]))

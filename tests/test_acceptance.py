@@ -74,7 +74,7 @@ def test_criterion_1_selection_oracle_equivalence():
         W = rng.standard_normal((T, p))
         y = rng.standard_normal(T)
         M = max_steps(T, p, OgaConfig())
-        order, sigma_sq = oga_order(W, y, M)
+        order, sigma_sq, _ = oga_order(W, y, M)
         if order != refit_greedy_oracle(W, y, M):
             mismatches += 1
         # stopping rule equals the exhaustive scan

@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -243,6 +245,52 @@ class TestMontecarloCommand:
         )
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert (tmp_path / "mc.csv").read_bytes() == clean
+
+    def test_fingerprint_covers_every_field_that_changes_the_report(self, tmp_path):
+        run = build_montecarlo_run(load_yaml(
+            write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        ))
+
+        def leaves(obj, path=()):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, path + (f.name,))
+                else:
+                    yield path + (f.name,)
+
+        def perturbed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 1
+            if isinstance(value, str):
+                return value + "_"
+            if value is None:
+                return 1
+            if isinstance(value, np.ndarray):
+                out = value.copy()
+                out.flat[-1] += 1.0
+                return out
+            if isinstance(value, tuple):
+                return value[:-1] + (perturbed(value[-1]),) if value else (1,)
+            return value.with_name(value.name + "_")  # a Path
+
+        def replaced(obj, path):
+            # bypasses validation: the fingerprint only reads fields
+            clone = copy.copy(obj)
+            value = getattr(obj, path[0])
+            new = perturbed(value) if len(path) == 1 else replaced(value, path[1:])
+            object.__setattr__(clone, path[0], new)
+            return clone
+
+        base = _config_fingerprint(run)
+        paths = list(leaves(run))
+        assert len(paths) > 25
+        for path in paths:
+            changed = _config_fingerprint(replaced(run, path)) != base
+            assert changed == (path[0] not in ("out_path", "parallelism",
+                                               "checkpoint")), path
 
     def test_stale_checkpoint_ignored(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdlp
 import hdlp.lp
 import hdlp.lpdid
 from hdlp.errors import InsufficientSample, UnknownColumn
-from hdlp.hac import HacConfig, newey_west
+from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
+    INTERCEPT_NAME,
     LpDataset,
     LpSpec,
     TimeSeriesMatrix,
@@ -39,7 +42,68 @@ def ar1_series(rng, T, rho):
     return y
 
 
+def per_column_lp_dataset(data, spec, h):
+    """Reference: the dataset built one (lag, series) column at a time."""
+    depth = spec.lag_depth
+    eff = data.n_rows - h - depth
+    t = np.arange(depth, data.n_rows - h)
+    vals = data.values
+    cols, cmap = [], []
+    for name in spec.contemporaneous:
+        cols.append(vals[t, data.index(name)])
+        cmap.append((name, 0))
+    for ell in range(1, depth + 1):
+        for name in spec.lagged:
+            cols.append(vals[t - ell, data.index(name)])
+            cmap.append((name, ell))
+    if spec.include_intercept:
+        cols.append(np.ones(eff))
+        cmap.append((INTERCEPT_NAME, 0))
+    W = np.column_stack(cols) if cols else np.zeros((eff, 0))
+    y = vals[t + h, data.index(spec.response)]
+    x = vals[t, data.index(spec.shock)]
+    return y, x, W, tuple(cmap)
+
+
 class TestBuildLpDataset:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_series=st.integers(2, 5),
+        lags=st.integers(0, 3),
+        lag_augment=st.integers(0, 2),
+        contemp_mask=st.lists(st.booleans(), min_size=5, max_size=5),
+        lagged_mask=st.lists(st.booleans(), min_size=5, max_size=5),
+        include_intercept=st.booleans(),
+        horizons=st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_column_reference_and_is_a_row_prefix(
+        self, seed, n_series, lags, lag_augment, contemp_mask, lagged_mask,
+        include_intercept, horizons,
+    ):
+        rng = np.random.default_rng(seed)
+        data = make_data(rng, 30, n_series)
+        names = data.columns
+        spec = LpSpec(
+            response=names[0], shock=names[1], horizons=horizons,
+            contemporaneous=[c for c, m in zip(names[2:], contemp_mask) if m],
+            lagged=[c for c, m in zip(names, lagged_mask) if m],
+            lags=lags, lag_augment=lag_augment,
+            include_intercept=include_intercept,
+        )
+        built = {}
+        for h in sorted(horizons):
+            ds = build_lp_dataset(data, spec, h)
+            y, x, W, cmap = per_column_lp_dataset(data, spec, h)
+            assert np.array_equal(ds.y, y) and np.array_equal(ds.x, x)
+            assert ds.W.shape == W.shape and np.array_equal(ds.W, W)
+            assert ds.W.flags["C_CONTIGUOUS"]
+            assert ds.column_map == cmap
+            for h0, ds0 in built.items():
+                assert np.array_equal(ds.W, ds0.W[: ds.effective_T])
+                assert np.array_equal(ds.x, ds0.x[: ds.effective_T])
+            built[h] = ds
+
     def test_effective_sample_counting(self):
         rng = np.random.default_rng(0)
         data = make_data(rng, 10, 1, names=("y",))
@@ -437,6 +501,99 @@ class TestPartialOutCore:
         _, _, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
         fit = _partial_out(C, np.ones((dy.shape[0], 1)), dd, dy, method, oga)
         assert result.by_horizon()[1].beta == fit.beta
+
+    @pytest.mark.parametrize("variance", ("hac", "cluster"))
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_lpdid_honours_psi_source(self, method, variance):
+        rng = np.random.default_rng(21)
+        n_units, n_periods = 40, 10
+        adopt = rng.integers(3, 14, size=n_units)
+        unit = np.repeat(np.arange(n_units), n_periods)
+        time = np.tile(np.arange(n_periods), n_units)
+        treat = (time >= adopt[unit]).astype(float)
+        z = rng.standard_normal(unit.size)
+        outcome = rng.standard_normal(unit.size) + treat + 0.5 * z
+        panel = PanelDataset(unit=unit, time=time, outcome=outcome,
+                             treatment=treat, covariates={"z": z})
+        spec = LpDidSpec(horizons=(1,), outcome_lags=2, extra_controls=("z",),
+                         time_effects=False, method=method, variance=variance)
+        oga = OgaConfig(c_star=2.0)
+        first = HacConfig(psi_source="first_stage_e")
+        got = lpdid_estimate(panel, spec, oga, first).by_horizon()[1]
+        final = lpdid_estimate(panel, spec, oga, HacConfig()).by_horizon()[1]
+
+        _, units, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
+        fit = _partial_out(C, np.ones((dy.shape[0], 1)), dd, dy, method, oga)
+        T = dy.shape[0]
+        tau_sq = float(fit.v @ fit.v) / T
+        if variance == "hac":
+            omega = newey_west(fit.v * fit.e, got.bandwidth)
+        else:
+            omega = cluster_omega(units, fit.v * fit.e) / T
+        se = np.sqrt(omega / tau_sq**2 / (T - fit.rank))
+        assert got.beta == final.beta == fit.beta
+        assert got.se == pytest.approx(se, rel=1e-12)
+        assert got.se != final.se
+
+
+class TestFactorizationBudget:
+    """One factorization per horizon: the greedy paths' bases are reused."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"qr": 0, "project_out": 0}
+        qr, project_out = scipy.linalg.qr, hdlp.linalg.project_out
+
+        def counted_qr(*args, **kwargs):
+            counts["qr"] += 1
+            return qr(*args, **kwargs)
+
+        def counted_project_out(*args, **kwargs):
+            counts["project_out"] += 1
+            return project_out(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
+        for module in vars(hdlp).values():
+            if getattr(module, "project_out", None) is not None:
+                monkeypatch.setattr(module, "project_out", counted_project_out)
+        return counts
+
+    def dataset(self):
+        rng = np.random.default_rng(22)
+        data = make_data(rng, 200, 5)
+        spec = LpSpec(response="y1", shock="y2", horizons=(1, 2, 3),
+                      lagged=("y1", "y2", "y3", "y4", "y5"), lags=4)
+        return data, spec
+
+    def test_qr_calls_per_horizon(self, counts):
+        data, spec = self.dataset()
+        ds = build_lp_dataset(data, spec, 1)
+        est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig())
+        assert set(est.selected_y) != set(est.selected_x)
+        # one QR of the one-column intercept basis in each greedy path
+        assert counts["qr"] <= 2
+        counts["qr"] = 0
+        conventional_lp(ds, HacConfig())
+        assert counts["qr"] == 1
+
+    def test_project_out_is_never_called(self, counts):
+        data, spec = self.dataset()
+        for method in (DOUBLE_OGA, CONVENTIONAL_LP):
+            for psi in ("final_u", "first_stage_e"):
+                result = estimate_irf(data, spec, OgaConfig(c_star=None),
+                                      HacConfig(psi_source=psi), method=method)
+                assert not result.errors
+        rng = np.random.default_rng(23)
+        unit = np.repeat(np.arange(30), 8)
+        time = np.tile(np.arange(8), 30)
+        treat = (time >= rng.integers(2, 12, size=30)[unit]).astype(float)
+        panel = PanelDataset(unit=unit, time=time,
+                             outcome=rng.standard_normal(unit.size) + treat,
+                             treatment=treat)
+        for method in (DOUBLE_OGA, CONVENTIONAL_LP):
+            spec = LpDidSpec(horizons=(0, 1), outcome_lags=2, method=method)
+            assert not lpdid_estimate(panel, spec).errors
+        assert counts["project_out"] == 0
 
 
 class TestBugsPropagate:

@@ -12,7 +12,7 @@ from hdlp.errors import (
     NonAbsorbingTreatment,
     NoTreatedUnits,
 )
-from hdlp.hac import HacConfig
+from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA
 from hdlp.lpdid import (
     CLEAN,
@@ -20,7 +20,6 @@ from hdlp.lpdid import (
     LpDidSpec,
     PanelDataset,
     _assemble,
-    _cluster_omega,
     _demean_within,
     lpdid_estimate,
     restrict_sample,
@@ -364,6 +363,22 @@ class TestLpDidEstimate:
         result = lpdid_estimate(panel, LpDidSpec(horizons=(1,)))
         assert "DegenerateShock" in result.errors[1]
 
+    def test_no_degrees_of_freedom_is_insufficient_sample(self):
+        # 9 rows at h=1: rank 5 (shock, lag, 3 covariates) + 4 time effects
+        rng = np.random.default_rng(0)
+        unit = np.repeat(np.arange(3), 6)
+        time = np.tile(np.arange(6), 3)
+        treat = (time >= np.array([3, 4, 99])[unit]).astype(float)
+        cov = {f"z{k}": rng.standard_normal(unit.size) for k in range(3)}
+        panel = PanelDataset(unit=unit, time=time, treatment=treat,
+                             outcome=rng.standard_normal(unit.size), covariates=cov)
+        spec = LpDidSpec(horizons=(1,), outcome_lags=1, extra_controls=tuple(cov),
+                         method=CONVENTIONAL_LP)
+        result = lpdid_estimate(panel, spec)
+        assert result.errors[1].startswith("InsufficientSample: no residual degrees")
+        no_dof = lpdid_estimate(panel, spec, hac_config=HacConfig(dof_correction=False))
+        assert not no_dof.errors
+
 
 def demean_within_loop(groups, *arrays):
     """Reference: one boolean mask per group."""
@@ -416,8 +431,8 @@ class TestVectorizedGroupSums:
         rng, units, times = random_cells(seed, n_units, n_times)
         psi = rng.standard_normal(units.shape[0])
         want = cluster_omega_loop(units, psi)
-        assert _cluster_omega(units, psi) == pytest.approx(want, rel=1e-12)
-        assert _cluster_omega(times, psi) == pytest.approx(
+        assert cluster_omega(units, psi) == pytest.approx(want, rel=1e-12)
+        assert cluster_omega(times, psi) == pytest.approx(
             cluster_omega_loop(times, psi), rel=1e-12)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdlp.selection
 from hdlp.errors import AllColumnsDegenerate, ZeroNormColumn
 from hdlp.linalg import ols_fit
 from hdlp.selection import (
@@ -61,21 +62,21 @@ class TestOgaOrder:
         rng = np.random.default_rng(1)
         Q, _ = np.linalg.qr(rng.standard_normal((40, 8)))
         y = 2.0 * Q[:, 3] + 0.5 * Q[:, 7]
-        order, sigma_sq = oga_order(Q, y, 3)
+        order, sigma_sq, _ = oga_order(Q, y, 3)
         assert order[:2] == [3, 7]
         assert sigma_sq[1] == pytest.approx(0.0, abs=1e-20)
 
     def test_single_candidate(self):
         rng = np.random.default_rng(2)
         W = rng.standard_normal((10, 1))
-        order, _ = oga_order(W, rng.standard_normal(10), 1)
+        order, _, _ = oga_order(W, rng.standard_normal(10), 1)
         assert order == [0]
 
     def test_matches_refit_oracle(self):
         rng = np.random.default_rng(3)
         W = rng.standard_normal((40, 8))
         y = rng.standard_normal(40)
-        order, _ = oga_order(W, y, 8)
+        order, _, _ = oga_order(W, y, 8)
         assert order == refit_greedy_oracle(W, y, 8)
 
     def test_matches_refit_oracle_with_base(self):
@@ -83,14 +84,14 @@ class TestOgaOrder:
         W = rng.standard_normal((30, 6)) + 1.5
         y = rng.standard_normal(30) + 0.7
         base = np.ones((30, 1))
-        order, _ = oga_order(W, y, 6, base=base)
+        order, _, _ = oga_order(W, y, 6, base=base)
         assert order == refit_greedy_oracle(W, y, 6, base=base)
 
     def test_sigma_path_nonincreasing(self):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((50, 10))
         y = rng.standard_normal(50)
-        _, sigma_sq = oga_order(W, y, 10)
+        _, sigma_sq, _ = oga_order(W, y, 10)
         diffs = np.diff(sigma_sq)
         assert np.all(diffs <= 1e-12)
 
@@ -100,7 +101,7 @@ class TestOgaOrder:
         b = rng.standard_normal(20)
         W = np.column_stack([a, 2.0 * a, b])  # column 1 spanned once 0 enters
         y = 3.0 * a + b + 0.01 * rng.standard_normal(20)
-        order, _ = oga_order(W, y, 3)
+        order, _, _ = oga_order(W, y, 3)
         assert len(order) == 2
         assert set(order) == {0, 2}
 
@@ -121,10 +122,10 @@ class TestOgaOrder:
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((25, 6))
         y = rng.standard_normal(25)
-        order, _ = oga_order(W, y, 6)
+        order, _, _ = oga_order(W, y, 6)
         W2 = W.copy()
         W2[:, 2] *= scale
-        order2, _ = oga_order(W2, y, 6)
+        order2, _, _ = oga_order(W2, y, 6)
         assert order == order2
 
 
@@ -141,8 +142,8 @@ class TestOgaOrder:
         W = rng.standard_normal((30, 7)) + with_base
         y = rng.standard_normal(30)
         base = np.ones((30, 1)) if with_base else None
-        order, _ = oga_order(W, y, 7, base=base)
-        scaled, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7, base=base)
+        order, _, _ = oga_order(W, y, 7, base=base)
+        scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7, base=base)
         assert scaled == order
 
 
@@ -177,6 +178,33 @@ class TestSelectHdaic:
 
 
 class TestOgaHdaicSelect:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 12),
+        n_dup=st.integers(0, 2),
+        with_base=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_basis_is_orthonormal_over_base_and_chosen_set(
+        self, seed, p, n_dup, with_base
+    ):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((40, p)) + with_base
+        W = np.column_stack([W] + [2.0 * W[:, k % p] for k in range(n_dup)])
+        y = W[:, 0] - W[:, -1] + rng.standard_normal(40)
+        base = np.ones((40, 1)) if with_base else None
+        path = oga_hdaic_select(W, y, OgaConfig(c_star=2.0), base=base)
+        Q = path.basis
+        assert Q.shape == (40, with_base + path.chosen_m)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
+        X = W[:, list(path.chosen_set)]
+        if with_base:
+            X = np.column_stack([base, X])
+        # same span: each side is reproduced by projecting on the other
+        np.testing.assert_allclose(Q @ (Q.T @ X), X, atol=1e-9)
+        coef = np.linalg.lstsq(X, Q, rcond=None)[0]
+        np.testing.assert_allclose(X @ coef, Q, atol=1e-9)
+
     def test_exact_single_column(self):
         rng = np.random.default_rng(9)
         Q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
@@ -260,3 +288,24 @@ class TestSelectCStar:
             err = y[n_train:] - X[n_train:] @ fit.coefficients
             mspes[c] = float(err @ err) / err.shape[0]
         assert chosen == min(sorted(candidates), key=lambda c: mspes[c])
+
+    def test_one_holdout_fit_per_distinct_cut(self, monkeypatch):
+        fits = []
+
+        def counted(X, y):
+            fits.append(X.shape[1])
+            return ols_fit(X, y)
+
+        monkeypatch.setattr(hdlp.selection, "ols_fit", counted)
+        rng = np.random.default_rng(15)
+        T, p = 120, 20
+        W = rng.standard_normal((T, p))
+        y = W[:, :6] @ np.linspace(1.0, 0.1, 6) + rng.standard_normal(T)
+        candidates = (0.2, 0.5, 1.0, 1.6, 1.8, 2.0, 2.2, 2.4, 8.0, 30.0)
+        cfg = OgaConfig()
+        select_c_star(W, y, candidates, config=cfg)
+        n_train = int(0.8 * T)
+        _, sigma_sq, _ = oga_order(W[:n_train], y[:n_train], max_steps(n_train, p, cfg))
+        cuts = {select_hdaic(sigma_sq, p, n_train, c) for c in candidates}
+        assert 1 < len(cuts) < len(candidates)
+        assert sorted(fits) == sorted(cuts)
