@@ -24,7 +24,11 @@ from hdlp.cli import fmt, write_csv_atomic  # noqa: E402
 from hdlp.dgp import Section3Design  # noqa: E402
 from hdlp.hac import HacConfig  # noqa: E402
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA  # noqa: E402
-from hdlp.montecarlo import run_monte_carlo, section3_mc_design  # noqa: E402
+from hdlp.montecarlo import (  # noqa: E402
+    REPORT_COLUMNS,
+    run_monte_carlo,
+    section3_mc_design,
+)
 from hdlp.selection import OgaConfig  # noqa: E402
 
 GRID = [
@@ -76,18 +80,12 @@ def main() -> int:
         print(f"  {label}: done in {elapsed:.0f}s, {report.failures} cell "
               f"failures", file=sys.stderr)
         rows = report.rows()
-        write_csv_atomic(
-            out_dir / f"{label}.csv",
-            ["method", "horizon", "level", "coverage", "median_width",
-             "n_reps"],
-            rows,
-        )
+        write_csv_atomic(out_dir / f"{label}.csv", REPORT_COLUMNS, rows)
         combined += [(variant, rho, *row) for row in rows]
 
     write_csv_atomic(
         out_dir / "combined.csv",
-        ["variant", "rho", "method", "horizon", "level", "coverage",
-         "median_width", "n_reps"],
+        ["variant", "rho", *REPORT_COLUMNS],
         combined,
     )
     print(f"wrote {out_dir}/combined.csv", file=sys.stderr)

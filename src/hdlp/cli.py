@@ -38,7 +38,7 @@ from .dgp import DfmDgpSpec, simulate_dfm, simulate_var, true_dfm_irf, \
 from .errors import ConfigError, DataError, HdlpError
 from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
-from .montecarlo import run_monte_carlo
+from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_EVERY = 50
@@ -51,22 +51,42 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: Path, header, rows):
-    """Write the full table to a temp file, then rename into place."""
+def _write_atomic(path: Path, write):
+    """Call write(fh) on a temp file next to path, then rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: Path, header, rows):
+    """Write the full table to a temp file, then rename into place."""
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+    _write_atomic(path, write)
+
+
+def _report_failures(out_path: Path, lines: list[str]) -> int:
+    """Log one line per failed horizon next to the (unwritten) table; exit 4."""
+    log_path = out_path.with_suffix(out_path.suffix + ".log")
+    log_path.write_text("".join(f"{line}\n" for line in lines))
+    print(
+        f"estimation failed for {len(lines)} horizon(s); detail in {log_path}",
+        file=sys.stderr,
+    )
+    return 4
 
 
 def read_wide_csv(path: Path) -> TimeSeriesMatrix:
@@ -166,13 +186,14 @@ def cmd_estimate(run: EstimateRun) -> int:
            "c_star_y", "c_star_x", "effective_T"]
     )
     rows = []
-    failures: dict[str, dict[int, str]] = {}
+    failed = []
     for method in run.methods:
         result = estimate_irf(
             data, run.lp_spec, run.oga, run.hac, run.levels, method=method
         )
-        if result.errors:
-            failures[method] = result.errors
+        failed += [
+            f"{method} horizon {h}: {msg}" for h, msg in sorted(result.errors.items())
+        ]
         for est in result.estimates:
             row = [est.horizon, method, est.beta, est.se]
             for level in run.levels:
@@ -186,18 +207,8 @@ def cmd_estimate(run: EstimateRun) -> int:
                 est.effective_T,
             ]
             rows.append(row)
-    if failures:
-        log_path = run.out_path.with_suffix(run.out_path.suffix + ".log")
-        with open(log_path, "w") as fh:
-            for method, errors in failures.items():
-                for h, msg in sorted(errors.items()):
-                    fh.write(f"{method} horizon {h}: {msg}\n")
-        print(
-            f"estimation failed for {sum(len(e) for e in failures.values())} "
-            f"horizon(s); detail in {log_path}",
-            file=sys.stderr,
-        )
-        return 4
+    if failed:
+        return _report_failures(run.out_path, failed)
     write_csv_atomic(run.out_path, header, rows)
     return 0
 
@@ -277,21 +288,9 @@ def _config_fingerprint(run: MontecarloRun) -> str:
 
 
 def save_checkpoint(path: Path, fingerprint: str, records: list):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
-                 "records": records},
-                fh,
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    blob = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
+            "records": records}
+    _write_atomic(path, lambda fh: json.dump(blob, fh))
 
 
 def load_checkpoint(path: Path, fingerprint: str) -> list | None:
@@ -348,11 +347,7 @@ def cmd_montecarlo(run: MontecarloRun) -> int:
             file=sys.stderr,
         )
         return 4
-    write_csv_atomic(
-        run.out_path,
-        ["method", "horizon", "level", "coverage", "median_width", "n_reps"],
-        report.rows(),
-    )
+    write_csv_atomic(run.out_path, REPORT_COLUMNS, report.rows())
     if run.checkpoint and ckpt_path.exists():
         ckpt_path.unlink()
     return 0
@@ -362,15 +357,10 @@ def cmd_lpdid(run: LpdidRun) -> int:
     panel = read_long_csv(run.data_path, run)
     result = lpdid_estimate(panel, run.spec, run.oga, run.hac)
     if result.errors:
-        log_path = run.out_path.with_suffix(run.out_path.suffix + ".log")
-        with open(log_path, "w") as fh:
-            for h, msg in sorted(result.errors.items()):
-                fh.write(f"horizon {h}: {msg}\n")
-        print(
-            f"estimation failed for {len(result.errors)} horizon(s); "
-            f"detail in {log_path}", file=sys.stderr,
+        return _report_failures(
+            run.out_path,
+            [f"horizon {h}: {msg}" for h, msg in sorted(result.errors.items())],
         )
-        return 4
     header = (
         ["horizon", "method", "beta", "se"]
         + _ci_headers(run.spec.levels)

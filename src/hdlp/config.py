@@ -20,7 +20,7 @@ from .dgp import DfmDgpSpec, Section3Design, VarDgpSpec, \
 from .errors import ConfigError
 from .hac import HacConfig
 from .lp import METHODS, DOUBLE_OGA, LpSpec
-from .lpdid import LpDidSpec, VARIANCE_CLUSTER, VARIANCE_HAC
+from .lpdid import LpDidSpec, VARIANCE_HAC
 from .montecarlo import McDesign, section3_mc_design
 from .selection import OgaConfig
 
@@ -110,8 +110,7 @@ def parse_selection(d: dict | None) -> OgaConfig:
         return OgaConfig()
     _check_keys(
         d,
-        {"c_star", "candidates", "max_steps", "mbar_scale", "delta",
-         "eval_fraction"},
+        {"c_star", "max_steps", "mbar_scale", "delta", "eval_fraction"},
         "selection",
     )
     kwargs = {}
@@ -123,8 +122,6 @@ def parse_selection(d: dict | None) -> OgaConfig:
             kwargs["c_star"] = tuple(float(v) for v in c)
         else:
             kwargs["c_star"] = float(c)
-    if "candidates" in d:
-        kwargs["c_star_candidates"] = tuple(float(v) for v in d["candidates"])
     if "max_steps" in d and d["max_steps"] is not None:
         kwargs["max_steps_override"] = int(d["max_steps"])
     if "mbar_scale" in d:
@@ -461,9 +458,6 @@ def build_lpdid_run(cfg: dict) -> LpdidRun:
          "time_effects", "method", "levels", "variance", "selection", "hac"},
         "lpdid config",
     )
-    variance = str(cfg.get("variance", VARIANCE_HAC))
-    if variance not in (VARIANCE_HAC, VARIANCE_CLUSTER):
-        raise ConfigError(f"variance must be hac or cluster, got {variance!r}")
     methods = parse_methods(cfg.get("method"))
     if len(methods) != 1:
         raise ConfigError("lpdid takes a single method")
@@ -477,7 +471,7 @@ def build_lpdid_run(cfg: dict) -> LpdidRun:
             time_effects=bool(cfg.get("time_effects", True)),
             method=methods[0],
             levels=parse_levels(cfg.get("levels")),
-            variance=variance,
+            variance=str(cfg.get("variance", VARIANCE_HAC)),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid lpdid config: {exc}") from exc

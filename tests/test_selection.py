@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hdlp.selection
 from hdlp.errors import AllColumnsDegenerate, ZeroNormColumn
-from hdlp.linalg import ols_fit
 from hdlp.selection import (
+    DEFAULT_C_STAR_CANDIDATES,
     OgaConfig,
     hdaic,
     max_steps,
@@ -17,6 +17,7 @@ from hdlp.selection import (
     select_c_star,
     select_hdaic,
 )
+from reference import ols_fit
 
 
 def refit_greedy_oracle(W, y, M, base=None):
@@ -146,6 +147,34 @@ class TestOgaOrder:
         scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7, base=base)
         assert scaled == order
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 12),
+        data=st.data(),
+        with_base=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_duplicate_goes_to_the_lower_index_at_any_alignment(
+        self, seed, p, data, with_base
+    ):
+        rng = np.random.default_rng(seed)
+        T = 40
+        W = rng.standard_normal((T, p)) + with_base
+        k = data.draw(st.integers(0, p - 1), label="duplicated column")
+        d = data.draw(st.integers(k + 1, p), label="position of the copy")
+        W = np.insert(W, d, W[:, k], axis=1)
+        y = 3.0 * W[:, k] + rng.standard_normal(T)
+        base = np.ones((T, 1)) if with_base else None
+        # same values, but one float64 off the allocator's alignment
+        buffer = np.empty(W.size + 1)
+        shifted = buffer[1:].reshape(W.shape)
+        shifted[...] = W
+        order, sigma_sq, _ = oga_order(W, y, p + 1, base=base)
+        order2, sigma_sq2, _ = oga_order(shifted, y, p + 1, base=base)
+        assert order2 == order
+        assert sigma_sq2 == sigma_sq
+        assert k in order and d not in order
+
 
 class TestHdaic:
     def test_perfect_fit(self):
@@ -236,7 +265,7 @@ class TestOgaHdaicSelect:
         W = rng.standard_normal((100, 5))
         y = W[:, 0] + 0.1 * rng.standard_normal(100)
         path = oga_hdaic_select(W, y, OgaConfig(c_star=None))
-        assert path.c_star_used in OgaConfig().c_star_candidates
+        assert path.c_star_used in DEFAULT_C_STAR_CANDIDATES
 
 
 class TestSelectCStar:
@@ -260,18 +289,19 @@ class TestSelectCStar:
         candidates=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=6,
                             unique=True),
         eval_fraction=st.sampled_from((0.1, 0.2, 0.3)),
-        with_base=st.booleans(),
+        n_base=st.integers(0, 2),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_evaluation(self, seed, T, p, candidates,
-                                           eval_fraction, with_base):
+                                           eval_fraction, n_base):
         rng = np.random.default_rng(seed)
-        W = rng.standard_normal((T, p)) + with_base * rng.uniform(-1, 1, p)
+        W = rng.standard_normal((T, p)) + (n_base > 0) * rng.uniform(-1, 1, p)
         y = W[:, 0] - 0.5 * W[:, -1] + rng.standard_normal(T)
-        base = np.ones((T, 1)) if with_base else None
+        # no base, an intercept, or an intercept plus a trend
+        base = np.column_stack([np.ones(T), np.linspace(-1.0, 1.0, T)])[:, :n_base]
+        base = base if n_base else None
         cfg = OgaConfig(eval_fraction=eval_fraction)
-        chosen = select_c_star(W, y, candidates, eval_fraction=eval_fraction,
-                               config=cfg, base=base)
+        chosen = select_c_star(W, y, candidates, config=cfg, base=base)
         # oracle: a full selection per candidate on the training rows, then
         # the holdout error of its fit; argmin with ties to the smaller
         n_train = min(max(int((1.0 - eval_fraction) * T), 2), T - 1)
@@ -289,23 +319,41 @@ class TestSelectCStar:
             mspes[c] = float(err @ err) / err.shape[0]
         assert chosen == min(sorted(candidates), key=lambda c: mspes[c])
 
-    def test_one_holdout_fit_per_distinct_cut(self, monkeypatch):
-        fits = []
+    def test_dependent_base_columns_act_as_their_span(self):
+        rng = np.random.default_rng(16)
+        T, p = 80, 8
+        W = rng.standard_normal((T, p)) + 0.5
+        y = W[:, :3] @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(T) + 2.0
+        candidates = (0.05, 0.5, 2.0, 8.0)
+        one = select_c_star(W, y, candidates, base=np.ones((T, 1)))
+        two = select_c_star(W, y, candidates, base=np.ones((T, 2)))
+        assert two == one
 
-        def counted(X, y):
-            fits.append(X.shape[1])
-            return ols_fit(X, y)
+    def test_one_qr_per_path_when_tuned(self, monkeypatch):
+        # tuning reads every holdout fit off the training path's basis: the
+        # only QRs are of the intercept, once in the tuning path and once in
+        # the final path
+        calls = []
+        qr = scipy.linalg.qr
 
-        monkeypatch.setattr(hdlp.selection, "ols_fit", counted)
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counted)
         rng = np.random.default_rng(15)
         T, p = 120, 20
         W = rng.standard_normal((T, p))
         y = W[:, :6] @ np.linspace(1.0, 0.1, 6) + rng.standard_normal(T)
         candidates = (0.2, 0.5, 1.0, 1.6, 1.8, 2.0, 2.2, 2.4, 8.0, 30.0)
-        cfg = OgaConfig()
-        select_c_star(W, y, candidates, config=cfg)
         n_train = int(0.8 * T)
-        _, sigma_sq, _ = oga_order(W[:n_train], y[:n_train], max_steps(n_train, p, cfg))
-        cuts = {select_hdaic(sigma_sq, p, n_train, c) for c in candidates}
-        assert 1 < len(cuts) < len(candidates)
-        assert sorted(fits) == sorted(cuts)
+        _, sigma_sq, _ = oga_order(W[:n_train], y[:n_train],
+                                   max_steps(n_train, p, OgaConfig()),
+                                   base=np.ones((n_train, 1)))
+        calls.clear()
+        path = oga_hdaic_select(W, y, OgaConfig(c_star=candidates),
+                                base=np.ones((T, 1)))
+        assert path.c_star_used in candidates
+        # several candidates with distinct cuts, so the curve has many points
+        assert len({select_hdaic(sigma_sq, p, n_train, c) for c in candidates}) > 1
+        assert calls == [(n_train, 1), (T, 1)]
