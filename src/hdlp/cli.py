@@ -4,7 +4,10 @@ Every command takes --config pointing at a YAML file; --seed, --threads and
 --out override the corresponding config scalars. Output tables are CSV with
 floats at 17 significant digits, written to a temporary file and renamed,
 so an aborted run never leaves a partial table. Exit codes: 0 success,
-2 configuration problem, 3 input-data problem, 4 computation problem.
+2 configuration problem (any malformed config value, named by its dotted
+key), 3 input-data problem, 4 computation problem. An exception outside
+those, which is a bug, also exits 4 but is labelled "internal error" and
+printed with its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +37,7 @@ from .config import (
     build_simulate_run,
     load_yaml,
 )
-from .dgp import DfmDgpSpec, simulate_dfm, simulate_var, true_dfm_irf, \
-    true_reduced_form_irf
+from .dgp import simulate_dfm, simulate_var, true_dfm_irf, true_reduced_form_irf
 from .errors import ConfigError, DataError, HdlpError
 from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
@@ -215,31 +218,10 @@ def cmd_estimate(run: EstimateRun) -> int:
 
 def cmd_simulate(run: SimulateRun) -> int:
     if run.kind == "dfm":
-        assert isinstance(run.spec, DfmDgpSpec)
-        data = simulate_dfm(run.spec, seed=run.seed)
-        response = (
-            run.response
-            if isinstance(run.response, int)
-            else list(data.columns).index(str(run.response)) + 1
-        )
-        truth = true_dfm_irf(
-            run.spec, int(response) - 1, int(run.innovation) - 1, run.horizons
-        )
+        data, irf = simulate_dfm(run.spec, seed=run.seed), true_dfm_irf
     else:
-        data = simulate_var(run.spec, run.T, seed=run.seed)
-        names = list(data.columns)
-
-        def to_index(v):
-            if isinstance(v, int):
-                return v - 1
-            if str(v) in names:
-                return names.index(str(v))
-            raise ConfigError(f"unknown series {v!r}; columns are {names}")
-
-        truth = true_reduced_form_irf(
-            run.spec, to_index(run.response), to_index(run.innovation),
-            run.horizons,
-        )
+        data, irf = simulate_var(run.spec, run.T, seed=run.seed), true_reduced_form_irf
+    truth = irf(run.spec, run.response, run.innovation, run.horizons)
     write_csv_atomic(
         run.sidecar_path,
         ["horizon", "true_irf"],
@@ -444,8 +426,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # noqa: BLE001 - map anything else to exit 4
+    except (HdlpError, np.linalg.LinAlgError, OSError) as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # noqa: BLE001 - a bug: same exit code, full trace
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 4
 
 

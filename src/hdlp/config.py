@@ -1,28 +1,36 @@
 """Run-configuration parsing and validation.
 
 One YAML file fully describes a run; command-line flags may override the
-seed, worker count, and output path only. Every mapping is validated
-against an explicit key list and unknown keys are rejected, so typos fail
-before any computation starts.
+seed, worker count, and output path only. Each config section is one table
+that maps a YAML key to the field it sets and a strict converter: integers
+must be YAML integers, booleans unquoted true/false, numbers finite. The
+allowed keys of a section are its table's keys, so typos fail before any
+computation starts, and a malformed value raises ConfigError naming its
+dotted key. A key set to null counts as unset, except selection.c_star,
+where null means auto. Defaults live in the dataclasses the tables fill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .dgp import DfmDgpSpec, Section3Design, VarDgpSpec, \
-    alternating_decay_vector, build_section3_coefficients, \
-    DENSE_ENDPOINTS, SPARSE_ENDPOINTS, toeplitz_power_sigma
+from .dgp import DfmDgpSpec, Section3Design, VarDgpSpec, build_section3_coefficients
 from .errors import ConfigError
 from .hac import HacConfig
-from .lp import METHODS, DOUBLE_OGA, LpSpec
-from .lpdid import LpDidSpec, VARIANCE_HAC
-from .montecarlo import McDesign, section3_mc_design
+from .lp import DEFAULT_LEVELS, METHODS, LpSpec
+from .lpdid import LpDidSpec
+from .montecarlo import DEFAULT_METHODS, McDesign, section3_mc_design
 from .selection import OgaConfig
+
+# optional third element of a table entry
+REQUIRED = "required"  # the key must be set
+NULLABLE = "nullable"  # null is passed to the converter instead of meaning unset
 
 
 def load_yaml(path) -> dict:
@@ -34,456 +42,398 @@ def load_yaml(path) -> dict:
             cfg = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    return cfg
+    return as_mapping(cfg, "config root")
 
 
-def _check_keys(d: dict, allowed, where: str):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in {where}: {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+def _fail(where: str, what: str, value):
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return d[key]
+def as_int(lo: int | None = None):
+    def conv(value, where):
+        if type(value) is not int or (lo is not None and value < lo):
+            _fail(where, "an integer" if lo is None else f"an integer >= {lo}", value)
+        return value
+    return conv
 
 
-def _as_str_tuple(value, where: str) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, str) for v in value
-    ):
-        raise ConfigError(f"{where} must be a list of column names")
-    return tuple(value)
+def as_float(value, where):
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        _fail(where, "a finite number", value)
+    return float(value)
 
 
-def parse_horizons(value, where: str = "horizons") -> tuple[int, ...]:
-    """Either an explicit list or a {from, to} inclusive range."""
-    if isinstance(value, dict):
-        _check_keys(value, {"from", "to"}, where)
-        lo = int(_require(value, "from", where))
-        hi = int(_require(value, "to", where))
-        if hi < lo:
-            raise ConfigError(f"{where}: empty range {lo}..{hi}")
-        return tuple(range(lo, hi + 1))
-    if isinstance(value, (list, tuple)) and value:
-        try:
-            return tuple(int(h) for h in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where} must contain integers") from None
-    raise ConfigError(f"{where} must be a nonempty list or a from/to mapping")
+def as_type(*types, what: str):
+    """Converter taking a value whose exact type is one of types (a bool is no int)."""
+    def conv(value, where):
+        if type(value) not in types:
+            _fail(where, what, value)
+        return value
+    return conv
 
 
-def parse_levels(value) -> tuple[float, ...]:
-    if value is None:
-        return (0.95,)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError("levels must be a nonempty list")
-    levels = tuple(float(v) for v in value)
-    if any(not 0.0 < v < 1.0 for v in levels):
-        raise ConfigError("levels must lie strictly between 0 and 1")
+as_bool = as_type(bool, what="true or false")
+as_str = as_type(str, what="a string")
+as_mapping = as_type(dict, what="a mapping")
+as_series = as_type(str, int, what="a series name or a 1-based index")
+
+
+def as_path(value, where):
+    if type(value) is not str or not value:
+        _fail(where, "a nonempty path", value)
+    return Path(value)
+
+
+def as_choice(choices):
+    """One of the names in choices; a dict maps each name to what it returns."""
+    def conv(value, where):
+        if type(value) is not str or value not in choices:
+            _fail(where, f"one of {', '.join(choices)}", value)
+        return choices[value] if isinstance(choices, dict) else value
+    return conv
+
+
+def list_of(conv, nonempty: bool = False):
+    def conv_list(value, where):
+        if not isinstance(value, list) or (nonempty and not value):
+            _fail(where, "a nonempty list" if nonempty else "a list", value)
+        return tuple(conv(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return conv_list
+
+
+def as_levels(value, where):
+    levels = list_of(as_float, nonempty=True)(value, where)
+    if not all(0.0 < level < 1.0 for level in levels):
+        _fail(where, "a list of levels strictly between 0 and 1", value)
     return levels
 
 
-def parse_methods(value) -> tuple[str, ...]:
-    if value is None:
-        return (DOUBLE_OGA,)
-    if isinstance(value, str):
-        value = [value]
-    methods = tuple(value)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+def as_methods(value, where):
+    """One method name or a list of distinct ones."""
+    methods = list_of(as_choice(METHODS))([value] if type(value) is str else value, where)
     if len(set(methods)) != len(methods):
-        raise ConfigError("duplicate methods")
+        _fail(where, "a list of distinct methods", value)
     return methods
 
 
-def parse_selection(d: dict | None) -> OgaConfig:
-    if d is None:
-        return OgaConfig()
-    _check_keys(
-        d,
-        {"c_star", "max_steps", "mbar_scale", "delta", "eval_fraction"},
-        "selection",
-    )
-    kwargs = {}
-    if "c_star" in d:
-        c = d["c_star"]
-        if c == "auto" or c is None:
-            kwargs["c_star"] = None
-        elif isinstance(c, (list, tuple)):
-            kwargs["c_star"] = tuple(float(v) for v in c)
-        else:
-            kwargs["c_star"] = float(c)
-    if "max_steps" in d and d["max_steps"] is not None:
-        kwargs["max_steps_override"] = int(d["max_steps"])
-    if "mbar_scale" in d:
-        kwargs["mbar_scale"] = float(d["mbar_scale"])
-    if "delta" in d:
-        kwargs["delta_assumed"] = float(d["delta"])
-    if "eval_fraction" in d:
-        kwargs["eval_fraction"] = float(d["eval_fraction"])
+def as_method(value, where):
+    methods = as_methods(value, where)
+    if len(methods) != 1:
+        _fail(where, "a single method", value)
+    return methods[0]
+
+
+def as_horizons(value, where):
+    """A nonempty list of horizons or an inclusive {from, to} range."""
+    if not isinstance(value, dict):
+        return list_of(as_int(0), nonempty=True)(value, where)
+    (span,) = read(value, where, RANGE)
+    if span["hi"] < span["lo"]:
+        raise ConfigError(f"{where}: empty range {span['lo']}..{span['hi']}")
+    return tuple(range(span["lo"], span["hi"] + 1))
+
+
+def as_c_star(value, where):
+    """A number, a list of candidates, or auto/null for the default candidates."""
+    if value is None or value == "auto":
+        return None
+    if isinstance(value, list):
+        return list_of(as_float)(value, where)
+    return as_float(value, where)
+
+
+def as_bandwidth(value, where):
+    return None if value == "auto" else as_int()(value, where)
+
+
+def as_matrix(value, where):
+    """A number, a list of numbers, or a list of equal-length number lists."""
+    def nested(v, w):
+        return list_of(nested)(v, w) if isinstance(v, list) else as_float(v, w)
+
+    numbers = nested(value, where)
     try:
-        return OgaConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid selection config: {exc}") from exc
-
-
-def parse_hac(d: dict | None) -> HacConfig:
-    if d is None:
-        return HacConfig()
-    _check_keys(d, {"bandwidth", "psi_source", "dof_correction"}, "hac")
-    kwargs = {}
-    if "bandwidth" in d:
-        bw = d["bandwidth"]
-        kwargs["bandwidth"] = None if bw in (None, "auto") else int(bw)
-    if "psi_source" in d:
-        kwargs["psi_source"] = str(d["psi_source"])
-    if "dof_correction" in d:
-        kwargs["dof_correction"] = bool(d["dof_correction"])
-    try:
-        return HacConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid hac config: {exc}") from exc
-
-
-def _parse_matrix(value, where: str):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be numeric") from None
+        arr = np.atleast_2d(np.array(numbers, dtype=float))
+    except ValueError:  # rows of unequal length
+        arr = None
+    if arr is None or arr.ndim > 2:
+        _fail(where, "a matrix (a list of equal-length lists of numbers)", value)
     return arr
 
 
-def parse_design(d: dict, where: str = "design"):
-    """Returns ("section3", Section3Design) or ("var", VarDgpSpec) or
-    ("dfm", DfmDgpSpec)."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    kind = _require(d, "kind", where)
-    if kind == "section3":
-        _check_keys(
-            d,
-            {"kind", "rho", "variant", "a", "tau", "n", "T", "lags",
-             "lags_est", "burn_in"},
-            where,
-        )
-        n = int(d.get("n", 10))
-        variant = d.get("variant", "sparse")
-        if "a" in d and d["a"] is not None:
-            a = tuple(float(v) for v in d["a"])
-        elif variant == "sparse":
-            a = tuple(alternating_decay_vector(*SPARSE_ENDPOINTS, n - 1))
-        elif variant == "dense":
-            a = tuple(alternating_decay_vector(*DENSE_ENDPOINTS, n - 1))
-        else:
-            raise ConfigError(f"unknown variant {variant!r}; sparse or dense")
-        try:
-            design = Section3Design(
-                rho=float(d.get("rho", 0.5)),
-                a=a,
-                tau=float(d.get("tau", 0.3)),
-                n=n,
-                T=int(d.get("T", 300)),
-                lags_dgp=int(d.get("lags", 12)),
-                lags_est=int(d.get("lags_est", 21)),
-                burn_in=int(d.get("burn_in", 500)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from exc
-        return "section3", design
-    if kind == "var":
-        _check_keys(
-            d, {"kind", "coefficients", "sigma", "y1_rho", "burn_in"}, where
-        )
-        coeffs = _require(d, "coefficients", where)
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{where}.coefficients must be a list of matrices")
-        B = tuple(_parse_matrix(b, f"{where}.coefficients") for b in coeffs)
-        n = B[0].shape[0]
-        sigma = _parse_matrix(_require(d, "sigma", where), f"{where}.sigma")
-        try:
-            spec = VarDgpSpec(
-                n=n,
-                K=len(B),
-                B=B,
-                sigma=sigma,
-                burn_in=int(d.get("burn_in", 500)),
-                y1_rho=(float(d["y1_rho"]) if d.get("y1_rho") is not None
-                        else None),
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from exc
-        return "var", spec
-    if kind == "dfm":
-        _check_keys(
-            d,
-            {"kind", "phi", "shock_loadings", "loadings", "idio_ar",
-             "idio_scale", "T", "burn_in"},
-            where,
-        )
-        try:
-            spec = DfmDgpSpec(
-                phi=_parse_matrix(_require(d, "phi", where), "phi"),
-                h_load=_parse_matrix(
-                    _require(d, "shock_loadings", where), "shock_loadings"
-                ),
-                lam=_parse_matrix(_require(d, "loadings", where), "loadings"),
-                idio_ar=tuple(
-                    tuple(float(c) for c in row)
-                    for row in _require(d, "idio_ar", where)
-                ),
-                idio_scale=tuple(
-                    float(s) for s in _require(d, "idio_scale", where)
-                ),
-                T=int(d.get("T", 200)),
-                burn_in=int(d.get("burn_in", 500)),
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from exc
-        return "dfm", spec
-    raise ConfigError(f"unknown design kind {kind!r}; section3, var, or dfm")
+def read(d, where: str, *tables) -> list[dict]:
+    """Convert mapping d to one {field: value} dict per table. Absent or
+    null keys are left out, so the target's defaults apply."""
+    as_mapping(d, where)
+    allowed = [key for table in tables for key in table]
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(map(str, unknown))}; "
+                          f"allowed: {sorted(allowed)}")
+    out = []
+    for table in tables:
+        kw = {}
+        for key, (target, conv, *flags) in table.items():
+            if d.get(key) is not None or (key in d and NULLABLE in flags):
+                kw[target] = conv(d[key], f"{where}.{key}")
+            elif REQUIRED in flags:
+                raise ConfigError(f"missing required key {key!r} in {where}")
+        out.append(kw)
+    return out
 
 
-def parse_lp_spec(d: dict, where: str = "estimation") -> LpSpec:
-    _check_keys(
-        d,
-        {"response", "shock", "horizons", "contemporaneous", "lagged", "lags",
-         "lag_augment", "intercept"},
-        where,
-    )
+def make(build, kw: dict, where: str):
+    """build(**kw), with the target's own validation failures as ConfigError."""
     try:
-        return LpSpec(
-            response=str(_require(d, "response", where)),
-            shock=str(_require(d, "shock", where)),
-            horizons=parse_horizons(_require(d, "horizons", where)),
-            contemporaneous=_as_str_tuple(
-                d.get("contemporaneous"), f"{where}.contemporaneous"
-            ),
-            lagged=_as_str_tuple(d.get("lagged"), f"{where}.lagged"),
-            lags=int(d.get("lags", 0)),
-            lag_augment=int(d.get("lag_augment", 0)),
-            include_intercept=bool(d.get("intercept", True)),
-        )
+        return build(**kw)
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-@dataclass(eq=False)
+def section(table: dict, build):
+    """Converter for a nested mapping that becomes one build(**fields) object."""
+    def conv(value, where):
+        (kw,) = read(value, where, table)
+        return make(build, kw, where)
+    return conv
+
+
+def _section3(variant=Section3Design, **kw) -> Section3Design:
+    # an explicit loading vector a overrides the variant's
+    return (Section3Design if "a" in kw else variant)(**kw)
+
+
+def _var(B, **kw) -> VarDgpSpec:
+    return VarDgpSpec(n=B[0].shape[0], K=len(B), B=B, **kw)
+
+
+RANGE = {"from": ("lo", as_int(0), REQUIRED), "to": ("hi", as_int(0), REQUIRED)}
+SELECTION = {
+    "c_star": ("c_star", as_c_star, NULLABLE),
+    "max_steps": ("max_steps_override", as_int()),
+    "mbar_scale": ("mbar_scale", as_float),
+    "delta": ("delta_assumed", as_float),
+    "eval_fraction": ("eval_fraction", as_float),
+}
+HAC = {
+    "bandwidth": ("bandwidth", as_bandwidth),
+    "psi_source": ("psi_source", as_str),
+    "dof_correction": ("dof_correction", as_bool),
+}
+LP = {
+    "response": ("response", as_str, REQUIRED),
+    "shock": ("shock", as_str, REQUIRED),
+    "horizons": ("horizons", as_horizons, REQUIRED),
+    "contemporaneous": ("contemporaneous", list_of(as_str)),
+    "lagged": ("lagged", list_of(as_str)),
+    "lags": ("lags", as_int()),
+    "lag_augment": ("lag_augment", as_int()),
+    "intercept": ("include_intercept", as_bool),
+}
+SECTION3 = {
+    "rho": ("rho", as_float),
+    "variant": ("variant", as_choice({"sparse": Section3Design.sparse,
+                                      "dense": Section3Design.dense})),
+    "a": ("a", list_of(as_float)),
+    "tau": ("tau", as_float),
+    "n": ("n", as_int(2)),
+    "T": ("T", as_int(1)),
+    "lags": ("lags_dgp", as_int(1)),
+    "lags_est": ("lags_est", as_int(1)),
+    "burn_in": ("burn_in", as_int(0)),
+}
+VAR = {
+    "coefficients": ("B", list_of(as_matrix, nonempty=True), REQUIRED),
+    "sigma": ("sigma", as_matrix, REQUIRED),
+    "y1_rho": ("y1_rho", as_float),
+    "burn_in": ("burn_in", as_int(0)),
+}
+DFM = {
+    "phi": ("phi", as_matrix, REQUIRED),
+    "shock_loadings": ("h_load", as_matrix, REQUIRED),
+    "loadings": ("lam", as_matrix, REQUIRED),
+    "idio_ar": ("idio_ar", list_of(list_of(as_float)), REQUIRED),
+    "idio_scale": ("idio_scale", list_of(as_float), REQUIRED),
+    "T": ("T", as_int(1)),
+    "burn_in": ("burn_in", as_int(0)),
+}
+DESIGNS = {"section3": (SECTION3, _section3), "var": (VAR, _var),
+           "dfm": (DFM, DfmDgpSpec)}
+
+
+def as_design(*kinds):
+    """Converter for a design mapping whose kind, one of kinds, picks the table."""
+    def conv(value, where):
+        kind = as_choice(kinds)(as_mapping(value, where).get("kind"), f"{where}.kind")
+        table, build = DESIGNS[kind]
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return section(table, build)(rest, where)
+    return conv
+
+
+# root sections, shared by the commands that take them
+RUN = {"output": ("out_path", as_path, REQUIRED), "seed": ("seed", as_int(0))}
+DATA = {"data": ("data_path", as_path, REQUIRED)}
+REPORT = {"methods": ("methods", as_methods), "levels": ("levels", as_levels)}
+TUNING = {"selection": ("oga", section(SELECTION, OgaConfig)),
+          "hac": ("hac", section(HAC, HacConfig))}
+SIMULATE = {
+    "true_irf_output": ("sidecar_path", as_path),
+    "T": ("T", as_int(1)),
+    "response": ("response", as_series),
+    "innovation": ("innovation", as_series),
+    "horizons": ("horizons", as_horizons),
+    "design": ("spec", as_design(*DESIGNS), REQUIRED),
+}
+MONTECARLO = {
+    "n_reps": ("n_reps", as_int(1), REQUIRED),
+    "parallelism": ("parallelism", as_int(1)),
+    "checkpoint": ("checkpoint", as_bool),
+}
+MC_DESIGN = {  # montecarlo needs the companion-form truth of a VAR
+    "design": ("spec", as_design("section3", "var"), REQUIRED),
+    "T": ("T", as_int(1)),
+    "estimation": ("estimation", as_mapping),
+}
+LPDID = {key: (key, as_str)
+         for key in ("unit_col", "time_col", "outcome_col", "treatment_col")}
+LPDID_SPEC = {
+    "horizons": ("horizons", as_horizons, REQUIRED),
+    "outcome_lags": ("outcome_lags", as_int()),
+    "extra_controls": ("extra_controls", list_of(as_str)),
+    "time_effects": ("time_effects", as_bool),
+    "method": ("method", as_method),
+    "levels": ("levels", as_levels),
+    "variance": ("variance", as_str),
+}
+
+
+@dataclass(eq=False, kw_only=True)
 class EstimateRun:
     data_path: Path
     out_path: Path
     lp_spec: LpSpec
-    methods: tuple[str, ...]
-    levels: tuple[float, ...]
-    oga: OgaConfig
-    hac: HacConfig
-    seed: int
+    methods: tuple[str, ...] = DEFAULT_METHODS
+    levels: tuple[float, ...] = DEFAULT_LEVELS
+    oga: OgaConfig = field(default_factory=OgaConfig)
+    hac: HacConfig = field(default_factory=HacConfig)
+    seed: int = 0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class SimulateRun:
     out_path: Path
     sidecar_path: Path
-    kind: str
-    spec: object  # VarDgpSpec or DfmDgpSpec (section3 resolved to VarDgpSpec)
+    kind: str  # "var" (a section3 design resolved to its VarDgpSpec) or "dfm"
+    spec: object  # VarDgpSpec or DfmDgpSpec
     T: int
-    seed: int
-    response: str | int
-    innovation: str | int
-    horizons: tuple[int, ...]
+    seed: int = 0
+    response: int  # 0-based series index
+    innovation: int  # 0-based innovation (var) or factor-shock (dfm) index
+    horizons: tuple[int, ...] = tuple(range(21))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class MontecarloRun:
     out_path: Path
     design: McDesign
-    methods: tuple[str, ...]
-    levels: tuple[float, ...]
+    methods: tuple[str, ...] = DEFAULT_METHODS
+    levels: tuple[float, ...] = DEFAULT_LEVELS
     n_reps: int
-    seed: int
-    parallelism: int
-    checkpoint: bool
+    seed: int = 0
+    parallelism: int = 1
+    checkpoint: bool = True
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class LpdidRun:
     data_path: Path
     out_path: Path
-    unit_col: str
-    time_col: str
-    outcome_col: str
-    treatment_col: str
+    unit_col: str = "unit"
+    time_col: str = "time"
+    outcome_col: str = "outcome"
+    treatment_col: str = "treatment"
     spec: LpDidSpec
-    oga: OgaConfig
-    hac: HacConfig
-    seed: int
+    oga: OgaConfig = field(default_factory=OgaConfig)
+    hac: HacConfig = field(default_factory=HacConfig)
+    seed: int = 0
+
+
+def _index(value, count: int, where: str, prefix: str | None = None) -> int:
+    """0-based index of a series named '<prefix><i>' or given as 1-based i."""
+    names = [f"{prefix}{i + 1}" for i in range(count)] if prefix else []
+    if value in names:
+        return names.index(value)
+    if type(value) is not int or not 1 <= value <= count:
+        named = f" or {names[0]}..{names[-1]}" if names else ""
+        _fail(where, f"1..{count}{named}", value)
+    return value - 1
+
+
+def _length(spec, T, where: str):
+    """Apply a root-level T to a design that has its own; var designs need it."""
+    if isinstance(spec, VarDgpSpec):
+        if T is None:
+            raise ConfigError(f"missing required key 'T' in {where} (var design)")
+        return spec, T
+    spec = spec if T is None else dataclasses.replace(spec, T=T)
+    return spec, spec.T
 
 
 def build_estimate_run(cfg: dict) -> EstimateRun:
-    _check_keys(
-        cfg,
-        {"data", "output", "seed", "methods", "levels", "response", "shock",
-         "horizons", "contemporaneous", "lagged", "lags", "lag_augment",
-         "intercept", "selection", "hac"},
-        "estimate config",
-    )
-    lp_keys = {"response", "shock", "horizons", "contemporaneous", "lagged",
-               "lags", "lag_augment", "intercept"}
-    lp_cfg = {k: cfg[k] for k in lp_keys if k in cfg}
-    return EstimateRun(
-        data_path=Path(str(_require(cfg, "data", "estimate config"))),
-        out_path=Path(str(_require(cfg, "output", "estimate config"))),
-        lp_spec=parse_lp_spec(lp_cfg, "estimate config"),
-        methods=parse_methods(cfg.get("methods")),
-        levels=parse_levels(cfg.get("levels")),
-        oga=parse_selection(cfg.get("selection")),
-        hac=parse_hac(cfg.get("hac")),
-        seed=int(cfg.get("seed", 0)),
-    )
+    where = "estimate config"
+    run, lp = read(cfg, where, {**RUN, **DATA, **REPORT, **TUNING}, LP)
+    return EstimateRun(lp_spec=make(LpSpec, lp, where), **run)
 
 
 def build_simulate_run(cfg: dict) -> SimulateRun:
-    _check_keys(
-        cfg,
-        {"output", "true_irf_output", "seed", "T", "response", "innovation",
-         "horizons", "design"},
-        "simulate config",
-    )
-    kind, spec = parse_design(_require(cfg, "design", "simulate config"))
-    if kind == "section3":
-        T = int(cfg.get("T", spec.T))
-        spec = build_section3_coefficients(spec)
-        kind = "var"
-    elif kind == "dfm":
-        T = int(cfg.get("T", spec.T))
-    else:
-        T = int(_require(cfg, "T", "simulate config"))
-    out_path = Path(str(_require(cfg, "output", "simulate config")))
-    sidecar = cfg.get("true_irf_output")
-    sidecar_path = (
-        Path(str(sidecar))
-        if sidecar
-        else out_path.with_name(out_path.stem + "_true_irf.csv")
-    )
-    response = cfg.get("response", "y2" if kind == "var" else 1)
-    innovation = cfg.get("innovation", "y1" if kind == "var" else 1)
+    where = "simulate config"
+    (kw,) = read(cfg, where, {**RUN, **SIMULATE})
+    spec, kw["T"] = _length(kw.pop("spec"), kw.pop("T", None), where)
+    if isinstance(spec, Section3Design):
+        spec = make(build_section3_coefficients, {"design": spec}, f"{where}.design")
+    dfm = isinstance(spec, DfmDgpSpec)
+    n = spec.n_series if dfm else spec.n
+    out = kw["out_path"]
+    kw.setdefault("sidecar_path", out.with_name(out.stem + "_true_irf.csv"))
     return SimulateRun(
-        out_path=out_path,
-        sidecar_path=sidecar_path,
-        kind=kind,
+        kind="dfm" if dfm else "var",
         spec=spec,
-        T=T,
-        seed=int(cfg.get("seed", 0)),
-        response=response,
-        innovation=innovation,
-        horizons=parse_horizons(cfg.get("horizons", {"from": 0, "to": 20})),
+        response=_index(kw.pop("response", 1 if dfm else 2), n,
+                        f"{where}.response", "x" if dfm else "y"),
+        innovation=_index(kw.pop("innovation", 1),
+                          spec.h_load.shape[1] if dfm else n,
+                          f"{where}.innovation", None if dfm else "y"),
+        **kw,
     )
 
 
 def build_montecarlo_run(cfg: dict) -> MontecarloRun:
-    _check_keys(
-        cfg,
-        {"output", "seed", "n_reps", "parallelism", "checkpoint", "methods",
-         "levels", "design", "T", "estimation", "selection", "hac"},
-        "montecarlo config",
-    )
-    kind, design_spec = parse_design(_require(cfg, "design", "montecarlo config"))
-    oga = parse_selection(cfg.get("selection"))
-    hac = parse_hac(cfg.get("hac"))
-    est = cfg.get("estimation") or {}
-    if kind == "section3":
-        extra = {k: v for k, v in est.items() if k != "horizons"}
-        if extra:
-            raise ConfigError(
-                "section3 designs derive the estimation layout; only "
-                f"estimation.horizons may be set, got {sorted(extra)}"
-            )
-        horizons = (
-            parse_horizons(est["horizons"]) if "horizons" in est else None
-        )
-        design = section3_mc_design(design_spec, horizons=horizons, oga=oga,
-                                    hac=hac)
-        if "T" in cfg:
-            design.T = int(cfg["T"])
-    elif kind == "var":
-        lp_spec = parse_lp_spec(est, "estimation")
-        names = tuple(f"y{i + 1}" for i in range(design_spec.n))
-        for col in (lp_spec.response, lp_spec.shock):
-            if col not in names:
-                raise ConfigError(
-                    f"estimation references {col!r}; simulated columns are "
-                    f"y1..y{design_spec.n}"
-                )
-        design = McDesign(
-            dgp=design_spec,
-            T=int(_require(cfg, "T", "montecarlo config")),
-            lp_spec=lp_spec,
-            response_index=names.index(lp_spec.response),
-            innovation_index=names.index(lp_spec.shock),
-            oga=oga,
-            hac=hac,
-        )
+    where = "montecarlo config"
+    run, kw = read(cfg, where, {**RUN, **REPORT, **MONTECARLO},
+                   {**TUNING, **MC_DESIGN})
+    spec, T = _length(kw.pop("spec"), kw.pop("T", None), where)
+    est = kw.pop("estimation", {})
+    est_where = f"{where}.estimation"
+    if isinstance(spec, Section3Design):
+        # the design fixes the estimation layout; only its horizons may be set
+        (lp,) = read(est, est_where, {"horizons": LP["horizons"]})
+        design = make(section3_mc_design, {"design": spec, **lp, **kw}, where)
     else:
-        raise ConfigError(
-            "montecarlo requires a design with a companion-form truth; "
-            "use kind section3 or var"
+        (lp,) = read(est, est_where, LP)
+        lp_spec = make(LpSpec, lp, est_where)
+        design = McDesign(
+            dgp=spec, T=T, lp_spec=lp_spec,
+            response_index=_index(lp_spec.response, spec.n,
+                                  f"{est_where}.response", "y"),
+            innovation_index=_index(lp_spec.shock, spec.n,
+                                    f"{est_where}.shock", "y"),
+            **kw,
         )
-    return MontecarloRun(
-        out_path=Path(str(_require(cfg, "output", "montecarlo config"))),
-        design=design,
-        methods=parse_methods(cfg.get("methods")),
-        levels=parse_levels(cfg.get("levels")),
-        n_reps=int(_require(cfg, "n_reps", "montecarlo config")),
-        seed=int(cfg.get("seed", 0)),
-        parallelism=int(cfg.get("parallelism", 1)),
-        checkpoint=bool(cfg.get("checkpoint", True)),
-    )
+    return MontecarloRun(design=design, **run)
 
 
 def build_lpdid_run(cfg: dict) -> LpdidRun:
-    _check_keys(
-        cfg,
-        {"data", "output", "seed", "unit_col", "time_col", "outcome_col",
-         "treatment_col", "horizons", "outcome_lags", "extra_controls",
-         "time_effects", "method", "levels", "variance", "selection", "hac"},
-        "lpdid config",
-    )
-    methods = parse_methods(cfg.get("method"))
-    if len(methods) != 1:
-        raise ConfigError("lpdid takes a single method")
-    try:
-        spec = LpDidSpec(
-            horizons=parse_horizons(_require(cfg, "horizons", "lpdid config")),
-            outcome_lags=int(cfg.get("outcome_lags", 0)),
-            extra_controls=_as_str_tuple(
-                cfg.get("extra_controls"), "extra_controls"
-            ),
-            time_effects=bool(cfg.get("time_effects", True)),
-            method=methods[0],
-            levels=parse_levels(cfg.get("levels")),
-            variance=str(cfg.get("variance", VARIANCE_HAC)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid lpdid config: {exc}") from exc
-    return LpdidRun(
-        data_path=Path(str(_require(cfg, "data", "lpdid config"))),
-        out_path=Path(str(_require(cfg, "output", "lpdid config"))),
-        unit_col=str(cfg.get("unit_col", "unit")),
-        time_col=str(cfg.get("time_col", "time")),
-        outcome_col=str(cfg.get("outcome_col", "outcome")),
-        treatment_col=str(cfg.get("treatment_col", "treatment")),
-        spec=spec,
-        oga=parse_selection(cfg.get("selection")),
-        hac=parse_hac(cfg.get("hac")),
-        seed=int(cfg.get("seed", 0)),
-    )
+    where = "lpdid config"
+    run, spec = read(cfg, where, {**RUN, **DATA, **TUNING, **LPDID}, LPDID_SPEC)
+    return LpdidRun(spec=make(LpDidSpec, spec, where), **run)

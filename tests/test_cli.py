@@ -86,6 +86,28 @@ def small_var_mc_cfg(tmp_path, **overrides):
     return cfg
 
 
+def dfm_simulate_cfg(tmp_path, **overrides):
+    cfg = {
+        "output": str(tmp_path / "dfm.csv"),
+        "seed": 3,
+        "T": 60,
+        "response": 2,
+        "innovation": 1,
+        "horizons": [0, 1, 2],
+        "design": {
+            "kind": "dfm",
+            "phi": [[0.8]],
+            "shock_loadings": [[1.0]],
+            "loadings": [[1.0], [0.5]],
+            "idio_ar": [[0.4], []],
+            "idio_scale": [0.5, 1.0],
+            "burn_in": 50,
+        },
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 class TestEstimateCommand:
     def test_row_count_and_schema(self, tmp_path, sim_csv):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
@@ -126,6 +148,19 @@ class TestEstimateCommand:
                            selection={"c_star": None, "candidates": [1.0, 2.0]})
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main(["estimate", "--config", cfg_path]) == 2
+        assert not (tmp_path / "irf.csv").exists()
+
+    def test_bug_is_internal_error_with_traceback(self, tmp_path, sim_csv,
+                                                  capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr("hdlp.cli.estimate_irf", broken)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
+        assert main(["estimate", "--config", cfg_path]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: TypeError: injected bug" in err
+        assert "Traceback" in err
         assert not (tmp_path / "irf.csv").exists()
 
     def test_unknown_column_is_computation_error(self, tmp_path, sim_csv):
@@ -191,24 +226,7 @@ class TestSimulateCommand:
         assert (tmp_path / "sim.csv").read_bytes() == first
 
     def test_dfm_kind(self, tmp_path):
-        cfg = {
-            "output": str(tmp_path / "dfm.csv"),
-            "seed": 3,
-            "T": 60,
-            "response": 2,
-            "innovation": 1,
-            "horizons": [0, 1, 2],
-            "design": {
-                "kind": "dfm",
-                "phi": [[0.8]],
-                "shock_loadings": [[1.0]],
-                "loadings": [[1.0], [0.5]],
-                "idio_ar": [[0.4], []],
-                "idio_scale": [0.5, 1.0],
-                "burn_in": 50,
-            },
-        }
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
         assert main(["simulate", "--config", cfg_path]) == 0
         with open(tmp_path / "dfm_true_irf.csv") as fh:
             truth = list(csv.DictReader(fh))
@@ -442,3 +460,6 @@ class TestExampleConfigs:
         build_simulate_run(load_yaml("configs/simulate.yaml"))
         build_montecarlo_run(load_yaml("configs/montecarlo.yaml"))
         build_lpdid_run(load_yaml("configs/lpdid.yaml"))
+        # the benchmark's configs, read through the same builders
+        build_estimate_run(load_yaml("perfbench/configs/estimate.yaml"))
+        build_lpdid_run(load_yaml("perfbench/configs/lpdid.yaml"))
