@@ -43,7 +43,7 @@ from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: records of the one-matvec-per-step simulator
 CHECKPOINT_EVERY = 50
 
 

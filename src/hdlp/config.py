@@ -49,10 +49,12 @@ def _fail(where: str, what: str, value):
     raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
-def as_int(lo: int | None = None):
+def as_int(lo: int | None = None, hi: int | None = None):
     def conv(value, where):
-        if type(value) is not int or (lo is not None and value < lo):
-            _fail(where, "an integer" if lo is None else f"an integer >= {lo}", value)
+        if (type(value) is not int or (lo is not None and value < lo)
+                or (hi is not None and value > hi)):
+            what = "an integer" if lo is None else f"an integer >= {lo}"
+            _fail(where, what if hi is None else f"{what} and <= {hi}", value)
         return value
     return conv
 
@@ -278,6 +280,7 @@ REPORT = {"methods": ("methods", as_methods), "levels": ("levels", as_levels)}
 TUNING = {"selection": ("oga", section(SELECTION, OgaConfig)),
           "hac": ("hac", section(HAC, HacConfig))}
 SIMULATE = {
+    "seed": ("seed", as_int(0, 2**128 - 1)),  # the Philox key
     "true_irf_output": ("sidecar_path", as_path),
     "T": ("T", as_int(1)),
     "response": ("response", as_series),
@@ -286,6 +289,7 @@ SIMULATE = {
     "design": ("spec", as_design(*DESIGNS), REQUIRED),
 }
 MONTECARLO = {
+    "seed": ("seed", as_int(0, 2**64 - 1)),  # one uint64 word of the Philox key
     "n_reps": ("n_reps", as_int(1), REQUIRED),
     "parallelism": ("parallelism", as_int(1)),
     "checkpoint": ("checkpoint", as_bool),

@@ -231,20 +231,22 @@ def _generator(seed) -> np.random.Generator:
 
 
 def simulate_var(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
-    """Draw T rows from the autoregression after discarding the burn-in."""
+    """Draw T rows from the autoregression after discarding the burn-in.
+
+    Each step is one matvec of [B_K .. B_1] on the last K rows, which sit
+    contiguously in y below K rows of zero presample.
+    """
     rng = _generator(seed)
     total = T + spec.burn_in
     chol = np.linalg.cholesky(spec.sigma)
     u = rng.standard_normal((total, spec.n)) @ chol.T
-    y = np.zeros((total, spec.n))
+    K = spec.K
+    B = np.hstack(spec.B[::-1])
+    y = np.zeros((K + total, spec.n))
     for t in range(total):
-        acc = u[t].copy()
-        for ell, b in enumerate(spec.B, start=1):
-            if t - ell >= 0:
-                acc += b @ y[t - ell]
-        y[t] = acc
+        y[K + t] = u[t] + B @ y[t : K + t].ravel()
     names = tuple(f"y{i + 1}" for i in range(spec.n))
-    return TimeSeriesMatrix(values=y[spec.burn_in :], columns=names)
+    return TimeSeriesMatrix(values=y[K + spec.burn_in :], columns=names)
 
 
 def true_reduced_form_irf(

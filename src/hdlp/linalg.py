@@ -4,10 +4,13 @@ Everything works on plain float64 arrays. Rank deficiency is handled by a
 rank-revealing (pivoted) QR with a relative pivot tolerance of 1e-10, or by
 a 1e-10 span test when a basis grows one column at a time: dependent columns
 are dropped instead of raising, because unions of selected lag columns are
-routinely collinear.
+routinely collinear. A basis of a design also serves every row prefix of
+that design (PrefixBasis), as long as the prefix keeps the design's rank.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +19,10 @@ from .errors import DimensionMismatch
 
 PIVOT_RTOL = 1e-10
 SPAN_RTOL = 1e-10  # a column this far inside an existing span counts as degenerate
+# a row prefix keeps its design's basis while the smallest eigenvalue of its
+# Gram matrix Q_n'Q_n is provably at least this; projections then lose at most
+# a factor 1e4 of accuracy to the solve
+PREFIX_EIG_TOL = 1e-4
 
 
 def _as_design(X) -> np.ndarray:
@@ -71,3 +78,63 @@ def gram_schmidt_extend(orthobasis, new_col) -> np.ndarray | None:
     if nrm < SPAN_RTOL * nrm0:
         return None
     return r / nrm
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixBasis:
+    """Orthonormal basis Q of a design X, used for the projection on the
+    column space of X's first n rows.
+
+    X[:n] = Q[:n] R, so with U = Q[n:] (the dropped rows) the projection of v
+    on that column space is Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v
+    (Woodbury on (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}). G = L^{-1} U, L the
+    Cholesky factor of I - UU', turns the correction into G'(G a). With no
+    dropped rows G is empty and residual() is orthogonal_residual(Q, v).
+    """
+
+    Q: np.ndarray
+    n: int
+    G: np.ndarray
+
+    @classmethod
+    def of(cls, X) -> "PrefixBasis":
+        """Basis of all of X's rows, from one pivoted QR."""
+        Q = orthonormal_columns(X)
+        return cls(Q, Q.shape[0], np.zeros((0, Q.shape[1])))
+
+    @property
+    def rank(self) -> int:
+        return self.Q.shape[1]
+
+    def on_rows(self, n: int) -> "PrefixBasis | None":
+        """The basis read on the first n rows, or None when they may lose rank.
+
+        The smallest eigenvalue of I - UU' (that of Q[:n]'Q[:n]) is at least
+        1 / trace((I - UU')^{-1}) = 1 / (d + ||G||_F^2) for d dropped rows;
+        below PREFIX_EIG_TOL, or when the Cholesky factorization fails, the
+        caller factors X[:n] afresh. (The Cholesky diagonal alone bounds that
+        eigenvalue only from above.)
+        """
+        if not 0 < n <= self.Q.shape[0]:
+            raise DimensionMismatch(
+                f"a basis of {self.Q.shape[0]} rows has no {n}-row prefix"
+            )
+        U = self.Q[n:]
+        d = U.shape[0]
+        try:
+            L = np.linalg.cholesky(np.eye(d) - U @ U.T)
+        except np.linalg.LinAlgError:
+            return None
+        G = scipy.linalg.solve_triangular(L, U, lower=True, check_finite=False)
+        if (d + float(np.sum(G * G))) * PREFIX_EIG_TOL > 1.0:
+            return None
+        return PrefixBasis(self.Q, n, G)
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """v minus its projection on the prefix's column space, in two passes."""
+        Q = self.Q[: self.n]
+        r = v
+        for _ in range(2):
+            a = Q.T @ r
+            r = r - Q @ (a + self.G.T @ (self.G @ a))
+        return r

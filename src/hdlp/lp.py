@@ -19,7 +19,8 @@ penalty count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import gram_schmidt_extend, orthogonal_residual, orthonormal_columns
+from .linalg import PrefixBasis, gram_schmidt_extend, orthogonal_residual
 from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
@@ -166,12 +167,17 @@ class IrfResult:
         return {est.horizon: est for est in self.estimates}
 
 
-def build_lp_dataset(data: TimeSeriesMatrix, spec: LpSpec, h: int) -> LpDataset:
+def build_lp_dataset(
+    data: TimeSeriesMatrix, spec: LpSpec, h: int, anchor: LpDataset | None = None
+) -> LpDataset:
     """Align response, shock and controls for horizon h.
 
     Row t of the output pairs y_{t+h} with x_t, the contemporaneous controls
     at t and the lagged controls at t-1 .. t-depth; the effective sample is
-    n_rows - h - depth and must be at least 8.
+    n_rows - h - depth and must be at least 8. Rows run t = depth ..
+    n_rows-h-1, so W and x at horizon h are the first rows of W and x at any
+    shorter horizon: given anchor, a dataset of the same data and spec at a
+    horizon <= h, they are views of its first rows.
     """
     depth = spec.lag_depth
     eff = data.n_rows - h - depth
@@ -180,16 +186,20 @@ def build_lp_dataset(data: TimeSeriesMatrix, spec: LpSpec, h: int) -> LpDataset:
             f"{data.n_rows} rows leave {eff} usable at horizon {h} with "
             f"lag depth {depth}; need at least 8"
         )
-    resp = data.index(spec.response)
+    vals = data.values
+    start, stop = depth, data.n_rows - h
+    y = vals[start + h : stop + h, data.index(spec.response)].copy()
+    if anchor is not None:
+        if anchor.effective_T < eff:
+            raise DimensionMismatch(
+                f"anchor at horizon {anchor.horizon} is shorter than horizon {h}"
+            )
+        return replace(anchor, y=y, x=anchor.x[:eff], W=anchor.W[:eff],
+                       horizon=h, effective_T=eff)
     shock = data.index(spec.shock)
     contemp = [data.index(c) for c in spec.contemporaneous]
     lagged = [data.index(c) for c in spec.lagged]
 
-    # rows t = depth .. n_rows-h-1; one block per lag, so W at horizon h is
-    # the first rows of W at any shorter horizon
-    vals = data.values
-    start, stop = depth, data.n_rows - h
-    y = vals[start + h : stop + h, resp].copy()
     x = vals[start:stop, shock].copy()
     lagged_vals = vals.take(lagged, axis=1)  # row-major, as are its row slices
     blocks = [vals.take(contemp, axis=1)[start:stop]]
@@ -231,6 +241,7 @@ def _partial_out(
     y: np.ndarray,
     method: str,
     oga_config: OgaConfig | None,
+    design: PrefixBasis | None = None,
 ) -> _Partialled:
     """Shock coefficient of y on x, controlling for chosen columns of C and all of base.
 
@@ -238,8 +249,9 @@ def _partial_out(
     the union, whose basis is the shock path's own orthonormal basis extended
     by Gram-Schmidt with the outcome-only columns (in index order, skipping
     spanned ones); v and e come off each path's basis. CONVENTIONAL_LP, or an
-    empty C, controls for every column with one pivoted QR. beta =
-    x_resid'y_resid / x_resid'x_resid on the union basis.
+    empty C, controls for every column through design, the basis of [C, base]
+    (one pivoted QR when the caller holds none); v and e are then the final
+    residuals. beta = x_resid'y_resid / x_resid'x_resid on the union basis.
     """
     p = C.shape[1]
     if p and float(np.var(x)) < 1e-12:
@@ -251,32 +263,33 @@ def _partial_out(
         sel_x = oga_hdaic_select(C, x, oga_config, base=base)
         set_y = tuple(sorted(sel_y.chosen_set))
         set_x = tuple(sorted(sel_x.chosen_set))
-        Q = Q_x = sel_x.basis
-        Q_y = sel_y.basis
+        Q = sel_x.basis
         for j in sorted(set(set_y) - set(set_x)):
             q = gram_schmidt_extend(Q, C[:, j])
             if q is not None:
                 Q = np.column_stack([Q, q])
+        residual, rank = partial(orthogonal_residual, Q), Q.shape[1]
     else:
         set_y = set_x = tuple(range(p))
-        Q = Q_y = Q_x = orthonormal_columns(
-            C if base is None else np.column_stack([C, base])
-        )
+        if design is None:
+            design = PrefixBasis.of(C if base is None else np.column_stack([C, base]))
+        residual, rank = design.residual, design.rank
     union = tuple(sorted(set(set_y) | set(set_x)))
 
-    x_resid = orthogonal_residual(Q, x)
+    x_resid = residual(x)
     T = x.shape[0]
     xx = float(x_resid @ x_resid)
     if xx / T < 1e-12:
         raise DegenerateShock(
             "shock has no variation left after projecting on the selected controls"
         )
-    y_resid = orthogonal_residual(Q, y)
+    y_resid = residual(y)
     beta = float(x_resid @ y_resid) / xx
     return _Partialled(
         beta=beta, u=y_resid - beta * x_resid,
-        v=orthogonal_residual(Q_x, x), e=orthogonal_residual(Q_y, y),
-        rank=Q.shape[1] + 1, selected_y=set_y, selected_x=set_x, union=union,
+        v=orthogonal_residual(sel_x.basis, x) if sel_x else x_resid,
+        e=orthogonal_residual(sel_y.basis, y) if sel_y else y_resid,
+        rank=rank + 1, selected_y=set_y, selected_x=set_x, union=union,
         c_star_y=sel_y.c_star_used if sel_y else None,
         c_star_x=sel_x.c_star_used if sel_x else None,
     )
@@ -324,12 +337,13 @@ def _estimate(
     oga_config: OgaConfig | None,
     hac_config: HacConfig | None,
     levels,
+    design: PrefixBasis | None = None,
 ) -> LpEstimate:
-    Wc = dataset.W[:, list(dataset.candidate_indices)]
-    base = None
+    Wc, base = dataset.W, None
     if dataset.intercept_index is not None:
+        Wc = np.delete(dataset.W, dataset.intercept_index, axis=1)
         base = dataset.W[:, [dataset.intercept_index]]
-    fit = _partial_out(Wc, base, dataset.x, dataset.y, method, oga_config)
+    fit = _partial_out(Wc, base, dataset.x, dataset.y, method, oga_config, design)
     se, cis, sigma_sq, tau_sq, omega, K = _inference(
         fit, hac_config or HacConfig(), levels
     )
@@ -374,9 +388,16 @@ def conventional_lp(
     dataset: LpDataset,
     hac_config: HacConfig | None = None,
     levels=DEFAULT_LEVELS,
+    *,
+    design: PrefixBasis | None = None,
 ) -> LpEstimate:
-    """No selection: regress on the shock and every control, same variance."""
-    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels)
+    """No selection: regress on the shock and every control, same variance.
+
+    design is a basis of W's column space on the dataset's rows, such as an
+    earlier horizon's basis read on them (PrefixBasis.on_rows); by default
+    it is one pivoted QR of W.
+    """
+    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels, design)
 
 
 def estimate_lp(
@@ -403,18 +424,28 @@ def estimate_irf(
 ) -> IrfResult:
     """Estimate the shock coefficient at every requested horizon.
 
-    Horizons are independent regressions; a package error or a linear-algebra
-    failure at one horizon is recorded and does not abort the others. Any
-    other exception is a bug and propagates.
+    Horizons are independent regressions, run in increasing order on
+    row-prefix views of the dataset at the smallest horizon that builds. The
+    no-selection benchmark factors that design once and reads every longer
+    horizon off the same basis; where a prefix may lose rank it factors the
+    horizon's own design, which then serves the longer horizons. A package
+    error or a linear-algebra failure at one horizon is recorded and does not
+    abort the others. Any other exception is a bug and propagates.
     """
-    estimates: list[LpEstimate] = []
+    done: dict[int, LpEstimate] = {}
     errors: dict[int, str] = {}
-    for h in spec.horizons:
+    anchor = design = None
+    for h in sorted(set(spec.horizons)):
         try:
-            dataset = build_lp_dataset(data, spec, h)
-            estimates.append(
-                estimate_lp(dataset, method, oga_config, hac_config, levels)
-            )
+            dataset = build_lp_dataset(data, spec, h, anchor)
+            anchor = anchor or dataset
+            if method == CONVENTIONAL_LP:
+                design = design and design.on_rows(dataset.effective_T)
+                design = design or PrefixBasis.of(dataset.W)
+                done[h] = conventional_lp(dataset, hac_config, levels, design=design)
+            else:
+                done[h] = estimate_lp(dataset, method, oga_config, hac_config, levels)
         except (HdlpError, np.linalg.LinAlgError) as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
-    return IrfResult(method=method, estimates=tuple(estimates), errors=errors)
+    estimates = tuple(done[h] for h in spec.horizons if h in done)
+    return IrfResult(method=method, estimates=estimates, errors=errors)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hac import HacConfig
 from .linalg import SPAN_RTOL
-from .lp import DOUBLE_OGA, METHODS, _inference, _partial_out
+from .lp import DEFAULT_LEVELS, DOUBLE_OGA, METHODS, _inference, _partial_out
 from .selection import OgaConfig
 
 TREATED = "treated"
@@ -158,7 +158,7 @@ class LpDidSpec:
     extra_controls: tuple[str, ...] = ()
     time_effects: bool = True
     method: str = DOUBLE_OGA
-    levels: tuple[float, ...] = (0.95,)
+    levels: tuple[float, ...] = DEFAULT_LEVELS
     variance: str = VARIANCE_HAC
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ import numpy as np
 from .dgp import Section3Design, VarDgpSpec, build_section3_coefficients, \
     section3_lp_spec, simulate_var, true_reduced_form_irf
 from .hac import HacConfig
-from .lp import DOUBLE_OGA, LpSpec, estimate_irf
+from .lp import DEFAULT_LEVELS, DOUBLE_OGA, LpSpec, estimate_irf
 from .selection import OgaConfig
 
 DEFAULT_METHODS = (DOUBLE_OGA,)
@@ -174,7 +174,7 @@ def run_monte_carlo(
     design: McDesign,
     methods=DEFAULT_METHODS,
     n_reps: int = 100,
-    levels=(0.95,),
+    levels=DEFAULT_LEVELS,
     seed: int = 0,
     parallelism: int = 1,
     checkpoint_every: int = 0,

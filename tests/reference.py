@@ -1,10 +1,12 @@
-"""Least-squares reference routines for the tests.
+"""Reference routines for the tests.
 
 The library reads every fit off the orthonormal bases its greedy paths
 build, so it carries no general OLS solver. These independent pivoted-QR
 routines are the oracle the tests compare it against. Rank deficiency is
 handled by a rank-revealing (pivoted) QR with a relative pivot tolerance of
-1e-10: dependent columns are dropped and get zero coefficients.
+1e-10: dependent columns are dropped and get zero coefficients. The
+lag-by-lag autoregression loop is the oracle for the library's stacked
+simulator.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from hdlp.dgp import VarDgpSpec, _generator
 from hdlp.errors import DimensionMismatch, NonFinite
 from hdlp.linalg import PIVOT_RTOL, _as_design, orthogonal_residual, orthonormal_columns
+from hdlp.lp import TimeSeriesMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,3 +80,21 @@ def project_out(basis, v) -> np.ndarray:
     if basis.shape[1] == 0:
         return v.copy()
     return orthogonal_residual(orthonormal_columns(basis), v)
+
+
+def simulate_var_per_lag(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
+    """simulate_var's draws, advanced one lag matrix at a time: y_t = u_t +
+    sum over lags l <= t of B_l y_{t-l}."""
+    rng = _generator(seed)
+    total = T + spec.burn_in
+    chol = np.linalg.cholesky(spec.sigma)
+    u = rng.standard_normal((total, spec.n)) @ chol.T
+    y = np.zeros((total, spec.n))
+    for t in range(total):
+        acc = u[t].copy()
+        for ell, b in enumerate(spec.B, start=1):
+            if t - ell >= 0:
+                acc += b @ y[t - ell]
+        y[t] = acc
+    names = tuple(f"y{i + 1}" for i in range(spec.n))
+    return TimeSeriesMatrix(values=y[spec.burn_in :], columns=names)

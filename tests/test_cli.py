@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from hdlp.cli import main, save_checkpoint, _checkpoint_path, _config_fingerprint
+from hdlp.cli import (
+    CHECKPOINT_VERSION,
+    _checkpoint_path,
+    _config_fingerprint,
+    main,
+    save_checkpoint,
+)
 from hdlp.config import build_montecarlo_run, load_yaml
 
 
@@ -324,12 +330,16 @@ class TestMontecarloCommand:
     def test_stale_checkpoint_ignored(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
-        ckpt.write_text(json.dumps(
-            {"version": 1, "fingerprint": "stale", "records": [{"rep": 0}]}
-        ))
-        assert main(["montecarlo", "--config", cfg_path]) == 0
-        with open(tmp_path / "mc.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 10
+        fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
+        # a wrong fingerprint, or records of the version-1 simulator: the
+        # broken record would fail the run if it were resumed
+        for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint)):
+            ckpt.write_text(json.dumps(
+                {"version": version, "fingerprint": fp, "records": [{"rep": 0}]}
+            ))
+            assert main(["montecarlo", "--config", cfg_path]) == 0
+            with open(tmp_path / "mc.csv") as fh:
+                assert len(list(csv.DictReader(fh))) == 10
 
     def test_widespread_failures_exit_4(self, tmp_path):
         cfg = small_var_mc_cfg(tmp_path)

@@ -146,6 +146,8 @@ def _dfm(tmp_path):
     ("montecarlo", _montecarlo, ("n_reps",), "lots"),
     ("montecarlo", _montecarlo, ("n_reps",), 0),
     ("montecarlo", _montecarlo, ("seed",), -1),
+    ("montecarlo", _montecarlo, ("seed",), 2**64),
+    ("simulate", _simulate, ("seed",), 2**128),
     ("montecarlo", _montecarlo, ("parallelism",), 0),
     ("montecarlo", _montecarlo, ("design", "rho"), [1]),
     ("montecarlo", _montecarlo, ("design", "a"), 3),
@@ -175,6 +177,13 @@ def test_malformed_value_exits_2_and_writes_nothing(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_flag_out_of_generator_range_exits_2(tmp_path, capsys):
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", _montecarlo(tmp_path))
+    assert main(["montecarlo", "--config", cfg_path, "--seed", str(2**64)]) == 2
+    assert "config.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulateSeries:
     @pytest.mark.parametrize("response, innovation", [("y2", "y1"), (2, 1)])
     def test_var_names_and_1_based_ints_agree(self, response, innovation):
@@ -191,7 +200,8 @@ class TestSimulateSeries:
 
 def test_bundled_montecarlo_checkpoint_still_resumes():
     # digest of the run the bundled config described before the schema
-    # tables; a checkpoint written then must still match
+    # tables: parsing changes must not move it (the checkpoint version, not
+    # the fingerprint, retires records of an older simulator)
     run = build_montecarlo_run(load_yaml(REPO / "configs/montecarlo.yaml"))
     assert _config_fingerprint(run) == (
         "eb832546734fe1260509a26c93d02b344aa488c24e01f9bec86ef8ba5d81e612"

@@ -17,6 +17,7 @@ from hdlp.dgp import (
     true_reduced_form_irf,
 )
 from hdlp.errors import NonStationarySpec
+from reference import simulate_var_per_lag
 
 
 def random_stable_var(rng, n, K, scale=0.4):
@@ -115,6 +116,16 @@ class TestSimulateVar:
         assert np.array_equal(a.values, b.values)
         c = simulate_var(spec, 200, seed=43)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("K, y1_rho", [(1, None), (12, None), (12, 0.9)])
+    def test_stacked_step_matches_lag_by_lag_reference(self, K, y1_rho):
+        rng = np.random.default_rng(K)
+        spec = VarDgpSpec(n=4, K=K, B=tuple(random_stable_var(rng, 4, K)),
+                          sigma=toeplitz_power_sigma(4, 0.3), burn_in=50,
+                          y1_rho=y1_rho)
+        got = simulate_var(spec, 300, seed=(3, K)).values
+        want = simulate_var_per_lag(spec, 300, seed=(3, K)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_tuple_seed_matches_counter_style(self):
         spec = VarDgpSpec(n=1, K=1, B=(np.zeros((1, 1)),), sigma=np.eye(1),

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlp.errors import DimensionMismatch, NonFinite
-from hdlp.linalg import gram_schmidt_extend, orthogonal_residual, orthonormal_columns
+from hdlp.linalg import (
+    PrefixBasis,
+    gram_schmidt_extend,
+    orthogonal_residual,
+    orthonormal_columns,
+)
 from reference import ols_fit, project_out
 
 
@@ -142,3 +147,55 @@ class TestGramSchmidtExtend:
             resid_q = y - Q @ (Q.T @ y)
             resid_ols = ols_fit(W, y).residuals
             assert np.allclose(resid_q, resid_ols, rtol=1e-7, atol=1e-9)
+
+
+class TestPrefixBasis:
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12),
+           n_dup=st.integers(0, 3), drop=st.integers(0, 20),
+           spare=st.integers(3, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_residual_matches_a_fresh_factorization(
+        self, seed, p, n_dup, drop, spare
+    ):
+        rng = np.random.default_rng(seed)
+        n = p + spare
+        X = rng.standard_normal((n + drop, p))
+        if p:
+            X = np.column_stack([X, X[:, rng.integers(0, p, size=n_dup)]])
+        v = rng.standard_normal(n)
+        basis = PrefixBasis.of(X).on_rows(n)
+        assert basis is not None  # Gaussian rows keep the rank by a wide margin
+        fresh = orthonormal_columns(X[:n])
+        assert basis.rank == fresh.shape[1]
+        np.testing.assert_allclose(basis.residual(v), orthogonal_residual(fresh, v),
+                                   rtol=0, atol=1e-9 * np.linalg.norm(v))
+
+    def test_no_dropped_rows_is_the_plain_residual(self):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((40, 6))
+        v = rng.standard_normal(40)
+        want = orthogonal_residual(orthonormal_columns(X), v)
+        basis = PrefixBasis.of(X)
+        assert np.array_equal(basis.residual(v), want)
+        assert np.array_equal(basis.on_rows(40).residual(v), want)
+
+    def test_guard_refuses_prefixes_that_lose_rank(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((40, 5))
+        X[:, 2] = 0.0
+        X[-2:, 2] = 1.0  # nonzero only on the last two rows
+        basis = PrefixBasis.of(X)
+        assert basis.rank == 5
+        assert basis.on_rows(39) is not None
+        assert basis.on_rows(38) is None
+        D = rng.standard_normal((40, 5))
+        D[:, 4] = D[:, 0]
+        D[-1, 4] += 1.0  # a duplicate apart from the last row
+        assert PrefixBasis.of(D).rank == 5
+        assert PrefixBasis.of(D).on_rows(39) is None
+
+    def test_rows_must_lie_inside_the_anchor(self):
+        basis = PrefixBasis.of(np.random.default_rng(33).standard_normal((10, 2)))
+        for n in (0, 11):
+            with pytest.raises(DimensionMismatch):
+                basis.on_rows(n)

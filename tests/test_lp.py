@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import hdlp
 import hdlp.lp
 import hdlp.lpdid
-from hdlp.errors import InsufficientSample, UnknownColumn
+from hdlp.errors import DimensionMismatch, InsufficientSample, UnknownColumn
 from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
@@ -102,6 +102,13 @@ class TestBuildLpDataset:
             for h0, ds0 in built.items():
                 assert np.array_equal(ds.W, ds0.W[: ds.effective_T])
                 assert np.array_equal(ds.x, ds0.x[: ds.effective_T])
+                view = build_lp_dataset(data, spec, h, anchor=ds0)
+                assert np.shares_memory(view.x, ds0.x)
+                for name in ("y", "x", "W"):
+                    assert np.array_equal(getattr(view, name), getattr(ds, name))
+                assert (view.horizon, view.effective_T, view.column_map,
+                        view.intercept_index) == (h, ds.effective_T, cmap,
+                                                  ds.intercept_index)
             built[h] = ds
 
     def test_effective_sample_counting(self):
@@ -411,6 +418,19 @@ class TestEstimateIrf:
                       lags=1)
         result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
         assert [est.horizon for est in result.estimates] == [3, 1, 2]
+        ordered = estimate_irf(data, LpSpec(response="y", shock="x",
+                                            horizons=(1, 2, 3), lagged=("y",),
+                                            lags=1), method=CONVENTIONAL_LP)
+        assert ([est.beta for est in result.estimates]
+                == [ordered.by_horizon()[h].beta for h in (3, 1, 2)])
+
+    def test_anchor_must_not_be_shorter(self):
+        rng = np.random.default_rng(17)
+        data = make_data(rng, 40, 2, names=("y", "x"))
+        spec = LpSpec(response="y", shock="x", horizons=(1,), lagged=("y",),
+                      lags=1)
+        with pytest.raises(DimensionMismatch):
+            build_lp_dataset(data, spec, 1, anchor=build_lp_dataset(data, spec, 2))
 
 
 def random_design(seed, T, p, n_dup, with_intercept):
@@ -576,6 +596,39 @@ class TestFactorizationBudget:
         counts["qr"] = 0
         conventional_lp(ds, HacConfig())
         assert counts["qr"] == 1
+
+    def test_conventional_irf_factors_once(self, counts):
+        data, spec = self.dataset()
+        result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
+        assert [est.horizon for est in result.estimates] == [1, 2, 3]
+        assert counts["qr"] == 1
+
+    @pytest.mark.parametrize("case", ("duplicated_lag", "nonzero_on_dropped_rows"))
+    def test_rank_loss_refactors_and_matches_fresh_fits(self, counts, case):
+        rng = np.random.default_rng(25)
+        data = make_data(rng, 120, 4, names=("y", "x", "z", "w"))
+        values = data.values.copy()
+        if case == "duplicated_lag":
+            # w repeats z, except at the one row whose first lag enters the
+            # horizon-1 sample only (the second lags are duplicates throughout)
+            values[:, 3] = values[:, 2]
+            values[-3, 3] += 1.0
+            extra = dict(lagged=("y", "x", "z", "w"))
+        else:
+            # z is nonzero only in the last row of the horizon-1 sample
+            values[:, 2] = 0.0
+            values[-2, 2] = 1.0
+            extra = dict(lagged=("y", "x"), contemporaneous=("z",))
+        data = TimeSeriesMatrix(values=values, columns=data.columns)
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2, 3), lags=2,
+                      **extra)
+        result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
+        assert counts["qr"] == 2  # horizon 1, then horizon 2 anchors horizon 3
+        assert not result.errors
+        for est in result.estimates:
+            fresh = conventional_lp(build_lp_dataset(data, spec, est.horizon))
+            assert est.beta == pytest.approx(fresh.beta, rel=1e-9)
+            assert est.se == pytest.approx(fresh.se, rel=1e-9)
 
     def test_project_out_is_never_called(self, counts):
         # the library has no project_out: every residual comes off a basis,
