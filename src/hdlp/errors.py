@@ -13,10 +13,6 @@ class NonFinite(HdlpError, ValueError):
     pass
 
 
-class ZeroNormColumn(HdlpError, ValueError):
-    pass
-
-
 class AllColumnsDegenerate(HdlpError, ValueError):
     pass
 

@@ -100,8 +100,8 @@ def hac_variance(
     if clusters is None and T < 8:
         raise DimensionMismatch("need at least 8 observations for the variance")
     tau_sq = float(v @ v) / T
-    if tau_sq < 1e-12:
-        raise DegenerateShock("shock residual variance is numerically zero")
+    if tau_sq == 0.0:
+        raise DegenerateShock("shock residual is zero")
     if clusters is None:
         K_used = auto_bandwidth(T) if K is None else int(K)
         omega = newey_west(v * u, K_used)

@@ -2,10 +2,11 @@
 
 Everything works on plain float64 arrays. Rank deficiency is handled by a
 rank-revealing (pivoted) QR with a relative pivot tolerance of 1e-10, or by
-a 1e-10 span test when a basis grows one column at a time: dependent columns
-are dropped instead of raising, because unions of selected lag columns are
-routinely collinear. A basis of a design also serves every row prefix of
-that design (PrefixBasis), as long as the prefix keeps the design's rank.
+a span test relative to the column's own norm when a basis grows one column
+at a time: dependent columns are dropped instead of raising, because unions
+of selected lag columns are routinely collinear. A basis of a design also
+serves every row prefix of that design (PrefixBasis), as long as the prefix
+keeps the design's rank.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def gram_schmidt_extend(orthobasis, new_col) -> np.ndarray | None:
     """Unit vector extending an orthonormal basis by one column.
 
-    Returns None when new_col is already spanned (residual norm below
-    1e-10 times the column norm). Two projection passes keep the result
-    orthogonal even for nearly dependent inputs.
+    Returns None when new_col is already spanned: its residual norm is at
+    most SPAN_RTOL times its own norm, which a zero column always is. Two
+    projection passes keep the result orthogonal even for nearly dependent
+    inputs.
     """
     Q = _as_design(orthobasis)
     c = np.asarray(new_col, dtype=np.float64).ravel()
@@ -67,15 +69,10 @@ def gram_schmidt_extend(orthobasis, new_col) -> np.ndarray | None:
         raise DimensionMismatch(
             f"orthobasis has {Q.shape[0]} rows but new column has {c.shape[0]}"
         )
-    nrm0 = np.linalg.norm(c)
-    if Q.shape[1] == 0:
-        if nrm0 < SPAN_RTOL:
-            return None
-        return c / nrm0
     r = c - Q @ (Q.T @ c)
     r -= Q @ (Q.T @ r)
     nrm = np.linalg.norm(r)
-    if nrm < SPAN_RTOL * nrm0:
+    if nrm <= SPAN_RTOL * np.linalg.norm(c):
         return None
     return r / nrm
 

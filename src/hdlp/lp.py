@@ -12,9 +12,9 @@ in ``lpdid`` call the same core and the same inference tail, ``_inference``:
 intervals use the long-run (or by-cluster) variance of psi = v * u scaled by
 the fourth power of the shock-residual second moment.
 
-The intercept, when requested, rides along as a protected design column:
-always in the projection, never a selection candidate, exempt from the
-penalty count.
+The intercept, when requested, is protected: always in the projection,
+never a selection candidate, exempt from the penalty count. Greedy paths
+start from its closed-form unit column instead of factoring it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import PrefixBasis, gram_schmidt_extend, orthogonal_residual
+from .linalg import SPAN_RTOL, PrefixBasis, gram_schmidt_extend, orthogonal_residual
 from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
@@ -226,7 +226,7 @@ class _Partialled:
     u: np.ndarray  # final-regression residual
     v: np.ndarray  # shock residual on the shock-selected controls
     e: np.ndarray  # outcome residual on the outcome-selected controls
-    rank: int  # rank of the final design: union controls, base and the shock
+    rank: int  # rank of the final design: union controls, intercept and shock
     selected_y: tuple[int, ...]
     selected_x: tuple[int, ...]
     union: tuple[int, ...]
@@ -236,31 +236,35 @@ class _Partialled:
 
 def _partial_out(
     C: np.ndarray,
-    base: np.ndarray | None,
+    intercept: bool,
     x: np.ndarray,
     y: np.ndarray,
     method: str,
     oga_config: OgaConfig | None,
     design: PrefixBasis | None = None,
 ) -> _Partialled:
-    """Shock coefficient of y on x, controlling for chosen columns of C and all of base.
+    """Shock coefficient of y on x, controlling for chosen columns of C and,
+    when intercept is set, a constant.
 
     DOUBLE_OGA selects columns of C against y and against x and controls for
     the union, whose basis is the shock path's own orthonormal basis extended
     by Gram-Schmidt with the outcome-only columns (in index order, skipping
     spanned ones); v and e come off each path's basis. CONVENTIONAL_LP, or an
-    empty C, controls for every column through design, the basis of [C, base]
+    empty C, controls for every column through design, the basis of [C, 1]
     (one pivoted QR when the caller holds none); v and e are then the final
     residuals. beta = x_resid'y_resid / x_resid'x_resid on the union basis.
+    The shock is degenerate when what is left of it is at most SPAN_RTOL of
+    its own norm, a test that does not depend on the shock's scale.
     """
     p = C.shape[1]
-    if p and float(np.var(x)) < 1e-12:
+    x_norm = float(np.linalg.norm(x))
+    if p and float(np.linalg.norm(x - x.mean())) <= SPAN_RTOL * x_norm:
         raise DegenerateShock("shock series is constant")
     sel_y = sel_x = None
     if method == DOUBLE_OGA and p:
         oga_config = oga_config or OgaConfig()
-        sel_y = oga_hdaic_select(C, y, oga_config, base=base)
-        sel_x = oga_hdaic_select(C, x, oga_config, base=base)
+        sel_y = oga_hdaic_select(C, y, oga_config, intercept)
+        sel_x = oga_hdaic_select(C, x, oga_config, intercept)
         set_y = tuple(sorted(sel_y.chosen_set))
         set_x = tuple(sorted(sel_x.chosen_set))
         Q = sel_x.basis
@@ -272,14 +276,14 @@ def _partial_out(
     else:
         set_y = set_x = tuple(range(p))
         if design is None:
-            design = PrefixBasis.of(C if base is None else np.column_stack([C, base]))
+            X = np.column_stack([C, np.ones(len(x))]) if intercept else C
+            design = PrefixBasis.of(X)
         residual, rank = design.residual, design.rank
     union = tuple(sorted(set(set_y) | set(set_x)))
 
     x_resid = residual(x)
-    T = x.shape[0]
     xx = float(x_resid @ x_resid)
-    if xx / T < 1e-12:
+    if xx <= (SPAN_RTOL * x_norm) ** 2:
         raise DegenerateShock(
             "shock has no variation left after projecting on the selected controls"
         )
@@ -339,11 +343,10 @@ def _estimate(
     levels,
     design: PrefixBasis | None = None,
 ) -> LpEstimate:
-    Wc, base = dataset.W, None
-    if dataset.intercept_index is not None:
+    Wc, intercept = dataset.W, dataset.intercept_index is not None
+    if intercept:
         Wc = np.delete(dataset.W, dataset.intercept_index, axis=1)
-        base = dataset.W[:, [dataset.intercept_index]]
-    fit = _partial_out(Wc, base, dataset.x, dataset.y, method, oga_config, design)
+    fit = _partial_out(Wc, intercept, dataset.x, dataset.y, method, oga_config, design)
     se, cis, sigma_sq, tau_sq, omega, K = _inference(
         fit, hac_config or HacConfig(), levels
     )

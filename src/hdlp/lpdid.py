@@ -266,16 +266,13 @@ def _lpdid_one(
         # a control the time effects absorb is left with rounding noise only
         keep = np.flatnonzero(np.linalg.norm(C, axis=0) > SPAN_RTOL * norms)
         C = C[:, keep]
-        base = None
-    else:
-        base = np.ones((dy.shape[0], 1))
 
     if float(dd @ dd) / dd.shape[0] < 1e-12:
         raise DegenerateShock(
             "treatment switch has no variation within time cells"
         )
 
-    fit = _partial_out(C, base, dd, dy, spec.method, oga_config)
+    fit = _partial_out(C, not spec.time_effects, dd, dy, spec.method, oga_config)
     se, cis, _, _, _, bandwidth = _inference(
         fit, hac_config, spec.levels,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,

@@ -10,9 +10,9 @@ already selected. The stopping step minimizes
 over the path, where sigma_sq(m) is the residual variance after m picks.
 The penalty constant can be fixed or tuned on a time-ordered holdout.
 
-Optional ``base`` columns (an intercept, say) are always part of the
-projection, are never selection candidates, and do not count toward the
-penalty.
+An optional intercept is always part of the projection, is never a
+selection candidate, and does not count toward the penalty. Its basis
+column, the constant 1/sqrt(T), is written down rather than factored.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllColumnsDegenerate, DimensionMismatch, ZeroNormColumn
-from .linalg import SPAN_RTOL, gram_schmidt_extend, orthonormal_columns
+from .errors import AllColumnsDegenerate, DimensionMismatch
+from .linalg import SPAN_RTOL, gram_schmidt_extend
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
 TIE_RTOL = 1e-12  # greedy gains this close to the best one count as a tie
@@ -75,7 +75,8 @@ class OgaConfig:
 @dataclass(frozen=True)
 class SelectionPath:
     """Result of one greedy run: ordering, criterion curve, chosen model, and
-    an orthonormal basis of the base columns and the chosen set (pick order)."""
+    an orthonormal basis of the intercept, if any, and the chosen set (pick
+    order)."""
 
     ordered_indices: tuple[int, ...]
     sigma_sq_path: tuple[float, ...]
@@ -100,16 +101,19 @@ def max_steps(T: int, p: int, config: OgaConfig) -> int:
     return max(m, 1)
 
 
-def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarray]:
+def oga_order(
+    W, y, M: int, intercept: bool = False
+) -> tuple[list[int], list[float], np.ndarray]:
     """Order up to M columns of W greedily by residual-variance reduction.
 
     Each step adds the admissible column whose inclusion drops the RSS the
     most. Gains within TIE_RTOL of the best count as a tie and ties go to
     the lowest index, so rounding never decides between exact duplicates.
-    Columns whose component orthogonal to the current fit falls below 1e-10
-    of their norm are treated as already spanned and skipped. Returns the ordering, the per-step
-    residual variances ||r_m||^2 / T, and the orthonormal basis built along
-    the way: the orthonormalized base columns, then one column per pick in
+    A column whose component orthogonal to the current fit is at most
+    SPAN_RTOL of its norm (a zero column, say) is already spanned and never
+    picked. Returns the ordering, the per-step residual variances
+    ||r_m||^2 / T, and the orthonormal basis built along the way: the
+    constant unit column when intercept is set, then one column per pick in
     pick order. The path is shorter than M when the admissible pool empties
     first.
     """
@@ -121,23 +125,16 @@ def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarr
     if M > p:
         raise ValueError(f"M={M} exceeds the number of candidates p={p}")
     norms_sq = np.einsum("ij,ij->j", W, W)
-    if np.any(norms_sq <= 0.0):
-        raise ZeroNormColumn("candidate columns must have positive norm")
+    floor = SPAN_RTOL**2 * norms_sq
 
-    if base is not None and np.asarray(base).size:
-        Q = orthonormal_columns(base)
-    else:
-        Q = np.zeros((T, 0))
+    Q = np.full((T, int(intercept)), 1.0 / math.sqrt(T))
     r = y - Q @ (Q.T @ y)
     # squared norms of each candidate orthogonal to the current projection
-    proj_sq = norms_sq.copy()
-    for k in range(Q.shape[1]):
-        c = W.T @ Q[:, k]
-        proj_sq = np.maximum(proj_sq - c * c, 0.0)
+    proj_sq = np.maximum(norms_sq - np.sum((W.T @ Q) ** 2, axis=1), 0.0)
 
     order: list[int] = []
     sigma_sq: list[float] = []
-    alive = proj_sq >= (SPAN_RTOL**2) * norms_sq
+    alive = proj_sq > floor
     while len(order) < M:
         if not np.any(alive):
             if not order:
@@ -157,7 +154,7 @@ def oga_order(W, y, M: int, base=None) -> tuple[list[int], list[float], np.ndarr
         r = r - q * (q @ r)
         c = W.T @ q
         proj_sq = np.maximum(proj_sq - c * c, 0.0)
-        alive &= proj_sq >= (SPAN_RTOL**2) * norms_sq
+        alive &= proj_sq > floor
         sigma_sq.append(float(r @ r) / T)
     return order, sigma_sq, Q
 
@@ -176,7 +173,7 @@ def select_hdaic(sigma_sq_path, p: int, T: int, c_star: float) -> int:
     return int(np.argmin(values)) + 1
 
 
-def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
+def oga_hdaic_select(W, y, config: OgaConfig, intercept: bool = False) -> SelectionPath:
     """Full selection: order greedily, then cut the path at the criterion minimum."""
     W = np.asarray(W, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -186,12 +183,12 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
 
     candidates = config.tuning_candidates
     if candidates is not None:
-        c_star = select_c_star(W, y, candidates, config=config, base=base)
+        c_star = select_c_star(W, y, candidates, config, intercept)
     else:
         c_star = float(config.c_star)
 
     M = max_steps(T, p, config)
-    order, sigma_sq, Q = oga_order(W, y, M, base=base)
+    order, sigma_sq, Q = oga_order(W, y, M, intercept)
     m_hat = select_hdaic(sigma_sq, p, T, c_star)
     hdaic_path = tuple(
         hdaic(s, m, p, T, c_star) for m, s in enumerate(sigma_sq, start=1)
@@ -203,11 +200,13 @@ def oga_hdaic_select(W, y, config: OgaConfig, base=None) -> SelectionPath:
         chosen_m=m_hat,
         chosen_set=tuple(order[:m_hat]),
         c_star_used=c_star,
-        basis=Q[:, : Q.shape[1] - len(order) + m_hat],
+        basis=Q[:, : int(intercept) + m_hat],
     )
 
 
-def select_c_star(W, y, candidates, config: OgaConfig | None = None, base=None) -> float:
+def select_c_star(
+    W, y, candidates, config: OgaConfig | None = None, intercept: bool = False
+) -> float:
     """Pick the penalty constant with the smallest holdout prediction error.
 
     The sample is split by time order: selection and fitting on the leading
@@ -224,23 +223,19 @@ def select_c_star(W, y, candidates, config: OgaConfig | None = None, base=None) 
     W = np.asarray(W, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     T, p = W.shape
-    base = np.zeros((T, 0)) if base is None else np.asarray(base, dtype=np.float64)
-    if base.ndim == 1:
-        base = base[:, None]
     n = min(max(int((1.0 - config.eval_fraction) * T), 2), T - 1)
-    order, sigma_sq, Q = oga_order(W[:n], y[:n], max_steps(n, p, config), base=base[:n])
+    order, sigma_sq, Q = oga_order(W[:n], y[:n], max_steps(n, p, config), intercept)
 
-    # On the training rows X = [base, W[:, order]] = Q R. The holdout rows of
-    # that basis solve X_te = Q_te R, and the fit at cut m projects on the
-    # base columns of Q plus its first m picks, so its holdout prediction is
-    # a running sum over the columns of Q_te weighted by Q'y.
-    X = np.column_stack([base, W[:, order]])
-    R = Q.T @ X[:n]
-    if R.shape[0] == R.shape[1]:
-        Q_te = np.linalg.solve(R.T, X[n:].T).T
-    else:  # base columns dependent on the training rows
-        Q_te = np.linalg.lstsq(R.T, X[n:].T, rcond=None)[0].T
-    pred = np.cumsum(Q_te * (Q.T @ y[:n]), axis=1)[:, Q.shape[1] - len(order):]
+    # On the training rows X = [1, W[:, order]] (the 1 only with an
+    # intercept) is Q R, R square. The holdout rows of that basis solve
+    # X_te = Q_te R, and the fit at cut m projects on the intercept column of
+    # Q plus its first m picks, so its holdout prediction is a running sum
+    # over the columns of Q_te weighted by Q'y.
+    X = W[:, order]
+    if intercept:
+        X = np.column_stack([np.ones(T), X])
+    Q_te = np.linalg.solve((Q.T @ X[:n]).T, X[n:].T).T
+    pred = np.cumsum(Q_te * (Q.T @ y[:n]), axis=1)[:, int(intercept):]
     err = y[n:, None] - pred
     mspe = np.einsum("ij,ij->j", err, err) / err.shape[0]
     cuts = {c: select_hdaic(sigma_sq, p, n, float(c)) for c in candidates}

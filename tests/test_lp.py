@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 import hdlp
 import hdlp.lp
 import hdlp.lpdid
+from hdlp.dgp import (
+    Section3Design,
+    build_section3_coefficients,
+    section3_lp_spec,
+    simulate_var,
+)
 from hdlp.errors import DimensionMismatch, InsufficientSample, UnknownColumn
 from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
@@ -445,8 +451,7 @@ def random_design(seed, T, p, n_dup, with_intercept):
         C = np.column_stack([C, *extra])[:, rng.permutation(p + n_dup)]
     x = C @ rng.normal(0, 0.3, C.shape[1]) + rng.standard_normal(T)
     y = 0.7 * x + C @ rng.normal(0, 0.3, C.shape[1]) + rng.standard_normal(T)
-    base = np.ones((T, 1)) if with_intercept else None
-    return C, base, x + with_intercept, y
+    return C, x + with_intercept, y
 
 
 design_args = dict(
@@ -464,11 +469,11 @@ class TestPartialOutCore:
     def test_matches_full_ols_on_the_chosen_controls(
         self, method, seed, T, p, n_dup, with_intercept
     ):
-        C, base, x, y = random_design(seed, T, p, n_dup, with_intercept)
-        fit = _partial_out(C, base, x, y, method, OgaConfig(c_star=2.0))
+        C, x, y = random_design(seed, T, p, n_dup, with_intercept)
+        fit = _partial_out(C, with_intercept, x, y, method, OgaConfig(c_star=2.0))
         cols = [x[:, None], C[:, list(fit.union)]]
-        if base is not None:
-            cols.append(base)
+        if with_intercept:
+            cols.append(np.ones((T, 1)))
         ols = ols_fit(np.column_stack(cols), y)
         assert fit.beta == pytest.approx(ols.coefficients[0], rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(fit.u, ols.residuals, rtol=1e-9, atol=1e-9)
@@ -481,8 +486,8 @@ class TestPartialOutCore:
     def test_conventional_equals_double_selection_of_everything(
         self, seed, T, p, n_dup, with_intercept
     ):
-        C, base, x, y = random_design(seed, T, p, n_dup, with_intercept)
-        W = C if base is None else np.column_stack([C, base])
+        C, x, y = random_design(seed, T, p, n_dup, with_intercept)
+        W = np.column_stack([C, np.ones(T)]) if with_intercept else C
         ds = LpDataset(
             y=y, x=x, W=W, column_map=tuple(("w", j) for j in range(W.shape[1])),
             horizon=1, effective_T=T,
@@ -519,7 +524,7 @@ class TestPartialOutCore:
         oga = OgaConfig(c_star=2.0)
         result = lpdid_estimate(panel, spec, oga, HacConfig())
         _, _, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
-        fit = _partial_out(C, np.ones((dy.shape[0], 1)), dd, dy, method, oga)
+        fit = _partial_out(C, True, dd, dy, method, oga)
         assert result.by_horizon()[1].beta == fit.beta
 
     @pytest.mark.parametrize("variance", ("hac", "cluster"))
@@ -543,7 +548,7 @@ class TestPartialOutCore:
         final = lpdid_estimate(panel, spec, oga, HacConfig()).by_horizon()[1]
 
         _, units, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
-        fit = _partial_out(C, np.ones((dy.shape[0], 1)), dd, dy, method, oga)
+        fit = _partial_out(C, True, dd, dy, method, oga)
         T = dy.shape[0]
         tau_sq = float(fit.v @ fit.v) / T
         if variance == "hac":
@@ -554,6 +559,51 @@ class TestPartialOutCore:
         assert got.beta == final.beta == fit.beta
         assert got.se == pytest.approx(se, rel=1e-12)
         assert got.se != final.se
+
+
+class TestScaleFreeChecks:
+    """Degeneracy is judged relative to each column's own norm."""
+
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_rescaled_shock_rescales_beta_and_se(self, method):
+        design = Section3Design.sparse(0.5)
+        data = simulate_var(build_section3_coefficients(design), design.T, 3)
+        spec = section3_lp_spec(design, horizons=range(1, 21))
+        oga = OgaConfig(c_star=2.0)
+        ref = estimate_irf(data, spec, oga, method=method)
+        assert not ref.errors
+        for k in range(-8, 9):
+            s = 10.0**k
+            values = data.values.copy()
+            values[:, data.index(spec.shock)] *= s
+            scaled = estimate_irf(TimeSeriesMatrix(values, data.columns), spec,
+                                  oga, method=method)
+            assert not scaled.errors, k
+            for est, unscaled in zip(scaled.estimates, ref.estimates):
+                assert est.beta * s == pytest.approx(unscaled.beta, rel=1e-9)
+                assert est.se * s == pytest.approx(unscaled.se, rel=1e-9)
+
+    def test_zero_control_acts_like_a_constant(self):
+        rng = np.random.default_rng(26)
+        data = make_data(rng, 150, 3, names=("y", "x", "w"))
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2, 3),
+                      contemporaneous=("w", "z"), lagged=("y", "x", "w", "z"),
+                      lags=2)
+        irfs = {}
+        for level in (0.0, 3.0):
+            values = np.column_stack([data.values, np.full(150, level)])
+            with_z = TimeSeriesMatrix(values, data.columns + ("z",))
+            for method in (DOUBLE_OGA, CONVENTIONAL_LP):
+                irfs[method, level] = estimate_irf(
+                    with_z, spec, OgaConfig(c_star=2.0), method=method
+                )
+                assert not irfs[method, level].errors
+        for method, rel in ((DOUBLE_OGA, 0.0), (CONVENTIONAL_LP, 1e-9)):
+            zero, constant = irfs[method, 0.0], irfs[method, 3.0]
+            for a, b in zip(zero.estimates, constant.estimates):
+                assert a.beta == pytest.approx(b.beta, rel=rel)
+                assert a.se == pytest.approx(b.se, rel=rel)
+                assert a.union == b.union
 
 
 class TestFactorizationBudget:
@@ -591,8 +641,8 @@ class TestFactorizationBudget:
         ds = build_lp_dataset(data, spec, 1)
         est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig())
         assert set(est.selected_y) != set(est.selected_x)
-        # one QR of the one-column intercept basis in each greedy path
-        assert counts["qr"] <= 2
+        # the greedy paths start from the written-down intercept column
+        assert counts["qr"] == 0
         counts["qr"] = 0
         conventional_lp(ds, HacConfig())
         assert counts["qr"] == 1

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlp.errors import AllColumnsDegenerate, ZeroNormColumn
+from hdlp.errors import AllColumnsDegenerate
 from hdlp.selection import (
     DEFAULT_C_STAR_CANDIDATES,
     OgaConfig,
@@ -84,9 +84,8 @@ class TestOgaOrder:
         rng = np.random.default_rng(4)
         W = rng.standard_normal((30, 6)) + 1.5
         y = rng.standard_normal(30) + 0.7
-        base = np.ones((30, 1))
-        order, _, _ = oga_order(W, y, 6, base=base)
-        assert order == refit_greedy_oracle(W, y, 6, base=base)
+        order, _, _ = oga_order(W, y, 6, intercept=True)
+        assert order == refit_greedy_oracle(W, y, 6, base=np.ones((30, 1)))
 
     def test_sigma_path_nonincreasing(self):
         rng = np.random.default_rng(5)
@@ -106,16 +105,30 @@ class TestOgaOrder:
         assert len(order) == 2
         assert set(order) == {0, 2}
 
-    def test_zero_norm_column_rejected(self):
-        W = np.column_stack([np.ones(10), np.zeros(10)])
-        with pytest.raises(ZeroNormColumn):
-            oga_order(W, np.arange(10.0), 2)
+    def test_zero_norm_column_is_never_picked(self):
+        # a zero column is inside every span, the empty one included
+        W = np.column_stack([np.zeros(10), np.arange(10.0) ** 2, np.zeros(10)])
+        for intercept in (False, True):
+            order, _, Q = oga_order(W, np.arange(10.0), 3, intercept=intercept)
+            assert order == [1]
+            assert Q.shape == (10, 1 + intercept)
+            with pytest.raises(AllColumnsDegenerate):
+                oga_order(np.zeros((10, 2)), np.arange(10.0), 2, intercept=intercept)
 
     def test_all_degenerate_first_step(self):
         W = np.column_stack([np.ones(10), 2.0 * np.ones(10)])
-        base = np.ones((10, 1))
         with pytest.raises(AllColumnsDegenerate):
-            oga_order(W, np.arange(10.0), 2, base=base)
+            oga_order(W, np.arange(10.0), 2, intercept=True)
+
+    def test_intercept_column_is_written_down(self):
+        rng = np.random.default_rng(7)
+        W = rng.standard_normal((25, 4)) + 2.0
+        y = rng.standard_normal(25) + 1.0
+        order, sigma_sq, Q = oga_order(W, y, 4, intercept=True)
+        assert np.all(Q[:, 0] == 1.0 / math.sqrt(25))
+        X = np.column_stack([np.ones(25), W[:, order]])
+        rss = [ols_fit(X[:, : m + 2], y).rss for m in range(len(order))]
+        np.testing.assert_allclose(np.array(sigma_sq) * 25, rss, rtol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=25, deadline=None)
@@ -132,7 +145,7 @@ class TestOgaOrder:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        log_scales=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+        log_scales=st.lists(st.floats(-12.0, 12.0), min_size=7, max_size=7),
         with_base=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
@@ -142,9 +155,9 @@ class TestOgaOrder:
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((30, 7)) + with_base
         y = rng.standard_normal(30)
-        base = np.ones((30, 1)) if with_base else None
-        order, _, _ = oga_order(W, y, 7, base=base)
-        scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7, base=base)
+        order, _, _ = oga_order(W, y, 7, intercept=with_base)
+        scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7,
+                                 intercept=with_base)
         assert scaled == order
 
     @given(
@@ -164,13 +177,12 @@ class TestOgaOrder:
         d = data.draw(st.integers(k + 1, p), label="position of the copy")
         W = np.insert(W, d, W[:, k], axis=1)
         y = 3.0 * W[:, k] + rng.standard_normal(T)
-        base = np.ones((T, 1)) if with_base else None
         # same values, but one float64 off the allocator's alignment
         buffer = np.empty(W.size + 1)
         shifted = buffer[1:].reshape(W.shape)
         shifted[...] = W
-        order, sigma_sq, _ = oga_order(W, y, p + 1, base=base)
-        order2, sigma_sq2, _ = oga_order(shifted, y, p + 1, base=base)
+        order, sigma_sq, _ = oga_order(W, y, p + 1, intercept=with_base)
+        order2, sigma_sq2, _ = oga_order(shifted, y, p + 1, intercept=with_base)
         assert order2 == order
         assert sigma_sq2 == sigma_sq
         assert k in order and d not in order
@@ -221,14 +233,13 @@ class TestOgaHdaicSelect:
         W = rng.standard_normal((40, p)) + with_base
         W = np.column_stack([W] + [2.0 * W[:, k % p] for k in range(n_dup)])
         y = W[:, 0] - W[:, -1] + rng.standard_normal(40)
-        base = np.ones((40, 1)) if with_base else None
-        path = oga_hdaic_select(W, y, OgaConfig(c_star=2.0), base=base)
+        path = oga_hdaic_select(W, y, OgaConfig(c_star=2.0), intercept=with_base)
         Q = path.basis
         assert Q.shape == (40, with_base + path.chosen_m)
         np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
         X = W[:, list(path.chosen_set)]
         if with_base:
-            X = np.column_stack([base, X])
+            X = np.column_stack([np.ones(40), X])
         # same span: each side is reproduced by projecting on the other
         np.testing.assert_allclose(Q @ (Q.T @ X), X, atol=1e-9)
         coef = np.linalg.lstsq(X, Q, rcond=None)[0]
@@ -289,28 +300,24 @@ class TestSelectCStar:
         candidates=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=6,
                             unique=True),
         eval_fraction=st.sampled_from((0.1, 0.2, 0.3)),
-        n_base=st.integers(0, 2),
+        intercept=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_evaluation(self, seed, T, p, candidates,
-                                           eval_fraction, n_base):
+                                           eval_fraction, intercept):
         rng = np.random.default_rng(seed)
-        W = rng.standard_normal((T, p)) + (n_base > 0) * rng.uniform(-1, 1, p)
+        W = rng.standard_normal((T, p)) + intercept * rng.uniform(-1, 1, p)
         y = W[:, 0] - 0.5 * W[:, -1] + rng.standard_normal(T)
-        # no base, an intercept, or an intercept plus a trend
-        base = np.column_stack([np.ones(T), np.linspace(-1.0, 1.0, T)])[:, :n_base]
-        base = base if n_base else None
         cfg = OgaConfig(eval_fraction=eval_fraction)
-        chosen = select_c_star(W, y, candidates, config=cfg, base=base)
+        chosen = select_c_star(W, y, candidates, config=cfg, intercept=intercept)
         # oracle: a full selection per candidate on the training rows, then
         # the holdout error of its fit; argmin with ties to the smaller
         n_train = min(max(int((1.0 - eval_fraction) * T), 2), T - 1)
-        fixed = [] if base is None else [base]
+        fixed = [np.ones((T, 1))] if intercept else []
         mspes = {}
         for c in candidates:
             path = oga_hdaic_select(
-                W[:n_train], y[:n_train], OgaConfig(c_star=c),
-                base=None if base is None else base[:n_train],
+                W[:n_train], y[:n_train], OgaConfig(c_star=c), intercept
             )
             cols = list(path.chosen_set)
             X = np.column_stack([W[:, cols]] + fixed)
@@ -319,20 +326,9 @@ class TestSelectCStar:
             mspes[c] = float(err @ err) / err.shape[0]
         assert chosen == min(sorted(candidates), key=lambda c: mspes[c])
 
-    def test_dependent_base_columns_act_as_their_span(self):
-        rng = np.random.default_rng(16)
-        T, p = 80, 8
-        W = rng.standard_normal((T, p)) + 0.5
-        y = W[:, :3] @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(T) + 2.0
-        candidates = (0.05, 0.5, 2.0, 8.0)
-        one = select_c_star(W, y, candidates, base=np.ones((T, 1)))
-        two = select_c_star(W, y, candidates, base=np.ones((T, 2)))
-        assert two == one
-
-    def test_one_qr_per_path_when_tuned(self, monkeypatch):
-        # tuning reads every holdout fit off the training path's basis: the
-        # only QRs are of the intercept, once in the tuning path and once in
-        # the final path
+    def test_no_qr_when_tuned(self, monkeypatch):
+        # tuning reads every holdout fit off the training path's basis, and
+        # both paths start from the written-down intercept column
         calls = []
         qr = scipy.linalg.qr
 
@@ -349,11 +345,10 @@ class TestSelectCStar:
         n_train = int(0.8 * T)
         _, sigma_sq, _ = oga_order(W[:n_train], y[:n_train],
                                    max_steps(n_train, p, OgaConfig()),
-                                   base=np.ones((n_train, 1)))
-        calls.clear()
+                                   intercept=True)
         path = oga_hdaic_select(W, y, OgaConfig(c_star=candidates),
-                                base=np.ones((T, 1)))
+                                intercept=True)
         assert path.c_star_used in candidates
         # several candidates with distinct cuts, so the curve has many points
         assert len({select_hdaic(sigma_sq, p, n_train, c) for c in candidates}) > 1
-        assert calls == [(n_train, 1), (T, 1)]
+        assert calls == []
