@@ -43,7 +43,7 @@ from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 3  # 3: records of the closed-form intercept column
+CHECKPOINT_VERSION = 4  # 4: records of the lockstep greedy kernel
 CHECKPOINT_EVERY = 50
 
 

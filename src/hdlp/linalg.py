@@ -1,12 +1,13 @@
 """Orthonormal-basis kernels behind every fit in the estimators.
 
 Everything works on plain float64 arrays. Rank deficiency is handled by a
-rank-revealing (pivoted) QR with a relative pivot tolerance of 1e-10, or by
-a span test relative to the column's own norm when a basis grows one column
-at a time: dependent columns are dropped instead of raising, because unions
-of selected lag columns are routinely collinear. A basis of a design also
-serves every row prefix of that design (PrefixBasis), as long as the prefix
-keeps the design's rank.
+rank-revealing (pivoted) QR of the column-equilibrated design with a
+relative pivot tolerance of 1e-10, or by a span test relative to the
+column's own norm when a basis grows one column at a time: dependent
+columns are dropped instead of raising, because unions of selected lag
+columns are routinely collinear. A basis of a design also serves every row
+prefix of that design (PrefixBasis), as long as the prefix keeps the
+design's rank.
 """
 
 from __future__ import annotations
@@ -36,11 +37,19 @@ def _as_design(X) -> np.ndarray:
 
 
 def orthonormal_columns(X) -> np.ndarray:
-    """Orthonormal basis for the column space of X (rank revealed by pivoted QR)."""
+    """Orthonormal basis for the column space of X (rank revealed by pivoted QR).
+
+    Each column is divided by its norm first (zero columns stay zero), so a
+    column's pivot is judged against its own scale: the rank does not
+    depend on the units a series is measured in.
+    """
     X = _as_design(X)
     if X.shape[1] == 0:
         return np.zeros((X.shape[0], 0))
-    Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    norms = np.linalg.norm(X, axis=0)
+    scaled = np.empty_like(X, order="F")  # LAPACK's layout, so QR works in place
+    np.divide(X, np.where(norms > 0.0, norms, 1.0), out=scaled)
+    Q, R, _ = scipy.linalg.qr(scaled, overwrite_a=True, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.zeros((X.shape[0], 0))

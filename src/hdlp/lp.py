@@ -15,6 +15,11 @@ the fourth power of the shock-residual second moment.
 The intercept, when requested, is protected: always in the projection,
 never a selection candidate, exempt from the penalty count. Greedy paths
 start from its closed-form unit column instead of factoring it.
+
+Every horizon's design is a row prefix of the design at the shortest
+horizon, so ``estimate_irf`` runs the greedy paths of all horizons (and,
+when c_star is tuned, their training-row paths) in one lockstep call on
+that design before it partials out horizon by horizon.
 """
 
 from __future__ import annotations
@@ -242,19 +247,22 @@ def _partial_out(
     method: str,
     oga_config: OgaConfig | None,
     design: PrefixBasis | None = None,
+    selections=None,
 ) -> _Partialled:
     """Shock coefficient of y on x, controlling for chosen columns of C and,
     when intercept is set, a constant.
 
-    DOUBLE_OGA selects columns of C against y and against x and controls for
-    the union, whose basis is the shock path's own orthonormal basis extended
-    by Gram-Schmidt with the outcome-only columns (in index order, skipping
-    spanned ones); v and e come off each path's basis. CONVENTIONAL_LP, or an
-    empty C, controls for every column through design, the basis of [C, 1]
-    (one pivoted QR when the caller holds none); v and e are then the final
-    residuals. beta = x_resid'y_resid / x_resid'x_resid on the union basis.
-    The shock is degenerate when what is left of it is at most SPAN_RTOL of
-    its own norm, a test that does not depend on the shock's scale.
+    DOUBLE_OGA selects columns of C against y and against x, in one lockstep
+    oga_hdaic_select call unless the caller passes the two results as
+    selections (either may be the error its selection raised), and controls
+    for the union, whose basis is the shock path's own orthonormal basis
+    extended by Gram-Schmidt with the outcome-only columns (in index order,
+    skipping spanned ones); v and e come off each path's basis.
+    CONVENTIONAL_LP, or an empty C, controls for every column through
+    design, the basis of [C, 1] (one pivoted QR when the caller holds none);
+    v and e are then the final residuals. beta = x_resid'y_resid /
+    x_resid'x_resid on the union basis. The shock is degenerate when it is
+    constant or when what is left of it is at most SPAN_RTOL of its norm.
     """
     p = C.shape[1]
     x_norm = float(np.linalg.norm(x))
@@ -262,9 +270,14 @@ def _partial_out(
         raise DegenerateShock("shock series is constant")
     sel_y = sel_x = None
     if method == DOUBLE_OGA and p:
-        oga_config = oga_config or OgaConfig()
-        sel_y = oga_hdaic_select(C, y, oga_config, intercept)
-        sel_x = oga_hdaic_select(C, x, oga_config, intercept)
+        if selections is None:
+            selections = oga_hdaic_select(
+                C, np.column_stack([y, x]), oga_config or OgaConfig(), intercept
+            )
+        for sel in selections:
+            if isinstance(sel, Exception):
+                raise sel
+        sel_y, sel_x = selections
         set_y = tuple(sorted(sel_y.chosen_set))
         set_x = tuple(sorted(sel_x.chosen_set))
         Q = sel_x.basis
@@ -335,6 +348,17 @@ def _inference(
     return se, cis, sigma_sq, tau_sq, omega, K
 
 
+def _controls(dataset: LpDataset) -> np.ndarray:
+    """The dataset's candidate columns: W without its intercept column, a
+    view when the intercept is the last column, as build_lp_dataset puts it."""
+    j = dataset.intercept_index
+    if j is None:
+        return dataset.W
+    if j == dataset.W.shape[1] - 1:
+        return dataset.W[:, :j]
+    return np.delete(dataset.W, j, axis=1)
+
+
 def _estimate(
     dataset: LpDataset,
     method: str,
@@ -342,11 +366,11 @@ def _estimate(
     hac_config: HacConfig | None,
     levels,
     design: PrefixBasis | None = None,
+    selections=None,
 ) -> LpEstimate:
-    Wc, intercept = dataset.W, dataset.intercept_index is not None
-    if intercept:
-        Wc = np.delete(dataset.W, dataset.intercept_index, axis=1)
-    fit = _partial_out(Wc, intercept, dataset.x, dataset.y, method, oga_config, design)
+    intercept = dataset.intercept_index is not None
+    fit = _partial_out(_controls(dataset), intercept, dataset.x, dataset.y, method,
+                       oga_config, design, selections)
     se, cis, sigma_sq, tau_sq, omega, K = _inference(
         fit, hac_config or HacConfig(), levels
     )
@@ -376,15 +400,21 @@ def double_oga_lp(
     oga_config: OgaConfig | None = None,
     hac_config: HacConfig | None = None,
     levels=DEFAULT_LEVELS,
+    *,
+    selections=None,
 ) -> LpEstimate:
     """Double-selection estimate of the shock coefficient at one horizon.
 
     Controls are selected twice (against the response and against the
     shock); the final regression uses their union. The shock residual kept
     for the variance is the one from the shock selection equation, not a
-    re-residualization on the union.
+    re-residualization on the union. selections holds the two selections
+    (response, then shock) when the caller has run them, as estimate_irf
+    does for every horizon in one lockstep call; by default both paths run
+    here, in lockstep.
     """
-    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels)
+    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels,
+                     selections=selections)
 
 
 def conventional_lp(
@@ -427,28 +457,71 @@ def estimate_irf(
 ) -> IrfResult:
     """Estimate the shock coefficient at every requested horizon.
 
-    Horizons are independent regressions, run in increasing order on
-    row-prefix views of the dataset at the smallest horizon that builds. The
-    no-selection benchmark factors that design once and reads every longer
+    Horizons are independent regressions on row-prefix views of the dataset
+    at the smallest horizon that builds (the anchor); their controls are
+    column views of those, nothing is copied. Double selection runs the
+    greedy paths of every horizon, against the response and against the
+    shock, in one lockstep oga_hdaic_select call on the anchor's controls,
+    then partials out horizon by horizon; a horizon whose shock is
+    degenerate fails on that check before its selections are read. The
+    no-selection benchmark factors the design once and reads every longer
     horizon off the same basis; where a prefix may lose rank it factors the
     horizon's own design, which then serves the longer horizons. A package
-    error or a linear-algebra failure at one horizon is recorded and does not
-    abort the others. Any other exception is a bug and propagates.
+    error or a linear-algebra failure at one horizon is recorded and does
+    not abort the others. Any other exception is a bug and propagates.
     """
-    done: dict[int, LpEstimate] = {}
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    oga_config = oga_config or OgaConfig()
     errors: dict[int, str] = {}
-    anchor = design = None
-    for h in sorted(set(spec.horizons)):
+
+    def attempt(h, fn, *args, **kwargs):
+        """fn(...), or None with the failure recorded against horizon h."""
         try:
-            dataset = build_lp_dataset(data, spec, h, anchor)
-            anchor = anchor or dataset
-            if method == CONVENTIONAL_LP:
-                design = design and design.on_rows(dataset.effective_T)
-                design = design or PrefixBasis.of(dataset.W)
-                done[h] = conventional_lp(dataset, hac_config, levels, design=design)
-            else:
-                done[h] = estimate_lp(dataset, method, oga_config, hac_config, levels)
+            return fn(*args, **kwargs)
         except (HdlpError, np.linalg.LinAlgError) as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
-    estimates = tuple(done[h] for h in spec.horizons if h in done)
+
+    datasets: dict[int, LpDataset] = {}
+    anchor = None
+    for h in sorted(set(spec.horizons)):
+        dataset = attempt(h, build_lp_dataset, data, spec, h, anchor)
+        if dataset is not None:
+            datasets[h] = dataset
+            anchor = anchor or dataset
+
+    done: dict[int, LpEstimate] = {}
+    if method == CONVENTIONAL_LP:
+        design = None
+        for h, dataset in datasets.items():
+            design = design and design.on_rows(dataset.effective_T)
+            design = design or attempt(h, PrefixBasis.of, dataset.W)
+            if design is not None:
+                done[h] = attempt(h, conventional_lp, dataset, hac_config, levels,
+                                  design=design)
+    elif datasets:
+        selections = _select_horizons(list(datasets.values()), oga_config)
+        for (h, dataset), sel in zip(datasets.items(), selections):
+            done[h] = attempt(h, double_oga_lp, dataset, oga_config, hac_config,
+                              levels, selections=sel)
+    estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
     return IrfResult(method=method, estimates=estimates, errors=errors)
+
+
+def _select_horizons(datasets: list[LpDataset], oga_config: OgaConfig) -> list:
+    """Both selections (response, shock) of every dataset, row prefixes of
+    the first, from one lockstep oga_hdaic_select call on the first's
+    controls; None for each when there are no candidate columns."""
+    anchor = datasets[0]
+    C = _controls(anchor)
+    if not C.shape[1]:
+        return [None] * len(datasets)
+    # columns 2i and 2i + 1: response and shock of the i-th dataset
+    rows = [ds.effective_T for ds in datasets for _ in range(2)]
+    Y = np.zeros((anchor.effective_T, len(rows)))
+    for i, ds in enumerate(datasets):
+        Y[: ds.effective_T, 2 * i] = ds.y
+        Y[: ds.effective_T, 2 * i + 1] = ds.x
+    paths = oga_hdaic_select(C, Y, oga_config, anchor.intercept_index is not None,
+                             rows)
+    return [paths[i : i + 2] for i in range(0, len(paths), 2)]

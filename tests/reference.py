@@ -6,20 +6,30 @@ routines are the oracle the tests compare it against. Rank deficiency is
 handled by a rank-revealing (pivoted) QR with a relative pivot tolerance of
 1e-10: dependent columns are dropped and get zero coefficients. The
 lag-by-lag autoregression loop is the oracle for the library's stacked
-simulator.
+simulator, and the one-path greedy loop for its lockstep greedy kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from hdlp.dgp import VarDgpSpec, _generator
-from hdlp.errors import DimensionMismatch, NonFinite
-from hdlp.linalg import PIVOT_RTOL, _as_design, orthogonal_residual, orthonormal_columns
+from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
+from hdlp.linalg import (
+    PIVOT_RTOL,
+    SPAN_RTOL,
+    _as_design,
+    gram_schmidt_extend,
+    orthogonal_residual,
+    orthonormal_columns,
+)
 from hdlp.lp import TimeSeriesMatrix
+from hdlp.selection import TIE_RTOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,3 +108,45 @@ def simulate_var_per_lag(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
         y[t] = acc
     names = tuple(f"y{i + 1}" for i in range(spec.n))
     return TimeSeriesMatrix(values=y[spec.burn_in :], columns=names)
+
+
+def oga_order_one_path(W, y, M: int, intercept: bool = False):
+    """One greedy path at a time, as oga_order ran before it stepped many
+    paths in lockstep: per step one W'r matvec, a Gram-Schmidt extension of
+    a growing basis, and one W'q matvec. Returns (order, sigma_sq, Q), or
+    raises AllColumnsDegenerate with no admissible column at the first step.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    T, p = W.shape
+    norms_sq = np.einsum("ij,ij->j", W, W)
+    floor = SPAN_RTOL**2 * norms_sq
+
+    Q = np.full((T, int(intercept)), 1.0 / math.sqrt(T))
+    r = y - Q @ (Q.T @ y)
+    proj_sq = np.maximum(norms_sq - np.sum((W.T @ Q) ** 2, axis=1), 0.0)
+
+    order: list[int] = []
+    sigma_sq: list[float] = []
+    alive = proj_sq > floor
+    while len(order) < M:
+        if not np.any(alive):
+            if not order:
+                raise AllColumnsDegenerate("no admissible column at the first step")
+            break
+        num = W.T @ r
+        gain = np.where(alive, num * num / np.maximum(proj_sq, 1e-300), -np.inf)
+        j = int(np.argmax(gain >= gain.max() * (1.0 - TIE_RTOL)))
+        q = gram_schmidt_extend(Q, W[:, j])
+        if q is None:
+            alive[j] = False
+            continue
+        order.append(j)
+        alive[j] = False
+        Q = np.column_stack([Q, q])
+        r = r - q * (q @ r)
+        c = W.T @ q
+        proj_sq = np.maximum(proj_sq - c * c, 0.0)
+        alive &= proj_sq > floor
+        sigma_sq.append(float(r @ r) / T)
+    return order, sigma_sq, Q

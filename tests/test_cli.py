@@ -331,9 +331,11 @@ class TestMontecarloCommand:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
         fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
-        # a wrong fingerprint, or records of the version-1 simulator: the
-        # broken record would fail the run if it were resumed
-        for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint)):
+        # a wrong fingerprint, or records of the version-1 simulator or the
+        # version-3 per-path greedy kernel: the broken record would fail the
+        # run if it were resumed
+        for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
+                            (3, fingerprint)):
             ckpt.write_text(json.dumps(
                 {"version": version, "fingerprint": fp, "records": [{"rep": 0}]}
             ))

@@ -14,6 +14,7 @@ from hdlp.dgp import (
     simulate_var,
 )
 from hdlp.errors import DimensionMismatch, InsufficientSample, UnknownColumn
+from hdlp.linalg import PrefixBasis
 from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
@@ -430,6 +431,43 @@ class TestEstimateIrf:
         assert ([est.beta for est in result.estimates]
                 == [ordered.by_horizon()[h].beta for h in (3, 1, 2)])
 
+    @pytest.mark.parametrize("c_star", (2.0, None))
+    def test_each_horizon_equals_its_own_run(self, c_star):
+        # all horizons' greedy paths share one lockstep run on the anchor's
+        # design; a horizon run alone anchors on its own rows
+        design = Section3Design.sparse(0.5)
+        data = simulate_var(build_section3_coefficients(design), design.T, (0, 1))
+        spec = section3_lp_spec(design, horizons=range(1, 21))
+        oga = OgaConfig(c_star=c_star)
+        joint = estimate_irf(data, spec, oga).by_horizon()
+        assert sorted(joint) == list(range(1, 21))
+        for h, est in joint.items():
+            alone = estimate_irf(data, section3_lp_spec(design, horizons=(h,)), oga)
+            [single] = alone.estimates
+            assert single.union == est.union
+            assert (single.c_star_y, single.c_star_x) == (est.c_star_y, est.c_star_x)
+            assert single.beta == pytest.approx(est.beta, rel=1e-12)
+            assert single.se == pytest.approx(est.se, rel=1e-12)
+
+    def test_a_failed_path_fails_only_its_horizon(self):
+        # z is zero up to t = 55, and row t of horizon h sees z up to
+        # t = 57 - h: at horizon 3 every candidate column (z's lags) is zero
+        rng = np.random.default_rng(19)
+        values = rng.standard_normal((60, 3))
+        values[:56, 2] = 0.0
+        data = TimeSeriesMatrix(values, ("y", "x", "z"))
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2, 3), lagged=("z",),
+                      lags=2)
+        oga = OgaConfig(c_star=2.0)
+        result = estimate_irf(data, spec, oga)
+        assert result.errors == {
+            3: "AllColumnsDegenerate: no admissible column at the first step"
+        }
+        for est in result.estimates:
+            alone = double_oga_lp(build_lp_dataset(data, spec, est.horizon), oga)
+            assert est.union == alone.union != ()
+            assert est.beta == pytest.approx(alone.beta, rel=1e-12)
+
     def test_anchor_must_not_be_shorter(self):
         rng = np.random.default_rng(17)
         data = make_data(rng, 40, 2, names=("y", "x"))
@@ -606,6 +644,26 @@ class TestScaleFreeChecks:
                 assert a.union == b.union
 
 
+class TestEquilibratedDesign:
+    def test_controls_in_small_units_keep_their_rank(self):
+        # the pivoted QR judges each column against its own norm, so a
+        # control series in tiny units does not drop out of the design
+        design = Section3Design.sparse(0.5)
+        data = simulate_var(build_section3_coefficients(design), design.T, (0, 3))
+        spec = section3_lp_spec(design, horizons=range(1, 21))
+        values = data.values.copy()
+        values[:, data.index("y5")] *= 1e-9
+        scaled = TimeSeriesMatrix(values, data.columns)
+        W = build_lp_dataset(scaled, spec, 1).W
+        assert PrefixBasis.of(W).rank == W.shape[1] == 220
+        ref = estimate_irf(data, spec, method=CONVENTIONAL_LP)
+        got = estimate_irf(scaled, spec, method=CONVENTIONAL_LP)
+        assert not ref.errors and not got.errors
+        for a, b in zip(ref.estimates, got.estimates):
+            assert b.beta == pytest.approx(a.beta, rel=1e-9)
+            assert b.se == pytest.approx(a.se, rel=1e-9)
+
+
 class TestFactorizationBudget:
     """One factorization per horizon: the greedy paths' bases are reused."""
 
@@ -652,6 +710,24 @@ class TestFactorizationBudget:
         result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
         assert [est.horizon for est in result.estimates] == [1, 2, 3]
         assert counts["qr"] == 1
+
+    @pytest.mark.parametrize("c_star", (2.0, None))
+    def test_one_greedy_run_per_irf(self, monkeypatch, c_star):
+        # every horizon's paths, and with tuning their training-row paths,
+        # advance in one lockstep oga_order call
+        calls = []
+        oga_order = hdlp.selection.oga_order
+
+        def counted(W, y, *args, **kwargs):
+            calls.append(np.shape(y))
+            return oga_order(W, y, *args, **kwargs)
+
+        monkeypatch.setattr(hdlp.selection, "oga_order", counted)
+        data, spec = self.dataset()
+        result = estimate_irf(data, spec, OgaConfig(c_star=c_star))
+        assert not result.errors
+        n_paths = 2 * len(spec.horizons) * (1 if c_star else 2)
+        assert calls == [(result.estimates[0].effective_T, n_paths)]
 
     @pytest.mark.parametrize("case", ("duplicated_lag", "nonzero_on_dropped_rows"))
     def test_rank_loss_refactors_and_matches_fresh_fits(self, counts, case):

@@ -17,7 +17,7 @@ from hdlp.selection import (
     select_c_star,
     select_hdaic,
 )
-from reference import ols_fit
+from reference import oga_order_one_path, ols_fit
 
 
 def refit_greedy_oracle(W, y, M, base=None):
@@ -186,6 +186,127 @@ class TestOgaOrder:
         assert order2 == order
         assert sigma_sq2 == sigma_sq
         assert k in order and d not in order
+
+
+def assert_same_span_basis(Q, W, order, intercept):
+    """Q is orthonormal and spans [1, W[:, order]] (the 1 only with an
+    intercept) on Q's rows."""
+    n = Q.shape[0]
+    X = W[:n, order]
+    if intercept:
+        X = np.column_stack([np.ones(n), X])
+    assert Q.shape == X.shape
+    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
+    np.testing.assert_allclose(Q @ (Q.T @ X), X, atol=1e-9 * max(1.0, np.abs(X).max()))
+    coef = np.linalg.lstsq(X, Q, rcond=None)[0]
+    np.testing.assert_allclose(X @ coef, Q, atol=1e-9)
+
+
+class TestLockstep:
+    """A 2-D y runs one greedy path per column in lockstep on one design;
+    each path equals the one-path oracle run on its own rows."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(14, 40),
+        p=st.integers(1, 8),
+        k=st.integers(1, 5),
+        intercept=st.booleans(),
+        failing=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_independent_one_path_runs(
+        self, seed, n, p, k, intercept, failing, data
+    ):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n, p)) + intercept * rng.uniform(-1, 1, p)
+        dup = data.draw(st.integers(0, p - 1), label="duplicated column")
+        late = rng.standard_normal(n)
+        late[: data.draw(st.integers(2, n // 2), label="zero prefix")] = 0.0
+        # an exact duplicate (the tie goes to the lower index), a zero
+        # column, and a column that is zero on a short prefix
+        W = np.column_stack([W, W[:, dup], np.zeros(n), late])
+        Y = W[:, :p] @ rng.standard_normal((p, k)) + rng.standard_normal((n, k))
+        rows = [data.draw(st.integers(12, n), label="rows") for _ in range(k)]
+        steps = [
+            data.draw(st.integers(1, min(W.shape[1], T - 2 - intercept)), label="M")
+            for T in rows
+        ]
+        if failing:
+            # every column is zero on the first rows: a path on those rows
+            # has no admissible column, the others must not notice
+            z = data.draw(st.integers(1, 4), label="rows of the failing path")
+            W[:z] = 0.0
+            at = data.draw(st.integers(0, k), label="position of the failing path")
+            Y = np.insert(Y, at, rng.standard_normal(n), axis=1)
+            rows.insert(at, z)
+            steps.insert(at, data.draw(st.integers(1, W.shape[1])))
+        paths = oga_order(W, Y, steps, intercept=intercept, rows=rows)
+        assert len(paths) == len(rows)
+        kept = []
+        for i, (T, M) in enumerate(zip(rows, steps)):
+            try:
+                want = oga_order_one_path(W[:T], Y[:T, i], M, intercept)
+            except AllColumnsDegenerate:
+                assert isinstance(paths[i], AllColumnsDegenerate)
+                continue
+            kept.append(i)
+            order, sigma_sq, Q = paths[i]
+            assert order == want[0]
+            np.testing.assert_allclose(sigma_sq, want[1], rtol=1e-12)
+            assert_same_span_basis(Q, W, order, intercept)
+        if failing:
+            alone = oga_order(W, Y[:, kept], [steps[i] for i in kept],
+                              intercept=intercept, rows=[rows[i] for i in kept])
+            for i, path in zip(kept, alone):
+                assert path[0] == paths[i][0]
+                np.testing.assert_allclose(path[1], paths[i][1], rtol=1e-12)
+
+    def test_one_path_is_the_first_column(self):
+        rng = np.random.default_rng(16)
+        W = rng.standard_normal((30, 6))
+        y = W[:, 1] - W[:, 4] + rng.standard_normal(30)
+        order, sigma_sq, Q = oga_order(W, y, 4, intercept=True)
+        [(order2, sigma_sq2, Q2)] = oga_order(W, y[:, None], [4], intercept=True)
+        assert order2 == order and sigma_sq2 == sigma_sq
+        np.testing.assert_array_equal(Q2, Q)
+        with pytest.raises(AllColumnsDegenerate):
+            oga_order(np.zeros((30, 2)), y, 2)
+        [failed] = oga_order(np.zeros((30, 2)), y[:, None], 2)
+        assert isinstance(failed, AllColumnsDegenerate)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        intercept=st.booleans(),
+        tuned=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_selection_and_tuning_match_one_column_calls(
+        self, seed, k, intercept, tuned, data
+    ):
+        rng = np.random.default_rng(seed)
+        n, p = 80, 12
+        W = rng.standard_normal((n, p)) + intercept
+        W[:5] = 0.0  # a 5-row path has no admissible column
+        Y = W[:, :4] @ rng.standard_normal((4, k)) + rng.standard_normal((n, k))
+        rows = [data.draw(st.integers(20, n), label="rows") for _ in range(k)]
+        Y, rows = np.column_stack([Y, rng.standard_normal(n)]), rows + [5]
+        cfg = OgaConfig(c_star=(0.5, 2.0, 8.0) if tuned else 2.0)
+        paths = oga_hdaic_select(W, Y, cfg, intercept, rows)
+        c_stars = select_c_star(W, Y, (0.5, 2.0, 8.0), cfg, intercept, rows)
+        assert isinstance(paths[-1], AllColumnsDegenerate)
+        assert isinstance(c_stars[-1], AllColumnsDegenerate)
+        for i, T in enumerate(rows[:-1]):
+            alone = oga_hdaic_select(W[:T], Y[:T, i], cfg, intercept)
+            assert paths[i].chosen_set == alone.chosen_set
+            assert paths[i].c_star_used == alone.c_star_used
+            np.testing.assert_allclose(paths[i].sigma_sq_path, alone.sigma_sq_path,
+                                       rtol=1e-12)
+            assert c_stars[i] == select_c_star(W[:T], Y[:T, i], (0.5, 2.0, 8.0),
+                                               cfg, intercept)
 
 
 class TestHdaic:
