@@ -17,8 +17,12 @@ column, the constant 1/sqrt(T), is written down rather than factored.
 Many short paths cost little more than one: oga_order, oga_hdaic_select
 and select_c_star take a 2-D y, one path per column, each on its own
 leading rows of one shared design, and advance every path in lockstep with
-one matrix product per step. A path that fails gets its error in its slot
-and leaves the others alone.
+one matrix product per step. Tuning and cutting run in the same style: the
+holdout systems of all training paths are stacked and solved in one call
+per path length, every holdout error curve comes from one sum of squares,
+and the criterion curves of every path and candidate are one array
+expression that repeats hdaic's arithmetic exactly. A path that fails gets
+its error in its slot and leaves the others alone.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllColumnsDegenerate, DimensionMismatch
+from .errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample
 from .linalg import SPAN_RTOL
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
@@ -150,9 +154,12 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
     A 2-D y (n x k) runs k paths in lockstep on one design: path i orders
     the first rows[i] rows of W (all of them by default) against column i
     of y, whose entries below those rows are ignored, for M[i] steps when M
-    is a sequence. Residuals are kept zero below each path's rows, so one
-    product of W' with all residuals scores every path at once, as W_i'r_i
-    would up to rounding, and the bases share one preallocated array. A path
+    is a sequence. Residuals are kept zero below each path's rows, so the
+    scores W'r_i of every path are one product, formed once and then
+    downdated with the product W'q that each step forms anyway for the
+    candidates' norms (r_i loses its component along the new basis column
+    q, so W'r_i loses W'q times q'r_i); they equal W_i'r_i up to rounding.
+    The bases share one preallocated array. A path
     whose pick turns out spanned retries without advancing. Returns one
     (order, sigma_sq, Q) per path, or, for a path with no admissible column
     at its first step, the AllColumnsDegenerate it would raise alone.
@@ -175,6 +182,8 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         R -= inside * (R.sum(axis=1) / T)[:, None]
     m = np.full(k, int(intercept))
 
+    S = R @ W  # W'r_i per path, downdated as the residuals move
+    WT = np.ascontiguousarray(W.T)  # candidates as rows, for gathering picks
     orders: list[list[int]] = [[] for _ in range(k)]
     sigma_sq: list[list[float]] = [[] for _ in range(k)]
     alive = proj_sq > floor
@@ -183,14 +192,13 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         if not going.any():
             break
         # RSS drop of candidate j on path i is (W'r_i)_j^2 / proj_sq_ij
-        gain = R @ W
-        gain *= gain
+        gain = S * S
         gain /= np.maximum(proj_sq, 1e-300)
         gain[~alive] = -np.inf
         best = gain.max(axis=1, keepdims=True)
         j = np.argmax(gain >= best * (1.0 - TIE_RTOL), axis=1)
         # each pick, two Gram-Schmidt passes against its path's basis
-        v = W.T[j]
+        v = WT[j]
         v *= inside
         v_norm = np.linalg.norm(v, axis=1)
         B = Q[:, : m.max()]
@@ -206,9 +214,11 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         Q[new, m[new]] = q
         m[new] += 1
         r = R[new]
-        r -= q * np.einsum("kn,kn->k", q, r)[:, None]
+        qr = np.einsum("kn,kn->k", q, r)[:, None]
+        r -= q * qr
         R[new] = r
-        c = q @ W
+        c = q @ W  # W'q: downdates both W'r and the candidates' norms
+        S[new] -= c * qr
         c *= c
         proj = proj_sq[new]
         proj -= c
@@ -231,17 +241,20 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
 def _candidate_norms(W, rows, intercept: bool):
     """Per path, the admission floor SPAN_RTOL^2 ||w_j||^2 and the squared
     norms of the candidates' components orthogonal to the intercept (the
-    norms themselves without one), both over the path's rows. The sums run
-    one segment of rows at a time between the distinct row counts."""
-    ends, which = np.unique(rows, return_inverse=True)
-    prefix = np.zeros((ends.size + 1, 2, W.shape[1]))
-    for i, (start, end) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
-        seg = W[start:end]
-        prefix[i + 1] = prefix[i] + (np.einsum("ij,ij->j", seg, seg), seg.sum(axis=0))
-    norms_sq, sums = prefix[1:][which].transpose(1, 0, 2)
+    norms themselves without one), both over the path's rows. They are read
+    off one running sum of squares and of values down the rows, which starts
+    from the totals over the shortest path's rows."""
+    rows = np.asarray(rows)
+    lo = rows.min()
+    totals = np.empty((rows.max() - lo + 1, 2, W.shape[1]))
+    head, rest = W[:lo], W[lo : rows.max()]
+    totals[0] = np.einsum("ij,ij->j", head, head), head.sum(axis=0)
+    np.multiply(rest, rest, out=totals[1:, 0])
+    totals[1:, 1] = rest
+    norms_sq, sums = np.cumsum(totals, axis=0, out=totals)[rows - lo].transpose(1, 0, 2)
     proj_sq = norms_sq
     if intercept:
-        proj_sq = norms_sq - sums * sums / np.asarray(rows, dtype=np.float64)[:, None]
+        proj_sq = norms_sq - sums * sums / rows[:, None]
     return SPAN_RTOL**2 * norms_sq, np.maximum(proj_sq, 0.0)
 
 
@@ -250,13 +263,40 @@ def hdaic(sigma_sq: float, m: int, p, T: int, c_star: float) -> float:
     return (1.0 + c_star * m * math.log(p) / T) * sigma_sq
 
 
+def _hdaic_curves(sigma_sq, p, T, c_star) -> np.ndarray:
+    """hdaic at every step of k paths under each of their C penalty
+    constants: sigma_sq is k x M (+inf past a path's end), T holds k row
+    counts and c_star is k x C; returns k x C x M. Each value takes hdaic's
+    operations in hdaic's order, so it equals the scalar bit for bit."""
+    m = np.arange(1, sigma_sq.shape[1] + 1)
+    T = np.asarray(T, dtype=np.float64)[:, None, None]
+    return (1.0 + c_star[:, :, None] * m * math.log(p) / T) * sigma_sq[:, None, :]
+
+
+def _padded(paths) -> np.ndarray:
+    """Criterion paths of different lengths as rows of one array, +inf past
+    each path's end, where no minimum can land; at least one column, so a
+    minimum over the steps of no paths is empty rather than undefined."""
+    out = np.full((len(paths), max(map(len, paths), default=1)), np.inf)
+    for i, path in enumerate(paths):
+        out[i, : len(path)] = path
+    return out
+
+
 def select_hdaic(sigma_sq_path, p: int, T: int, c_star: float) -> int:
     """Smallest m (1-based) minimizing the criterion along the path."""
     path = list(sigma_sq_path)
     if not path:
         raise ValueError("sigma_sq_path must be nonempty")
-    values = [hdaic(s, m, p, T, c_star) for m, s in enumerate(path, start=1)]
-    return int(np.argmin(values)) + 1
+    curve = _hdaic_curves(np.array([path], dtype=np.float64), p, [T],
+                          np.array([[c_star]], dtype=np.float64))
+    return int(np.argmin(curve)) + 1
+
+
+def _budgets(counts, p: int, config: OgaConfig) -> list[int]:
+    """max_steps per row count; 0 for a single row, which cannot be selected
+    on (its path then reports InsufficientSample)."""
+    return [max_steps(n, p, config) if n >= 2 else 0 for n in counts]
 
 
 def oga_hdaic_select(
@@ -267,44 +307,42 @@ def oga_hdaic_select(
     A 2-D y selects against each of its columns on that column's rows, as
     oga_order runs them, and returns one SelectionPath per column, or the
     error that column's selection alone would raise (AllColumnsDegenerate,
-    or a LinAlgError from tuning). With a tuned c_star the training-row
-    paths of every column join the same lockstep run.
+    or from tuning InsufficientSample or a LinAlgError). With a tuned
+    c_star the training-row paths of every column join the same lockstep
+    run, and every column is tuned and cut in one pass over arrays.
     """
     W, Y, rows, single = _as_paths(W, y, rows)
     if min(rows, default=2) < 2:
         raise DimensionMismatch("W and y must share at least two rows")
     p, k = W.shape[1], Y.shape[1]
     candidates = config.tuning_candidates
-    train = [_train_rows(T, config) for T in rows] if candidates else []
-    counts = rows + train
-    paths = oga_order(
-        W, np.hstack([Y, Y]) if candidates else Y,
-        [max_steps(T, p, config) for T in counts], intercept, counts,
-    )
-    out = []
-    for i, T in enumerate(rows):
-        try:
-            if candidates:
-                c_star = _holdout_c_star(W[:T], Y[:T, i], train[i],
-                                         _unwrap(paths[k + i]), candidates, intercept)
-            else:
-                c_star = float(config.c_star)
-            order, sigma_sq, Q = _unwrap(paths[i])
-        except (AllColumnsDegenerate, np.linalg.LinAlgError) as exc:
-            out.append(exc)
-            continue
-        m_hat = select_hdaic(sigma_sq, p, T, c_star)
-        out.append(SelectionPath(
+    if candidates:
+        train = [_train_rows(T, config) for T in rows]
+        paths = oga_order(W, np.hstack([Y, Y]), _budgets(rows + train, p, config),
+                          intercept, rows + train)
+        c_star = _holdout_c_stars(W, Y, rows, train, paths[k:], candidates,
+                                  intercept)
+    else:
+        paths = oga_order(W, Y, _budgets(rows, p, config), intercept, rows)
+        c_star = [float(config.c_star)] * k
+    # a tuning error comes first, as tuning runs first on one column alone
+    out = [c if isinstance(c, Exception) else path for c, path in zip(c_star, paths)]
+    ok = [i for i, path in enumerate(out) if not isinstance(path, Exception)]
+    sigma_sq = [paths[i][1] for i in ok]
+    c_ok = np.array([c_star[i] for i in ok], dtype=np.float64)[:, None]
+    curves = _hdaic_curves(_padded(sigma_sq), p, [rows[i] for i in ok], c_ok)[:, 0]
+    m_hat = np.argmin(curves, axis=1) + 1
+    for i, s, curve, m in zip(ok, sigma_sq, curves, m_hat.tolist()):
+        order, _, Q = paths[i]
+        out[i] = SelectionPath(
             ordered_indices=tuple(order),
-            sigma_sq_path=tuple(sigma_sq),
-            hdaic_path=tuple(
-                hdaic(s, m, p, T, c_star) for m, s in enumerate(sigma_sq, start=1)
-            ),
-            chosen_m=m_hat,
-            chosen_set=tuple(order[:m_hat]),
-            c_star_used=c_star,
-            basis=Q[:, : int(intercept) + m_hat],
-        ))
+            sigma_sq_path=tuple(s),
+            hdaic_path=tuple(curve[: len(s)].tolist()),
+            chosen_m=m,
+            chosen_set=tuple(order[:m]),
+            c_star_used=c_star[i],
+            basis=Q[:, : int(intercept) + m],
+        )
     return _unwrap(out[0]) if single else out
 
 
@@ -313,27 +351,80 @@ def _train_rows(T: int, config: OgaConfig) -> int:
     return min(max(int((1.0 - config.eval_fraction) * T), 2), T - 1)
 
 
-def _holdout_c_star(W, y, n, path, candidates, intercept: bool):
-    """The candidate whose cut of path, a greedy path on the first n rows of
-    W and y, predicts the other rows best; ties go to the smaller candidate.
+def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> list:
+    """Per column i of Y, the candidate whose cut of paths[i], a greedy path
+    on the first train[i] rows, predicts rows train[i]..rows[i] - 1 best;
+    ties go to the smaller candidate. A path's error (or InsufficientSample
+    for a single training row) stays in its slot.
 
-    On the training rows X = [1, W[:, order]] (the 1 only with an
+    On the n training rows X = [1, W[:, order]] (the 1 only with an
     intercept) is Q R, R square. The holdout rows of that basis solve
     X_te = Q_te R, and the fit at cut m projects on the intercept column of
     Q plus its first m picks, so its holdout prediction is a running sum
-    over the columns of Q_te weighted by Q'y.
+    over the columns of Q_te weighted by Q'y. Every path is stacked into
+    arrays padded to the longest path and the longest holdout: the systems
+    R'Z = X_te' are solved in one call per path length, and every holdout
+    error curve comes from one sum of squares with the padded rows masked.
     """
-    order, sigma_sq, Q = path
-    T, p = W.shape
-    X = W[:, order]
+    out = [
+        InsufficientSample(f"tuning c_star needs at least 3 rows, got {T}")
+        if n < 2 and not isinstance(path, Exception) else path
+        for T, n, path in zip(rows, train, paths)
+    ]
+    live = [i for i, path in enumerate(out) if not isinstance(path, Exception)]
+    if not live:
+        return out
+    ic = int(intercept)
+    live.sort(key=lambda i: len(out[i][0]))  # equal lengths side by side
+    orders, sigma_sq, bases = zip(*(out[i] for i in live))
+    size = ic + np.array([len(order) for order in orders])
+    n = np.array([train[i] for i in live])
+    held = np.array([rows[i] for i in live]) - n
+    L, D, H = len(live), int(size[-1]), int(held.max())
+
+    picks = np.zeros((L, D), dtype=np.intp)
+    Q = np.zeros((L, W.shape[0], D))  # each basis zero below its training rows
+    for a, (order, basis) in enumerate(zip(orders, bases)):
+        picks[a, ic : size[a]] = order
+        Q[a, : n[a], : size[a]] = basis
+    X = W.T[picks].transpose(0, 2, 1)
+    te = np.minimum(n[:, None] + np.arange(H), W.shape[0] - 1)
+    kept = np.arange(H) < held[:, None]  # L x H: real holdout rows
+    X_te = W[te[:, :, None], picks[:, None, :]]
     if intercept:
-        X = np.column_stack([np.ones(T), X])
-    Q_te = np.linalg.solve((Q.T @ X[:n]).T, X[n:].T).T
-    pred = np.cumsum(Q_te * (Q.T @ y[:n]), axis=1)[:, int(intercept):]
-    err = y[n:, None] - pred
-    mspe = np.einsum("ij,ij->j", err, err) / err.shape[0]
-    cuts = {c: select_hdaic(sigma_sq, p, n, float(c)) for c in candidates}
-    return float(min(sorted(candidates), key=lambda c: mspe[cuts[c] - 1]))
+        X[:, :, 0] = X_te[:, :, 0] = 1.0
+    y = Y[:, live].T
+    y_te = np.take_along_axis(y, te, axis=1)
+
+    Q_te = np.zeros((L, H, D))
+    sizes, starts = np.unique(size, return_index=True)
+    for d, a, b in zip(sizes, starts, np.r_[starts[1:], L]):
+        R = Q[a:b, :, :d].transpose(0, 2, 1) @ X[a:b, :, :d]
+        B = X_te[a:b, :, :d].transpose(0, 2, 1)
+        try:
+            Z = np.linalg.solve(R.transpose(0, 2, 1), B)
+        except np.linalg.LinAlgError:
+            Z = np.zeros_like(B)
+            for g in range(b - a):
+                try:
+                    Z[g] = np.linalg.solve(R[g].T, B[g])
+                except np.linalg.LinAlgError as exc:
+                    out[live[a + g]] = exc
+        Q_te[a:b, :, :d] = Z.transpose(0, 2, 1)
+    coef = (y[:, None, :] @ Q)[:, 0]  # Q'y over the training rows
+    err = y_te[:, :, None] - np.cumsum(Q_te * coef[:, None, :], axis=2)[:, :, ic:]
+    err *= kept[:, :, None]
+    mspe = np.einsum("lhm,lhm->lm", err, err) / held[:, None]
+
+    by_size = np.sort(np.asarray(candidates, dtype=np.float64))
+    curves = _hdaic_curves(_padded(sigma_sq), W.shape[1], n,
+                           np.broadcast_to(by_size, (L, by_size.size)))
+    cuts = np.argmin(curves, axis=2)
+    best = np.argmin(np.take_along_axis(mspe, cuts, axis=1), axis=1)
+    for a, i in enumerate(live):
+        if not isinstance(out[i], Exception):
+            out[i] = float(by_size[best[a]])
+    return out
 
 
 def select_c_star(
@@ -348,23 +439,17 @@ def select_c_star(
     path is cut, so one path on the training rows serves every candidate,
     and the holdout error of every cut is read off that path's basis. A 2-D
     y tunes each column on its rows, as oga_order runs them, with all
-    training paths in one lockstep run, and returns one c_star, or that
-    column's error, per column.
+    training paths in one lockstep run and one holdout pass, and returns one
+    c_star, or that column's error, per column.
     """
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
     config = config or OgaConfig()
     W, Y, rows, single = _as_paths(W, y, rows)
-    p = W.shape[1]
+    if min(rows, default=2) < 2:
+        raise DimensionMismatch("W and y must share at least two rows")
     train = [_train_rows(T, config) for T in rows]
-    paths = oga_order(W, Y, [max_steps(n, p, config) for n in train], intercept, train)
-    out = []
-    for i, (T, n, path) in enumerate(zip(rows, train, paths)):
-        try:
-            out.append(_holdout_c_star(
-                W[:T], Y[:T, i], n, _unwrap(path), candidates, intercept
-            ))
-        except (AllColumnsDegenerate, np.linalg.LinAlgError) as exc:
-            out.append(exc)
+    paths = oga_order(W, Y, _budgets(train, W.shape[1], config), intercept, train)
+    out = _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept)
     return _unwrap(out[0]) if single else out

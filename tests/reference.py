@@ -6,7 +6,8 @@ routines are the oracle the tests compare it against. Rank deficiency is
 handled by a rank-revealing (pivoted) QR with a relative pivot tolerance of
 1e-10: dependent columns are dropped and get zero coefficients. The
 lag-by-lag autoregression loop is the oracle for the library's stacked
-simulator, and the one-path greedy loop for its lockstep greedy kernel.
+simulator, the one-path greedy loop for its lockstep greedy kernel, and the
+one-path holdout for its batched c_star tuning.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hdlp.linalg import (
     orthonormal_columns,
 )
 from hdlp.lp import TimeSeriesMatrix
-from hdlp.selection import TIE_RTOL
+from hdlp.selection import TIE_RTOL, hdaic
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,3 +151,29 @@ def oga_order_one_path(W, y, M: int, intercept: bool = False):
         alive &= proj_sq > floor
         sigma_sq.append(float(r @ r) / T)
     return order, sigma_sq, Q
+
+
+def holdout_c_star_one_path(W, y, n, path, candidates, intercept: bool = False):
+    """One column's tuned c_star, as select_c_star chose it before it tuned
+    every column in one pass: the candidate whose cut of path, a greedy path
+    on the first n rows of W and y, predicts the other rows best; ties go to
+    the smaller candidate. The holdout rows of the path's basis solve
+    X_te = Q_te R with X = [1, W[:, order]], and the fit at cut m predicts
+    the running sum of Q_te's columns weighted by Q'y; each cut is the
+    first minimum of the scalar hdaic along the path on the n rows.
+    """
+    order, sigma_sq, Q = path
+    T, p = W.shape
+    X = W[:, order]
+    if intercept:
+        X = np.column_stack([np.ones(T), X])
+    Q_te = np.linalg.solve((Q.T @ X[:n]).T, X[n:].T).T
+    pred = np.cumsum(Q_te * (Q.T @ y[:n]), axis=1)[:, int(intercept):]
+    err = y[n:, None] - pred
+    mspe = np.einsum("ij,ij->j", err, err) / err.shape[0]
+
+    def cut(c):
+        values = [hdaic(s, m, p, n, float(c)) for m, s in enumerate(sigma_sq, start=1)]
+        return int(np.argmin(values))
+
+    return float(min(sorted(candidates), key=lambda c: mspe[cut(c)]))

@@ -449,6 +449,28 @@ class TestLpdidCommand:
         # no table, no failure log, no leftover temporary file
         assert set(tmp_path.iterdir()) == {path, tmp_path / "cfg.yaml"}
 
+    def test_two_row_sample_with_tuned_c_star_is_a_failed_horizon(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "tiny.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["unit", "time", "outcome", "treatment", "c1"])
+            for unit, adopt in (("a", 2), ("b", None)):
+                for t in (1, 2, 3):
+                    d = int(adopt is not None and t >= adopt)
+                    writer.writerow([unit, t, 0.5 * t + d, d, np.sin(t + (unit == "b"))])
+        out = tmp_path / "did.csv"
+        cfg = {"data": str(path), "output": str(out), "horizons": [1],
+               "extra_controls": ["c1"], "selection": {"c_star": "auto"}}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["lpdid", "--config", cfg_path]) == 4
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
+        assert "estimation failed for 1 horizon(s)" in err
+        log = (tmp_path / "did.csv.log").read_text()
+        assert log.startswith("horizon 1: InsufficientSample: ")
+
     def test_bogus_variance_is_config_error(self, tmp_path, capsys, panel_csv):
         cfg = {"data": panel_csv, "output": str(tmp_path / "did.csv"),
                "horizons": [1], "variance": "bogus"}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from hdlp.config import (
     build_simulate_run,
     load_yaml,
 )
+import hdlp.config
 from hdlp.errors import ConfigError
 from test_cli import dfm_simulate_cfg, estimate_cfg, small_var_mc_cfg, write_yaml
 
@@ -182,6 +184,36 @@ def test_seed_flag_out_of_generator_range_exits_2(tmp_path, capsys):
     assert main(["montecarlo", "--config", cfg_path, "--seed", str(2**64)]) == 2
     assert "config.seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.yaml")),
+                             ids=lambda path: path.name)
+    def test_both_loaders_read_every_bundled_config_alike(self, path):
+        text = path.read_text()
+        dicts = [yaml.load(text, Loader=loader) for loader in LOADERS]
+        assert all(d == dicts[0] for d in dicts)
+        assert load_yaml(path) == dicts[0]
+
+    def test_libyaml_parses_when_available(self):
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert hdlp.config.SAFE_LOADER is want
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["methods: [double_oga\n", "a: b: c\n",
+                                      "x: 1\n\tbad: tab\n"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch, loader,
+                                    text):
+        monkeypatch.setattr(hdlp.config, "SAFE_LOADER", loader)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_yaml(path)
+        assert main(["estimate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSimulateSeries:

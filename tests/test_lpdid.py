@@ -177,6 +177,22 @@ class TestRestrictSample:
 
 
 class TestLpDidEstimate:
+    def test_two_row_sample_with_tuned_c_star_fails_its_horizon(self):
+        # one newly treated and one clean row: tuning c_star would train on
+        # one row, so the horizon fails as a small sample, not as a bug
+        panel = build_panel(
+            2, 3, lambda i, t, d: 0.3 * i + 0.5 * t + d, adopt={0: 1},
+            covariates={"c1": lambda i, t: np.sin(i + 2.0 * t)},
+        )
+        spec = LpDidSpec(horizons=(1,), extra_controls=("c1",))
+        result = lpdid_estimate(panel, spec, OgaConfig(c_star=None))
+        assert not result.estimates
+        assert result.errors[1].startswith("InsufficientSample: ")
+        # a fixed c_star selects on the same two rows, and c1 then spans
+        # what is left of the shock
+        fixed = lpdid_estimate(panel, spec, OgaConfig(c_star=2.0))
+        assert fixed.errors[1].startswith("DegenerateShock: ")
+
     def test_noiseless_parallel_trends_exact(self):
         effect = {0: 1.0, 1: 1.5, 2: 2.25}
 

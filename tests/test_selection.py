@@ -6,10 +6,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlp.errors import AllColumnsDegenerate
+from hdlp.errors import AllColumnsDegenerate, InsufficientSample
 from hdlp.selection import (
     DEFAULT_C_STAR_CANDIDATES,
     OgaConfig,
+    _hdaic_curves,
+    _padded,
     hdaic,
     max_steps,
     oga_hdaic_select,
@@ -17,7 +19,7 @@ from hdlp.selection import (
     select_c_star,
     select_hdaic,
 )
-from reference import oga_order_one_path, ols_fit
+from reference import holdout_c_star_one_path, oga_order_one_path, ols_fit
 
 
 def refit_greedy_oracle(W, y, M, base=None):
@@ -159,6 +161,7 @@ class TestOgaOrder:
         scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7,
                                  intercept=with_base)
         assert scaled == order
+        assert order == oga_order_one_path(W, y, 7, with_base)[0]
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -186,6 +189,10 @@ class TestOgaOrder:
         assert order2 == order
         assert sigma_sq2 == sigma_sq
         assert k in order and d not in order
+        # the downdated scores W'r pick what a fresh W'r per step picks
+        want, want_sigma_sq, _ = oga_order_one_path(W, y, p + 1, with_base)
+        assert order == want
+        np.testing.assert_allclose(sigma_sq, want_sigma_sq, rtol=1e-12)
 
 
 def assert_same_span_basis(Q, W, order, intercept):
@@ -319,6 +326,55 @@ class TestHdaic:
     def test_arithmetic(self):
         # sigma=1, m=2, log p = 1, T=4, c=2 -> (1 + 2*2*1/4) * 1 = 2
         assert hdaic(1.0, 2, math.e, 4, 2.0) == pytest.approx(2.0)
+
+
+class TestHdaicCurves:
+    """The one-pass criterion curves equal the scalar hdaic bit for bit, so
+    the cuts and the tuned c_star cannot move by rounding."""
+
+    @given(
+        paths=st.lists(
+            st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12),
+            min_size=1, max_size=5,
+        ),
+        p=st.integers(1, 5000),
+        T=st.lists(st.integers(2, 10_000), min_size=5, max_size=5),
+        c=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_scalar_bit_for_bit(self, paths, p, T, c):
+        T = T[: len(paths)]
+        curves = _hdaic_curves(_padded(paths), p, T,
+                               np.tile(np.array(c), (len(paths), 1)))
+        for path, rows, per_path in zip(paths, T, curves):
+            for c_star, curve in zip(c, per_path):
+                want = [hdaic(s, m, p, rows, c_star) for m, s in enumerate(path, 1)]
+                assert curve[: len(path)].tolist() == want
+                assert np.all(curve[len(path):] == np.inf)
+                assert select_hdaic(path, p, rows, c_star) == int(np.argmin(want)) + 1
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        intercept=st.booleans(),
+        c_star=st.one_of(st.floats(0.05, 20.0),
+                         st.just((0.5, 1.6, 2.4, 8.0))),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_selection_paths_carry_the_scalar_curve(self, seed, k, intercept,
+                                                    c_star, data):
+        rng = np.random.default_rng(seed)
+        n, p = 60, 10
+        W = rng.standard_normal((n, p)) + intercept
+        Y = W[:, :3] @ rng.standard_normal((3, k)) + rng.standard_normal((n, k))
+        rows = [data.draw(st.integers(10, n), label="rows") for _ in range(k)]
+        paths = oga_hdaic_select(W, Y, OgaConfig(c_star=c_star), intercept, rows)
+        for path, T in zip(paths, rows):
+            want = [hdaic(s, m, p, T, path.c_star_used)
+                    for m, s in enumerate(path.sigma_sq_path, 1)]
+            assert list(path.hdaic_path) == want
+            assert path.chosen_m == int(np.argmin(want)) + 1
 
 
 class TestSelectHdaic:
@@ -473,3 +529,105 @@ class TestSelectCStar:
         # several candidates with distinct cuts, so the curve has many points
         assert len({select_hdaic(sigma_sq, p, n_train, c) for c in candidates}) > 1
         assert calls == []
+
+
+class TestBatchedTuning:
+    """Every column is tuned in one pass over stacked arrays; each column's
+    c_star equals the one-path holdout oracle run on its own rows."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 40),
+        p=st.integers(1, 6),
+        k=st.integers(1, 5),
+        intercept=st.booleans(),
+        failing=st.booleans(),
+        candidates=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=6,
+                            unique=True),
+        eval_fraction=st.sampled_from((0.1, 0.2, 0.3)),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_one_path_oracle(self, seed, n, p, k, intercept, failing,
+                                         candidates, eval_fraction, data):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n, p)) + intercept * rng.uniform(-1, 1, p)
+        dup = data.draw(st.integers(0, p - 1), label="duplicated column")
+        # a duplicate and a zero column are never picked, so a path stops
+        # short of its budget on a small pool, and budgets grow with rows
+        W = np.column_stack([W, W[:, dup], np.zeros(n)])
+        Y = W[:, :p] @ rng.standard_normal((p, k)) + rng.standard_normal((n, k))
+        rows = [data.draw(st.integers(2, n), label="rows") for _ in range(k)]
+        if failing:
+            # every column is zero on the first rows: the training path on
+            # those rows has no admissible column
+            z = data.draw(st.integers(3, 6), label="rows of the failing path")
+            W[: z - 1] = 0.0
+            at = data.draw(st.integers(0, k), label="position of the failing path")
+            Y = np.insert(Y, at, rng.standard_normal(n), axis=1)
+            rows.insert(at, z)
+        cfg = OgaConfig(c_star=tuple(candidates), eval_fraction=eval_fraction)
+        got = select_c_star(W, Y, candidates, cfg, intercept, rows)
+        selected = oga_hdaic_select(W, Y, cfg, intercept, rows)
+        assert len(got) == len(selected) == len(rows)
+        for i, T in enumerate(rows):
+            n_train = min(max(int((1.0 - eval_fraction) * T), 2), T - 1)
+            if n_train < 2:
+                assert isinstance(got[i], InsufficientSample)
+                assert isinstance(selected[i], InsufficientSample)
+                continue
+            try:
+                path = oga_order_one_path(W[:n_train], Y[:n_train, i],
+                                          max_steps(n_train, W.shape[1], cfg),
+                                          intercept)
+            except AllColumnsDegenerate:
+                assert isinstance(got[i], AllColumnsDegenerate)
+                assert isinstance(selected[i], AllColumnsDegenerate)
+                continue
+            want = holdout_c_star_one_path(W[:T], Y[:T, i], n_train, path,
+                                           candidates, intercept)
+            assert got[i] == want
+            if not isinstance(selected[i], AllColumnsDegenerate):
+                assert selected[i].c_star_used == want
+
+    def test_a_singular_holdout_system_fails_only_its_column(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        W = rng.standard_normal((60, 8))
+        Y = W[:, :3] @ rng.standard_normal((3, 4)) + rng.standard_normal((60, 4))
+        candidates = (0.5, 2.0, 8.0)
+        want = select_c_star(W, Y, candidates)
+        solve, one_path_calls = np.linalg.solve, []
+
+        def second_system_singular(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            one_path_calls.append(1)
+            if len(one_path_calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", second_system_singular)
+        got = select_c_star(W, Y, candidates)
+        failed = [i for i, c in enumerate(got) if isinstance(c, np.linalg.LinAlgError)]
+        assert len(failed) == 1 and len(one_path_calls) == 4
+        assert [c for i, c in enumerate(got) if i not in failed] == [
+            c for i, c in enumerate(want) if i not in failed
+        ]
+
+    def test_a_single_training_row_is_insufficient_sample(self):
+        rng = np.random.default_rng(22)
+        W = rng.standard_normal((30, 4))
+        Y = W[:, :2] @ rng.standard_normal((2, 2)) + rng.standard_normal((30, 2))
+        cfg = OgaConfig(c_star=None)
+        # two rows leave one to train on and one to hold out
+        with pytest.raises(InsufficientSample):
+            oga_hdaic_select(W[:2], Y[:2, 0], cfg)
+        with pytest.raises(InsufficientSample):
+            select_c_star(W[:2], Y[:2, 0], DEFAULT_C_STAR_CANDIDATES, cfg)
+        tiny, whole = oga_hdaic_select(W, Y, cfg, rows=[2, 30])
+        assert isinstance(tiny, InsufficientSample)
+        alone = oga_hdaic_select(W, Y[:, 1], cfg)
+        assert whole.chosen_set == alone.chosen_set
+        assert whole.c_star_used == alone.c_star_used
+        # a fixed c_star needs no holdout, so two rows still select
+        assert oga_hdaic_select(W[:2], Y[:2, 0], OgaConfig(c_star=2.0)).chosen_m == 1
