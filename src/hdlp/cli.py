@@ -43,7 +43,7 @@ from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 4  # 4: records of the lockstep greedy kernel
+CHECKPOINT_VERSION = 5  # 5: records of the batched partialling-out tail
 CHECKPOINT_EVERY = 50
 
 
@@ -172,24 +172,22 @@ def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _ci_headers(levels) -> list[str]:
-    names = []
+def _estimate_table(estimates, levels, tail_header, tail):
+    """Header and rows of an estimate table: horizon, method, beta, se and
+    the interval at each level, then tail(est) under tail_header."""
+    header = ["horizon", "method", "beta", "se"]
     for level in levels:
         tag = format(level, "g")
-        names += [f"ci_low_{tag}", f"ci_high_{tag}"]
-    return names
+        header += [f"ci_low_{tag}", f"ci_high_{tag}"]
+    rows = [[est.horizon, est.method, est.beta, est.se]
+            + [bound for level in levels for bound in est.cis[level]] + tail(est)
+            for est in estimates]
+    return header + tail_header, rows
 
 
 def cmd_estimate(run: EstimateRun) -> int:
     data = read_wide_csv(run.data_path)
-    header = (
-        ["horizon", "method", "beta", "se"]
-        + _ci_headers(run.levels)
-        + ["n_selected_y", "n_selected_x", "n_union", "bandwidth",
-           "c_star_y", "c_star_x", "effective_T"]
-    )
-    rows = []
-    failed = []
+    estimates, failed = [], []
     for method in run.methods:
         result = estimate_irf(
             data, run.lp_spec, run.oga, run.hac, run.levels, method=method
@@ -197,21 +195,19 @@ def cmd_estimate(run: EstimateRun) -> int:
         failed += [
             f"{method} horizon {h}: {msg}" for h, msg in sorted(result.errors.items())
         ]
-        for est in result.estimates:
-            row = [est.horizon, method, est.beta, est.se]
-            for level in run.levels:
-                lo, hi = est.cis[level]
-                row += [lo, hi]
-            row += [
-                len(est.selected_y), len(est.selected_x), len(est.union),
-                est.bandwidth,
-                "" if est.c_star_y is None else est.c_star_y,
-                "" if est.c_star_x is None else est.c_star_x,
-                est.effective_T,
-            ]
-            rows.append(row)
+        estimates += result.estimates
     if failed:
         return _report_failures(run.out_path, failed)
+    header, rows = _estimate_table(
+        estimates, run.levels,
+        ["n_selected_y", "n_selected_x", "n_union", "bandwidth", "c_star_y",
+         "c_star_x", "effective_T"],
+        lambda est: [
+            len(est.selected_y), len(est.selected_x), len(est.union), est.bandwidth,
+            "" if est.c_star_y is None else est.c_star_y,
+            "" if est.c_star_x is None else est.c_star_x, est.effective_T,
+        ],
+    )
     write_csv_atomic(run.out_path, header, rows)
     return 0
 
@@ -237,6 +233,9 @@ def _checkpoint_path(out_path: Path) -> Path:
 
 # fields that do not change the report, so a checkpoint survives edits to them
 _NOT_FINGERPRINTED = ("out_path", "parallelism", "checkpoint")
+# the BLAS thread count moves a record's last bits, so a checkpoint keeps the
+# process's settings of these variables and resumes only under the same ones
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fingerprint_value(value):
@@ -269,9 +268,13 @@ def _config_fingerprint(run: MontecarloRun) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _blas_threads() -> dict:
+    return {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+
+
 def save_checkpoint(path: Path, fingerprint: str, records: list):
     blob = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
-            "records": records}
+            "blas_threads": _blas_threads(), "records": records}
     _write_atomic(path, lambda fh: json.dump(blob, fh))
 
 
@@ -287,6 +290,8 @@ def load_checkpoint(path: Path, fingerprint: str) -> list | None:
     if blob.get("version") != CHECKPOINT_VERSION:
         return None
     if blob.get("fingerprint") != fingerprint:
+        return None
+    if blob.get("blas_threads") != _blas_threads():
         return None
     return blob.get("records")
 
@@ -343,25 +348,16 @@ def cmd_lpdid(run: LpdidRun) -> int:
             run.out_path,
             [f"horizon {h}: {msg}" for h, msg in sorted(result.errors.items())],
         )
-    header = (
-        ["horizon", "method", "beta", "se"]
-        + _ci_headers(run.spec.levels)
-        + ["n_treated", "n_clean", "n_controls", "n_selected", "bandwidth",
-           "variance", "effective_T"]
-    )
-    rows = []
-    for est in result.estimates:
-        row = [est.horizon, est.method, est.beta, est.se]
-        for level in run.spec.levels:
-            lo, hi = est.cis[level]
-            row += [lo, hi]
-        row += [
-            est.n_treated, est.n_clean, len(est.control_names),
-            len(est.selected),
+    header, rows = _estimate_table(
+        result.estimates, run.spec.levels,
+        ["n_treated", "n_clean", "n_controls", "n_selected", "bandwidth",
+         "variance", "effective_T"],
+        lambda est: [
+            est.n_treated, est.n_clean, len(est.control_names), len(est.selected),
             "" if est.bandwidth is None else est.bandwidth,
             est.variance, est.effective_T,
-        ]
-        rows.append(row)
+        ],
+    )
     write_csv_atomic(run.out_path, header, rows)
     return 0
 

@@ -234,17 +234,21 @@ def simulate_var(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
     """Draw T rows from the autoregression after discarding the burn-in.
 
     Each step is one matvec of [B_K .. B_1] on the last K rows, which sit
-    contiguously in y below K rows of zero presample.
+    contiguously in y below K rows of zero presample, written straight into
+    the new row before its innovation is added.
     """
     rng = _generator(seed)
     total = T + spec.burn_in
     chol = np.linalg.cholesky(spec.sigma)
     u = rng.standard_normal((total, spec.n)) @ chol.T
-    K = spec.K
+    K, n = spec.K, spec.n
     B = np.hstack(spec.B[::-1])
-    y = np.zeros((K + total, spec.n))
+    y = np.zeros((K + total, n))
+    flat = y.ravel()  # a view: the last K rows are one contiguous window
     for t in range(total):
-        y[K + t] = u[t] + B @ y[t : K + t].ravel()
+        row = y[K + t]
+        np.dot(B, flat[t * n : (K + t) * n], out=row)
+        row += u[t]
     names = tuple(f"y{i + 1}" for i in range(spec.n))
     return TimeSeriesMatrix(values=y[K + spec.burn_in :], columns=names)
 

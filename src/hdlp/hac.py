@@ -6,7 +6,10 @@ shock residual v, Omega is the Bartlett-kernel long-run variance of the
 product series psi = v * u, and the coefficient variance is Omega / tau_sq**2
 (the partialled-regression asymptotics; note the fourth power, not the
 second). Documented prominently because the scaling is easy to get wrong.
-Panels may replace the Bartlett Omega by a by-cluster sum of psi.
+Panels may replace the Bartlett Omega by a by-cluster sum of psi. Both
+estimators take a batch of zero-padded series, one per column with its own
+length and bandwidth, so an impulse response takes every horizon's variance
+in one call; a 1-D series is the batch of one, with the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch
+from .linalg import dots
 
 PSI_FINAL_U = "final_u"
 PSI_FIRST_STAGE_E = "first_stage_e"
@@ -52,28 +56,37 @@ def auto_bandwidth(T: int) -> int:
     return int(math.floor(4.0 * (T / 100.0) ** (2.0 / 9.0))) + 1
 
 
-def newey_west(psi, K: int) -> float:
+def newey_west(psi, K, rows=None):
     """Bartlett-weighted long-run variance of psi with bandwidth K.
 
     Lag ell in (-(K-1), ..., K-1) gets weight (1 - |ell|/K) and
     normalization 1/(T - |ell|); the lag-0 term alone gives the K=1 case
     (1/T) * sum(psi**2). A negative rounding artifact is floored at
     1e-14 times the variance of psi.
+
+    A 2-D psi (n x k) holds k series, series i in its first rows[i] rows
+    (all n by default) and zero below, with bandwidth K[i] when K is a
+    sequence; it returns their k variances. Each lag is one batched call of
+    BLAS dots, so a 1-D psi is the one-series case, bit for bit.
     """
-    psi = np.asarray(psi, dtype=np.float64).ravel()
-    T = psi.shape[0]
-    if K < 1:
+    psi = np.asarray(psi, dtype=np.float64)
+    P = np.ascontiguousarray(np.atleast_2d(psi.T))  # one series per row
+    n = P.shape[1]
+    T = np.full(len(P), n) if rows is None else np.asarray(rows)
+    K = np.broadcast_to(np.asarray(K), T.shape)
+    if np.any(K < 1):
         raise ValueError("bandwidth K must be at least 1")
-    if T <= K:
-        raise BandwidthTooLarge(f"series length {T} must exceed bandwidth {K}")
-    omega = float(psi @ psi) / T
-    for ell in range(1, K):
+    for t, k in zip(T, K):
+        if t <= k:
+            raise BandwidthTooLarge(f"series length {t} must exceed bandwidth {k}")
+    omega = dots(P, P) / T
+    for ell in range(1, int(K.max(initial=1))):
         weight = 1.0 - ell / K
-        cross = float(psi[ell:] @ psi[:-ell])
-        omega += 2.0 * weight * cross / (T - ell)
-    if omega < 0.0:
-        omega = 1e-14 * float(np.var(psi))
-    return omega
+        cross = dots(P[:, ell:], P[:, : n - ell])
+        omega += np.where(ell < K, 2.0 * weight * cross / np.maximum(T - ell, 1), 0.0)
+    for i in np.flatnonzero(omega < 0.0):
+        omega[i] = 1e-14 * float(np.var(P[i, : T[i]]))
+    return float(omega[0]) if psi.ndim == 1 else omega
 
 
 def cluster_omega(groups, psi) -> float:
@@ -82,31 +95,50 @@ def cluster_omega(groups, psi) -> float:
     return float(np.sum(np.bincount(g, weights=psi) ** 2))
 
 
-def hac_variance(
-    residuals_v, residuals_u, K: int | None = None, clusters=None
-) -> tuple[float, float, float, int | None]:
+def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
+                 rows=None):
     """(sigma_sq_h, tau_sq_hat, omega_hat, K_used) from the two residual series.
 
     tau_sq_hat = mean(v**2), omega_hat = newey_west(v * u, K),
     sigma_sq_h = omega_hat / tau_sq_hat**2. K None means auto_bandwidth(T).
     With clusters (one group label per observation) omega_hat is instead
     cluster_omega(clusters, v * u) / T, K is unused and K_used is None.
+
+    2-D residuals (n x k) hold k pairs of series, pair i in its first
+    rows[i] rows (all n by default) and zero below; the call returns one
+    tuple, or the error that pair alone would raise, per pair.
     """
-    v = np.asarray(residuals_v, dtype=np.float64).ravel()
-    u = np.asarray(residuals_u, dtype=np.float64).ravel()
-    if v.shape[0] != u.shape[0]:
+    v = np.asarray(residuals_v, dtype=np.float64)
+    u = np.asarray(residuals_u, dtype=np.float64)
+    if v.shape != u.shape:
         raise DimensionMismatch("residual series must have equal length")
-    T = v.shape[0]
-    if clusters is None and T < 8:
-        raise DimensionMismatch("need at least 8 observations for the variance")
-    tau_sq = float(v @ v) / T
-    if tau_sq == 0.0:
-        raise DegenerateShock("shock residual is zero")
+    V = np.ascontiguousarray(np.atleast_2d(v.T))  # one series per row
+    psi = V * np.atleast_2d(u.T)
+    T = np.full(len(V), V.shape[1]) if rows is None else np.asarray(rows)
+    tau_sq = dots(V, V) / T
     if clusters is None:
-        K_used = auto_bandwidth(T) if K is None else int(K)
-        omega = newey_west(v * u, K_used)
+        K_used = [auto_bandwidth(t) if K is None else int(K) for t in T.tolist()]
     else:
-        K_used = None
-        omega = cluster_omega(clusters, v * u) / T
-    sigma_sq_h = omega / tau_sq**2
-    return sigma_sq_h, tau_sq, omega, K_used
+        K_used = [None] * len(V)
+    out: list = []
+    for t, tau, k in zip(T.tolist(), tau_sq, K_used):
+        if clusters is None and t < 8:
+            out.append(DimensionMismatch("need at least 8 observations for the variance"))
+        elif tau == 0.0:
+            out.append(DegenerateShock("shock residual is zero"))
+        elif k is not None and t <= k:
+            out.append(BandwidthTooLarge(f"series length {t} must exceed bandwidth {k}"))
+        else:
+            out.append(None)
+    ok = [i for i, err in enumerate(out) if err is None]
+    omega = np.zeros(len(V))
+    if clusters is not None:
+        omega[ok] = [cluster_omega(clusters[: T[i]], psi[i, : T[i]]) / T[i] for i in ok]
+    elif ok:
+        omega[ok] = newey_west(psi[ok].T, [K_used[i] for i in ok], T[ok])
+    for i in ok:
+        out[i] = (float(omega[i] / tau_sq[i] ** 2), float(tau_sq[i]),
+                  float(omega[i]), K_used[i])
+    if v.ndim == 1 and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if v.ndim == 1 else out

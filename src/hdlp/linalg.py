@@ -7,7 +7,10 @@ column's own norm when a basis grows one column at a time: dependent
 columns are dropped instead of raising, because unions of selected lag
 columns are routinely collinear. A basis of a design also serves every row
 prefix of that design (PrefixBasis), as long as the prefix keeps the
-design's rank.
+design's rank; every prefix is read off one Cholesky factor. One two-pass
+kernel (orthogonalize, and extend on top of it) takes the residuals of many
+series on many zero-padded bases, or on one basis read on many prefixes, in
+a few batched products: greedy steps, unions and final residuals alike.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import DimensionMismatch
 
@@ -36,19 +40,23 @@ def _as_design(X) -> np.ndarray:
     return X
 
 
-def orthonormal_columns(X) -> np.ndarray:
-    """Orthonormal basis for the column space of X (rank revealed by pivoted QR).
+def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
+    """Orthonormal basis for the column space of X (rank revealed by pivoted
+    QR), and of a constant column after X's when intercept is set.
 
     Each column is divided by its norm first (zero columns stay zero), so a
     column's pivot is judged against its own scale: the rank does not
     depend on the units a series is measured in.
     """
     X = _as_design(X)
-    if X.shape[1] == 0:
-        return np.zeros((X.shape[0], 0))
+    n, p = X.shape
+    if p + intercept == 0:
+        return np.zeros((n, 0))
     norms = np.linalg.norm(X, axis=0)
-    scaled = np.empty_like(X, order="F")  # LAPACK's layout, so QR works in place
-    np.divide(X, np.where(norms > 0.0, norms, 1.0), out=scaled)
+    scaled = np.empty((n, p + intercept), order="F")  # LAPACK's layout: QR in place
+    np.divide(X, np.where(norms > 0.0, norms, 1.0), out=scaled[:, :p])
+    if intercept:
+        scaled[:, p] = 1.0 / np.sqrt(n)
     Q, R, _ = scipy.linalg.qr(scaled, overwrite_a=True, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:
@@ -57,90 +65,115 @@ def orthonormal_columns(X) -> np.ndarray:
     return Q[:, :rank]
 
 
-def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v minus its projection on the orthonormal columns of Q, in two passes."""
-    r = v - Q @ (Q.T @ v)
-    r -= Q @ (Q.T @ r)
-    return r
+def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B, each one BLAS
+    dot, so a single row gets the bits of a 1-D a @ b."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def gram_schmidt_extend(orthobasis, new_col) -> np.ndarray | None:
-    """Unit vector extending an orthonormal basis by one column.
+def orthogonalize(B, V, inside=None, G=None, dropped=None) -> np.ndarray:
+    """V minus its projection on the row space of B, in two passes, in place.
 
-    Returns None when new_col is already spanned: its residual norm is at
-    most SPAN_RTOL times its own norm, which a zero column always is. Two
-    projection passes keep the result orthogonal even for nearly dependent
-    inputs.
+    B (k x m x n) holds k bases of up to m orthonormal rows, zero-padded,
+    or one basis (1 x m x n) for every series; V (k x c x n) holds c series
+    per basis, zero on rows they do not use, and inside (broadcast against
+    V) keeps their residuals zero there. G and dropped read one basis on row
+    prefixes (PrefixBasis): series j, with dropped[j] rows dropped, has
+    coefficients a + G_d'(G_d a), G_d the first dropped[j] rows of G.
     """
-    Q = _as_design(orthobasis)
-    c = np.asarray(new_col, dtype=np.float64).ravel()
-    if Q.shape[0] != c.shape[0]:
-        raise DimensionMismatch(
-            f"orthobasis has {Q.shape[0]} rows but new column has {c.shape[0]}"
-        )
-    r = c - Q @ (Q.T @ c)
-    r -= Q @ (Q.T @ r)
-    nrm = np.linalg.norm(r)
-    if nrm <= SPAN_RTOL * np.linalg.norm(c):
-        return None
-    return r / nrm
+    for _ in range(2):
+        a = B @ V.transpose(0, 2, 1)  # k x m x c
+        if G is not None and G.shape[0]:
+            g = G @ a
+            g *= np.arange(G.shape[0])[:, None] < dropped
+            a += G.T @ g
+        V -= a.transpose(0, 2, 1) @ B
+        if inside is not None:
+            V *= inside
+    return V
+
+
+def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray, going=None) -> np.ndarray:
+    """Grow each basis B[i] (its first m[i] rows; the rest are zero) by the
+    unit residual of the series V[i] against it, in place, and advance m;
+    return the indices of the bases that grew. V[i] is spanned, and B[i]
+    left alone, when its residual norm is at most SPAN_RTOL times its own
+    norm (a zero series always is); with going, only marked bases grow.
+    """
+    norms = np.linalg.norm(V, axis=1)
+    orthogonalize(B[:, : m.max(initial=0)], V[:, None, :])
+    resid = np.linalg.norm(V, axis=1)
+    grow = resid > SPAN_RTOL * norms
+    new = np.flatnonzero(grow if going is None else going & grow)
+    B[new, m[new]] = V[new] / resid[new, None]
+    m[new] += 1
+    return new
 
 
 @dataclass(frozen=True, eq=False)
 class PrefixBasis:
     """Orthonormal basis Q of a design X, used for the projection on the
-    column space of X's first n rows.
+    column space of X's first n rows, for every n from min_rows up.
 
-    X[:n] = Q[:n] R, so with U = Q[n:] (the dropped rows) the projection of v
-    on that column space is Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v
+    X[:n] = Q[:n] R, so with U = Q[n:] (the d dropped rows) the projection of
+    v on that column space is Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v
     (Woodbury on (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}). G = L^{-1} U, L the
-    Cholesky factor of I - UU', turns the correction into G'(G a). With no
-    dropped rows G is empty and residual() is orthogonal_residual(Q, v).
+    Cholesky factor of I - UU', turns the correction into G'(G a). Taken in
+    reverse order, the dropped rows of every prefix are the leading rows of
+    those of the shortest, U~, so each prefix's L and G are the leading
+    block and rows of the one L and G of U~ (Golub & Van Loan, Matrix
+    Computations, section 4.2). G holds them; the prefix with d dropped
+    rows reads its first d rows.
     """
 
     Q: np.ndarray
-    n: int
     G: np.ndarray
 
     @classmethod
-    def of(cls, X) -> "PrefixBasis":
-        """Basis of all of X's rows, from one pivoted QR."""
-        Q = orthonormal_columns(X)
-        return cls(Q, Q.shape[0], np.zeros((0, Q.shape[1])))
+    def of(cls, X, intercept: bool = False) -> "PrefixBasis":
+        """Basis of all of X's rows (and a constant column when intercept is
+        set), from one pivoted QR."""
+        Q = orthonormal_columns(X, intercept)
+        return cls(Q, np.zeros((0, Q.shape[1])))
 
     @property
     def rank(self) -> int:
         return self.Q.shape[1]
 
-    def on_rows(self, n: int) -> "PrefixBasis | None":
-        """The basis read on the first n rows, or None when they may lose rank.
+    @property
+    def min_rows(self) -> int:
+        """The shortest prefix the basis serves."""
+        return self.Q.shape[0] - self.G.shape[0]
+
+    def reach(self, n: int) -> "PrefixBasis":
+        """The basis read on every prefix of at least n rows that keeps its rank.
 
         The smallest eigenvalue of I - UU' (that of Q[:n]'Q[:n]) is at least
-        1 / trace((I - UU')^{-1}) = 1 / (d + ||G||_F^2) for d dropped rows;
-        below PREFIX_EIG_TOL, or when the Cholesky factorization fails, the
-        caller factors X[:n] afresh. (The Cholesky diagonal alone bounds that
-        eigenvalue only from above.)
+        1 / trace((I - UU')^{-1}) = 1 / (d + ||G_d||_F^2) for d dropped rows,
+        a running sum over G's rows. The prefixes served stop before the
+        first whose bound is below PREFIX_EIG_TOL, or whose leading block of
+        I - U~U~' the Cholesky factorization reports not positive definite
+        (LAPACK's info); the caller factors that prefix afresh. (The
+        Cholesky diagonal alone bounds that eigenvalue only from above.)
         """
-        if not 0 < n <= self.Q.shape[0]:
-            raise DimensionMismatch(
-                f"a basis of {self.Q.shape[0]} rows has no {n}-row prefix"
-            )
-        U = self.Q[n:]
+        N = self.Q.shape[0]
+        if not 0 < n <= N:
+            raise DimensionMismatch(f"a basis of {N} rows has no {n}-row prefix")
+        U = self.Q[n:][::-1]
         d = U.shape[0]
-        try:
-            L = np.linalg.cholesky(np.eye(d) - U @ U.T)
-        except np.linalg.LinAlgError:
-            return None
-        G = scipy.linalg.solve_triangular(L, U, lower=True, check_finite=False)
-        if (d + float(np.sum(G * G))) * PREFIX_EIG_TOL > 1.0:
-            return None
-        return PrefixBasis(self.Q, n, G)
+        if d:
+            L, info = scipy.linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
+            d = d if info == 0 else info - 1
+        G = scipy.linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
+                                          check_finite=False) if d else U[:0]
+        bound = np.arange(1, d + 1) + np.cumsum(np.einsum("ij,ij->i", G, G))
+        return PrefixBasis(self.Q, G[: np.count_nonzero(bound * PREFIX_EIG_TOL <= 1.0)])
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        """v minus its projection on the prefix's column space, in two passes."""
-        Q = self.Q[: self.n]
-        r = v
-        for _ in range(2):
-            a = Q.T @ r
-            r = r - Q @ (a + self.G.T @ (self.G @ a))
-        return r
+    def residual(self, V: np.ndarray, rows) -> np.ndarray:
+        """Residuals of the series in V's rows, in place: series i lives on
+        the first rows[i] rows (at least min_rows), is zero below, and is
+        projected on the column space of that prefix in two passes."""
+        N = self.Q.shape[0]
+        rows = np.asarray(rows)
+        inside = np.arange(N) < rows[:, None]
+        return orthogonalize(self.Q.T[None], V[None], inside, self.G, N - rows)[0]

@@ -17,15 +17,17 @@ never a selection candidate, exempt from the penalty count. Greedy paths
 start from its closed-form unit column instead of factoring it.
 
 Every horizon's design is a row prefix of the design at the shortest
-horizon, so ``estimate_irf`` runs the greedy paths of all horizons (and,
-when c_star is tuned, their training-row paths) in one lockstep call on
-that design before it partials out horizon by horizon.
+horizon, so ``estimate_irf`` hands all horizons to the core and to the
+inference tail as one batch of row-prefix regressions on that design: one
+lockstep greedy run, one batched Gram-Schmidt for the unions, one Cholesky
+factor for every no-selection prefix, one Newey-West call. Then
+``double_oga_lp`` or ``conventional_lp`` builds each horizon's record. A
+single regression is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -39,8 +41,8 @@ from .errors import (
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import SPAN_RTOL, PrefixBasis, gram_schmidt_extend, orthogonal_residual
-from .selection import OgaConfig, oga_hdaic_select
+from .linalg import SPAN_RTOL, PrefixBasis, dots, extend, orthogonalize
+from .selection import OgaConfig, _as_paths, _unwrap, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
 CONVENTIONAL_LP = "conventional_lp"
@@ -84,9 +86,6 @@ class TimeSeriesMatrix:
             return self.columns.index(name)
         except ValueError:
             raise UnknownColumn(name) from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.index(name)]
 
 
 @dataclass(frozen=True)
@@ -239,113 +238,195 @@ class _Partialled:
     c_star_x: float | None
 
 
-def _partial_out(
-    C: np.ndarray,
-    intercept: bool,
-    x: np.ndarray,
-    y: np.ndarray,
-    method: str,
-    oga_config: OgaConfig | None,
-    design: PrefixBasis | None = None,
-    selections=None,
-) -> _Partialled:
+def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
+                 method: str, oga_config: OgaConfig | None, rows=None):
     """Shock coefficient of y on x, controlling for chosen columns of C and,
     when intercept is set, a constant.
 
-    DOUBLE_OGA selects columns of C against y and against x, in one lockstep
-    oga_hdaic_select call unless the caller passes the two results as
-    selections (either may be the error its selection raised), and controls
-    for the union, whose basis is the shock path's own orthonormal basis
-    extended by Gram-Schmidt with the outcome-only columns (in index order,
-    skipping spanned ones); v and e come off each path's basis.
-    CONVENTIONAL_LP, or an empty C, controls for every column through
-    design, the basis of [C, 1] (one pivoted QR when the caller holds none);
-    v and e are then the final residuals. beta = x_resid'y_resid /
-    x_resid'x_resid on the union basis. The shock is degenerate when it is
-    constant or when what is left of it is at most SPAN_RTOL of its norm.
+    1-D x and y are one regression on all rows; its _Partialled is returned
+    or its error raised. 2-D x and y (n x k) are k regressions, the i-th on
+    the first rows[i] rows (non-increasing; all by default) of C and of its
+    columns; the call returns one _Partialled, or the error that regression
+    alone would raise, per column.
+
+    DOUBLE_OGA selects columns of C against y and against x, every path in
+    one lockstep oga_hdaic_select call, and controls for the union, whose
+    basis is the shock path's orthonormal basis extended by Gram-Schmidt
+    with the outcome-only columns (in index order, skipping spanned ones);
+    v and e come off each path's basis (_union_residuals). CONVENTIONAL_LP,
+    or an empty C, controls for every column (_design_residuals); v and e
+    are then the final residuals. beta = x_resid'y_resid / x_resid'x_resid
+    on the union basis. The shock is degenerate when it is constant or when
+    what is left of it is at most SPAN_RTOL of its norm.
     """
-    p = C.shape[1]
-    x_norm = float(np.linalg.norm(x))
-    if p and float(np.linalg.norm(x - x.mean())) <= SPAN_RTOL * x_norm:
-        raise DegenerateShock("shock series is constant")
-    sel_y = sel_x = None
+    C, X, rows, single = _as_paths(C, x, rows)
+    Y = _as_paths(C, y, rows)[1]
+    n, p = C.shape
+    k = len(rows)
+    T = np.asarray(rows)
+    inside = np.arange(n) < T[:, None]
+    X = X.T * inside  # one series per row, zero below its rows
+    Y = Y.T * inside
+    failed: list = [None] * k
+    x_norm = np.linalg.norm(X, axis=1)
+    if p:
+        centred = (X - (X.sum(axis=1) / T)[:, None]) * inside
+        for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
+            failed[i] = DegenerateShock("shock series is constant")
     if method == DOUBLE_OGA and p:
-        if selections is None:
-            selections = oga_hdaic_select(
-                C, np.column_stack([y, x]), oga_config or OgaConfig(), intercept
-            )
-        for sel in selections:
-            if isinstance(sel, Exception):
-                raise sel
-        sel_y, sel_x = selections
-        set_y = tuple(sorted(sel_y.chosen_set))
-        set_x = tuple(sorted(sel_x.chosen_set))
-        Q = sel_x.basis
-        for j in sorted(set(set_y) - set(set_x)):
-            q = gram_schmidt_extend(Q, C[:, j])
-            if q is not None:
-                Q = np.column_stack([Q, q])
-        residual, rank = partial(orthogonal_residual, Q), Q.shape[1]
+        resid, v, e, rank, sets = _union_residuals(C, intercept, X, Y, rows,
+                                                  oga_config, failed)
     else:
-        set_y = set_x = tuple(range(p))
-        if design is None:
-            X = np.column_stack([C, np.ones(len(x))]) if intercept else C
-            design = PrefixBasis.of(X)
-        residual, rank = design.residual, design.rank
-    union = tuple(sorted(set(set_y) | set(set_x)))
+        resid, rank = _design_residuals(C, intercept, X, Y, rows, failed)
+        v, e = resid[:, 1], resid[:, 0]
+        sets = [(tuple(range(p)),) * 3 + (None, None)] * k
+    y_resid, x_resid = resid[:, 0], resid[:, 1]
+    xx = dots(x_resid, x_resid)
+    degenerate = xx <= (SPAN_RTOL * x_norm) ** 2
+    beta = dots(x_resid, y_resid) / np.where(degenerate, 1.0, xx)
+    u = y_resid - beta[:, None] * x_resid
+    out = []
+    for i, t in enumerate(rows):
+        if failed[i] is None and degenerate[i]:
+            failed[i] = DegenerateShock(
+                "shock has no variation left after projecting on the selected controls"
+            )
+        if failed[i] is not None:
+            out.append(failed[i])
+            continue
+        set_y, set_x, union, c_star_y, c_star_x = sets[i]
+        out.append(_Partialled(
+            beta=float(beta[i]), u=u[i, :t], v=v[i, :t], e=e[i, :t],
+            rank=int(rank[i]) + 1, selected_y=set_y, selected_x=set_x,
+            union=union, c_star_y=c_star_y, c_star_x=c_star_x,
+        ))
+    return _unwrap(out[0]) if single else out
 
-    x_resid = residual(x)
-    xx = float(x_resid @ x_resid)
-    if xx <= (SPAN_RTOL * x_norm) ** 2:
-        raise DegenerateShock(
-            "shock has no variation left after projecting on the selected controls"
-        )
-    y_resid = residual(y)
-    beta = float(x_resid @ y_resid) / xx
-    return _Partialled(
-        beta=beta, u=y_resid - beta * x_resid,
-        v=orthogonal_residual(sel_x.basis, x) if sel_x else x_resid,
-        e=orthogonal_residual(sel_y.basis, y) if sel_y else y_resid,
-        rank=rank + 1, selected_y=set_y, selected_x=set_x, union=union,
-        c_star_y=sel_y.c_star_used if sel_y else None,
-        c_star_x=sel_x.c_star_used if sel_x else None,
-    )
+
+def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
+    """Double selection for every regression not yet failed: the residuals
+    of y and x on its union basis (k x 2 x n), v and e off its paths' bases,
+    the union rank and (set_y, set_x, union, c_star_y, c_star_x). A
+    selection error fails its regression. The chosen bases sit in
+    zero-padded regressions x columns x rows arrays, so each residual is one
+    batched product, and the s-th outcome-only column of every union joins
+    it in one batched Gram-Schmidt step.
+    """
+    n = C.shape[0]
+    k = len(rows)
+    Z = np.empty((n, 2 * k))  # columns 2i and 2i + 1: y and x of regression i
+    Z[:, 0::2], Z[:, 1::2] = Y.T, X.T
+    paths = oga_hdaic_select(C, Z, oga_config or OgaConfig(), intercept,
+                             np.repeat(rows, 2))
+    for i in range(k):  # the shock check, then the outcome path, then the shock's
+        failed[i] = failed[i] or next(
+            (s for s in paths[2 * i : 2 * i + 2] if isinstance(s, Exception)), None)
+    live = [i for i in range(k) if failed[i] is None]
+    resid, v, e = np.zeros((k, 2, n)), np.zeros((k, n)), np.zeros((k, n))
+    rank = np.zeros(k, dtype=np.intp)
+    sets: list = [None] * k
+    if not live:
+        return resid, v, e, rank, sets
+    sel_y = [paths[2 * i] for i in live]
+    sel_x = [paths[2 * i + 1] for i in live]
+    extra = []
+    for i, sy, sx in zip(live, sel_y, sel_x):
+        set_y, set_x = tuple(sorted(sy.chosen_set)), tuple(sorted(sx.chosen_set))
+        union = tuple(sorted(set(set_y) | set(set_x)))
+        sets[i] = set_y, set_x, union, sy.c_star_used, sx.c_star_used
+        extra.append(sorted(set(set_y) - set(set_x)))
+    m = np.array([sx.basis.shape[1] for sx in sel_x])
+    n_extra = np.array([len(cols) for cols in extra])
+    B_y = np.zeros((len(live), max(sy.basis.shape[1] for sy in sel_y), n))
+    B = np.zeros((len(live), m.max() + n_extra.max(), n))  # the unions
+    for a, (i, sy, sx) in enumerate(zip(live, sel_y, sel_x)):
+        B_y[a, : sy.basis.shape[1], : rows[i]] = sy.basis.T
+        B[a, : m[a], : rows[i]] = sx.basis.T
+    e[live] = orthogonalize(B_y, Y[live][:, None, :])[:, 0]
+    v[live] = orthogonalize(B[:, : m.max()], X[live][:, None, :])[:, 0]
+
+    inside = np.arange(n) < np.asarray(rows)[live, None]
+    for step in range(n_extra.max()):
+        V = C.T[[c[step] if step < len(c) else 0 for c in extra]] * inside
+        V[n_extra <= step] = 0.0  # a zero series never grows its basis
+        extend(B, m, V)
+    resid[live] = orthogonalize(B, np.stack([Y[live], X[live]], axis=1))
+    rank[live] = m
+    return resid, v, e, rank, sets
 
 
-def _inference(
-    fit: _Partialled,
-    hac_config: HacConfig,
-    levels,
-    clusters: np.ndarray | None = None,
-    absorbed: int = 0,
-):
-    """(se, cis, sigma_sq, tau_sq, omega, bandwidth) for fit.beta.
+def _design_residuals(C, intercept, X, Y, rows, failed):
+    """The residuals of y and x (k x 2 x n) on the column space of [C, 1]
+    (C alone without intercept) on each regression's rows, and its rank.
+
+    One pivoted QR at the first regression's rows serves every later one
+    whose prefix keeps its rank (PrefixBasis.reach, one Cholesky for all of
+    them); the first it cannot serve is factored afresh and serves those
+    after it. A factorization that fails fails its regression.
+    """
+    k = len(rows)
+    resid = np.zeros((k, 2, C.shape[0]))
+    rank = np.zeros(k, dtype=np.intp)
+    i = 0
+    while i < k:
+        N = rows[i]
+        try:
+            basis = PrefixBasis.of(C[:N], intercept).reach(rows[-1])
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+            i += 1
+            continue
+        j = i + sum(1 for r in rows[i:] if r >= basis.min_rows)
+        V = np.stack([Y[i:j, :N], X[i:j, :N]], axis=1).reshape(-1, N)
+        resid[i:j, :, :N] = basis.residual(V, np.repeat(rows[i:j], 2)).reshape(-1, 2, N)
+        rank[i:j] = basis.rank
+        i = j
+    return resid, rank
+
+
+def _inference(fits: list, hac_config: HacConfig, levels,
+               clusters: np.ndarray | None = None, absorbed: int = 0) -> list:
+    """Per fit, (se, cis, sigma_sq, tau_sq, omega, bandwidth) for its beta,
+    or its error; a fit that is an error stays one.
 
     psi = v * u with u the final residual, or the outcome-selection residual
-    e under psi_source first_stage_e; Omega is its Bartlett long-run variance,
-    or its by-cluster sum when clusters are given. The dof factor is
-    T / (T - rank - absorbed), absorbed counting effects removed before the
-    core ran.
+    e under psi_source first_stage_e; Omega is its Bartlett long-run
+    variance, or its by-cluster sum when clusters are given, for every fit
+    in one hac_variance call on their zero-padded residuals. The dof factor
+    is T / (T - rank - absorbed), absorbed counting effects removed before
+    the core ran.
     """
-    u = fit.e if hac_config.psi_source == PSI_FIRST_STAGE_E else fit.u
-    sigma_sq, tau_sq, omega, K = hac_variance(
-        fit.v, u, hac_config.bandwidth, clusters
-    )
-    T = u.shape[0]
-    if hac_config.dof_correction:
-        dof = T - fit.rank - absorbed
-        if dof <= 0:
-            raise InsufficientSample(
-                f"no residual degrees of freedom: T={T}, design rank "
-                f"{fit.rank} plus {absorbed} absorbed effects"
-            )
-        sigma_sq *= T / dof
-    se = float(np.sqrt(sigma_sq / T))
-    cis = {}
-    for level in levels:
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-        cis[float(level)] = (fit.beta - z * se, fit.beta + z * se)
-    return se, cis, sigma_sq, tau_sq, omega, K
+    out = list(fits)
+    ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
+    if not ok:
+        return out
+    rows = [fits[i].v.shape[0] for i in ok]
+    V, U = np.zeros((2, len(ok), max(rows)))
+    first_stage = hac_config.psi_source == PSI_FIRST_STAGE_E
+    for a, i in enumerate(ok):
+        V[a, : rows[a]] = fits[i].v
+        U[a, : rows[a]] = fits[i].e if first_stage else fits[i].u
+    variances = hac_variance(V.T, U.T, hac_config.bandwidth, clusters, rows)
+    z = {float(level): NormalDist().inv_cdf(0.5 + level / 2.0) for level in levels}
+    for i, T, variance in zip(ok, rows, variances):
+        if isinstance(variance, Exception):
+            out[i] = variance
+            continue
+        sigma_sq, tau_sq, omega, K = variance
+        fit = fits[i]
+        if hac_config.dof_correction:
+            dof = T - fit.rank - absorbed
+            if dof <= 0:
+                out[i] = InsufficientSample(
+                    f"no residual degrees of freedom: T={T}, design rank "
+                    f"{fit.rank} plus {absorbed} absorbed effects"
+                )
+                continue
+            sigma_sq *= T / dof
+        se = float(np.sqrt(sigma_sq / T))
+        cis = {level: (fit.beta - q * se, fit.beta + q * se) for level, q in z.items()}
+        out[i] = se, cis, sigma_sq, tau_sq, omega, K
+    return out
 
 
 def _controls(dataset: LpDataset) -> np.ndarray:
@@ -359,92 +440,65 @@ def _controls(dataset: LpDataset) -> np.ndarray:
     return np.delete(dataset.W, j, axis=1)
 
 
-def _estimate(
-    dataset: LpDataset,
-    method: str,
-    oga_config: OgaConfig | None,
-    hac_config: HacConfig | None,
-    levels,
-    design: PrefixBasis | None = None,
-    selections=None,
-) -> LpEstimate:
-    intercept = dataset.intercept_index is not None
-    fit = _partial_out(_controls(dataset), intercept, dataset.x, dataset.y, method,
-                       oga_config, design, selections)
-    se, cis, sigma_sq, tau_sq, omega, K = _inference(
-        fit, hac_config or HacConfig(), levels
-    )
+def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels):
+    """Per dataset, its (_Partialled, inference) pair or its error. The
+    datasets are row prefixes of the first; all of them are partialled out
+    in one core call and take their variances in one inference call."""
+    anchor = datasets[0]
+    rows = [ds.effective_T for ds in datasets]
+    X = np.zeros((len(datasets), anchor.effective_T))
+    Y = np.zeros_like(X)
+    for i, ds in enumerate(datasets):
+        X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
+    fits = _partial_out(_controls(anchor), anchor.intercept_index is not None,
+                        X.T, Y.T, method, oga_config, rows)
+    inference = _inference(fits, hac_config or HacConfig(), levels)
+    return [inf if isinstance(inf, Exception) else (f, inf)
+            for f, inf in zip(fits, inference)]
+
+
+def _estimate(dataset: LpDataset, method: str, oga_config: OgaConfig | None,
+              hac_config: HacConfig | None, levels, fit=None) -> LpEstimate:
+    """The record of one horizon from its fit, an entry of _fit; by default
+    the dataset is the batch of one."""
+    if fit is None:
+        fit = _fit([dataset], method, oga_config, hac_config, levels)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    part, (se, cis, sigma_sq, tau_sq, omega, K) = fit
     return LpEstimate(
-        horizon=dataset.horizon,
-        method=method,
-        beta=fit.beta,
-        se=se,
-        cis=cis,
-        selected_y=fit.selected_y,
-        selected_x=fit.selected_x,
-        union=fit.union,
-        tau_sq=tau_sq,
-        omega=omega,
-        sigma_sq=sigma_sq,
-        bandwidth=K,
-        effective_T=dataset.effective_T,
-        c_star_y=fit.c_star_y,
-        c_star_x=fit.c_star_x,
-        residuals_u=fit.u,
-        residuals_v=fit.v,
+        horizon=dataset.horizon, method=method, beta=part.beta, se=se, cis=cis,
+        selected_y=part.selected_y, selected_x=part.selected_x, union=part.union,
+        tau_sq=tau_sq, omega=omega, sigma_sq=sigma_sq, bandwidth=K,
+        effective_T=dataset.effective_T, c_star_y=part.c_star_y,
+        c_star_x=part.c_star_x, residuals_u=part.u, residuals_v=part.v,
     )
 
 
-def double_oga_lp(
-    dataset: LpDataset,
-    oga_config: OgaConfig | None = None,
-    hac_config: HacConfig | None = None,
-    levels=DEFAULT_LEVELS,
-    *,
-    selections=None,
-) -> LpEstimate:
+def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
+                  hac_config: HacConfig | None = None, levels=DEFAULT_LEVELS, *,
+                  fit=None) -> LpEstimate:
     """Double-selection estimate of the shock coefficient at one horizon.
 
     Controls are selected twice (against the response and against the
     shock); the final regression uses their union. The shock residual kept
     for the variance is the one from the shock selection equation, not a
-    re-residualization on the union. selections holds the two selections
-    (response, then shock) when the caller has run them, as estimate_irf
-    does for every horizon in one lockstep call; by default both paths run
-    here, in lockstep.
+    re-residualization on the union. fit is the horizon's entry of a batch
+    the caller has run, as estimate_irf does for every horizon at once; by
+    default the dataset is run alone, both paths in lockstep.
     """
-    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels,
-                     selections=selections)
+    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels, fit)
 
 
-def conventional_lp(
-    dataset: LpDataset,
-    hac_config: HacConfig | None = None,
-    levels=DEFAULT_LEVELS,
-    *,
-    design: PrefixBasis | None = None,
-) -> LpEstimate:
+def conventional_lp(dataset: LpDataset, hac_config: HacConfig | None = None,
+                    levels=DEFAULT_LEVELS, *, fit=None) -> LpEstimate:
     """No selection: regress on the shock and every control, same variance.
 
-    design is a basis of W's column space on the dataset's rows, such as an
-    earlier horizon's basis read on them (PrefixBasis.on_rows); by default
-    it is one pivoted QR of W.
+    fit is the horizon's entry of a batch the caller has run, as
+    estimate_irf does for every horizon on one factorization; by default it
+    is one pivoted QR of W.
     """
-    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels, design)
-
-
-def estimate_lp(
-    dataset: LpDataset,
-    method: str,
-    oga_config: OgaConfig | None = None,
-    hac_config: HacConfig | None = None,
-    levels=DEFAULT_LEVELS,
-) -> LpEstimate:
-    if method == DOUBLE_OGA:
-        return double_oga_lp(dataset, oga_config, hac_config, levels)
-    if method == CONVENTIONAL_LP:
-        return conventional_lp(dataset, hac_config, levels)
-    raise ValueError(f"unknown method {method!r}")
+    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels, fit)
 
 
 def estimate_irf(
@@ -459,16 +513,16 @@ def estimate_irf(
 
     Horizons are independent regressions on row-prefix views of the dataset
     at the smallest horizon that builds (the anchor); their controls are
-    column views of those, nothing is copied. Double selection runs the
-    greedy paths of every horizon, against the response and against the
-    shock, in one lockstep oga_hdaic_select call on the anchor's controls,
-    then partials out horizon by horizon; a horizon whose shock is
-    degenerate fails on that check before its selections are read. The
-    no-selection benchmark factors the design once and reads every longer
-    horizon off the same basis; where a prefix may lose rank it factors the
-    horizon's own design, which then serves the longer horizons. A package
-    error or a linear-algebra failure at one horizon is recorded and does
-    not abort the others. Any other exception is a bug and propagates.
+    column views of those, nothing is copied. All horizons are one batch of
+    the partialling-out core and of the inference tail; a horizon whose
+    shock is degenerate fails on that check before its selections are read.
+    The no-selection benchmark factors the design once and reads every
+    longer horizon off the same basis; where a prefix may lose rank it
+    factors the horizon's own design, which then serves the longer
+    horizons. double_oga_lp or conventional_lp builds each horizon's record.
+    A package error or a linear-algebra failure at one horizon is recorded
+    and does not abort the others. Any other exception is a bug and
+    propagates.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -491,37 +545,15 @@ def estimate_irf(
             anchor = anchor or dataset
 
     done: dict[int, LpEstimate] = {}
-    if method == CONVENTIONAL_LP:
-        design = None
-        for h, dataset in datasets.items():
-            design = design and design.on_rows(dataset.effective_T)
-            design = design or attempt(h, PrefixBasis.of, dataset.W)
-            if design is not None:
-                done[h] = attempt(h, conventional_lp, dataset, hac_config, levels,
-                                  design=design)
-    elif datasets:
-        selections = _select_horizons(list(datasets.values()), oga_config)
-        for (h, dataset), sel in zip(datasets.items(), selections):
+    fits = _fit(list(datasets.values()), method, oga_config, hac_config,
+                levels) if datasets else []
+    for (h, dataset), fit in zip(datasets.items(), fits):
+        if method == DOUBLE_OGA:
             done[h] = attempt(h, double_oga_lp, dataset, oga_config, hac_config,
-                              levels, selections=sel)
+                              levels, fit=fit)
+        else:
+            done[h] = attempt(h, conventional_lp, dataset, hac_config, levels,
+                              fit=fit)
     estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
     return IrfResult(method=method, estimates=estimates, errors=errors)
 
-
-def _select_horizons(datasets: list[LpDataset], oga_config: OgaConfig) -> list:
-    """Both selections (response, shock) of every dataset, row prefixes of
-    the first, from one lockstep oga_hdaic_select call on the first's
-    controls; None for each when there are no candidate columns."""
-    anchor = datasets[0]
-    C = _controls(anchor)
-    if not C.shape[1]:
-        return [None] * len(datasets)
-    # columns 2i and 2i + 1: response and shock of the i-th dataset
-    rows = [ds.effective_T for ds in datasets for _ in range(2)]
-    Y = np.zeros((anchor.effective_T, len(rows)))
-    for i, ds in enumerate(datasets):
-        Y[: ds.effective_T, 2 * i] = ds.y
-        Y[: ds.effective_T, 2 * i + 1] = ds.x
-    paths = oga_hdaic_select(C, Y, oga_config, anchor.intercept_index is not None,
-                             rows)
-    return [paths[i : i + 2] for i in range(0, len(paths), 2)]

@@ -10,8 +10,9 @@ extra covariates are screened by double selection or all kept, and the
 switch coefficient is read off the residuals. What is specific to panels
 stays here: the demeaning, the variance choice and the absorbed time effects
 in the degrees of freedom. Standard errors come from the time-series
-inference tail (``lp._inference``): the same v*u long-run variance, computed
-over the restricted sample ordered by (time, unit), or a by-unit cluster sum.
+inference tail (``lp._inference``); a panel horizon is the core's batch of
+one. Its variance is the same v*u long-run variance, computed over the
+restricted sample ordered by (time, unit), or a by-unit cluster sum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 from .hac import HacConfig
 from .linalg import SPAN_RTOL
 from .lp import DEFAULT_LEVELS, DOUBLE_OGA, METHODS, _inference, _partial_out
-from .selection import OgaConfig
+from .selection import OgaConfig, _unwrap
 
 TREATED = "treated"
 CLEAN = "clean"
@@ -273,11 +274,11 @@ def _lpdid_one(
         )
 
     fit = _partial_out(C, not spec.time_effects, dd, dy, spec.method, oga_config)
-    se, cis, _, _, _, bandwidth = _inference(
-        fit, hac_config, spec.levels,
+    se, cis, _, _, _, bandwidth = _unwrap(_inference(
+        [fit], hac_config, spec.levels,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,
         absorbed=len(np.unique(times)) if spec.time_effects else 0,
-    )
+    )[0])
     return LpDidEstimate(
         horizon=h,
         method=spec.method,

@@ -14,15 +14,15 @@ An optional intercept is always part of the projection, is never a
 selection candidate, and does not count toward the penalty. Its basis
 column, the constant 1/sqrt(T), is written down rather than factored.
 
-Many short paths cost little more than one: oga_order, oga_hdaic_select
-and select_c_star take a 2-D y, one path per column, each on its own
+Many short paths cost little more than one: oga_order and oga_hdaic_select
+take a 2-D y, one path per column, each on its own
 leading rows of one shared design, and advance every path in lockstep with
 one matrix product per step. Tuning and cutting run in the same style: the
 holdout systems of all training paths are stacked and solved in one call
 per path length, every holdout error curve comes from one sum of squares,
 and the criterion curves of every path and candidate are one array
-expression that repeats hdaic's arithmetic exactly. A path that fails gets
-its error in its slot and leaves the others alone.
+expression that repeats the scalar criterion's arithmetic exactly. A path
+that fails gets its error in its slot and leaves the others alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample
-from .linalg import SPAN_RTOL
+from .linalg import SPAN_RTOL, extend
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
 TIE_RTOL = 1e-12  # greedy gains this close to the best one count as a tie
@@ -197,22 +197,14 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         gain[~alive] = -np.inf
         best = gain.max(axis=1, keepdims=True)
         j = np.argmax(gain >= best * (1.0 - TIE_RTOL), axis=1)
-        # each pick, two Gram-Schmidt passes against its path's basis
+        # each pick joins its path's basis unless that basis spans it
         v = WT[j]
         v *= inside
-        v_norm = np.linalg.norm(v, axis=1)
-        B = Q[:, : m.max()]
-        for _ in range(2):
-            coef = B @ v[:, :, None]
-            v -= (coef.transpose(0, 2, 1) @ B)[:, 0]
-        v_resid = np.linalg.norm(v, axis=1)
         alive[going, j[going]] = False  # picked, or spanned and never picked
-        new = np.flatnonzero(going & (v_resid > SPAN_RTOL * v_norm))
+        new = extend(Q, m, v, going)
         if not new.size:
             continue
-        q = v[new] / v_resid[new, None]
-        Q[new, m[new]] = q
-        m[new] += 1
+        q = Q[new, m[new] - 1]
         r = R[new]
         qr = np.einsum("kn,kn->k", q, r)[:, None]
         r -= q * qr
@@ -258,16 +250,12 @@ def _candidate_norms(W, rows, intercept: bool):
     return SPAN_RTOL**2 * norms_sq, np.maximum(proj_sq, 0.0)
 
 
-def hdaic(sigma_sq: float, m: int, p, T: int, c_star: float) -> float:
-    """Penalized residual variance (1 + c_star * m * log(p) / T) * sigma_sq."""
-    return (1.0 + c_star * m * math.log(p) / T) * sigma_sq
-
-
 def _hdaic_curves(sigma_sq, p, T, c_star) -> np.ndarray:
-    """hdaic at every step of k paths under each of their C penalty
+    """The criterion at every step of k paths under each of their C penalty
     constants: sigma_sq is k x M (+inf past a path's end), T holds k row
-    counts and c_star is k x C; returns k x C x M. Each value takes hdaic's
-    operations in hdaic's order, so it equals the scalar bit for bit."""
+    counts and c_star is k x C; returns k x C x M. Each value takes the
+    operations of the scalar (1 + c_star * m * log(p) / T) * sigma_sq in
+    that order, so it equals the scalar bit for bit."""
     m = np.arange(1, sigma_sq.shape[1] + 1)
     T = np.asarray(T, dtype=np.float64)[:, None, None]
     return (1.0 + c_star[:, :, None] * m * math.log(p) / T) * sigma_sq[:, None, :]
@@ -281,16 +269,6 @@ def _padded(paths) -> np.ndarray:
     for i, path in enumerate(paths):
         out[i, : len(path)] = path
     return out
-
-
-def select_hdaic(sigma_sq_path, p: int, T: int, c_star: float) -> int:
-    """Smallest m (1-based) minimizing the criterion along the path."""
-    path = list(sigma_sq_path)
-    if not path:
-        raise ValueError("sigma_sq_path must be nonempty")
-    curve = _hdaic_curves(np.array([path], dtype=np.float64), p, [T],
-                          np.array([[c_star]], dtype=np.float64))
-    return int(np.argmin(curve)) + 1
 
 
 def _budgets(counts, p: int, config: OgaConfig) -> list[int]:
@@ -426,30 +404,3 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
             out[i] = float(by_size[best[a]])
     return out
 
-
-def select_c_star(
-    W, y, candidates, config: OgaConfig | None = None, intercept: bool = False,
-    rows=None,
-):
-    """Pick the penalty constant with the smallest holdout prediction error.
-
-    The sample is split by time order: selection and fitting on the leading
-    (1 - config.eval_fraction) share, squared prediction error on the tail.
-    Ties go to the smaller candidate. c_star only decides where the greedy
-    path is cut, so one path on the training rows serves every candidate,
-    and the holdout error of every cut is read off that path's basis. A 2-D
-    y tunes each column on its rows, as oga_order runs them, with all
-    training paths in one lockstep run and one holdout pass, and returns one
-    c_star, or that column's error, per column.
-    """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
-    config = config or OgaConfig()
-    W, Y, rows, single = _as_paths(W, y, rows)
-    if min(rows, default=2) < 2:
-        raise DimensionMismatch("W and y must share at least two rows")
-    train = [_train_rows(T, config) for T in rows]
-    paths = oga_order(W, Y, _budgets(train, W.shape[1], config), intercept, train)
-    out = _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept)
-    return _unwrap(out[0]) if single else out

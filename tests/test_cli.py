@@ -9,6 +9,7 @@ import yaml
 
 from hdlp.cli import (
     CHECKPOINT_VERSION,
+    _blas_threads,
     _checkpoint_path,
     _config_fingerprint,
     main,
@@ -331,17 +332,35 @@ class TestMontecarloCommand:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
         fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
-        # a wrong fingerprint, or records of the version-1 simulator or the
-        # version-3 per-path greedy kernel: the broken record would fail the
-        # run if it were resumed
+        # a wrong fingerprint, or records of the version-1 simulator, the
+        # version-3 per-path greedy kernel or the version-4 per-horizon tail:
+        # the broken record would fail the run if it were resumed
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
-                            (3, fingerprint)):
+                            (3, fingerprint), (4, fingerprint)):
             ckpt.write_text(json.dumps(
-                {"version": version, "fingerprint": fp, "records": [{"rep": 0}]}
+                {"version": version, "fingerprint": fp,
+                 "blas_threads": _blas_threads(), "records": [{"rep": 0}]}
             ))
             assert main(["montecarlo", "--config", cfg_path]) == 0
             with open(tmp_path / "mc.csv") as fh:
                 assert len(list(csv.DictReader(fh))) == 10
+
+    def test_changed_blas_threads_restart_the_run(self, tmp_path, monkeypatch):
+        # records hash differently under 1 and 2 BLAS threads, so a checkpoint
+        # written under one setting is not resumed under another
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        ckpt = _checkpoint_path(tmp_path / "mc.csv")
+        fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        save_checkpoint(ckpt, fingerprint, [{"rep": 0}])
+        # under the same setting the broken record is resumed and fails the run
+        assert main(["montecarlo", "--config", cfg_path]) == 4
+        assert not (tmp_path / "mc.csv").exists()
+        save_checkpoint(ckpt, fingerprint, [{"rep": 0}])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        with open(tmp_path / "mc.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 10
 
     def test_widespread_failures_exit_4(self, tmp_path):
         cfg = small_var_mc_cfg(tmp_path)

@@ -17,7 +17,7 @@ from hdlp.dgp import (
     true_reduced_form_irf,
 )
 from hdlp.errors import NonStationarySpec
-from reference import simulate_var_per_lag
+from reference import simulate_var_per_lag, simulate_var_stacked
 
 
 def random_stable_var(rng, n, K, scale=0.4):
@@ -126,6 +126,20 @@ class TestSimulateVar:
         got = simulate_var(spec, 300, seed=(3, K)).values
         want = simulate_var_per_lag(spec, 300, seed=(3, K)).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("K, y1_rho", [(1, None), (12, None), (12, 0.9)])
+    def test_in_place_step_equals_the_stacked_loop(self, K, y1_rho):
+        rng = np.random.default_rng(K + 1)
+        spec = VarDgpSpec(n=4, K=K, B=tuple(random_stable_var(rng, 4, K)),
+                          sigma=toeplitz_power_sigma(4, 0.3), burn_in=50,
+                          y1_rho=y1_rho)
+        got = simulate_var(spec, 300, seed=(5, K)).values
+        assert np.array_equal(got, simulate_var_stacked(spec, 300, (5, K)).values)
+
+    def test_in_place_step_equals_the_stacked_loop_on_section3(self):
+        spec = build_section3_coefficients(Section3Design.dense(0.95))
+        got = simulate_var(spec, 300, seed=(0, 1)).values
+        assert np.array_equal(got, simulate_var_stacked(spec, 300, (0, 1)).values)
 
     def test_tuple_seed_matches_counter_style(self):
         spec = VarDgpSpec(n=1, K=1, B=(np.zeros((1, 1)),), sigma=np.eye(1),

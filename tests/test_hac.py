@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdlp.errors import BandwidthTooLarge, DegenerateShock
+from hdlp.errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch
 from hdlp.hac import HacConfig, auto_bandwidth, hac_variance, newey_west
 
 
@@ -40,6 +42,65 @@ class TestNeweyWest:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             newey_west(np.ones(5), 0)
+
+
+class TestPaddedNeweyWest:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 80),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_column_is_the_one_dimensional_call(self, seed, n, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, 6))
+        K = [data.draw(st.integers(1, 8)) for _ in range(k)]
+        rows = [data.draw(st.integers(K[i] + 1, n)) for i in range(k)]
+        rows[data.draw(st.integers(0, k - 1))] = n  # one column fills the rows
+        psi = rng.standard_normal((n, k))
+        if data.draw(st.booleans()):  # an alternating series cancels its lags
+            psi[:, 0] = np.where(np.arange(n) % 2, 1.0, -1.0) + 1e-3 * psi[:, 0]
+        psi[np.arange(n)[:, None] >= np.array(rows)] = 0.0
+        got = newey_west(psi, K, rows)
+        for i in range(k):
+            want = newey_west(psi[: rows[i], i], K[i])
+            if rows[i] == n:  # no padding: the same dots, bit for bit
+                assert got[i] == want
+            scale = float(psi[:, i] @ psi[:, i]) / rows[i]
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+    def test_shared_bandwidth_and_full_rows_by_default(self):
+        psi = np.random.default_rng(8).standard_normal((50, 3))
+        got = newey_west(psi, 4)
+        assert list(got) == [newey_west(psi[:, i], 4) for i in range(3)]
+
+    def test_a_column_shorter_than_its_bandwidth_is_refused(self):
+        with pytest.raises(BandwidthTooLarge):
+            newey_west(np.ones((10, 2)), [2, 5], [10, 5])
+
+    def test_pairs_are_the_one_dimensional_calls(self):
+        rng = np.random.default_rng(9)
+        n = 60
+        rows = [60, 41, 7, 30, 6]
+        v, u = rng.standard_normal((2, n, 5))
+        v[:, 3] = 0.0  # a zero shock residual
+        outside = np.arange(n)[:, None] >= np.array(rows)
+        v[outside] = u[outside] = 0.0
+        got = hac_variance(v, u, rows=rows)
+        for i, r in enumerate(rows):
+            try:
+                want = hac_variance(v[:r, i], u[:r, i])
+            except (DimensionMismatch, DegenerateShock, BandwidthTooLarge) as exc:
+                assert type(got[i]) is type(exc) and str(got[i]) == str(exc)
+                continue
+            assert got[i][3] == want[3]
+            assert got[i][:3] == pytest.approx(want[:3], rel=1e-12)
+        assert [type(g).__name__ for g in got[2:]] == [
+            "DimensionMismatch", "DegenerateShock", "DimensionMismatch"
+        ]
+        groups = np.repeat(np.arange(12), 5)
+        clustered = hac_variance(v[:, :2], u[:, :2], clusters=groups, rows=rows[:2])
+        for i, r in enumerate(rows[:2]):
+            want = hac_variance(v[:r, i], u[:r, i], clusters=groups[:r])
+            assert clustered[i][3] is want[3] is None
+            assert clustered[i][:3] == pytest.approx(want[:3], rel=1e-12)
 
 
 class TestHacVariance:

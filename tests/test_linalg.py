@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlp.errors import DimensionMismatch, NonFinite
-from hdlp.linalg import (
-    PrefixBasis,
+import scipy.linalg.lapack
+
+from hdlp.linalg import PrefixBasis, extend, orthogonalize, orthonormal_columns
+from reference import (
     gram_schmidt_extend,
+    ols_fit,
     orthogonal_residual,
-    orthonormal_columns,
+    prefix_residual_one_prefix,
+    project_out,
 )
-from reference import ols_fit, project_out
 
 
 def normal_equations_oracle(X, y):
@@ -163,12 +166,16 @@ class TestPrefixBasis:
         if p:
             X = np.column_stack([X, X[:, rng.integers(0, p, size=n_dup)]])
         v = rng.standard_normal(n)
-        basis = PrefixBasis.of(X).on_rows(n)
-        assert basis is not None  # Gaussian rows keep the rank by a wide margin
+        basis = PrefixBasis.of(X).reach(n)
+        assert basis.min_rows == n  # Gaussian rows keep the rank by a wide margin
         fresh = orthonormal_columns(X[:n])
         assert basis.rank == fresh.shape[1]
-        np.testing.assert_allclose(basis.residual(v), orthogonal_residual(fresh, v),
+        V = np.zeros((1, n + drop))
+        V[0, :n] = v
+        got = basis.residual(V, [n])[0]
+        np.testing.assert_allclose(got[:n], orthogonal_residual(fresh, v),
                                    rtol=0, atol=1e-9 * np.linalg.norm(v))
+        assert not got[n:].any()
 
     def test_no_dropped_rows_is_the_plain_residual(self):
         rng = np.random.default_rng(31)
@@ -176,8 +183,8 @@ class TestPrefixBasis:
         v = rng.standard_normal(40)
         want = orthogonal_residual(orthonormal_columns(X), v)
         basis = PrefixBasis.of(X)
-        assert np.array_equal(basis.residual(v), want)
-        assert np.array_equal(basis.on_rows(40).residual(v), want)
+        assert np.array_equal(basis.residual(v[None].copy(), [40])[0], want)
+        assert np.array_equal(basis.reach(40).residual(v[None].copy(), [40])[0], want)
 
     def test_guard_refuses_prefixes_that_lose_rank(self):
         rng = np.random.default_rng(32)
@@ -186,16 +193,125 @@ class TestPrefixBasis:
         X[-2:, 2] = 1.0  # nonzero only on the last two rows
         basis = PrefixBasis.of(X)
         assert basis.rank == 5
-        assert basis.on_rows(39) is not None
-        assert basis.on_rows(38) is None
+        assert basis.reach(39).min_rows == 39
+        assert basis.reach(38).min_rows == 39
         D = rng.standard_normal((40, 5))
         D[:, 4] = D[:, 0]
         D[-1, 4] += 1.0  # a duplicate apart from the last row
         assert PrefixBasis.of(D).rank == 5
-        assert PrefixBasis.of(D).on_rows(39) is None
+        assert PrefixBasis.of(D).reach(39).min_rows == 40
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 8),
+           n_dup=st.integers(0, 2), spare=st.integers(3, 30),
+           drop=st.integers(1, 25), cut=st.integers(-10, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_one_cholesky_matches_per_prefix_factorizations(
+        self, seed, p, n_dup, spare, drop, cut
+    ):
+        # every prefix of at least N - drop rows, read off one Cholesky
+        # factor, against each prefix's own factor; with cut > 0 column 0 is
+        # zero above row N - drop + cut, so the rank drops at a middle prefix
+        # and the single factorization fails (or its guard trips) partway
+        rng = np.random.default_rng(seed)
+        n_min = p + n_dup + spare
+        N = n_min + drop
+        X = rng.standard_normal((N, p))
+        X = np.column_stack([X, X[:, rng.integers(0, p, size=n_dup)]])
+        mid = n_min + cut if 0 < cut < drop else 0
+        X[:mid, 0] = 0.0
+        v = rng.standard_normal(N)
+        basis = PrefixBasis.of(X)
+        reached = basis.reach(n_min)
+        rows = list(range(N, n_min - 1, -1))
+        oracle = {n: prefix_residual_one_prefix(basis.Q, n, v[:n]) for n in rows}
+        served = [n for n in rows if n >= reached.min_rows]
+        assert served == [n for n in rows if oracle[n] is not None]
+        if mid:
+            assert reached.min_rows > mid
+        V = np.zeros((len(served), N))
+        for i, n in enumerate(served):
+            V[i, :n] = v[:n]
+        got = reached.residual(V, served)
+        for i, n in enumerate(served):
+            np.testing.assert_allclose(got[i, :n], oracle[n], rtol=0,
+                                       atol=1e-9 * np.linalg.norm(v))
+            assert not got[i, n:].any()
+
+    def test_a_failed_factorization_keeps_its_leading_blocks(self):
+        # column 2 is zero above row 30: LAPACK reports the leading minor of
+        # order 10 (the 30-row prefix) not positive definite, and the 9
+        # leading blocks before it still serve their prefixes
+        X = np.random.default_rng(0).standard_normal((40, 5))
+        X[:30, 2] = 0.0
+        basis = PrefixBasis.of(X)
+        U = basis.Q[20:][::-1]
+        assert scipy.linalg.lapack.dpotrf(np.eye(20) - U @ U.T, lower=True)[1] == 10
+        reached = basis.reach(20)
+        assert reached.min_rows == 31
+        v = np.random.default_rng(1).standard_normal(40)
+        rows = np.arange(40, 30, -1)
+        got = reached.residual(np.where(np.arange(40) < rows[:, None], v, 0.0), rows)
+        for r, n in zip(got, rows):
+            np.testing.assert_allclose(
+                r[:n], prefix_residual_one_prefix(basis.Q, n, v[:n]),
+                rtol=0, atol=1e-12 * np.linalg.norm(v),
+            )
 
     def test_rows_must_lie_inside_the_anchor(self):
         basis = PrefixBasis.of(np.random.default_rng(33).standard_normal((10, 2)))
         for n in (0, 11):
             with pytest.raises(DimensionMismatch):
-                basis.on_rows(n)
+                basis.reach(n)
+
+
+def padded_bases(rng, k, n):
+    """k orthonormal bases of random sizes on random leading rows of n, as
+    rows of one zero-padded k x m x n array, with their row counts."""
+    rows = rng.integers(2, n + 1, size=k)
+    sizes = [int(rng.integers(0, r)) for r in rows]
+    B = np.zeros((k, max(sizes) + 1, n))
+    bases = []
+    for i, (r, m) in enumerate(zip(rows, sizes)):
+        Q = orthonormal_columns(rng.standard_normal((r, m)))
+        B[i, : Q.shape[1], :r] = Q.T
+        bases.append(Q)
+    return B, bases, rows
+
+
+class TestBatchedKernel:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           n=st.integers(3, 40), c=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_padded_residuals_are_the_one_basis_residuals(self, seed, k, n, c):
+        rng = np.random.default_rng(seed)
+        B, bases, rows = padded_bases(rng, k, n)
+        inside = np.arange(n) < rows[:, None, None]
+        V = rng.standard_normal((k, c, n)) * inside
+        got = orthogonalize(B, V.copy())
+        for i, (Q, r) in enumerate(zip(bases, rows)):
+            for j in range(c):
+                want = orthogonal_residual(Q, V[i, j, :r])
+                np.testing.assert_allclose(got[i, j, :r], want, rtol=0,
+                                           atol=1e-12 * np.linalg.norm(V[i, j]))
+                assert not got[i, j, r:].any()
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           n=st.integers(3, 40), spanned=st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_extend_is_gram_schmidt_extend(self, seed, k, n, spanned):
+        rng = np.random.default_rng(seed)
+        B, bases, rows = padded_bases(rng, k, n)
+        inside = np.arange(n) < rows[:, None]
+        V = rng.standard_normal((k, n)) * inside
+        for i in rng.permutation(k)[:spanned]:  # a zero or an in-span series
+            V[i, : rows[i]] = bases[i] @ rng.standard_normal(bases[i].shape[1])
+        m = np.array([Q.shape[1] for Q in bases])
+        before = m.copy()
+        grown = extend(B, m, V.copy())
+        for i, (Q, r) in enumerate(zip(bases, rows)):
+            q = gram_schmidt_extend(Q, V[i, :r])
+            assert (i in grown) == (q is not None)
+            assert m[i] == before[i] + (q is not None)
+            if q is not None:
+                np.testing.assert_allclose(B[i, before[i], :r], q, rtol=0, atol=1e-10)
+                assert not B[i, before[i], r:].any()

@@ -449,6 +449,25 @@ class TestEstimateIrf:
             assert single.beta == pytest.approx(est.beta, rel=1e-12)
             assert single.se == pytest.approx(est.se, rel=1e-12)
 
+    def test_conventional_horizons_1_to_60_match_their_own_runs(self):
+        # every horizon is read off one anchor basis and one Cholesky factor
+        # until a prefix may lose rank; at T=300 the 220 columns leave no
+        # residual degrees of freedom from horizon 58 on, and from 59 on no
+        # shock variation at all
+        design = Section3Design.dense(0.95)
+        data = simulate_var(build_section3_coefficients(design), design.T, (0, 2))
+        spec = section3_lp_spec(design, horizons=range(1, 61))
+        result = estimate_irf(data, spec, method=CONVENTIONAL_LP)
+        assert {h: msg.split(":")[0] for h, msg in result.errors.items()} == {
+            58: "InsufficientSample", 59: "DegenerateShock", 60: "DegenerateShock"
+        }
+        assert [est.horizon for est in result.estimates] == list(range(1, 58))
+        for est in result.estimates:
+            alone = conventional_lp(build_lp_dataset(data, spec, est.horizon))
+            assert est.beta == pytest.approx(alone.beta, rel=1e-9)
+            assert est.se == pytest.approx(alone.se, rel=1e-9)
+            assert est.union == alone.union
+
     def test_a_failed_path_fails_only_its_horizon(self):
         # z is zero up to t = 55, and row t of horizon h sees z up to
         # t = 57 - h: at horizon 3 every candidate column (z's lags) is zero
@@ -728,6 +747,22 @@ class TestFactorizationBudget:
         assert not result.errors
         n_paths = 2 * len(spec.horizons) * (1 if c_star else 2)
         assert calls == [(result.estimates[0].effective_T, n_paths)]
+
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_one_variance_call_per_irf(self, monkeypatch, method):
+        # every horizon's Newey-West variance comes from one batched call
+        calls = []
+        hac = hdlp.lp.hac_variance
+
+        def counted(v, u, *args, **kwargs):
+            calls.append(np.shape(v))
+            return hac(v, u, *args, **kwargs)
+
+        monkeypatch.setattr(hdlp.lp, "hac_variance", counted)
+        data, spec = self.dataset()
+        result = estimate_irf(data, spec, OgaConfig(c_star=2.0), method=method)
+        assert not result.errors
+        assert calls == [(result.estimates[0].effective_T, len(spec.horizons))]
 
     @pytest.mark.parametrize("case", ("duplicated_lag", "nonzero_on_dropped_rows"))
     def test_rank_loss_refactors_and_matches_fresh_fits(self, counts, case):

@@ -12,14 +12,18 @@ from hdlp.selection import (
     OgaConfig,
     _hdaic_curves,
     _padded,
-    hdaic,
     max_steps,
     oga_hdaic_select,
     oga_order,
+)
+from reference import (
+    hdaic,
+    holdout_c_star_one_path,
+    oga_order_one_path,
+    ols_fit,
     select_c_star,
     select_hdaic,
 )
-from reference import holdout_c_star_one_path, oga_order_one_path, ols_fit
 
 
 def refit_greedy_oracle(W, y, M, base=None):
