@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch
-from .linalg import dots
 
 PSI_FINAL_U = "final_u"
 PSI_FIRST_STAGE_E = "first_stage_e"
@@ -49,6 +48,12 @@ class HacConfig:
             raise ValueError("bandwidth must be at least 1")
         if self.psi_source not in (PSI_FINAL_U, PSI_FIRST_STAGE_E):
             raise ValueError(f"unknown psi_source {self.psi_source!r}")
+
+
+def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B, each one BLAS
+    dot, so a single row gets the bits of a 1-D a @ b."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def auto_bandwidth(T: int) -> int:

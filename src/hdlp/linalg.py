@@ -65,12 +65,6 @@ def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
     return Q[:, :rank]
 
 
-def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot product of each row of A with the same row of B, each one BLAS
-    dot, so a single row gets the bits of a 1-D a @ b."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def orthogonalize(B, V, inside=None, G=None, dropped=None) -> np.ndarray:
     """V minus its projection on the row space of B, in two passes, in place.
 

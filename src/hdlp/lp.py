@@ -40,8 +40,8 @@ from .errors import (
     NonFinite,
     UnknownColumn,
 )
-from .hac import PSI_FIRST_STAGE_E, HacConfig, hac_variance
-from .linalg import SPAN_RTOL, PrefixBasis, dots, extend, orthogonalize
+from .hac import PSI_FIRST_STAGE_E, HacConfig, dots, hac_variance
+from .linalg import SPAN_RTOL, PrefixBasis, extend, orthogonalize
 from .selection import OgaConfig, _as_paths, _unwrap, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
