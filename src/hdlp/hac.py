@@ -125,16 +125,14 @@ def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
         K_used = [auto_bandwidth(t) if K is None else int(K) for t in T.tolist()]
     else:
         K_used = [None] * len(V)
-    out: list = []
-    for t, tau, k in zip(T.tolist(), tau_sq, K_used):
+    out: list = [None] * len(V)
+    for i, (t, tau, k) in enumerate(zip(T.tolist(), tau_sq, K_used)):
         if clusters is None and t < 8:
-            out.append(DimensionMismatch("need at least 8 observations for the variance"))
+            out[i] = DimensionMismatch("need at least 8 observations for the variance")
         elif tau == 0.0:
-            out.append(DegenerateShock("shock residual is zero"))
+            out[i] = DegenerateShock("shock residual is zero")
         elif k is not None and t <= k:
-            out.append(BandwidthTooLarge(f"series length {t} must exceed bandwidth {k}"))
-        else:
-            out.append(None)
+            out[i] = BandwidthTooLarge(f"series length {t} must exceed bandwidth {k}")
     ok = [i for i, err in enumerate(out) if err is None]
     omega = np.zeros(len(V))
     if clusters is not None:
