@@ -48,10 +48,11 @@ CHECKPOINT_EVERY = 50
 
 
 def fmt(value) -> str:
-    """17-significant-digit float formatting; everything else via str."""
+    """17-significant-digit float formatting, None as an empty cell,
+    everything else via str."""
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_atomic(path: Path, write):
@@ -81,57 +82,59 @@ def write_csv_atomic(path: Path, header, rows):
     _write_atomic(path, write)
 
 
-def _report_failures(out_path: Path, lines: list[str]) -> int:
-    """Log one line per failed horizon next to the (unwritten) table; exit 4."""
-    log_path = out_path.with_suffix(out_path.suffix + ".log")
-    log_path.write_text("".join(f"{line}\n" for line in lines))
-    print(
-        f"estimation failed for {len(lines)} horizon(s); detail in {log_path}",
-        file=sys.stderr,
-    )
-    return 4
+def _read_csv(path: Path, make, parse):
+    """The frame both CSV readers share. path must exist and start with a
+    header; parse(header, rows) turns rows, the (line number, cells) of each
+    non-blank data row, into the keyword arguments of make. A row without
+    one cell per header name, a file without data rows and a package error
+    that make raises are DataErrors naming the file."""
+    if not path.exists():
+        raise DataError(f"data file not found: {path}")
+
+    def data_rows(reader, width):
+        empty = True
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                if len(row) != width:
+                    raise DataError(f"{path}:{lineno}: expected {width} cells")
+                empty = False
+                yield lineno, row
+        if empty:
+            raise DataError(f"{path} has no data rows")
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path} is empty")
+        kwargs = parse(header, data_rows(reader, len(header)))
+    try:
+        return make(**kwargs)
+    except HdlpError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_wide_csv(path: Path) -> TimeSeriesMatrix:
     """Header row of series names, numeric body, no missing cells."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
+
+    def parse(header, rows):
+        values = []
+        for lineno, row in rows:
             try:
-                rows.append([float(v) for v in row])
+                values.append([float(v) for v in row])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-    if not rows:
-        raise DataError(f"{path} has no data rows")
-    try:
-        return TimeSeriesMatrix(values=np.asarray(rows), columns=tuple(header))
-    except HdlpError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        return {"values": np.asarray(values), "columns": tuple(header)}
+
+    return _read_csv(path, TimeSeriesMatrix, parse)
 
 
 def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
     """Long panel: unit, integer time, outcome, 0/1 treatment, covariates."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
+
+    def parse(header, rows):
         needed = [run.unit_col, run.time_col, run.outcome_col, run.treatment_col]
         needed += list(run.spec.extra_controls)
         col = {}
@@ -142,11 +145,7 @@ def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
 
         unit, time, outcome, treatment = [], [], [], []
         covs: dict[str, list] = {c: [] for c in run.spec.extra_controls}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
+        for lineno, row in rows:
             try:
                 unit.append(row[col[run.unit_col]])
                 time.append(int(row[col[run.time_col]]))
@@ -158,58 +157,52 @@ def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
                     covs[c].append(float(v) if v != "" else np.nan)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed cell") from None
-    if not unit:
-        raise DataError(f"{path} has no data rows")
-    try:
-        return PanelDataset(
-            unit=np.array(unit, dtype=object),
-            time=np.array(time),
-            outcome=np.array(outcome),
-            treatment=np.array(treatment),
-            covariates={k: np.array(v) for k, v in covs.items()},
-        )
-    except HdlpError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        return {
+            "unit": np.array(unit, dtype=object), "time": np.array(time),
+            "outcome": np.array(outcome), "treatment": np.array(treatment),
+            "covariates": {k: np.array(v) for k, v in covs.items()},
+        }
+
+    return _read_csv(path, PanelDataset, parse)
 
 
-def _estimate_table(estimates, levels, tail_header, tail):
-    """Header and rows of an estimate table: horizon, method, beta, se and
-    the interval at each level, then tail(est) under tail_header."""
+def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -> int:
+    """Write the estimates of results, {label: IrfResult}, as one table:
+    horizon, method, beta, se and the interval at each level, then tail(est)
+    under tail_header. If any horizon failed, log one line per failure, led
+    by its label, next to the unwritten table instead, and exit 4."""
+    failed = [f"{label} horizon {h}: {msg}".lstrip()
+              for label, result in results.items()
+              for h, msg in sorted(result.errors.items())]
+    if failed:
+        log_path = out_path.with_suffix(out_path.suffix + ".log")
+        log_path.write_text("".join(f"{line}\n" for line in failed))
+        print(f"estimation failed for {len(failed)} horizon(s); detail in {log_path}",
+              file=sys.stderr)
+        return 4
     header = ["horizon", "method", "beta", "se"]
     for level in levels:
         tag = format(level, "g")
         header += [f"ci_low_{tag}", f"ci_high_{tag}"]
     rows = [[est.horizon, est.method, est.beta, est.se]
             + [bound for level in levels for bound in est.cis[level]] + tail(est)
-            for est in estimates]
-    return header + tail_header, rows
+            for result in results.values() for est in result.estimates]
+    write_csv_atomic(out_path, header + tail_header, rows)
+    return 0
 
 
 def cmd_estimate(run: EstimateRun) -> int:
     data = read_wide_csv(run.data_path)
-    estimates, failed = [], []
-    for method in run.methods:
-        result = estimate_irf(
-            data, run.lp_spec, run.oga, run.hac, run.levels, method=method
-        )
-        failed += [
-            f"{method} horizon {h}: {msg}" for h, msg in sorted(result.errors.items())
-        ]
-        estimates += result.estimates
-    if failed:
-        return _report_failures(run.out_path, failed)
-    header, rows = _estimate_table(
-        estimates, run.levels,
+    results = {method: estimate_irf(data, run.lp_spec, run.oga, run.hac,
+                                    run.levels, method=method)
+               for method in run.methods}
+    return _write_estimates(
+        run.out_path, results, run.levels,
         ["n_selected_y", "n_selected_x", "n_union", "bandwidth", "c_star_y",
          "c_star_x", "effective_T"],
-        lambda est: [
-            len(est.selected_y), len(est.selected_x), len(est.union), est.bandwidth,
-            "" if est.c_star_y is None else est.c_star_y,
-            "" if est.c_star_x is None else est.c_star_x, est.effective_T,
-        ],
+        lambda est: [len(est.selected_y), len(est.selected_x), len(est.union),
+                     est.bandwidth, est.c_star_y, est.c_star_x, est.effective_T],
     )
-    write_csv_atomic(run.out_path, header, rows)
-    return 0
 
 
 def cmd_simulate(run: SimulateRun) -> int:
@@ -342,24 +335,14 @@ def cmd_montecarlo(run: MontecarloRun) -> int:
 
 def cmd_lpdid(run: LpdidRun) -> int:
     panel = read_long_csv(run.data_path, run)
-    result = lpdid_estimate(panel, run.spec, run.oga, run.hac)
-    if result.errors:
-        return _report_failures(
-            run.out_path,
-            [f"horizon {h}: {msg}" for h, msg in sorted(result.errors.items())],
-        )
-    header, rows = _estimate_table(
-        result.estimates, run.spec.levels,
+    return _write_estimates(
+        run.out_path, {"": lpdid_estimate(panel, run.spec, run.oga, run.hac)},
+        run.spec.levels,
         ["n_treated", "n_clean", "n_controls", "n_selected", "bandwidth",
          "variance", "effective_T"],
-        lambda est: [
-            est.n_treated, est.n_clean, len(est.control_names), len(est.selected),
-            "" if est.bandwidth is None else est.bandwidth,
-            est.variance, est.effective_T,
-        ],
+        lambda est: [est.n_treated, est.n_clean, len(est.control_names),
+                     len(est.union), est.bandwidth, est.variance, est.effective_T],
     )
-    write_csv_atomic(run.out_path, header, rows)
-    return 0
 
 
 BUILDERS = {

@@ -365,13 +365,9 @@ def true_dfm_irf(
         raise DimensionMismatch("response must index an observed series")
     if not 0 <= shock < spec.h_load.shape[1]:
         raise DimensionMismatch("shock must index a factor innovation")
-    out = []
-    power = np.eye(spec.n_factors)
-    max_h = max(horizons) if horizons else 0
     by_h = {}
-    for h in range(max_h + 1):
+    power = np.eye(spec.n_factors)
+    for h in range(max(horizons, default=0) + 1):
         by_h[h] = float(spec.lam[response] @ power @ spec.h_load[:, shock])
         power = spec.phi @ power
-    for h in horizons:
-        out.append(by_h[h])
-    return np.array(out)
+    return np.array([by_h[h] for h in horizons])

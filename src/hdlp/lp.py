@@ -10,7 +10,9 @@ beta off the two residuals on one orthonormal basis of that set
 (Frisch-Waugh-Lovell). The no-selection benchmark and the panel estimator
 in ``lpdid`` call the same core and the same inference tail, ``_inference``:
 intervals use the long-run (or by-cluster) variance of psi = v * u scaled by
-the fourth power of the shock-residual second moment.
+the fourth power of the shock-residual second moment. The core writes each
+regression's LpEstimate and the tail fills in its variance pieces; both
+estimators return those records.
 
 The intercept, when requested, is protected: always in the projection,
 never a selection candidate, exempt from the penalty count. Greedy paths
@@ -21,18 +23,20 @@ horizon, so ``estimate_irf`` hands all horizons to the core and to the
 inference tail as one batch of row-prefix regressions on that design: one
 lockstep greedy run, one batched Gram-Schmidt for the unions, one Cholesky
 factor for every no-selection prefix, one Newey-West call. Then
-``double_oga_lp`` or ``conventional_lp`` builds each horizon's record. A
-single regression is the batch of one.
+``double_oga_lp`` or ``conventional_lp`` hands back each horizon's record,
+or raises its error. A single regression is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateShock,
     DimensionMismatch,
     HdlpError,
@@ -73,7 +77,8 @@ class TimeSeriesMatrix:
                 f"{len(cols)} names for {vals.shape[1]} columns"
             )
         if len(set(cols)) != len(cols):
-            raise ValueError("column names must be unique")
+            repeated = next(c for i, c in enumerate(cols) if c in cols[:i])
+            raise DataError(f"column names must be unique; {repeated!r} repeats")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "columns", cols)
 
@@ -138,25 +143,41 @@ class LpDataset:
 
 @dataclass(frozen=True, eq=False)
 class LpEstimate:
-    """Shock coefficient at one horizon with its variance pieces and selections."""
+    """One regression's shock coefficient, selections (sorted candidate
+    indices) and variance pieces, for the time-series and panel estimators.
+
+    rank counts the final design: union controls, intercept and shock (in
+    LP-DiD also the time effects absorbed by demeaning). sigma_sq is
+    omega / tau_sq**2, times T / (T - rank) under the dof correction, and
+    se = sqrt(sigma_sq / effective_T). residuals_u is the final residual,
+    residuals_v and residuals_e those of the shock and outcome selections.
+    LP-DiD adds n_treated, n_clean, control_names (the candidates) and its
+    variance kind.
+    """
 
     horizon: int
     method: str
     beta: float
-    se: float
-    cis: dict[float, tuple[float, float]]
+    effective_T: int
+    rank: int
     selected_y: tuple[int, ...]
     selected_x: tuple[int, ...]
     union: tuple[int, ...]
-    tau_sq: float
-    omega: float
-    sigma_sq: float
-    bandwidth: int
-    effective_T: int
     c_star_y: float | None
     c_star_x: float | None
     residuals_u: np.ndarray = field(repr=False)
     residuals_v: np.ndarray = field(repr=False)
+    residuals_e: np.ndarray = field(repr=False)
+    se: float = float("nan")
+    cis: dict[float, tuple[float, float]] = field(default_factory=dict)
+    sigma_sq: float = float("nan")
+    tau_sq: float = float("nan")
+    omega: float = float("nan")
+    bandwidth: int | None = None
+    n_treated: int | None = None
+    n_clean: int | None = None
+    control_names: tuple[str, ...] | None = None
+    variance: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,32 +243,19 @@ def build_lp_dataset(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Partialled:
-    """Output of the partialling-out core for one regression."""
-
-    beta: float
-    u: np.ndarray  # final-regression residual
-    v: np.ndarray  # shock residual on the shock-selected controls
-    e: np.ndarray  # outcome residual on the outcome-selected controls
-    rank: int  # rank of the final design: union controls, intercept and shock
-    selected_y: tuple[int, ...]
-    selected_x: tuple[int, ...]
-    union: tuple[int, ...]
-    c_star_y: float | None
-    c_star_x: float | None
-
-
 def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
-                 method: str, oga_config: OgaConfig | None, rows=None):
+                 method: str, oga_config: OgaConfig | None, rows=None,
+                 horizons=None, absorbed: int = 0):
     """Shock coefficient of y on x, controlling for chosen columns of C and,
     when intercept is set, a constant.
 
-    1-D x and y are one regression on all rows; its _Partialled is returned
-    or its error raised. 2-D x and y (n x k) are k regressions, the i-th on
-    the first rows[i] rows (non-increasing; all by default) of C and of its
-    columns; the call returns one _Partialled, or the error that regression
-    alone would raise, per column.
+    1-D x and y are one regression on all rows; its LpEstimate, without the
+    inference fields, is returned or its error raised. 2-D x and y (n x k)
+    are k regressions, the i-th on the first rows[i] rows (non-increasing;
+    all by default) of C and of its columns; the call returns one
+    LpEstimate, or the error that regression alone would raise, per column.
+    horizons labels the records (0 by default); absorbed counts the effects
+    removed from C, x and y before the call, which the rank includes.
 
     DOUBLE_OGA selects columns of C against y and against x, every path in
     one lockstep oga_hdaic_select call, and controls for the union, whose
@@ -279,14 +287,16 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
     else:
         resid, rank = _design_residuals(C, intercept, X, Y, rows, failed)
         v, e = resid[:, 1], resid[:, 0]
-        sets = [(tuple(range(p)),) * 3 + (None, None)] * k
+        every = tuple(range(p))
+        sets = [dict(selected_y=every, selected_x=every, union=every,
+                     c_star_y=None, c_star_x=None)] * k
     y_resid, x_resid = resid[:, 0], resid[:, 1]
     xx = dots(x_resid, x_resid)
     degenerate = xx <= (SPAN_RTOL * x_norm) ** 2
     beta = dots(x_resid, y_resid) / np.where(degenerate, 1.0, xx)
     u = y_resid - beta[:, None] * x_resid
     out = []
-    for i, t in enumerate(rows):
+    for i, (t, h) in enumerate(zip(rows, horizons or [0] * k)):
         if failed[i] is None and degenerate[i]:
             failed[i] = DegenerateShock(
                 "shock has no variation left after projecting on the selected controls"
@@ -294,11 +304,10 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
         if failed[i] is not None:
             out.append(failed[i])
             continue
-        set_y, set_x, union, c_star_y, c_star_x = sets[i]
-        out.append(_Partialled(
-            beta=float(beta[i]), u=u[i, :t], v=v[i, :t], e=e[i, :t],
-            rank=int(rank[i]) + 1, selected_y=set_y, selected_x=set_x,
-            union=union, c_star_y=c_star_y, c_star_x=c_star_x,
+        out.append(LpEstimate(
+            horizon=h, method=method, beta=float(beta[i]), effective_T=t,
+            rank=int(rank[i]) + 1 + absorbed, residuals_u=u[i, :t],
+            residuals_v=v[i, :t], residuals_e=e[i, :t], **sets[i],
         ))
     return _unwrap(out[0]) if single else out
 
@@ -306,7 +315,7 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
 def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
     """Double selection for every regression not yet failed: the residuals
     of y and x on its union basis (k x 2 x n), v and e off its paths' bases,
-    the union rank and (set_y, set_x, union, c_star_y, c_star_x). A
+    the union rank and the selections as LpEstimate fields. A
     selection error fails its regression. The chosen bases sit in
     zero-padded regressions x columns x rows arrays, so each residual is one
     batched product, and the s-th outcome-only column of every union joins
@@ -333,7 +342,8 @@ def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
     for i, sy, sx in zip(live, sel_y, sel_x):
         set_y, set_x = tuple(sorted(sy.chosen_set)), tuple(sorted(sx.chosen_set))
         union = tuple(sorted(set(set_y) | set(set_x)))
-        sets[i] = set_y, set_x, union, sy.c_star_used, sx.c_star_used
+        sets[i] = dict(selected_y=set_y, selected_x=set_x, union=union,
+                       c_star_y=sy.c_star_used, c_star_x=sx.c_star_used)
         extra.append(sorted(set(set_y) - set(set_x)))
     m = np.array([sx.basis.shape[1] for sx in sel_x])
     n_extra = np.array([len(cols) for cols in extra])
@@ -384,28 +394,29 @@ def _design_residuals(C, intercept, X, Y, rows, failed):
     return resid, rank
 
 
-def _inference(fits: list, hac_config: HacConfig, levels,
-               clusters: np.ndarray | None = None, absorbed: int = 0) -> list:
-    """Per fit, (se, cis, sigma_sq, tau_sq, omega, bandwidth) for its beta,
-    or its error; a fit that is an error stays one.
+def _inference(fits: list, hac_config: HacConfig | None, levels,
+               clusters: np.ndarray | None = None) -> list:
+    """Each fit, an LpEstimate of the core, with se, cis, sigma_sq, tau_sq,
+    omega and bandwidth filled in, or its error; a fit that is an error
+    stays one.
 
     psi = v * u with u the final residual, or the outcome-selection residual
     e under psi_source first_stage_e; Omega is its Bartlett long-run
     variance, or its by-cluster sum when clusters are given, for every fit
     in one hac_variance call on their zero-padded residuals. The dof factor
-    is T / (T - rank - absorbed), absorbed counting effects removed before
-    the core ran.
+    is T / (T - rank).
     """
     out = list(fits)
     ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
     if not ok:
         return out
-    rows = [fits[i].v.shape[0] for i in ok]
+    hac_config = hac_config or HacConfig()
+    rows = [fits[i].effective_T for i in ok]
     V, U = np.zeros((2, len(ok), max(rows)))
     first_stage = hac_config.psi_source == PSI_FIRST_STAGE_E
     for a, i in enumerate(ok):
-        V[a, : rows[a]] = fits[i].v
-        U[a, : rows[a]] = fits[i].e if first_stage else fits[i].u
+        V[a, : rows[a]] = fits[i].residuals_v
+        U[a, : rows[a]] = fits[i].residuals_e if first_stage else fits[i].residuals_u
     variances = hac_variance(V.T, U.T, hac_config.bandwidth, clusters, rows)
     z = {float(level): NormalDist().inv_cdf(0.5 + level / 2.0) for level in levels}
     for i, T, variance in zip(ok, rows, variances):
@@ -415,17 +426,17 @@ def _inference(fits: list, hac_config: HacConfig, levels,
         sigma_sq, tau_sq, omega, K = variance
         fit = fits[i]
         if hac_config.dof_correction:
-            dof = T - fit.rank - absorbed
+            dof = T - fit.rank
             if dof <= 0:
                 out[i] = InsufficientSample(
-                    f"no residual degrees of freedom: T={T}, design rank "
-                    f"{fit.rank} plus {absorbed} absorbed effects"
+                    f"no residual degrees of freedom: T={T}, design rank {fit.rank}"
                 )
                 continue
             sigma_sq *= T / dof
         se = float(np.sqrt(sigma_sq / T))
         cis = {level: (fit.beta - q * se, fit.beta + q * se) for level, q in z.items()}
-        out[i] = se, cis, sigma_sq, tau_sq, omega, K
+        out[i] = replace(fit, se=se, cis=cis, sigma_sq=sigma_sq, tau_sq=tau_sq,
+                         omega=omega, bandwidth=K)
     return out
 
 
@@ -441,9 +452,9 @@ def _controls(dataset: LpDataset) -> np.ndarray:
 
 
 def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels):
-    """Per dataset, its (_Partialled, inference) pair or its error. The
-    datasets are row prefixes of the first; all of them are partialled out
-    in one core call and take their variances in one inference call."""
+    """Per dataset, its LpEstimate or its error. The datasets are row
+    prefixes of the first; all of them are partialled out in one core call
+    and take their variances in one inference call."""
     anchor = datasets[0]
     rows = [ds.effective_T for ds in datasets]
     X = np.zeros((len(datasets), anchor.effective_T))
@@ -451,28 +462,20 @@ def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels)
     for i, ds in enumerate(datasets):
         X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
     fits = _partial_out(_controls(anchor), anchor.intercept_index is not None,
-                        X.T, Y.T, method, oga_config, rows)
-    inference = _inference(fits, hac_config or HacConfig(), levels)
-    return [inf if isinstance(inf, Exception) else (f, inf)
-            for f, inf in zip(fits, inference)]
+                        X.T, Y.T, method, oga_config, rows,
+                        [ds.horizon for ds in datasets])
+    return _inference(fits, hac_config, levels)
 
 
-def _estimate(dataset: LpDataset, method: str, oga_config: OgaConfig | None,
-              hac_config: HacConfig | None, levels, fit=None) -> LpEstimate:
-    """The record of one horizon from its fit, an entry of _fit; by default
-    the dataset is the batch of one."""
-    if fit is None:
-        fit = _fit([dataset], method, oga_config, hac_config, levels)[0]
-    if isinstance(fit, Exception):
-        raise fit
-    part, (se, cis, sigma_sq, tau_sq, omega, K) = fit
-    return LpEstimate(
-        horizon=dataset.horizon, method=method, beta=part.beta, se=se, cis=cis,
-        selected_y=part.selected_y, selected_x=part.selected_x, union=part.union,
-        tau_sq=tau_sq, omega=omega, sigma_sq=sigma_sq, bandwidth=K,
-        effective_T=dataset.effective_T, c_star_y=part.c_star_y,
-        c_star_x=part.c_star_x, residuals_u=part.u, residuals_v=part.v,
-    )
+def _attempt(errors: dict, h: int, fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None with its failure recorded as
+    errors[h] = "Class: message" when it raises a package error or a
+    linear-algebra failure. Any other exception is a bug and propagates."""
+    try:
+        return fn(*args, **kwargs)
+    except (HdlpError, np.linalg.LinAlgError) as exc:
+        errors[h] = f"{type(exc).__name__}: {exc}"
+        return None
 
 
 def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
@@ -487,7 +490,7 @@ def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
     the caller has run, as estimate_irf does for every horizon at once; by
     default the dataset is run alone, both paths in lockstep.
     """
-    return _estimate(dataset, DOUBLE_OGA, oga_config, hac_config, levels, fit)
+    return _unwrap(fit or _fit([dataset], DOUBLE_OGA, oga_config, hac_config, levels)[0])
 
 
 def conventional_lp(dataset: LpDataset, hac_config: HacConfig | None = None,
@@ -498,7 +501,7 @@ def conventional_lp(dataset: LpDataset, hac_config: HacConfig | None = None,
     estimate_irf does for every horizon on one factorization; by default it
     is one pivoted QR of W.
     """
-    return _estimate(dataset, CONVENTIONAL_LP, None, hac_config, levels, fit)
+    return _unwrap(fit or _fit([dataset], CONVENTIONAL_LP, None, hac_config, levels)[0])
 
 
 def estimate_irf(
@@ -519,41 +522,29 @@ def estimate_irf(
     The no-selection benchmark factors the design once and reads every
     longer horizon off the same basis; where a prefix may lose rank it
     factors the horizon's own design, which then serves the longer
-    horizons. double_oga_lp or conventional_lp builds each horizon's record.
-    A package error or a linear-algebra failure at one horizon is recorded
+    horizons. double_oga_lp or conventional_lp hands back each horizon's
+    record. A package error or a linear-algebra failure at one horizon is recorded
     and does not abort the others. Any other exception is a bug and
     propagates.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    oga_config = oga_config or OgaConfig()
     errors: dict[int, str] = {}
-
-    def attempt(h, fn, *args, **kwargs):
-        """fn(...), or None with the failure recorded against horizon h."""
-        try:
-            return fn(*args, **kwargs)
-        except (HdlpError, np.linalg.LinAlgError) as exc:
-            errors[h] = f"{type(exc).__name__}: {exc}"
-
     datasets: dict[int, LpDataset] = {}
     anchor = None
     for h in sorted(set(spec.horizons)):
-        dataset = attempt(h, build_lp_dataset, data, spec, h, anchor)
+        dataset = _attempt(errors, h, build_lp_dataset, data, spec, h, anchor)
         if dataset is not None:
             datasets[h] = dataset
             anchor = anchor or dataset
 
-    done: dict[int, LpEstimate] = {}
     fits = _fit(list(datasets.values()), method, oga_config, hac_config,
                 levels) if datasets else []
-    for (h, dataset), fit in zip(datasets.items(), fits):
-        if method == DOUBLE_OGA:
-            done[h] = attempt(h, double_oga_lp, dataset, oga_config, hac_config,
-                              levels, fit=fit)
-        else:
-            done[h] = attempt(h, conventional_lp, dataset, hac_config, levels,
-                              fit=fit)
+    record = (partial(double_oga_lp, oga_config=oga_config) if method == DOUBLE_OGA
+              else conventional_lp)
+    done = {h: _attempt(errors, h, record, dataset, hac_config=hac_config,
+                        levels=levels, fit=fit)
+            for (h, dataset), fit in zip(datasets.items(), fits)}
     estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
     return IrfResult(method=method, estimates=estimates, errors=errors)
 

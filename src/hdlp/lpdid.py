@@ -8,16 +8,23 @@ demeaning, which keeps them out of the penalty. The regression itself is the
 time-series partialling-out core (``lp._partial_out``): lagged outcomes and
 extra covariates are screened by double selection or all kept, and the
 switch coefficient is read off the residuals. What is specific to panels
-stays here: the demeaning, the variance choice and the absorbed time effects
-in the degrees of freedom. Standard errors come from the time-series
-inference tail (``lp._inference``); a panel horizon is the core's batch of
-one. Its variance is the same v*u long-run variance, computed over the
-restricted sample ordered by (time, unit), or a by-unit cluster sum.
+stays here: the demeaning, the variance choice and the absorbed time effects,
+which count in the design rank and so in the degrees of freedom. Standard
+errors come from the time-series inference tail (``lp._inference``); a
+panel horizon is the core's batch of one. Its variance is the same v*u
+long-run variance, computed over the restricted sample ordered by (time,
+unit), or a by-unit cluster sum.
+
+``lpdid_estimate`` returns the time-series ``IrfResult`` of ``LpEstimate``
+records, with the same failure policy as ``estimate_irf``. Each record
+carries the core's rank, variance pieces and c_star values; LP-DiD adds
+n_treated, n_clean, control_names (the candidates, lagged outcomes first)
+and the variance kind, and its selections index control_names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,14 +32,22 @@ from .errors import (
     DataError,
     DegenerateShock,
     DimensionMismatch,
-    HdlpError,
     NoCleanControls,
     NonAbsorbingTreatment,
     NoTreatedUnits,
 )
 from .hac import HacConfig
 from .linalg import SPAN_RTOL
-from .lp import DEFAULT_LEVELS, DOUBLE_OGA, METHODS, _inference, _partial_out
+from .lp import (
+    DEFAULT_LEVELS,
+    DOUBLE_OGA,
+    METHODS,
+    IrfResult,
+    LpEstimate,
+    _attempt,
+    _inference,
+    _partial_out,
+)
 from .selection import OgaConfig, _unwrap
 
 TREATED = "treated"
@@ -59,7 +74,15 @@ class PanelDataset:
 
     def __post_init__(self):
         self.unit = np.asarray(self.unit)
-        self.time = np.asarray(self.time, dtype=np.int64)
+        time = np.asarray(self.time)
+        if time.dtype.kind not in "iu":  # floats, or integers too wide for int64
+            time = time.astype(np.float64)
+            if not np.array_equal(time, np.trunc(time)):  # NaN fails too
+                raise DataError("time values must be integers")
+        if time.size and not -(2**62) < time.min() <= time.max() < 2**62:
+            # keeps time + k lookups clear of int64 wrap-around
+            raise DataError("time values must lie strictly within +-2**62")
+        self.time = time.astype(np.int64)
         self.outcome = np.asarray(self.outcome, dtype=np.float64)
         self.treatment = np.asarray(self.treatment, dtype=np.float64)
         n = self.unit.shape[0]
@@ -75,9 +98,6 @@ class PanelDataset:
                 raise DimensionMismatch(f"covariate {k!r} length differs")
         if not np.all(np.isin(self.treatment, (0.0, 1.0))):
             raise DataError("treatment must be binary 0/1 with no missing values")
-        if n and not -(2**62) < self.time.min() <= self.time.max() < 2**62:
-            # keeps time + k lookups clear of int64 wrap-around
-            raise DataError("time values must lie strictly within +-2**62")
 
         # one key per row, (unit code, time rank) flattened: memory stays
         # O(rows) however sparse the time coding is
@@ -176,31 +196,6 @@ class LpDidSpec:
             raise ValueError(f"unknown variance {self.variance!r}")
 
 
-@dataclass(eq=False)
-class LpDidEstimate:
-    horizon: int
-    method: str
-    beta: float
-    se: float
-    cis: dict[float, tuple[float, float]]
-    n_treated: int
-    n_clean: int
-    selected: tuple[int, ...]
-    control_names: tuple[str, ...]
-    bandwidth: int | None
-    variance: str
-    effective_T: int
-
-
-@dataclass(eq=False)
-class LpDidResult:
-    estimates: tuple[LpDidEstimate, ...]
-    errors: dict[int, str]
-
-    def by_horizon(self) -> dict[int, LpDidEstimate]:
-        return {est.horizon: est for est in self.estimates}
-
-
 def _assemble(panel: PanelDataset, spec: LpDidSpec, h: int):
     """Long differences, treatment switch, controls; listwise-complete rows."""
     idx, labels = restrict_sample(panel, h)
@@ -253,9 +248,9 @@ def _lpdid_one(
     panel: PanelDataset,
     spec: LpDidSpec,
     h: int,
-    oga_config: OgaConfig,
-    hac_config: HacConfig,
-) -> LpDidEstimate:
+    oga_config: OgaConfig | None,
+    hac_config: HacConfig | None,
+) -> LpEstimate:
     times, units, dy, dd, C, control_names = _assemble(panel, spec, h)
     n_treated = int(np.sum(dd == 1.0))
     n_clean = int(np.sum(dd == 0.0))
@@ -273,26 +268,19 @@ def _lpdid_one(
             "treatment switch has no variation within time cells"
         )
 
-    fit = _partial_out(C, not spec.time_effects, dd, dy, spec.method, oga_config)
-    se, cis, _, _, _, bandwidth = _unwrap(_inference(
+    fit = _partial_out(
+        C, not spec.time_effects, dd, dy, spec.method, oga_config, horizons=[h],
+        absorbed=len(np.unique(times)) if spec.time_effects else 0,
+    )
+    est = _unwrap(_inference(
         [fit], hac_config, spec.levels,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,
-        absorbed=len(np.unique(times)) if spec.time_effects else 0,
     )[0])
-    return LpDidEstimate(
-        horizon=h,
-        method=spec.method,
-        beta=fit.beta,
-        se=se,
-        cis=cis,
-        n_treated=n_treated,
-        n_clean=n_clean,
-        selected=tuple(int(keep[j]) for j in fit.union),
-        control_names=control_names,
-        bandwidth=bandwidth,
-        variance=spec.variance,
-        effective_T=dy.shape[0],
-    )
+    # the selections index the controls the time effects kept; map them back
+    selections = {name: tuple(keep[list(getattr(est, name))].tolist())
+                  for name in ("selected_y", "selected_x", "union")}
+    return replace(est, **selections, n_treated=n_treated, n_clean=n_clean,
+                   control_names=control_names, variance=spec.variance)
 
 
 def lpdid_estimate(
@@ -300,19 +288,14 @@ def lpdid_estimate(
     spec: LpDidSpec,
     oga_config: OgaConfig | None = None,
     hac_config: HacConfig | None = None,
-) -> LpDidResult:
-    """Per-horizon event-study estimates.
+) -> IrfResult:
+    """Per-horizon event-study estimates, in spec.horizons order.
 
     Package errors and linear-algebra failures at one horizon are recorded
     and do not abort the others; any other exception propagates.
     """
-    oga_config = oga_config or OgaConfig()
-    hac_config = hac_config or HacConfig()
-    estimates: list[LpDidEstimate] = []
     errors: dict[int, str] = {}
-    for h in spec.horizons:
-        try:
-            estimates.append(_lpdid_one(panel, spec, h, oga_config, hac_config))
-        except (HdlpError, np.linalg.LinAlgError) as exc:
-            errors[h] = f"{type(exc).__name__}: {exc}"
-    return LpDidResult(estimates=tuple(estimates), errors=errors)
+    estimates = [_attempt(errors, h, _lpdid_one, panel, spec, h, oga_config,
+                          hac_config) for h in spec.horizons]
+    return IrfResult(method=spec.method, errors=errors,
+                     estimates=tuple(est for est in estimates if est is not None))

@@ -193,11 +193,8 @@ def run_monte_carlo(
     methods = tuple(methods)
     levels = tuple(float(v) for v in levels)
 
-    records = list(resume_records) if resume_records else []
+    records = list(resume_records or [])[:n_reps]
     start = len(records)
-    if start > n_reps:
-        records = records[:n_reps]
-        start = n_reps
 
     pending = range(start, n_reps)
     tasks = ((design, methods, levels, seed, rep) for rep in pending)

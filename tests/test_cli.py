@@ -142,6 +142,14 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg_path]) == 3
         assert not (tmp_path / "irf.csv").exists()
 
+    def test_duplicate_series_name_is_data_error(self, tmp_path, capsys):
+        data = write_wide_csv(tmp_path / "dup.csv", ["y", "y", "x"],
+                              np.ones((40, 3)))
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, data))
+        assert main(["estimate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: column names must be unique; 'y' repeats\n"
+
     def test_unknown_key_is_config_error(self, tmp_path, sim_csv):
         cfg = estimate_cfg(tmp_path, sim_csv)
         cfg["unexpected_key"] = 1
@@ -468,6 +476,19 @@ class TestLpdidCommand:
         # no table, no failure log, no leftover temporary file
         assert set(tmp_path.iterdir()) == {path, tmp_path / "cfg.yaml"}
 
+    @pytest.mark.parametrize("time", ["100000000000000000000", "2.5"])
+    def test_out_of_range_or_non_integral_time_is_data_error(
+        self, tmp_path, capsys, time
+    ):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"unit,time,outcome,treatment\na,1,0.0,0\na,{time},1.0,1\n")
+        cfg = {"data": str(path), "output": str(tmp_path / "did.csv"),
+               "horizons": [1]}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["lpdid", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+
     def test_two_row_sample_with_tuned_c_star_is_a_failed_horizon(
         self, tmp_path, capsys
     ):
@@ -498,6 +519,40 @@ class TestLpdidCommand:
         assert "config error" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == {tmp_path / "panel.csv",
                                            tmp_path / "cfg.yaml"}
+
+
+class TestCsvReaderFrame:
+    """The file-level checks both CSV readers share: exit 3, path:line."""
+
+    HEADERS = {"estimate": "y,x,z", "lpdid": "unit,time,outcome,treatment"}
+    ROWS = {"estimate": "0.5,1.0,2.0", "lpdid": "a,1,0.5,0"}
+
+    @pytest.mark.parametrize("case, body, message", [
+        ("missing", None, "data file not found: {path}"),
+        ("empty", "", "{path} is empty"),
+        ("header only", "{header}\n", "{path} has no data rows"),
+        ("blank lines only", "{header}\n\n\n", "{path} has no data rows"),
+        ("ragged row", "{header}\n{row}\n{row},9\n", "{path}:3: expected {n} cells"),
+        ("short row after a blank line", "{header}\n{row}\n\n1\n",
+         "{path}:4: expected {n} cells"),
+    ])
+    @pytest.mark.parametrize("command", ["estimate", "lpdid"])
+    def test_file_level_problem_is_data_error(self, tmp_path, capsys, command,
+                                              case, body, message):
+        path = tmp_path / "data.csv"
+        header = self.HEADERS[command]
+        if body is not None:
+            path.write_text(body.format(header=header, row=self.ROWS[command]))
+        if command == "estimate":
+            cfg = estimate_cfg(tmp_path, str(path))
+        else:
+            cfg = {"data": str(path), "output": str(tmp_path / "did.csv"),
+                   "horizons": [1]}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main([command, "--config", cfg_path]) == 3
+        n = len(header.split(","))
+        expected = message.format(path=path, n=n)
+        assert capsys.readouterr().err == f"data error: {expected}\n"
 
 
 class TestExampleConfigs:

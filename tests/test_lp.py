@@ -533,7 +533,7 @@ class TestPartialOutCore:
             cols.append(np.ones((T, 1)))
         ols = ols_fit(np.column_stack(cols), y)
         assert fit.beta == pytest.approx(ols.coefficients[0], rel=1e-9, abs=1e-9)
-        np.testing.assert_allclose(fit.u, ols.residuals, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(fit.residuals_u, ols.residuals, rtol=1e-9, atol=1e-9)
         assert fit.rank == ols.rank
         if method == CONVENTIONAL_LP:
             assert fit.union == tuple(range(C.shape[1]))
@@ -607,11 +607,11 @@ class TestPartialOutCore:
         _, units, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
         fit = _partial_out(C, True, dd, dy, method, oga)
         T = dy.shape[0]
-        tau_sq = float(fit.v @ fit.v) / T
+        tau_sq = float(fit.residuals_v @ fit.residuals_v) / T
         if variance == "hac":
-            omega = newey_west(fit.v * fit.e, got.bandwidth)
+            omega = newey_west(fit.residuals_v * fit.residuals_e, got.bandwidth)
         else:
-            omega = cluster_omega(units, fit.v * fit.e) / T
+            omega = cluster_omega(units, fit.residuals_v * fit.residuals_e) / T
         se = np.sqrt(omega / tau_sq**2 / (T - fit.rank))
         assert got.beta == final.beta == fit.beta
         assert got.se == pytest.approx(se, rel=1e-12)
@@ -836,3 +836,66 @@ class TestBugsPropagate:
                              treatment=(time >= 3) * (unit < 2))
         with pytest.raises(TypeError, match="injected"):
             lpdid_estimate(panel, LpDidSpec(horizons=(1,)))
+
+
+def irf_estimates(method):
+    design = Section3Design.sparse(0.5)
+    data = simulate_var(build_section3_coefficients(design), design.T, 11)
+    spec = section3_lp_spec(design, horizons=range(1, 9))
+    result = estimate_irf(data, spec, OgaConfig(c_star=None), method=method)
+    return result, None
+
+
+def lpdid_estimates(variance):
+    rng = np.random.default_rng(31)
+    n_units, n_periods = 40, 10
+    unit = np.repeat(np.arange(n_units), n_periods)
+    time = np.tile(np.arange(n_periods), n_units)
+    treat = (time >= rng.integers(3, 14, size=n_units)[unit]).astype(float)
+    z = rng.standard_normal(unit.size)
+    panel = PanelDataset(
+        unit=unit, time=time, treatment=treat,
+        outcome=rng.standard_normal(unit.size) + treat + 0.5 * z,
+        covariates={"season": np.sin(1.3 * time), "z": z},
+    )
+    spec = LpDidSpec(horizons=(0, 1, 2), outcome_lags=2,
+                     extra_controls=("season", "z"), variance=variance)
+    return lpdid_estimate(panel, spec, OgaConfig(c_star=2.0)), (panel, spec)
+
+
+class TestOneRecord:
+    """Both estimators fill the same LpEstimate, variance pieces included."""
+
+    @pytest.mark.parametrize("make, arg", [
+        (irf_estimates, DOUBLE_OGA),
+        (irf_estimates, CONVENTIONAL_LP),
+        (lpdid_estimates, "hac"),
+        (lpdid_estimates, "cluster"),
+    ])
+    def test_variance_pieces_and_selections_agree(self, make, arg):
+        result, panel_spec = make(arg)
+        assert isinstance(result, hdlp.IrfResult)
+        assert not result.errors and len(result.estimates) > 1
+        for est in result.estimates:
+            assert isinstance(est, hdlp.LpEstimate)
+            T = est.effective_T
+            assert est.se == np.sqrt(est.sigma_sq / T)
+            dof = T / (T - est.rank)
+            assert est.sigma_sq == pytest.approx(est.omega / est.tau_sq**2 * dof,
+                                                 rel=1e-14)
+            assert est.union == tuple(sorted(set(est.selected_y) | set(est.selected_x)))
+            assert est.residuals_u.shape == est.residuals_v.shape == (T,)
+            if panel_spec is None:
+                assert est.n_treated is None and est.variance is None
+                continue
+            panel, spec = panel_spec
+            assert est.variance == arg and est.c_star_y == est.c_star_x == 2.0
+            assert (est.bandwidth is None) == (arg == "cluster")
+            assert est.control_names == ("outcome_lag1", "outcome_lag2", "season", "z")
+            assert 2 not in est.union  # "season" is absorbed by the time effects
+            # rank: the shock, the union and the time effects it absorbed
+            times, _, _, dd, C, _ = hdlp.lpdid._assemble(panel, spec, est.horizon)
+            design = np.column_stack([dd, C[:, list(est.union)],
+                                      times[:, None] == np.unique(times)])
+            assert est.rank == np.linalg.matrix_rank(design)
+            assert est.n_treated + est.n_clean == T == len(times)

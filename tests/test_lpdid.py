@@ -89,6 +89,27 @@ class TestPanelValidation:
                 treatment=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("time", [
+        [1.5, 2.7],        # would truncate to 1, 2
+        [1.0, np.nan],
+        [1, 10**20],       # too wide for int64
+        [1, 2**63],        # numpy makes this a float array
+    ])
+    def test_rejects_non_integral_or_out_of_range_times(self, time):
+        with pytest.raises(DataError, match="time values"):
+            PanelDataset(
+                unit=np.array(["a", "a"], dtype=object),
+                time=time,
+                outcome=np.zeros(2),
+                treatment=np.zeros(2),
+            )
+
+    def test_accepts_integral_float_times(self):
+        panel = PanelDataset(unit=np.array(["a", "a"], dtype=object),
+                             time=[3.0, 4.0], outcome=np.zeros(2),
+                             treatment=np.zeros(2))
+        assert panel.time.dtype == np.int64 and panel.time.tolist() == [3, 4]
+
     def test_non_absorbing_on_shuffled_rows_names_the_unit(self):
         # unit "b" goes 0, 1, 0 in time order; its rows are interleaved
         # with the other units' and out of time order
@@ -324,7 +345,7 @@ class TestLpDidEstimate:
         for a, b in zip(plain.estimates, with_season.estimates):
             assert b.beta == pytest.approx(a.beta, rel=1e-12)
             assert b.se == pytest.approx(a.se, rel=1e-12)
-            assert b.selected == tuple(j + 1 for j in a.selected)
+            assert b.union == tuple(j + 1 for j in a.union)
 
     def test_double_selection_with_outcome_lags(self):
         rng = np.random.default_rng(5)
