@@ -21,14 +21,13 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hdlp.cli import fmt, write_csv_atomic  # noqa: E402
+from hdlp.cli import write_csv_atomic  # noqa: E402
 from hdlp.dgp import Section3Design  # noqa: E402
 from hdlp.hac import HacConfig  # noqa: E402
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA  # noqa: E402

@@ -102,7 +102,7 @@ def _read_csv(path: Path, make, parse):
         if empty:
             raise DataError(f"{path} has no data rows")
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

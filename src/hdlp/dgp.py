@@ -15,7 +15,7 @@ can be derived from (base_seed, replication) pairs without correlation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

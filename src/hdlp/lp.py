@@ -7,24 +7,25 @@ by one partialling-out core, ``_partial_out``. It chooses a control set,
 either by double selection (select controls once against the response, once
 against the shock, keep the union) or by taking every control, and reads
 beta off the two residuals on one orthonormal basis of that set
-(Frisch-Waugh-Lovell). The no-selection benchmark and the panel estimator
-in ``lpdid`` call the same core and the same inference tail, ``_inference``:
-intervals use the long-run (or by-cluster) variance of psi = v * u scaled by
-the fourth power of the shock-residual second moment. The core writes each
-regression's LpEstimate and the tail fills in its variance pieces; both
-estimators return those records.
+(Frisch-Waugh-Lovell). The inference tail, ``_inference``, scales the
+long-run (or by-cluster) variance of psi = v * u by the fourth power of the
+shock-residual second moment. The core writes each regression's LpEstimate
+and the tail fills in its variance pieces. ``_fit`` is the one entry to
+both: the time-series estimators and the panel estimator in ``lpdid`` hand
+it LpDatasets.
 
-The intercept, when requested, is protected: always in the projection,
-never a selection candidate, exempt from the penalty count. Greedy paths
-start from its closed-form unit column instead of factoring it.
+An LpDataset's W holds the candidate controls only, and selections index
+its columns. The intercept is a flag: always in the projection, never a
+selection candidate, exempt from the penalty count. Greedy paths start from
+its closed-form unit column instead of factoring it.
 
 Every horizon's design is a row prefix of the design at the shortest
-horizon, so ``estimate_irf`` hands all horizons to the core and to the
-inference tail as one batch of row-prefix regressions on that design: one
-lockstep greedy run, one batched Gram-Schmidt for the unions, one Cholesky
-factor for every no-selection prefix, one Newey-West call. Then
-``double_oga_lp`` or ``conventional_lp`` hands back each horizon's record,
-or raises its error. A single regression is the batch of one.
+horizon, so ``estimate_irf`` hands all horizons to ``_fit`` as one batch of
+row-prefix regressions on that design: one lockstep greedy run, one batched
+Gram-Schmidt for the unions, one Cholesky factor for every no-selection
+prefix, one Newey-West call. Then ``double_oga_lp`` or ``conventional_lp``
+hands back each horizon's record, or raises its error. A single regression
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -46,13 +47,12 @@ from .errors import (
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, dots, hac_variance
 from .linalg import SPAN_RTOL, PrefixBasis, extend, orthogonalize
-from .selection import OgaConfig, _as_paths, _unwrap, oga_hdaic_select
+from .selection import OgaConfig, _unwrap, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
 CONVENTIONAL_LP = "conventional_lp"
 METHODS = (DOUBLE_OGA, CONVENTIONAL_LP)
 
-INTERCEPT_NAME = "const"
 DEFAULT_LEVELS = (0.95,)
 
 
@@ -124,7 +124,10 @@ class LpSpec:
 
 @dataclass(frozen=True, eq=False)
 class LpDataset:
-    """Aligned arrays for one horizon; column_map records (source, lag) per W column."""
+    """One regression's aligned arrays: response y, shock x and the
+    candidate controls W, whose columns column_map names as (source, lag).
+    intercept adds a constant to every projection; it is not a column of W.
+    An estimate's selections are column indices of W."""
 
     y: np.ndarray
     x: np.ndarray
@@ -132,13 +135,7 @@ class LpDataset:
     column_map: tuple[tuple[str, int], ...]
     horizon: int
     effective_T: int
-    intercept_index: int | None
-
-    @property
-    def candidate_indices(self) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(self.W.shape[1]) if j != self.intercept_index
-        )
+    intercept: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,31 +228,24 @@ def build_lp_dataset(
     blocks += [lagged_vals[start - ell : stop - ell] for ell in range(1, depth + 1)]
     cmap = [(name, 0) for name in spec.contemporaneous]
     cmap += [(name, ell) for ell in range(1, depth + 1) for name in spec.lagged]
-    intercept_index = None
-    if spec.include_intercept:
-        blocks.append(np.ones((eff, 1)))
-        cmap.append((INTERCEPT_NAME, 0))
-        intercept_index = len(cmap) - 1
-    W = np.concatenate(blocks, axis=1)
     return LpDataset(
-        y=y, x=x, W=W, column_map=tuple(cmap), horizon=h,
-        effective_T=eff, intercept_index=intercept_index,
+        y=y, x=x, W=np.concatenate(blocks, axis=1), column_map=tuple(cmap),
+        horizon=h, effective_T=eff, intercept=spec.include_intercept,
     )
 
 
-def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
-                 method: str, oga_config: OgaConfig | None, rows=None,
-                 horizons=None, absorbed: int = 0):
-    """Shock coefficient of y on x, controlling for chosen columns of C and,
-    when intercept is set, a constant.
+def _partial_out(C: np.ndarray, intercept: bool, X: np.ndarray, Y: np.ndarray,
+                 method: str, oga_config: OgaConfig | None, rows, horizons,
+                 absorbed: int = 0) -> list:
+    """Shock coefficients of k regressions of y on x, controlling for chosen
+    columns of C (n x p) and, when intercept is set, a constant.
 
-    1-D x and y are one regression on all rows; its LpEstimate, without the
-    inference fields, is returned or its error raised. 2-D x and y (n x k)
-    are k regressions, the i-th on the first rows[i] rows (non-increasing;
-    all by default) of C and of its columns; the call returns one
-    LpEstimate, or the error that regression alone would raise, per column.
-    horizons labels the records (0 by default); absorbed counts the effects
-    removed from C, x and y before the call, which the rank includes.
+    Row i of X and of Y (k x n) is regression i's shock and response on its
+    first rows[i] rows (non-increasing) of C, zero below them. The call
+    returns one LpEstimate without the inference fields, or the error that
+    regression alone would raise, per regression, labelled horizons[i].
+    absorbed counts the effects removed from C, x and y before the call,
+    which the rank includes.
 
     DOUBLE_OGA selects columns of C against y and against x, every path in
     one lockstep oga_hdaic_select call, and controls for the union, whose
@@ -267,18 +257,13 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
     on the union basis. The shock is degenerate when it is constant or when
     what is left of it is at most SPAN_RTOL of its norm.
     """
-    C, X, rows, single = _as_paths(C, x, rows)
-    Y = _as_paths(C, y, rows)[1]
     n, p = C.shape
     k = len(rows)
-    T = np.asarray(rows)
-    inside = np.arange(n) < T[:, None]
-    X = X.T * inside  # one series per row, zero below its rows
-    Y = Y.T * inside
     failed: list = [None] * k
     x_norm = np.linalg.norm(X, axis=1)
     if p:
-        centred = (X - (X.sum(axis=1) / T)[:, None]) * inside
+        T = np.asarray(rows)
+        centred = (X - (X.sum(axis=1) / T)[:, None]) * (np.arange(n) < T[:, None])
         for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
             failed[i] = DegenerateShock("shock series is constant")
     if method == DOUBLE_OGA and p:
@@ -296,7 +281,7 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
     beta = dots(x_resid, y_resid) / np.where(degenerate, 1.0, xx)
     u = y_resid - beta[:, None] * x_resid
     out = []
-    for i, (t, h) in enumerate(zip(rows, horizons or [0] * k)):
+    for i, (t, h) in enumerate(zip(rows, horizons)):
         if failed[i] is None and degenerate[i]:
             failed[i] = DegenerateShock(
                 "shock has no variation left after projecting on the selected controls"
@@ -309,7 +294,7 @@ def _partial_out(C: np.ndarray, intercept: bool, x: np.ndarray, y: np.ndarray,
             rank=int(rank[i]) + 1 + absorbed, residuals_u=u[i, :t],
             residuals_v=v[i, :t], residuals_e=e[i, :t], **sets[i],
         ))
-    return _unwrap(out[0]) if single else out
+    return out
 
 
 def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
@@ -440,31 +425,23 @@ def _inference(fits: list, hac_config: HacConfig | None, levels,
     return out
 
 
-def _controls(dataset: LpDataset) -> np.ndarray:
-    """The dataset's candidate columns: W without its intercept column, a
-    view when the intercept is the last column, as build_lp_dataset puts it."""
-    j = dataset.intercept_index
-    if j is None:
-        return dataset.W
-    if j == dataset.W.shape[1] - 1:
-        return dataset.W[:, :j]
-    return np.delete(dataset.W, j, axis=1)
-
-
-def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels):
+def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels,
+         clusters=None, absorbed: int = 0) -> list:
     """Per dataset, its LpEstimate or its error. The datasets are row
     prefixes of the first; all of them are partialled out in one core call
-    and take their variances in one inference call."""
+    and take their variances in one inference call. absorbed counts effects
+    removed from the data beforehand (the rank includes them) and clusters
+    switches the variance to by-cluster sums."""
     anchor = datasets[0]
     rows = [ds.effective_T for ds in datasets]
     X = np.zeros((len(datasets), anchor.effective_T))
     Y = np.zeros_like(X)
     for i, ds in enumerate(datasets):
         X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
-    fits = _partial_out(_controls(anchor), anchor.intercept_index is not None,
-                        X.T, Y.T, method, oga_config, rows,
-                        [ds.horizon for ds in datasets])
-    return _inference(fits, hac_config, levels)
+    C = np.asarray(anchor.W, dtype=np.float64)  # a hand-made W may hold integers
+    fits = _partial_out(C, anchor.intercept, X, Y, method, oga_config, rows,
+                        [ds.horizon for ds in datasets], absorbed)
+    return _inference(fits, hac_config, levels, clusters)
 
 
 def _attempt(errors: dict, h: int, fn, *args, **kwargs):

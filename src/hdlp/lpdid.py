@@ -4,14 +4,14 @@ For horizon h the long difference y_{t+h} - y_{t-1} is regressed on the
 treatment switch for observations that are either newly treated at t or
 still untreated at t+h; everything else (already treated, or treated during
 the window) is dropped. Time effects are absorbed by within-period
-demeaning, which keeps them out of the penalty. The regression itself is the
-time-series partialling-out core (``lp._partial_out``): lagged outcomes and
-extra covariates are screened by double selection or all kept, and the
-switch coefficient is read off the residuals. What is specific to panels
-stays here: the demeaning, the variance choice and the absorbed time effects,
-which count in the design rank and so in the degrees of freedom. Standard
-errors come from the time-series inference tail (``lp._inference``); a
-panel horizon is the core's batch of one. Its variance is the same v*u
+demeaning, which keeps them out of the penalty. Each horizon is one
+``LpDataset`` (long difference, switch, the controls the time effects kept,
+a constant only without time effects) fitted by the time-series entry
+``lp._fit`` as a batch of one: lagged outcomes and extra covariates are
+screened by double selection or all kept, and the switch coefficient is read
+off the residuals. What is specific to panels stays here: the demeaning, the
+variance choice and the absorbed time effects, which count in the design
+rank and so in the degrees of freedom. The variance is the same v*u
 long-run variance, computed over the restricted sample ordered by (time,
 unit), or a by-unit cluster sum.
 
@@ -43,10 +43,10 @@ from .lp import (
     DOUBLE_OGA,
     METHODS,
     IrfResult,
+    LpDataset,
     LpEstimate,
     _attempt,
-    _inference,
-    _partial_out,
+    _fit,
 )
 from .selection import OgaConfig, _unwrap
 
@@ -101,7 +101,11 @@ class PanelDataset:
 
         # one key per row, (unit code, time rank) flattened: memory stays
         # O(rows) however sparse the time coding is
-        self._units, self.unit_code = np.unique(self.unit, return_inverse=True)
+        try:
+            self._units, self.unit_code = np.unique(self.unit, return_inverse=True)
+        except TypeError:  # labels numpy cannot sort, such as 1 beside "1"
+            raise DataError("unit column mixes label types that cannot be "
+                            "ordered") from None
         self._times, time_rank = np.unique(self.time, return_inverse=True)
         key = self.unit_code * self._times.shape[0] + time_rank
         self._order = np.argsort(key)
@@ -268,13 +272,14 @@ def _lpdid_one(
             "treatment switch has no variation within time cells"
         )
 
-    fit = _partial_out(
-        C, not spec.time_effects, dd, dy, spec.method, oga_config, horizons=[h],
-        absorbed=len(np.unique(times)) if spec.time_effects else 0,
+    dataset = LpDataset(
+        y=dy, x=dd, W=C, column_map=tuple((control_names[j], 0) for j in keep),
+        horizon=h, effective_T=dy.shape[0], intercept=not spec.time_effects,
     )
-    est = _unwrap(_inference(
-        [fit], hac_config, spec.levels,
+    est = _unwrap(_fit(
+        [dataset], spec.method, oga_config, hac_config, spec.levels,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,
+        absorbed=len(np.unique(times)) if spec.time_effects else 0,
     )[0])
     # the selections index the controls the time effects kept; map them back
     selections = {name: tuple(keep[list(getattr(est, name))].tolist())

@@ -105,18 +105,17 @@ def test_criterion_2_estimator_oracle_equivalence():
         )
         ds = build_lp_dataset(data, spec, 1)
         est = double_oga_lp(ds, FULL_SELECTION, HacConfig())
-        assert est.union == ds.candidate_indices
+        assert est.union == tuple(range(ds.W.shape[1]))
 
-        X = np.column_stack([ds.x, ds.W])
+        ones = np.ones((ds.effective_T, 1))  # W holds the candidates only
+        X = np.column_stack([ds.x, ds.W, ones])
         fit = ols_fit(X, ds.y)
         worst_beta = max(worst_beta, abs(est.beta - fit.coefficients[0]))
         worst_u = max(worst_u, float(np.max(np.abs(est.residuals_u - fit.residuals))))
 
-        keep = list(est.union) + (
-            [ds.intercept_index] if ds.intercept_index is not None else []
-        )
-        y_t = project_out(ds.W[:, keep], ds.y)
-        x_t = project_out(ds.W[:, keep], ds.x)
+        controls = np.column_stack([ds.W[:, list(est.union)], ones])
+        y_t = project_out(controls, ds.y)
+        x_t = project_out(controls, ds.x)
         beta_fw = float(x_t @ y_t) / float(x_t @ x_t)
         worst_fw = max(worst_fw, abs(est.beta - beta_fw))
     ok = worst_beta < 1e-9 and worst_u < 1e-9 and worst_fw < 1e-8

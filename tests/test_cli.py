@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,24 +392,25 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", cfg_path]) == 2
 
 
-class TestLpdidCommand:
-    @pytest.fixture
-    def panel_csv(self, tmp_path):
-        rng = np.random.default_rng(1)
-        rows = []
-        for i in range(8):
-            adopt = 6 + (i % 3) if i < 4 else None
-            for t in range(14):
-                d = 1 if adopt is not None and t >= adopt else 0
-                y = 0.5 * i + 0.2 * t + 0.9 * d + rng.normal(0, 0.2)
-                rows.append([f"u{i}", t, y, d, np.sin(i + t)])
-        path = tmp_path / "panel.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "time", "outcome", "treatment", "z"])
-            writer.writerows(rows)
-        return str(path)
+@pytest.fixture
+def panel_csv(tmp_path):
+    rng = np.random.default_rng(1)
+    rows = []
+    for i in range(8):
+        adopt = 6 + (i % 3) if i < 4 else None
+        for t in range(14):
+            d = 1 if adopt is not None and t >= adopt else 0
+            y = 0.5 * i + 0.2 * t + 0.9 * d + rng.normal(0, 0.2)
+            rows.append([f"u{i}", t, y, d, np.sin(i + t)])
+    path = tmp_path / "panel.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["unit", "time", "outcome", "treatment", "z"])
+        writer.writerows(rows)
+    return str(path)
 
+
+class TestLpdidCommand:
     def test_writes_per_horizon_rows(self, tmp_path, panel_csv):
         cfg = {
             "data": panel_csv,
@@ -553,6 +555,25 @@ class TestCsvReaderFrame:
         n = len(header.split(","))
         expected = message.format(path=path, n=n)
         assert capsys.readouterr().err == f"data error: {expected}\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "lpdid"])
+    def test_byte_order_mark_changes_nothing(self, tmp_path, sim_csv, panel_csv,
+                                             command):
+        # spreadsheet programs save UTF-8 CSVs with a leading byte-order mark
+        plain = Path(sim_csv if command == "estimate" else panel_csv)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        tables = []
+        for data in (plain, marked):
+            out = tmp_path / f"{data.stem}_table.csv"
+            if command == "estimate":
+                cfg = estimate_cfg(tmp_path, str(data), output=str(out))
+            else:
+                cfg = {"data": str(data), "output": str(out), "horizons": [0, 1, 2],
+                       "outcome_lags": 1, "extra_controls": ["z"]}
+            assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestExampleConfigs:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,6 @@ from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
-    INTERCEPT_NAME,
     LpDataset,
     LpSpec,
     TimeSeriesMatrix,
@@ -30,7 +31,7 @@ from hdlp.lp import (
     estimate_irf,
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
-from hdlp.selection import OgaConfig
+from hdlp.selection import OgaConfig, _unwrap
 from reference import ols_fit, project_out
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
@@ -55,7 +56,7 @@ def per_column_lp_dataset(data, spec, h):
     eff = data.n_rows - h - depth
     t = np.arange(depth, data.n_rows - h)
     vals = data.values
-    cols, cmap = [], []
+    cols, cmap = [], []  # the candidates; the intercept is a flag, not a column
     for name in spec.contemporaneous:
         cols.append(vals[t, data.index(name)])
         cmap.append((name, 0))
@@ -63,9 +64,6 @@ def per_column_lp_dataset(data, spec, h):
         for name in spec.lagged:
             cols.append(vals[t - ell, data.index(name)])
             cmap.append((name, ell))
-    if spec.include_intercept:
-        cols.append(np.ones(eff))
-        cmap.append((INTERCEPT_NAME, 0))
     W = np.column_stack(cols) if cols else np.zeros((eff, 0))
     y = vals[t + h, data.index(spec.response)]
     x = vals[t, data.index(spec.shock)]
@@ -105,7 +103,7 @@ class TestBuildLpDataset:
             assert np.array_equal(ds.y, y) and np.array_equal(ds.x, x)
             assert ds.W.shape == W.shape and np.array_equal(ds.W, W)
             assert ds.W.flags["C_CONTIGUOUS"]
-            assert ds.column_map == cmap
+            assert ds.column_map == cmap and ds.intercept == include_intercept
             for h0, ds0 in built.items():
                 assert np.array_equal(ds.W, ds0.W[: ds.effective_T])
                 assert np.array_equal(ds.x, ds0.x[: ds.effective_T])
@@ -114,8 +112,7 @@ class TestBuildLpDataset:
                 for name in ("y", "x", "W"):
                     assert np.array_equal(getattr(view, name), getattr(ds, name))
                 assert (view.horizon, view.effective_T, view.column_map,
-                        view.intercept_index) == (h, ds.effective_T, cmap,
-                                                  ds.intercept_index)
+                        view.intercept) == (h, ds.effective_T, cmap, include_intercept)
             built[h] = ds
 
     def test_effective_sample_counting(self):
@@ -126,10 +123,10 @@ class TestBuildLpDataset:
         )
         ds = build_lp_dataset(data, spec, 1)
         assert ds.effective_T == 8
-        # one lag column plus the intercept
-        assert ds.W.shape == (8, 2)
-        assert ds.column_map == (("y", 1), ("const", 0))
-        assert ds.intercept_index == 1
+        # one lag column; the intercept is a flag, not a column
+        assert ds.W.shape == (8, 1)
+        assert ds.column_map == (("y", 1),)
+        assert ds.intercept
 
     def test_lag_depth_with_augmentation(self):
         rng = np.random.default_rng(1)
@@ -197,8 +194,8 @@ class TestDoubleOgaLp:
             )
             ds = build_lp_dataset(data, spec, 1)
             est = double_oga_lp(ds, FULL_SELECTION, HacConfig(), levels=(0.95,))
-            assert est.union == ds.candidate_indices
-            X = np.column_stack([ds.x, ds.W])
+            assert est.union == tuple(range(ds.W.shape[1]))
+            X = np.column_stack([ds.x, ds.W, np.ones(ds.effective_T)])
             beta_ols = np.linalg.lstsq(X, ds.y, rcond=None)[0][0]
             assert est.beta == pytest.approx(beta_ols, abs=1e-9)
 
@@ -258,10 +255,7 @@ class TestDoubleOgaLp:
         )
         ds = build_lp_dataset(data, spec, 1)
         est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig())
-        keep = list(est.union)
-        if ds.intercept_index is not None:
-            keep.append(ds.intercept_index)
-        controls = ds.W[:, keep]
+        controls = np.column_stack([ds.W[:, list(est.union)], np.ones(ds.effective_T)])
         y_t = project_out(controls, ds.y)
         x_t = project_out(controls, ds.x)
         beta_fw = float(x_t @ y_t) / float(x_t @ x_t)
@@ -286,7 +280,8 @@ class TestDoubleOgaLp:
         assert est.selected_x == (0,) and est.selected_y == (1,)
 
         def resid(cols, target):
-            return project_out(ds.W[:, list(cols) + [ds.intercept_index]], target)
+            return project_out(
+                np.column_stack([ds.W[:, list(cols)], np.ones(ds.effective_T)]), target)
 
         v, e = resid(est.selected_x, ds.x), resid(est.selected_y, ds.y)
         np.testing.assert_allclose(est.residuals_v, v, atol=1e-12)
@@ -340,10 +335,10 @@ class TestConventionalLp:
         ds = build_lp_dataset(data, spec, 2)
         est = conventional_lp(ds, HacConfig(bandwidth=4, dof_correction=False))
 
-        X = np.column_stack([ds.x, ds.W])
+        G = np.column_stack([ds.W, np.ones(ds.effective_T)])
+        X = np.column_stack([ds.x, G])
         beta_all = np.linalg.solve(X.T @ X, X.T @ ds.y)
         u = ds.y - X @ beta_all
-        G = ds.W
         gamma = np.linalg.solve(G.T @ G, G.T @ ds.x)
         v = ds.x - G @ gamma
         T = ds.effective_T
@@ -370,7 +365,7 @@ class TestConventionalLp:
         ds = build_lp_dataset(data, spec, 1)
         bare = conventional_lp(ds, HacConfig(bandwidth=4, dof_correction=False))
         adj = conventional_lp(ds, HacConfig(bandwidth=4))
-        k = 1 + ds.W.shape[1]  # shock plus all controls and the intercept
+        k = 2 + ds.W.shape[1]  # shock, intercept and all controls
         T = ds.effective_T
         assert adj.sigma_sq == pytest.approx(bare.sigma_sq * T / (T - k), rel=1e-12)
         assert adj.beta == bare.beta
@@ -511,6 +506,13 @@ def random_design(seed, T, p, n_dup, with_intercept):
     return C, x + with_intercept, y
 
 
+def partial_out_one(C, intercept, x, y, method, oga_config):
+    """The core's fit of one regression on all rows, or its error raised."""
+    [fit] = _partial_out(C, intercept, x[None], y[None], method, oga_config,
+                         [x.shape[0]], [0])
+    return _unwrap(fit)
+
+
 design_args = dict(
     seed=st.integers(0, 2**32 - 1),
     T=st.integers(30, 120),
@@ -527,7 +529,7 @@ class TestPartialOutCore:
         self, method, seed, T, p, n_dup, with_intercept
     ):
         C, x, y = random_design(seed, T, p, n_dup, with_intercept)
-        fit = _partial_out(C, with_intercept, x, y, method, OgaConfig(c_star=2.0))
+        fit = partial_out_one(C, with_intercept, x, y, method, OgaConfig(c_star=2.0))
         cols = [x[:, None], C[:, list(fit.union)]]
         if with_intercept:
             cols.append(np.ones((T, 1)))
@@ -544,14 +546,15 @@ class TestPartialOutCore:
         self, seed, T, p, n_dup, with_intercept
     ):
         C, x, y = random_design(seed, T, p, n_dup, with_intercept)
-        W = np.column_stack([C, np.ones(T)]) if with_intercept else C
         ds = LpDataset(
-            y=y, x=x, W=W, column_map=tuple(("w", j) for j in range(W.shape[1])),
-            horizon=1, effective_T=T,
-            intercept_index=C.shape[1] if with_intercept else None,
+            y=y, x=x, W=C, column_map=tuple(("w", j) for j in range(C.shape[1])),
+            horizon=1, effective_T=T, intercept=with_intercept,
         )
         conv = conventional_lp(ds, HacConfig())
         full = double_oga_lp(ds, FULL_SELECTION, HacConfig())
+        for est in (conv, full):  # selections are columns of W
+            for chosen in (est.selected_y, est.selected_x, est.union):
+                assert set(chosen) <= set(range(C.shape[1]))
         assert full.beta == pytest.approx(conv.beta, rel=1e-9, abs=1e-12)
         assert full.se == pytest.approx(conv.se, rel=1e-9)
         if n_dup == 0:
@@ -581,7 +584,7 @@ class TestPartialOutCore:
         oga = OgaConfig(c_star=2.0)
         result = lpdid_estimate(panel, spec, oga, HacConfig())
         _, _, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
-        fit = _partial_out(C, True, dd, dy, method, oga)
+        fit = partial_out_one(C, True, dd, dy, method, oga)
         assert result.by_horizon()[1].beta == fit.beta
 
     @pytest.mark.parametrize("variance", ("hac", "cluster"))
@@ -605,7 +608,7 @@ class TestPartialOutCore:
         final = lpdid_estimate(panel, spec, oga, HacConfig()).by_horizon()[1]
 
         _, units, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
-        fit = _partial_out(C, True, dd, dy, method, oga)
+        fit = partial_out_one(C, True, dd, dy, method, oga)
         T = dy.shape[0]
         tau_sq = float(fit.residuals_v @ fit.residuals_v) / T
         if variance == "hac":
@@ -616,6 +619,63 @@ class TestPartialOutCore:
         assert got.beta == final.beta == fit.beta
         assert got.se == pytest.approx(se, rel=1e-12)
         assert got.se != final.se
+
+
+class TestSelectionsIndexW:
+    """W holds only the candidates: every selection is a column of W, and
+    column_map names it."""
+
+    def data(self):
+        # the shock loads on w1, the response on w2
+        rng = np.random.default_rng(27)
+        T = 200
+        w = rng.standard_normal((T, 4))
+        x = 0.9 * w[:, 0] + 0.5 * rng.standard_normal(T)
+        y = np.zeros(T)
+        y[1:] = 0.9 * w[:-1, 1] + 0.5 * x[:-1] + 0.5 * rng.standard_normal(T - 1)
+        return TimeSeriesMatrix(np.column_stack([y, x, w]),
+                                ("y", "x", "w1", "w2", "w3", "w4"))
+
+    @pytest.mark.parametrize("intercept", (True, False))
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_built_dataset(self, method, intercept):
+        spec = LpSpec(response="y", shock="x", horizons=(1,),
+                      contemporaneous=("w1", "w2", "w3", "w4"), lagged=("y",),
+                      lags=1, include_intercept=intercept)
+        ds = build_lp_dataset(self.data(), spec, 1)
+        assert len(ds.column_map) == ds.W.shape[1] == 5
+        [est] = estimate_irf(self.data(), spec, OgaConfig(c_star=2.0),
+                             method=method).estimates
+        for chosen in (est.selected_y, est.selected_x, est.union):
+            assert set(chosen) <= set(range(ds.W.shape[1]))
+        if method == DOUBLE_OGA:
+            assert ("w1", 0) in [ds.column_map[j] for j in est.selected_x]
+            assert ("w2", 0) in [ds.column_map[j] for j in est.selected_y]
+        else:
+            assert est.union == tuple(range(ds.W.shape[1]))
+        cols = [ds.x[:, None], ds.W[:, list(est.union)]]
+        cols += [np.ones((ds.effective_T, 1))] * intercept
+        ols = ols_fit(np.column_stack(cols), ds.y)
+        assert est.beta == pytest.approx(ols.coefficients[0], rel=1e-9)
+
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_hand_made_dataset_follows_its_column_order(self, method):
+        spec = LpSpec(response="y", shock="x", horizons=(1,),
+                      contemporaneous=("w1", "w2", "w3", "w4"), lagged=("y",),
+                      lags=1)
+        ds = build_lp_dataset(self.data(), spec, 1)
+        perm = [3, 0, 4, 2, 1]
+        shuffled = LpDataset(y=ds.y, x=ds.x, W=ds.W[:, perm],
+                             column_map=tuple(ds.column_map[j] for j in perm),
+                             horizon=1, effective_T=ds.effective_T, intercept=True)
+        fit = double_oga_lp if method == DOUBLE_OGA else conventional_lp
+        ref, got = fit(ds), fit(shuffled)
+        for name in ("selected_y", "selected_x", "union"):
+            assert sorted(perm[j] for j in getattr(got, name)) == list(getattr(ref, name))
+        assert got.beta == pytest.approx(ref.beta, rel=1e-9)
+        whole = np.round(100 * ds.W)  # integer candidates, stored as int or float
+        as_int, as_float = fit(replace(ds, W=whole.astype(np.int64))), fit(replace(ds, W=whole))
+        assert (as_int.beta, as_int.union) == (as_float.beta, as_float.union)
 
 
 class TestScaleFreeChecks:
@@ -674,7 +734,7 @@ class TestEquilibratedDesign:
         values[:, data.index("y5")] *= 1e-9
         scaled = TimeSeriesMatrix(values, data.columns)
         W = build_lp_dataset(scaled, spec, 1).W
-        assert PrefixBasis.of(W).rank == W.shape[1] == 220
+        assert PrefixBasis.of(W, intercept=True).rank == W.shape[1] + 1 == 220
         ref = estimate_irf(data, spec, method=CONVENTIONAL_LP)
         got = estimate_irf(scaled, spec, method=CONVENTIONAL_LP)
         assert not ref.errors and not got.errors
@@ -821,8 +881,7 @@ class TestBugsPropagate:
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr(hdlp.lp, "_partial_out", broken)
-        monkeypatch.setattr(hdlp.lpdid, "_partial_out", broken)
+        monkeypatch.setattr(hdlp.lp, "_partial_out", broken)  # both estimators' core
         rng = np.random.default_rng(18)
         data = make_data(rng, 60, 2, names=("y", "x"))
         spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y",),

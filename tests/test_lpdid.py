@@ -61,6 +61,15 @@ class TestPanelValidation:
                 treatment=np.array([0.0, 1.0, 0.0, 1.0]),
             )
 
+    def test_mixed_unit_label_types_are_a_data_error(self):
+        with pytest.raises(DataError, match="unit column"):
+            PanelDataset(
+                unit=np.array([1, "1"], dtype=object),
+                time=np.array([0, 1]),
+                outcome=np.zeros(2),
+                treatment=np.zeros(2),
+            )
+
     def test_rejects_duplicate_cells(self):
         with pytest.raises(DataError, match="duplicate"):
             PanelDataset(
