@@ -83,12 +83,12 @@ def write_csv_atomic(path: Path, header, rows):
 
 
 def _read_csv(path: Path, make, parse):
-    """The frame both CSV readers share. path must exist and start with a
-    header; parse(header, rows) turns rows, the (line number, cells) of each
+    """The frame both CSV readers share. path must be a file and start with
+    a header; parse(header, rows) turns rows, the (line number, cells) of each
     non-blank data row, into the keyword arguments of make. A row without
     one cell per header name, a file without data rows and a package error
     that make raises are DataErrors naming the file."""
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"data file not found: {path}")
 
     def data_rows(reader, width):
@@ -185,7 +185,7 @@ def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -
         tag = format(level, "g")
         header += [f"ci_low_{tag}", f"ci_high_{tag}"]
     rows = [[est.horizon, est.method, est.beta, est.se]
-            + [bound for level in levels for bound in est.cis[level]] + tail(est)
+            + [bound for level in levels for bound in est.ci(level)] + tail(est)
             for result in results.values() for est in result.estimates]
     write_csv_atomic(out_path, header + tail_header, rows)
     return 0
@@ -193,8 +193,7 @@ def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -
 
 def cmd_estimate(run: EstimateRun) -> int:
     data = read_wide_csv(run.data_path)
-    results = {method: estimate_irf(data, run.lp_spec, run.oga, run.hac,
-                                    run.levels, method=method)
+    results = {method: estimate_irf(data, run.lp_spec, run.oga, run.hac, method=method)
                for method in run.methods}
     return _write_estimates(
         run.out_path, results, run.levels,
@@ -337,7 +336,7 @@ def cmd_lpdid(run: LpdidRun) -> int:
     panel = read_long_csv(run.data_path, run)
     return _write_estimates(
         run.out_path, {"": lpdid_estimate(panel, run.spec, run.oga, run.hac)},
-        run.spec.levels,
+        run.levels,
         ["n_treated", "n_clean", "n_controls", "n_selected", "bandwidth",
          "variance", "effective_T"],
         lambda est: [est.n_treated, est.n_clean, len(est.control_names),

@@ -85,8 +85,8 @@ as_series = as_type(str, int, what="a series name or a 1-based index")
 
 
 def as_path(value, where):
-    if type(value) is not str or not value:
-        _fail(where, "a nonempty path", value)
+    if type(value) is not str or not Path(value).name:
+        _fail(where, "a path that ends in a file name", value)
     return Path(value)
 
 
@@ -305,13 +305,13 @@ MC_DESIGN = {  # montecarlo needs the companion-form truth of a VAR
 }
 LPDID = {key: (key, as_str)
          for key in ("unit_col", "time_col", "outcome_col", "treatment_col")}
+LPDID["levels"] = REPORT["levels"]  # one method per run, set in LPDID_SPEC
 LPDID_SPEC = {
     "horizons": ("horizons", as_horizons, REQUIRED),
     "outcome_lags": ("outcome_lags", as_int()),
     "extra_controls": ("extra_controls", list_of(as_str)),
     "time_effects": ("time_effects", as_bool),
     "method": ("method", as_method),
-    "levels": ("levels", as_levels),
     "variance": ("variance", as_str),
 }
 
@@ -361,6 +361,7 @@ class LpdidRun:
     time_col: str = "time"
     outcome_col: str = "outcome"
     treatment_col: str = "treatment"
+    levels: tuple[float, ...] = DEFAULT_LEVELS
     spec: LpDidSpec
     oga: OgaConfig = field(default_factory=OgaConfig)
     hac: HacConfig = field(default_factory=HacConfig)

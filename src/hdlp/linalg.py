@@ -1,12 +1,13 @@
 """Orthonormal-basis kernels behind every fit in the estimators.
 
-Everything works on plain float64 arrays. Rank deficiency is handled by a
-rank-revealing (pivoted) QR of the column-equilibrated design with a
-relative pivot tolerance of 1e-10, or by a span test relative to the
-column's own norm when a basis grows one column at a time: dependent
-columns are dropped instead of raising, because unions of selected lag
-columns are routinely collinear. A basis of a design also serves every row
-prefix of that design (PrefixBasis), as long as the prefix keeps the
+Everything works on plain float64 arrays. Rank deficiency follows one rule,
+SPAN_RTOL: a column whose part outside the span of the columns before it
+is at most 1e-10 of its own norm is dropped, not raised on, because unions
+of selected lag columns are routinely collinear. A basis grown one column
+at a time tests that directly; a pivoted QR tests its pivots against the
+first, on the column-equilibrated design, where every nonzero column and
+the intercept column have unit norm. A basis of a design also serves every
+row prefix of that design (PrefixBasis), as long as the prefix keeps the
 design's rank; every prefix is read off one Cholesky factor. One two-pass
 kernel (orthogonalize, and extend on top of it) takes the residuals of many
 series on many zero-padded bases, or on one basis read on many prefixes, in
@@ -23,7 +24,6 @@ import scipy.linalg.lapack
 
 from .errors import DimensionMismatch
 
-PIVOT_RTOL = 1e-10
 SPAN_RTOL = 1e-10  # a column this far inside an existing span counts as degenerate
 # a row prefix keeps its design's basis while the smallest eigenvalue of its
 # Gram matrix Q_n'Q_n is provably at least this; projections then lose at most
@@ -61,7 +61,7 @@ def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.zeros((X.shape[0], 0))
-    rank = int(np.sum(diag > PIVOT_RTOL * diag[0]))
+    rank = int(np.sum(diag > SPAN_RTOL * diag[0]))
     return Q[:, :rank]
 
 

@@ -3,16 +3,15 @@
 For each horizon h the raw series matrix is turned into an aligned dataset
 (response led h steps, shock at time t, contemporaneous controls, lagged
 controls up to the configured depth) and the shock coefficient is estimated
-by one partialling-out core, ``_partial_out``. It chooses a control set,
-either by double selection (select controls once against the response, once
-against the shock, keep the union) or by taking every control, and reads
-beta off the two residuals on one orthonormal basis of that set
-(Frisch-Waugh-Lovell). The inference tail, ``_inference``, scales the
-long-run (or by-cluster) variance of psi = v * u by the fourth power of the
-shock-residual second moment. The core writes each regression's LpEstimate
-and the tail fills in its variance pieces. ``_fit`` is the one entry to
-both: the time-series estimators and the panel estimator in ``lpdid`` hand
-it LpDatasets.
+by one partialling-out core, ``_fit``, which the time-series estimators and
+the panel estimator in ``lpdid`` all call with LpDatasets. It chooses a
+control set, either by double selection (select controls once against the
+response, once against the shock, keep the union) or by taking every
+control, reads beta off the two residuals on one orthonormal basis of that
+set (Frisch-Waugh-Lovell), and scales the long-run (or by-cluster) variance
+of psi = v * u by the fourth power of the shock-residual second moment. It
+writes each regression's LpEstimate once, complete. Confidence intervals
+are not stored: LpEstimate.ci(level) reads them off beta and se.
 
 An LpDataset's W holds the candidate controls only, and selections index
 its columns. The intercept is a flag: always in the projection, never a
@@ -31,7 +30,6 @@ is the batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -137,6 +135,17 @@ class LpDataset:
     effective_T: int
     intercept: bool
 
+    def __post_init__(self):
+        T = self.effective_T
+        shapes = [np.shape(a) for a in (self.y, self.x, self.W)]
+        if shapes[:2] != [(T,), (T,)] or len(shapes[2]) != 2 or shapes[2][0] != T:
+            raise DimensionMismatch(f"y, x and W have shapes {shapes}; need ({T},), "
+                                    f"({T},) and ({T}, p) for effective_T={T}")
+        if len(self.column_map) != shapes[2][1]:
+            raise DimensionMismatch(
+                f"{len(self.column_map)} column names for {shapes[2][1]} columns of W"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class LpEstimate:
@@ -165,16 +174,20 @@ class LpEstimate:
     residuals_u: np.ndarray = field(repr=False)
     residuals_v: np.ndarray = field(repr=False)
     residuals_e: np.ndarray = field(repr=False)
-    se: float = float("nan")
-    cis: dict[float, tuple[float, float]] = field(default_factory=dict)
-    sigma_sq: float = float("nan")
-    tau_sq: float = float("nan")
-    omega: float = float("nan")
-    bandwidth: int | None = None
+    se: float
+    sigma_sq: float
+    tau_sq: float
+    omega: float
+    bandwidth: int | None
     n_treated: int | None = None
     n_clean: int | None = None
     control_names: tuple[str, ...] | None = None
     variance: str | None = None
+
+    def ci(self, level: float) -> tuple[float, float]:
+        """The two-sided normal interval beta -/+ z * se at this level."""
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
+        return self.beta - z * self.se, self.beta + z * self.se
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,18 +247,14 @@ def build_lp_dataset(
     )
 
 
-def _partial_out(C: np.ndarray, intercept: bool, X: np.ndarray, Y: np.ndarray,
-                 method: str, oga_config: OgaConfig | None, rows, horizons,
-                 absorbed: int = 0) -> list:
-    """Shock coefficients of k regressions of y on x, controlling for chosen
-    columns of C (n x p) and, when intercept is set, a constant.
-
-    Row i of X and of Y (k x n) is regression i's shock and response on its
-    first rows[i] rows (non-increasing) of C, zero below them. The call
-    returns one LpEstimate without the inference fields, or the error that
-    regression alone would raise, per regression, labelled horizons[i].
-    absorbed counts the effects removed from C, x and y before the call,
-    which the rank includes.
+def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
+         hac_config: HacConfig | None, clusters=None, absorbed: int = 0) -> list:
+    """Per dataset, its complete LpEstimate or the error that regression
+    alone would raise. The datasets are row prefixes of the first: row i of
+    X and of Y (k x n, zero-padded) is dataset i's shock and response on the
+    first rows[i] rows (non-increasing) of its candidates C. absorbed counts
+    the effects removed from the data beforehand, which the rank includes,
+    and clusters switches the variance to by-cluster sums.
 
     DOUBLE_OGA selects columns of C against y and against x, every path in
     one lockstep oga_hdaic_select call, and controls for the union, whose
@@ -254,23 +263,35 @@ def _partial_out(C: np.ndarray, intercept: bool, X: np.ndarray, Y: np.ndarray,
     v and e come off each path's basis (_union_residuals). CONVENTIONAL_LP,
     or an empty C, controls for every column (_design_residuals); v and e
     are then the final residuals. beta = x_resid'y_resid / x_resid'x_resid
-    on the union basis. The shock is degenerate when it is constant or when
-    what is left of it is at most SPAN_RTOL of its norm.
+    on the union basis. The shock is degenerate when it is zero, or constant
+    while the intercept is in, or when what is left of it is at most
+    SPAN_RTOL of its norm.
+
+    psi = v * u with u the final residual, or e under psi_source
+    first_stage_e; Omega is its Bartlett long-run variance, or its
+    by-cluster sum, for every live regression in one hac_variance call. The
+    dof factor is T / (T - rank).
     """
-    n, p = C.shape
-    k = len(rows)
-    failed: list = [None] * k
+    anchor = datasets[0]
+    rows = [ds.effective_T for ds in datasets]
+    C = np.asarray(anchor.W, dtype=np.float64)  # a hand-made W may hold integers
+    k, (n, p), intercept = len(datasets), C.shape, anchor.intercept
+    X, Y = np.zeros((2, k, n))
+    for i, ds in enumerate(datasets):
+        X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
+    out: list = [None] * k  # each regression's error, then its estimate
     x_norm = np.linalg.norm(X, axis=1)
-    if p:
+    centred = X
+    if intercept:  # then a constant shock lies in every projection's span
         T = np.asarray(rows)
         centred = (X - (X.sum(axis=1) / T)[:, None]) * (np.arange(n) < T[:, None])
-        for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
-            failed[i] = DegenerateShock("shock series is constant")
+    for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
+        out[i] = DegenerateShock("shock series is constant")
     if method == DOUBLE_OGA and p:
         resid, v, e, rank, sets = _union_residuals(C, intercept, X, Y, rows,
-                                                  oga_config, failed)
+                                                  oga_config, out)
     else:
-        resid, rank = _design_residuals(C, intercept, X, Y, rows, failed)
+        resid, rank = _design_residuals(C, intercept, X, Y, rows, out)
         v, e = resid[:, 1], resid[:, 0]
         every = tuple(range(p))
         sets = [dict(selected_y=every, selected_x=every, union=every,
@@ -280,20 +301,37 @@ def _partial_out(C: np.ndarray, intercept: bool, X: np.ndarray, Y: np.ndarray,
     degenerate = xx <= (SPAN_RTOL * x_norm) ** 2
     beta = dots(x_resid, y_resid) / np.where(degenerate, 1.0, xx)
     u = y_resid - beta[:, None] * x_resid
-    out = []
-    for i, (t, h) in enumerate(zip(rows, horizons)):
-        if failed[i] is None and degenerate[i]:
-            failed[i] = DegenerateShock(
-                "shock has no variation left after projecting on the selected controls"
-            )
-        if failed[i] is not None:
-            out.append(failed[i])
+    for i in np.flatnonzero(degenerate):
+        out[i] = out[i] or DegenerateShock(
+            "shock has no variation left after projecting on the selected controls"
+        )
+    live = [i for i in range(k) if out[i] is None]
+    if not live:
+        return out
+    hac_config = hac_config or HacConfig()
+    psi_u = e if hac_config.psi_source == PSI_FIRST_STAGE_E else u
+    width = max(rows[i] for i in live)  # zeros below it
+    variances = hac_variance(v[live, :width].T, psi_u[live, :width].T,
+                             hac_config.bandwidth, clusters, [rows[i] for i in live])
+    for i, variance in zip(live, variances):
+        if isinstance(variance, Exception):
+            out[i] = variance
             continue
-        out.append(LpEstimate(
-            horizon=h, method=method, beta=float(beta[i]), effective_T=t,
-            rank=int(rank[i]) + 1 + absorbed, residuals_u=u[i, :t],
-            residuals_v=v[i, :t], residuals_e=e[i, :t], **sets[i],
-        ))
+        sigma_sq, tau_sq, omega, K = variance
+        T, r = rows[i], int(rank[i]) + 1 + absorbed
+        if hac_config.dof_correction:
+            if T <= r:
+                out[i] = InsufficientSample(
+                    f"no residual degrees of freedom: T={T}, design rank {r}"
+                )
+                continue
+            sigma_sq *= T / (T - r)
+        out[i] = LpEstimate(
+            horizon=datasets[i].horizon, method=method, beta=float(beta[i]),
+            effective_T=T, rank=r, residuals_u=u[i, :T], residuals_v=v[i, :T],
+            residuals_e=e[i, :T], se=float(np.sqrt(sigma_sq / T)),
+            sigma_sq=sigma_sq, tau_sq=tau_sq, omega=omega, bandwidth=K, **sets[i],
+        )
     return out
 
 
@@ -379,71 +417,6 @@ def _design_residuals(C, intercept, X, Y, rows, failed):
     return resid, rank
 
 
-def _inference(fits: list, hac_config: HacConfig | None, levels,
-               clusters: np.ndarray | None = None) -> list:
-    """Each fit, an LpEstimate of the core, with se, cis, sigma_sq, tau_sq,
-    omega and bandwidth filled in, or its error; a fit that is an error
-    stays one.
-
-    psi = v * u with u the final residual, or the outcome-selection residual
-    e under psi_source first_stage_e; Omega is its Bartlett long-run
-    variance, or its by-cluster sum when clusters are given, for every fit
-    in one hac_variance call on their zero-padded residuals. The dof factor
-    is T / (T - rank).
-    """
-    out = list(fits)
-    ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
-    if not ok:
-        return out
-    hac_config = hac_config or HacConfig()
-    rows = [fits[i].effective_T for i in ok]
-    V, U = np.zeros((2, len(ok), max(rows)))
-    first_stage = hac_config.psi_source == PSI_FIRST_STAGE_E
-    for a, i in enumerate(ok):
-        V[a, : rows[a]] = fits[i].residuals_v
-        U[a, : rows[a]] = fits[i].residuals_e if first_stage else fits[i].residuals_u
-    variances = hac_variance(V.T, U.T, hac_config.bandwidth, clusters, rows)
-    z = {float(level): NormalDist().inv_cdf(0.5 + level / 2.0) for level in levels}
-    for i, T, variance in zip(ok, rows, variances):
-        if isinstance(variance, Exception):
-            out[i] = variance
-            continue
-        sigma_sq, tau_sq, omega, K = variance
-        fit = fits[i]
-        if hac_config.dof_correction:
-            dof = T - fit.rank
-            if dof <= 0:
-                out[i] = InsufficientSample(
-                    f"no residual degrees of freedom: T={T}, design rank {fit.rank}"
-                )
-                continue
-            sigma_sq *= T / dof
-        se = float(np.sqrt(sigma_sq / T))
-        cis = {level: (fit.beta - q * se, fit.beta + q * se) for level, q in z.items()}
-        out[i] = replace(fit, se=se, cis=cis, sigma_sq=sigma_sq, tau_sq=tau_sq,
-                         omega=omega, bandwidth=K)
-    return out
-
-
-def _fit(datasets: list[LpDataset], method: str, oga_config, hac_config, levels,
-         clusters=None, absorbed: int = 0) -> list:
-    """Per dataset, its LpEstimate or its error. The datasets are row
-    prefixes of the first; all of them are partialled out in one core call
-    and take their variances in one inference call. absorbed counts effects
-    removed from the data beforehand (the rank includes them) and clusters
-    switches the variance to by-cluster sums."""
-    anchor = datasets[0]
-    rows = [ds.effective_T for ds in datasets]
-    X = np.zeros((len(datasets), anchor.effective_T))
-    Y = np.zeros_like(X)
-    for i, ds in enumerate(datasets):
-        X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
-    C = np.asarray(anchor.W, dtype=np.float64)  # a hand-made W may hold integers
-    fits = _partial_out(C, anchor.intercept, X, Y, method, oga_config, rows,
-                        [ds.horizon for ds in datasets], absorbed)
-    return _inference(fits, hac_config, levels, clusters)
-
-
 def _attempt(errors: dict, h: int, fn, *args, **kwargs):
     """fn(*args, **kwargs), or None with its failure recorded as
     errors[h] = "Class: message" when it raises a package error or a
@@ -456,8 +429,7 @@ def _attempt(errors: dict, h: int, fn, *args, **kwargs):
 
 
 def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
-                  hac_config: HacConfig | None = None, levels=DEFAULT_LEVELS, *,
-                  fit=None) -> LpEstimate:
+                  hac_config: HacConfig | None = None, *, fit=None) -> LpEstimate:
     """Double-selection estimate of the shock coefficient at one horizon.
 
     Controls are selected twice (against the response and against the
@@ -467,18 +439,18 @@ def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
     the caller has run, as estimate_irf does for every horizon at once; by
     default the dataset is run alone, both paths in lockstep.
     """
-    return _unwrap(fit or _fit([dataset], DOUBLE_OGA, oga_config, hac_config, levels)[0])
+    return _unwrap(fit or _fit([dataset], DOUBLE_OGA, oga_config, hac_config)[0])
 
 
-def conventional_lp(dataset: LpDataset, hac_config: HacConfig | None = None,
-                    levels=DEFAULT_LEVELS, *, fit=None) -> LpEstimate:
+def conventional_lp(dataset: LpDataset, hac_config: HacConfig | None = None, *,
+                    fit=None) -> LpEstimate:
     """No selection: regress on the shock and every control, same variance.
 
     fit is the horizon's entry of a batch the caller has run, as
     estimate_irf does for every horizon on one factorization; by default it
     is one pivoted QR of W.
     """
-    return _unwrap(fit or _fit([dataset], CONVENTIONAL_LP, None, hac_config, levels)[0])
+    return _unwrap(fit or _fit([dataset], CONVENTIONAL_LP, None, hac_config)[0])
 
 
 def estimate_irf(
@@ -486,7 +458,6 @@ def estimate_irf(
     spec: LpSpec,
     oga_config: OgaConfig | None = None,
     hac_config: HacConfig | None = None,
-    levels=DEFAULT_LEVELS,
     method: str = DOUBLE_OGA,
 ) -> IrfResult:
     """Estimate the shock coefficient at every requested horizon.
@@ -494,8 +465,8 @@ def estimate_irf(
     Horizons are independent regressions on row-prefix views of the dataset
     at the smallest horizon that builds (the anchor); their controls are
     column views of those, nothing is copied. All horizons are one batch of
-    the partialling-out core and of the inference tail; a horizon whose
-    shock is degenerate fails on that check before its selections are read.
+    the core, _fit; a horizon whose shock is degenerate fails on that check
+    before its selections are read.
     The no-selection benchmark factors the design once and reads every
     longer horizon off the same basis; where a prefix may lose rank it
     factors the horizon's own design, which then serves the longer
@@ -515,12 +486,10 @@ def estimate_irf(
             datasets[h] = dataset
             anchor = anchor or dataset
 
-    fits = _fit(list(datasets.values()), method, oga_config, hac_config,
-                levels) if datasets else []
-    record = (partial(double_oga_lp, oga_config=oga_config) if method == DOUBLE_OGA
-              else conventional_lp)
-    done = {h: _attempt(errors, h, record, dataset, hac_config=hac_config,
-                        levels=levels, fit=fit)
+    fits = (_fit(list(datasets.values()), method, oga_config, hac_config)
+            if datasets else [])
+    record = double_oga_lp if method == DOUBLE_OGA else conventional_lp
+    done = {h: _attempt(errors, h, record, dataset, fit=fit)
             for (h, dataset), fit in zip(datasets.items(), fits)}
     estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
     return IrfResult(method=method, estimates=estimates, errors=errors)

@@ -39,7 +39,6 @@ from .errors import (
 from .hac import HacConfig
 from .linalg import SPAN_RTOL
 from .lp import (
-    DEFAULT_LEVELS,
     DOUBLE_OGA,
     METHODS,
     IrfResult,
@@ -183,13 +182,11 @@ class LpDidSpec:
     extra_controls: tuple[str, ...] = ()
     time_effects: bool = True
     method: str = DOUBLE_OGA
-    levels: tuple[float, ...] = DEFAULT_LEVELS
     variance: str = VARIANCE_HAC
 
     def __post_init__(self):
         object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
         object.__setattr__(self, "extra_controls", tuple(self.extra_controls))
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if not self.horizons or any(h < 0 for h in self.horizons):
             raise ValueError("horizons must be nonempty and nonnegative")
         if self.outcome_lags < 0:
@@ -277,7 +274,7 @@ def _lpdid_one(
         horizon=h, effective_T=dy.shape[0], intercept=not spec.time_effects,
     )
     est = _unwrap(_fit(
-        [dataset], spec.method, oga_config, hac_config, spec.levels,
+        [dataset], spec.method, oga_config, hac_config,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,
         absorbed=len(np.unique(times)) if spec.time_effects else 0,
     )[0])

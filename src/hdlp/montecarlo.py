@@ -113,17 +113,14 @@ def run_replication(design: McDesign, methods, levels, seed: int, rep: int) -> d
     data = simulate_var(design.dgp, design.T, seed=(seed, rep))
     record = {"rep": rep, "methods": {}}
     for method in methods:
-        result = estimate_irf(
-            data, design.lp_spec, design.oga, design.hac, levels, method=method
-        )
+        result = estimate_irf(data, design.lp_spec, design.oga, design.hac,
+                              method=method)
         by_h = result.by_horizon()
         cells = {}
         for h in design.lp_spec.horizons:
             if h in by_h:
-                cis = {
-                    str(level): [lo, hi] for level, (lo, hi) in by_h[h].cis.items()
-                }
-                cells[str(h)] = {"ok": True, "cis": cis}
+                intervals = {str(level): list(by_h[h].ci(level)) for level in levels}
+                cells[str(h)] = {"ok": True, "cis": intervals}
             else:
                 cells[str(h)] = {"ok": False, "error": result.errors[h]}
         record["methods"][method] = cells

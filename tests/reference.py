@@ -26,7 +26,6 @@ import scipy.linalg
 from hdlp.dgp import VarDgpSpec, _generator
 from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
 from hdlp.linalg import (
-    PIVOT_RTOL,
     PREFIX_EIG_TOL,
     SPAN_RTOL,
     _as_design,
@@ -80,7 +79,7 @@ def ols_fit(X, y) -> OlsFit:
     if diag.size == 0 or diag[0] <= 0.0:
         resid = y.copy()
         return OlsFit(np.zeros(p), resid, float(resid @ resid), 0)
-    rank = int(np.sum(diag > PIVOT_RTOL * diag[0]))
+    rank = int(np.sum(diag > SPAN_RTOL * diag[0]))
     coef = np.zeros(p)
     if rank > 0:
         qty = Q[:, :rank].T @ y

@@ -531,6 +531,7 @@ class TestCsvReaderFrame:
 
     @pytest.mark.parametrize("case, body, message", [
         ("missing", None, "data file not found: {path}"),
+        ("directory", "/", "data file not found: {path}"),  # "/": a directory
         ("empty", "", "{path} is empty"),
         ("header only", "{header}\n", "{path} has no data rows"),
         ("blank lines only", "{header}\n\n\n", "{path} has no data rows"),
@@ -543,7 +544,9 @@ class TestCsvReaderFrame:
                                               case, body, message):
         path = tmp_path / "data.csv"
         header = self.HEADERS[command]
-        if body is not None:
+        if body == "/":
+            path.mkdir()
+        elif body is not None:
             path.write_text(body.format(header=header, row=self.ROWS[command]))
         if command == "estimate":
             cfg = estimate_cfg(tmp_path, str(path))

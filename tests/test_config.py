@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdlp.cli import _config_fingerprint, main
@@ -86,6 +86,7 @@ class TestEveryNodeIsValidated:
 
     @settings(max_examples=600, deadline=None)
     @given(case=st.sampled_from(CASES), value=yaml_values)
+    @example(case=("simulate_dfm", ("output",)), value="/")  # a path with no file name
     def test_one_replaced_node_builds_or_raises_config_error(self, case, value):
         name, path = case
         build, cfg = CONFIGS[name]

@@ -15,7 +15,12 @@ from hdlp.dgp import (
     section3_lp_spec,
     simulate_var,
 )
-from hdlp.errors import DimensionMismatch, InsufficientSample, UnknownColumn
+from hdlp.errors import (
+    DegenerateShock,
+    DimensionMismatch,
+    InsufficientSample,
+    UnknownColumn,
+)
 from hdlp.linalg import PrefixBasis
 from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
 from hdlp.lp import (
@@ -24,7 +29,7 @@ from hdlp.lp import (
     LpDataset,
     LpSpec,
     TimeSeriesMatrix,
-    _partial_out,
+    _fit,
     build_lp_dataset,
     conventional_lp,
     double_oga_lp,
@@ -182,6 +187,17 @@ class TestBuildLpDataset:
         with pytest.raises(UnknownColumn):
             build_lp_dataset(data, spec, 1)
 
+    def test_hand_made_dataset_shapes_are_checked(self):
+        rng = np.random.default_rng(27)
+        x, W = rng.standard_normal(60), rng.standard_normal((60, 3))
+        names = (("a", 0), ("b", 0), ("c", 0))
+        kw = dict(x=x, W=W, horizon=0, effective_T=60, intercept=True)
+        with pytest.raises(DimensionMismatch, match="shapes"):
+            LpDataset(y=rng.standard_normal(50), column_map=names, **kw)
+        with pytest.raises(DimensionMismatch, match="1 column names for 3 columns"):
+            LpDataset(y=x, column_map=names[:1], **kw)
+        assert LpDataset(y=x, column_map=names, **kw).W is W
+
 
 class TestDoubleOgaLp:
     def test_full_union_equals_one_shot_ols(self):
@@ -193,7 +209,7 @@ class TestDoubleOgaLp:
                 contemporaneous=("y3",), lagged=("y1",), lags=1,
             )
             ds = build_lp_dataset(data, spec, 1)
-            est = double_oga_lp(ds, FULL_SELECTION, HacConfig(), levels=(0.95,))
+            est = double_oga_lp(ds, FULL_SELECTION, HacConfig())
             assert est.union == tuple(range(ds.W.shape[1]))
             X = np.column_stack([ds.x, ds.W, np.ones(ds.effective_T)])
             beta_ols = np.linalg.lstsq(X, ds.y, rcond=None)[0][0]
@@ -240,7 +256,7 @@ class TestDoubleOgaLp:
             )
             ds = build_lp_dataset(data, spec, 1)
             est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig())
-            lo, hi = est.cis[0.95]
+            lo, hi = est.ci(0.95)
             hits += lo <= 0.8 <= hi
             sizes.append(len(est.union))
         assert hits / n_reps >= 0.90
@@ -299,11 +315,10 @@ class TestDoubleOgaLp:
             lags=2,
         )
         ds = build_lp_dataset(data, spec, 1)
-        est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig(),
-                            levels=(0.68, 0.90, 0.95))
-        lo68, hi68 = est.cis[0.68]
-        lo90, hi90 = est.cis[0.90]
-        lo95, hi95 = est.cis[0.95]
+        est = double_oga_lp(ds, OgaConfig(c_star=2.0), HacConfig())
+        lo68, hi68 = est.ci(0.68)
+        lo90, hi90 = est.ci(0.90)
+        lo95, hi95 = est.ci(0.95)
         assert lo95 <= lo90 <= lo68 <= hi68 <= hi90 <= hi95
         assert lo95 <= est.beta <= hi95
 
@@ -398,7 +413,7 @@ class TestEstimateIrf:
                                   method=DOUBLE_OGA)
             assert not result.errors
             for est in result.estimates:
-                lo, hi = est.cis[0.95]
+                lo, hi = est.ci(0.95)
                 hits[est.horizon] += lo <= rho**est.horizon <= hi
         for h in (1, 2, 3):
             assert hits[h] / n_runs >= 0.90
@@ -508,8 +523,10 @@ def random_design(seed, T, p, n_dup, with_intercept):
 
 def partial_out_one(C, intercept, x, y, method, oga_config):
     """The core's fit of one regression on all rows, or its error raised."""
-    [fit] = _partial_out(C, intercept, x[None], y[None], method, oga_config,
-                         [x.shape[0]], [0])
+    names = tuple((f"c{j}", 0) for j in range(C.shape[1]))
+    dataset = LpDataset(y=y, x=x, W=C, column_map=names, horizon=0,
+                        effective_T=x.shape[0], intercept=intercept)
+    [fit] = _fit([dataset], method, oga_config, None)
     return _unwrap(fit)
 
 
@@ -619,6 +636,31 @@ class TestPartialOutCore:
         assert got.beta == final.beta == fit.beta
         assert got.se == pytest.approx(se, rel=1e-12)
         assert got.se != final.se
+
+
+class TestConstantShock:
+    """A constant shock is degenerate only when the intercept is in the
+    projection; a zero shock always is."""
+
+    @pytest.mark.parametrize("p", (0, 3))
+    @pytest.mark.parametrize("intercept", (True, False))
+    @pytest.mark.parametrize("method", (DOUBLE_OGA, CONVENTIONAL_LP))
+    def test_constant_shock(self, method, intercept, p):
+        rng = np.random.default_rng(28)
+        C = rng.standard_normal((60, p))
+        x = np.full(60, 2.0)
+        y = 1.4 * x + rng.standard_normal(60)
+        oga = OgaConfig(c_star=2.0)
+        with pytest.raises(DegenerateShock, match="shock series is constant"):
+            partial_out_one(C, intercept, np.zeros(60), y, method, oga)
+        if intercept:
+            with pytest.raises(DegenerateShock, match="shock series is constant"):
+                partial_out_one(C, intercept, x, y, method, oga)
+            return
+        fit = partial_out_one(C, intercept, x, y, method, oga)
+        ols = ols_fit(np.column_stack([x, C[:, list(fit.union)]]), y)
+        assert fit.beta == pytest.approx(ols.coefficients[0], rel=1e-9)
+        assert np.isfinite(fit.se) and fit.se > 0
 
 
 class TestSelectionsIndexW:
@@ -881,7 +923,9 @@ class TestBugsPropagate:
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr(hdlp.lp, "_partial_out", broken)  # both estimators' core
+        # every estimator reaches one of the two residual builders of the core
+        monkeypatch.setattr(hdlp.lp, "_union_residuals", broken)
+        monkeypatch.setattr(hdlp.lp, "_design_residuals", broken)
         rng = np.random.default_rng(18)
         data = make_data(rng, 60, 2, names=("y", "x"))
         spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y",),
