@@ -37,7 +37,8 @@ from .config import (
     build_simulate_run,
     load_yaml,
 )
-from .dgp import simulate_dfm, simulate_var, true_dfm_irf, true_reduced_form_irf
+from .dgp import (DfmDgpSpec, simulate_dfm, simulate_var, true_dfm_irf,
+                  true_reduced_form_irf)
 from .errors import ConfigError, DataError, HdlpError
 from .lp import TimeSeriesMatrix, estimate_irf
 from .lpdid import PanelDataset, lpdid_estimate
@@ -205,7 +206,7 @@ def cmd_estimate(run: EstimateRun) -> int:
 
 
 def cmd_simulate(run: SimulateRun) -> int:
-    if run.kind == "dfm":
+    if isinstance(run.spec, DfmDgpSpec):
         data, irf = simulate_dfm(run.spec, seed=run.seed), true_dfm_irf
     else:
         data, irf = simulate_var(run.spec, run.T, seed=run.seed), true_reduced_form_irf
@@ -291,21 +292,19 @@ def load_checkpoint(path: Path, fingerprint: str) -> list | None:
 def cmd_montecarlo(run: MontecarloRun) -> int:
     fingerprint = _config_fingerprint(run)
     ckpt_path = _checkpoint_path(run.out_path)
-    resume = load_checkpoint(ckpt_path, fingerprint) if run.checkpoint else None
-    if resume:
+    records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint)) or []
+    if records:
         print(
-            f"montecarlo: resuming from checkpoint with {len(resume)} "
+            f"montecarlo: resuming from checkpoint with {len(records)} "
             f"replications", file=sys.stderr,
         )
-
-    writer = None
-    if run.checkpoint:
-        writer = lambda records: save_checkpoint(ckpt_path, fingerprint, records)
 
     def progress(done, total):
         step = max(1, total // 20)
         if done % step == 0 or done == total:
             print(f"montecarlo: {done}/{total} replications", file=sys.stderr)
+        if run.checkpoint and done % CHECKPOINT_EVERY == 0 and done < total:
+            save_checkpoint(ckpt_path, fingerprint, records)
 
     report = run_monte_carlo(
         run.design,
@@ -314,9 +313,7 @@ def cmd_montecarlo(run: MontecarloRun) -> int:
         levels=run.levels,
         seed=run.seed,
         parallelism=run.parallelism,
-        checkpoint_every=CHECKPOINT_EVERY if run.checkpoint else 0,
-        checkpoint_writer=writer,
-        resume_records=resume,
+        records=records,
         progress=progress,
     )
     if report.failure_fraction > 0.10:

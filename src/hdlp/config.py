@@ -90,6 +90,14 @@ def as_path(value, where):
     return Path(value)
 
 
+def as_output(value, where):
+    """A path as_path accepts that does not name an existing directory."""
+    path = as_path(value, where)
+    if path.is_dir():
+        _fail(where, "a file path, not an existing directory", value)
+    return path
+
+
 def as_choice(choices):
     """One of the names in choices; a dict maps each name to what it returns."""
     def conv(value, where):
@@ -209,10 +217,6 @@ def _section3(variant=Section3Design, **kw) -> Section3Design:
     return (Section3Design if "a" in kw else variant)(**kw)
 
 
-def _var(B, **kw) -> VarDgpSpec:
-    return VarDgpSpec(n=B[0].shape[0], K=len(B), B=B, **kw)
-
-
 RANGE = {"from": ("lo", as_int(0), REQUIRED), "to": ("hi", as_int(0), REQUIRED)}
 SELECTION = {
     "c_star": ("c_star", as_c_star, NULLABLE),
@@ -263,7 +267,7 @@ DFM = {
     "T": ("T", as_int(1)),
     "burn_in": ("burn_in", as_int(0)),
 }
-DESIGNS = {"section3": (SECTION3, _section3), "var": (VAR, _var),
+DESIGNS = {"section3": (SECTION3, _section3), "var": (VAR, VarDgpSpec),
            "dfm": (DFM, DfmDgpSpec)}
 
 
@@ -278,14 +282,14 @@ def as_design(*kinds):
 
 
 # root sections, shared by the commands that take them
-RUN = {"output": ("out_path", as_path, REQUIRED), "seed": ("seed", as_int(0))}
+RUN = {"output": ("out_path", as_output, REQUIRED), "seed": ("seed", as_int(0))}
 DATA = {"data": ("data_path", as_path, REQUIRED)}
 REPORT = {"methods": ("methods", as_methods), "levels": ("levels", as_levels)}
 TUNING = {"selection": ("oga", section(SELECTION, OgaConfig)),
           "hac": ("hac", section(HAC, HacConfig))}
 SIMULATE = {
     "seed": ("seed", as_int(0, 2**128 - 1)),  # the Philox key
-    "true_irf_output": ("sidecar_path", as_path),
+    "true_irf_output": ("sidecar_path", as_output),
     "T": ("T", as_int(1)),
     "response": ("response", as_series),
     "innovation": ("innovation", as_series),
@@ -332,8 +336,7 @@ class EstimateRun:
 class SimulateRun:
     out_path: Path
     sidecar_path: Path
-    kind: str  # "var" (a section3 design resolved to its VarDgpSpec) or "dfm"
-    spec: object  # VarDgpSpec or DfmDgpSpec
+    spec: object  # VarDgpSpec (a section3 design resolves to one) or DfmDgpSpec
     T: int
     seed: int = 0
     response: int  # 0-based series index
@@ -403,10 +406,11 @@ def build_simulate_run(cfg: dict) -> SimulateRun:
         spec = make(build_section3_coefficients, {"design": spec}, f"{where}.design")
     dfm = isinstance(spec, DfmDgpSpec)
     n = spec.n_series if dfm else spec.n
-    out = kw["out_path"]
-    kw.setdefault("sidecar_path", out.with_name(out.stem + "_true_irf.csv"))
+    if "sidecar_path" not in kw:
+        out = kw["out_path"]
+        kw["sidecar_path"] = as_output(str(out.with_name(out.stem + "_true_irf.csv")),
+                                       f"{where}.true_irf_output")
     return SimulateRun(
-        kind="dfm" if dfm else "var",
         spec=spec,
         response=_index(kw.pop("response", 1 if dfm else 2), n,
                         f"{where}.response", "x" if dfm else "y"),
@@ -430,15 +434,8 @@ def build_montecarlo_run(cfg: dict) -> MontecarloRun:
         design = make(section3_mc_design, {"design": spec, **lp, **kw}, where)
     else:
         (lp,) = read(est, est_where, LP)
-        lp_spec = make(LpSpec, lp, est_where)
-        design = McDesign(
-            dgp=spec, T=T, lp_spec=lp_spec,
-            response_index=_index(lp_spec.response, spec.n,
-                                  f"{est_where}.response", "y"),
-            innovation_index=_index(lp_spec.shock, spec.n,
-                                    f"{est_where}.shock", "y"),
-            **kw,
-        )
+        design = make(McDesign, {"dgp": spec, "T": T,
+                                 "lp_spec": make(LpSpec, lp, est_where), **kw}, est_where)
     return MontecarloRun(design=design, **run)
 
 

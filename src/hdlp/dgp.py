@@ -15,7 +15,7 @@ can be derived from (base_seed, replication) pairs without correlation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,26 +65,27 @@ def spectral_radius(M: np.ndarray) -> float:
 class VarDgpSpec:
     """Vector autoregression with Gaussian innovations.
 
-    B holds the lag coefficient matrices B_1 .. B_K. When y1_rho is given,
-    the first row of every lag matrix is overwritten so that the first
-    variable follows a pure AR(1) with that coefficient.
+    B holds the lag coefficient matrices B_1 .. B_K, n x n each; n and K
+    are read off them, not passed. When y1_rho is given, the first row of
+    every lag matrix is overwritten so that the first variable follows a
+    pure AR(1) with that coefficient.
     """
 
-    n: int
-    K: int
     B: tuple[np.ndarray, ...]
     sigma: np.ndarray
     burn_in: int = 500
     y1_rho: float | None = None
+    # set from B; fields, so that a run's checkpoint fingerprint has them
+    n: int = field(init=False)
+    K: int = field(init=False)
 
     def __post_init__(self):
         self.B = tuple(np.asarray(b, dtype=np.float64) for b in self.B)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if len(self.B) != self.K:
-            raise DimensionMismatch(f"expected {self.K} lag matrices, got {len(self.B)}")
-        for b in self.B:
-            if b.shape != (self.n, self.n):
-                raise DimensionMismatch("every lag matrix must be n x n")
+        self.K = len(self.B)
+        self.n = self.B[0].shape[0] if self.K and self.B[0].ndim else 0
+        if not self.n or any(b.shape != (self.n, self.n) for b in self.B):
+            raise DimensionMismatch("need one or more lag matrices, all n x n")
         if self.sigma.shape != (self.n, self.n):
             raise DimensionMismatch("sigma must be n x n")
         if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
@@ -107,6 +108,11 @@ class VarDgpSpec:
                 f"companion spectral radius {radius:.9f} is at the unit circle",
                 stacklevel=2,
             )
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The series names y1 .. yn, as simulate_var writes them."""
+        return tuple(f"y{i + 1}" for i in range(self.n))
 
     @property
     def companion(self) -> np.ndarray:
@@ -195,8 +201,6 @@ def build_section3_coefficients(design: Section3Design) -> VarDgpSpec:
                 "damping rounds"
             )
     return VarDgpSpec(
-        n=n,
-        K=K,
         B=tuple(B),
         sigma=toeplitz_power_sigma(n, design.tau),
         burn_in=design.burn_in,
@@ -249,8 +253,7 @@ def simulate_var(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
         row = y[K + t]
         np.dot(B, flat[t * n : (K + t) * n], out=row)
         row += u[t]
-    names = tuple(f"y{i + 1}" for i in range(spec.n))
-    return TimeSeriesMatrix(values=y[K + spec.burn_in :], columns=names)
+    return TimeSeriesMatrix(values=y[K + spec.burn_in :], columns=spec.names)
 
 
 def true_reduced_form_irf(

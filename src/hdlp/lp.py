@@ -125,26 +125,31 @@ class LpDataset:
     """One regression's aligned arrays: response y, shock x and the
     candidate controls W, whose columns column_map names as (source, lag).
     intercept adds a constant to every projection; it is not a column of W.
-    An estimate's selections are column indices of W."""
+    An estimate's selections are column indices of W. Its sample size,
+    effective_T, is the length of y; x and W have one row per entry of y."""
 
     y: np.ndarray
     x: np.ndarray
     W: np.ndarray
     column_map: tuple[tuple[str, int], ...]
     horizon: int
-    effective_T: int
     intercept: bool
 
     def __post_init__(self):
-        T = self.effective_T
         shapes = [np.shape(a) for a in (self.y, self.x, self.W)]
-        if shapes[:2] != [(T,), (T,)] or len(shapes[2]) != 2 or shapes[2][0] != T:
-            raise DimensionMismatch(f"y, x and W have shapes {shapes}; need ({T},), "
-                                    f"({T},) and ({T}, p) for effective_T={T}")
-        if len(self.column_map) != shapes[2][1]:
+        y_shape, x_shape, W_shape = shapes
+        if (len(y_shape) != 1 or x_shape != y_shape or len(W_shape) != 2
+                or W_shape[0] != y_shape[0]):
+            raise DimensionMismatch(f"y, x and W have shapes {shapes}; "
+                                    "need (T,), (T,) and (T, p)")
+        if len(self.column_map) != W_shape[1]:
             raise DimensionMismatch(
-                f"{len(self.column_map)} column names for {shapes[2][1]} columns of W"
+                f"{len(self.column_map)} column names for {W_shape[1]} columns of W"
             )
+
+    @property
+    def effective_T(self) -> int:
+        return len(self.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +234,7 @@ def build_lp_dataset(
             raise DimensionMismatch(
                 f"anchor at horizon {anchor.horizon} is shorter than horizon {h}"
             )
-        return replace(anchor, y=y, x=anchor.x[:eff], W=anchor.W[:eff],
-                       horizon=h, effective_T=eff)
+        return replace(anchor, y=y, x=anchor.x[:eff], W=anchor.W[:eff], horizon=h)
     shock = data.index(spec.shock)
     contemp = [data.index(c) for c in spec.contemporaneous]
     lagged = [data.index(c) for c in spec.lagged]
@@ -243,7 +247,7 @@ def build_lp_dataset(
     cmap += [(name, ell) for ell in range(1, depth + 1) for name in spec.lagged]
     return LpDataset(
         y=y, x=x, W=np.concatenate(blocks, axis=1), column_map=tuple(cmap),
-        horizon=h, effective_T=eff, intercept=spec.include_intercept,
+        horizon=h, intercept=spec.include_intercept,
     )
 
 

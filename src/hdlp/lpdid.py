@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    DegenerateShock,
     DimensionMismatch,
     NoCleanControls,
     NonAbsorbingTreatment,
@@ -264,14 +263,9 @@ def _lpdid_one(
         keep = np.flatnonzero(np.linalg.norm(C, axis=0) > SPAN_RTOL * norms)
         C = C[:, keep]
 
-    if float(dd @ dd) / dd.shape[0] < 1e-12:
-        raise DegenerateShock(
-            "treatment switch has no variation within time cells"
-        )
-
     dataset = LpDataset(
         y=dy, x=dd, W=C, column_map=tuple((control_names[j], 0) for j in keep),
-        horizon=h, effective_T=dy.shape[0], intercept=not spec.time_effects,
+        horizon=h, intercept=not spec.time_effects,
     )
     est = _unwrap(_fit(
         [dataset], spec.method, oga_config, hac_config,

@@ -32,15 +32,28 @@ REPORT_COLUMNS = (
 
 @dataclass(eq=False)
 class McDesign:
-    """Everything one replication needs: the process, its length, the estimator."""
+    """Everything one replication needs: the process, its length, the estimator.
+
+    The truth is the response of series lp_spec.response to the innovation
+    of series lp_spec.shock; both must be series of dgp (y1 .. yn), and their
+    positions there are read off the names, not passed.
+    """
 
     dgp: VarDgpSpec
     T: int
     lp_spec: LpSpec
-    response_index: int
-    innovation_index: int
     oga: OgaConfig = field(default_factory=OgaConfig)
     hac: HacConfig = field(default_factory=HacConfig)
+    # set from the names; fields, so that a run's checkpoint fingerprint has them
+    response_index: int = field(init=False)
+    innovation_index: int = field(init=False)
+
+    def __post_init__(self):
+        for name in (self.lp_spec.response, self.lp_spec.shock):
+            if name not in self.dgp.names:
+                raise ValueError(f"{name!r} is not a series of the VAR: {self.dgp.names}")
+        self.response_index = self.dgp.names.index(self.lp_spec.response)
+        self.innovation_index = self.dgp.names.index(self.lp_spec.shock)
 
 
 def section3_mc_design(
@@ -54,8 +67,6 @@ def section3_mc_design(
         dgp=build_section3_coefficients(design),
         T=design.T,
         lp_spec=section3_lp_spec(design, horizons=horizons),
-        response_index=1,
-        innovation_index=0,
         oga=oga or OgaConfig(),
         hac=hac or HacConfig(),
     )
@@ -75,7 +86,6 @@ class McReport:
     """Aggregated coverage rates and median interval widths."""
 
     n_reps: int
-    seed: int
     methods: tuple[str, ...]
     horizons: tuple[int, ...]
     levels: tuple[float, ...]
@@ -131,9 +141,7 @@ def _replication_star(args):
     return run_replication(*args)
 
 
-def aggregate_records(
-    design: McDesign, methods, levels, records, n_reps: int, seed: int
-) -> McReport:
+def aggregate_records(design: McDesign, methods, levels, records) -> McReport:
     """Reduce replication records (in replication order) to a report."""
     methods = tuple(methods)
     levels = tuple(float(v) for v in levels)
@@ -162,7 +170,7 @@ def aggregate_records(
                 width = float(np.median(widths)) if widths else float("nan")
                 cells[(method, h, level)] = McCell(coverage, width, len(ok))
     return McReport(
-        n_reps=n_reps, seed=seed, methods=methods, horizons=horizons,
+        n_reps=len(records), methods=methods, horizons=horizons,
         levels=levels, truth=truth, cells=cells, failures=failures,
     )
 
@@ -174,47 +182,37 @@ def run_monte_carlo(
     levels=DEFAULT_LEVELS,
     seed: int = 0,
     parallelism: int = 1,
-    checkpoint_every: int = 0,
-    checkpoint_writer=None,
-    resume_records=None,
+    records: list | None = None,
     progress=None,
 ) -> McReport:
     """Run the experiment and aggregate.
 
-    resume_records are previously completed records (replications 0..k-1);
-    checkpoint_writer(records) is invoked every checkpoint_every completed
-    replications. progress(done, total) reports completion counts.
+    records, when given, holds the completed records of replications
+    0..k-1 (entries past n_reps are dropped); the run appends the rest to
+    that same list, in replication order. progress(done, total) is called
+    after each record is appended, so it can save the list as a checkpoint.
     """
     if n_reps < 1:
         raise ValueError("need at least one replication")
     methods = tuple(methods)
     levels = tuple(float(v) for v in levels)
 
-    records = list(resume_records or [])[:n_reps]
-    start = len(records)
-
-    pending = range(start, n_reps)
+    records = [] if records is None else records
+    del records[n_reps:]
+    pending = range(len(records), n_reps)
     tasks = ((design, methods, levels, seed, rep) for rep in pending)
 
     def collect(iterator):
         for record in iterator:
             records.append(record)
-            done = len(records)
             if progress is not None:
-                progress(done, n_reps)
-            if (
-                checkpoint_writer is not None
-                and checkpoint_every > 0
-                and done % checkpoint_every == 0
-                and done < n_reps
-            ):
-                checkpoint_writer(records)
+                progress(len(records), n_reps)
 
-    if parallelism > 1 and len(range(start, n_reps)) > 1:
-        chunk = max(1, (n_reps - start) // (parallelism * 4))
+    if parallelism > 1 and len(pending) > 1:
+        chunk = max(1, len(pending) // (parallelism * 4))
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             collect(pool.map(_replication_star, tasks, chunksize=chunk))
     else:
         collect(map(_replication_star, tasks))
 
-    return aggregate_records(design, methods, levels, records, n_reps, seed)
+    return aggregate_records(design, methods, levels, records)

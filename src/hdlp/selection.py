@@ -92,9 +92,13 @@ class SelectionPath:
     sigma_sq_path: tuple[float, ...]
     hdaic_path: tuple[float, ...]
     chosen_m: int
-    chosen_set: tuple[int, ...]
     c_star_used: float
     basis: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def chosen_set(self) -> tuple[int, ...]:
+        """The first chosen_m picks, in pick order."""
+        return self.ordered_indices[: self.chosen_m]
 
 
 def max_steps(T: int, p: int, config: OgaConfig) -> int:
@@ -317,7 +321,6 @@ def oga_hdaic_select(
             sigma_sq_path=tuple(s),
             hdaic_path=tuple(curve[: len(s)].tolist()),
             chosen_m=m,
-            chosen_set=tuple(order[:m]),
             c_star_used=c_star[i],
             basis=Q[:, : int(intercept) + m],
         )

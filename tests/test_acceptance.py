@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from hdlp.cli import main as cli_main
-from hdlp.dgp import Section3Design, VarDgpSpec, toeplitz_power_sigma
+from hdlp.dgp import Section3Design, VarDgpSpec
 from hdlp.hac import HacConfig, auto_bandwidth, hac_variance, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
@@ -155,7 +155,7 @@ def test_criterion_3_hac_sanity():
 
 
 def test_criterion_4_true_irf_oracle():
-    ar1 = VarDgpSpec(n=1, K=1, B=(np.array([[0.5]]),), sigma=np.eye(1))
+    ar1 = VarDgpSpec(B=(np.array([[0.5]]),), sigma=np.eye(1))
     scalar_ok = np.array_equal(
         true_reduced_form_irf(ar1, 0, 0, (1, 2, 3)),
         np.array([0.5, 0.25, 0.125]),
@@ -168,7 +168,7 @@ def test_criterion_4_true_irf_oracle():
             B = [0.4 * rng.standard_normal((2, 2)) / (k + 1) for k in range(2)]
             if spectral_radius(companion_matrix(B)) < 0.95:
                 break
-        spec = VarDgpSpec(n=2, K=2, B=tuple(B), sigma=np.eye(2))
+        spec = VarDgpSpec(B=tuple(B), sigma=np.eye(2))
         H = 15
         path = np.zeros((H + 3, 2))
         for t in range(2, H + 3):
@@ -210,14 +210,12 @@ def test_criterion_6_width_ordering(section3_report):
 
 def test_criterion_7_size_under_null():
     # all three series are mutually independent white noise
-    dgp = VarDgpSpec(n=3, K=1, B=(np.zeros((3, 3)),), sigma=np.eye(3),
-                     burn_in=20)
+    dgp = VarDgpSpec(B=(np.zeros((3, 3)),), sigma=np.eye(3), burn_in=20)
     lp = LpSpec(
         response="y2", shock="y1", horizons=(1,),
         contemporaneous=("y2", "y3"), lagged=("y1", "y2", "y3"), lags=2,
     )
-    design = McDesign(dgp=dgp, T=200, lp_spec=lp, response_index=1,
-                      innovation_index=0, oga=OgaConfig(c_star=2.0),
+    design = McDesign(dgp=dgp, T=200, lp_spec=lp, oga=OgaConfig(c_star=2.0),
                       hac=HacConfig())
     rep = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=500,
                           levels=(0.95,), seed=107)

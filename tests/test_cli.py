@@ -378,6 +378,16 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", cfg_path]) == 4
         assert not (tmp_path / "mc.csv").exists()
 
+    @pytest.mark.parametrize("role", ["response", "shock"])
+    def test_series_outside_the_var_is_config_error(self, tmp_path, capsys, role):
+        cfg = small_var_mc_cfg(tmp_path)
+        cfg["estimation"][role] = "y9"  # the VAR has y1..y3
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["montecarlo", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid montecarlo config.estimation: ")
+        assert "'y9' is not a series of the VAR" in err
+
     def test_dfm_design_rejected(self, tmp_path):
         cfg = small_var_mc_cfg(tmp_path)
         cfg["design"] = {
@@ -577,6 +587,45 @@ class TestCsvReaderFrame:
             assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+
+class TestOutputIsADirectory:
+    """An output path that names an existing directory is a config error
+    naming its key (exit 2), raised before any file is written."""
+
+    @pytest.mark.parametrize("command, key, flag", [
+        ("estimate", "output", False), ("estimate", "output", True),
+        ("simulate", "output", False), ("simulate", "true_irf_output", False),
+        ("montecarlo", "output", False), ("lpdid", "output", False),
+        ("lpdid", "output", True),
+    ])
+    def test_config_error_before_any_file(self, tmp_path, capsys, sim_csv,
+                                          panel_csv, command, key, flag):
+        cfg = {
+            "estimate": estimate_cfg(tmp_path, sim_csv),
+            "simulate": dfm_simulate_cfg(tmp_path),
+            "montecarlo": small_var_mc_cfg(tmp_path),
+            "lpdid": {"data": panel_csv, "output": str(tmp_path / "did.csv"),
+                      "horizons": [1]},
+        }[command]
+        target = tmp_path / "existing"
+        target.mkdir()
+        if not flag:
+            cfg[key] = str(target)
+        args = [command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]
+        args += ["--out", str(target)] if flag else []  # --out: the same check
+        before = set(tmp_path.rglob("*"))
+        assert main(args) == 2
+        assert f" config.{key} must be a file path, not an existing directory" in (
+            capsys.readouterr().err)
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_derived_sidecar_path(self, tmp_path, capsys):
+        (tmp_path / "dfm_true_irf.csv").mkdir()  # where output dfm.csv puts it
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
+        assert main(["simulate", "--config", cfg_path]) == 2
+        assert "config.true_irf_output must be a file path" in capsys.readouterr().err
+        assert not (tmp_path / "dfm.csv").exists()
 
 
 class TestExampleConfigs:

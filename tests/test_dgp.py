@@ -92,24 +92,24 @@ class TestSection3Coefficients:
 class TestVarDgpSpec:
     def test_rejects_nonstationary(self):
         with pytest.raises(NonStationarySpec):
-            VarDgpSpec(n=1, K=1, B=(np.array([[1.2]]),), sigma=np.eye(1))
+            VarDgpSpec(B=(np.array([[1.2]]),), sigma=np.eye(1))
 
     def test_y1_rho_overwrites_first_row(self):
         B = (np.full((3, 3), 0.1),)
-        spec = VarDgpSpec(n=3, K=1, B=B, sigma=np.eye(3), y1_rho=0.5)
+        spec = VarDgpSpec(B=B, sigma=np.eye(3), y1_rho=0.5)
         assert spec.B[0][0, 0] == 0.5
         assert np.allclose(spec.B[0][0, 1:], 0.0)
 
 
 class TestSimulateVar:
     def test_white_noise_moments(self):
-        spec = VarDgpSpec(n=1, K=1, B=(np.zeros((1, 1)),), sigma=np.eye(1),
+        spec = VarDgpSpec(B=(np.zeros((1, 1)),), sigma=np.eye(1),
                           burn_in=10)
         data = simulate_var(spec, 10_000, seed=0)
         assert np.var(data.values) == pytest.approx(1.0, rel=0.10)
 
     def test_seed_determinism(self):
-        spec = VarDgpSpec(n=2, K=1, B=(0.4 * np.eye(2),),
+        spec = VarDgpSpec(B=(0.4 * np.eye(2),),
                           sigma=toeplitz_power_sigma(2, 0.3))
         a = simulate_var(spec, 200, seed=42)
         b = simulate_var(spec, 200, seed=42)
@@ -120,7 +120,7 @@ class TestSimulateVar:
     @pytest.mark.parametrize("K, y1_rho", [(1, None), (12, None), (12, 0.9)])
     def test_stacked_step_matches_lag_by_lag_reference(self, K, y1_rho):
         rng = np.random.default_rng(K)
-        spec = VarDgpSpec(n=4, K=K, B=tuple(random_stable_var(rng, 4, K)),
+        spec = VarDgpSpec(B=tuple(random_stable_var(rng, 4, K)),
                           sigma=toeplitz_power_sigma(4, 0.3), burn_in=50,
                           y1_rho=y1_rho)
         got = simulate_var(spec, 300, seed=(3, K)).values
@@ -130,7 +130,7 @@ class TestSimulateVar:
     @pytest.mark.parametrize("K, y1_rho", [(1, None), (12, None), (12, 0.9)])
     def test_in_place_step_equals_the_stacked_loop(self, K, y1_rho):
         rng = np.random.default_rng(K + 1)
-        spec = VarDgpSpec(n=4, K=K, B=tuple(random_stable_var(rng, 4, K)),
+        spec = VarDgpSpec(B=tuple(random_stable_var(rng, 4, K)),
                           sigma=toeplitz_power_sigma(4, 0.3), burn_in=50,
                           y1_rho=y1_rho)
         got = simulate_var(spec, 300, seed=(5, K)).values
@@ -142,7 +142,7 @@ class TestSimulateVar:
         assert np.array_equal(got, simulate_var_stacked(spec, 300, (0, 1)).values)
 
     def test_tuple_seed_matches_counter_style(self):
-        spec = VarDgpSpec(n=1, K=1, B=(np.zeros((1, 1)),), sigma=np.eye(1),
+        spec = VarDgpSpec(B=(np.zeros((1, 1)),), sigma=np.eye(1),
                           burn_in=0)
         a = simulate_var(spec, 50, seed=(7, 3))
         b = simulate_var(spec, 50, seed=(7, 3))
@@ -151,7 +151,7 @@ class TestSimulateVar:
         assert not np.array_equal(a.values, c.values)
 
     def test_ar1_autocorrelation(self):
-        spec = VarDgpSpec(n=1, K=1, B=(np.array([[0.95]]),), sigma=np.eye(1),
+        spec = VarDgpSpec(B=(np.array([[0.95]]),), sigma=np.eye(1),
                           burn_in=1000)
         y = simulate_var(spec, 50_000, seed=1).values[:, 0]
         r1 = np.corrcoef(y[1:], y[:-1])[0, 1]
@@ -159,7 +159,7 @@ class TestSimulateVar:
 
     def test_innovation_covariance_recovered(self):
         sigma = toeplitz_power_sigma(3, 0.3)
-        spec = VarDgpSpec(n=3, K=1, B=(np.zeros((3, 3)),), sigma=sigma,
+        spec = VarDgpSpec(B=(np.zeros((3, 3)),), sigma=sigma,
                           burn_in=10)
         u = simulate_var(spec, 100_000, seed=5).values
         sample = np.cov(u.T, ddof=0)
@@ -168,12 +168,12 @@ class TestSimulateVar:
 
 class TestTrueReducedFormIrf:
     def test_scalar_ar1_powers(self):
-        spec = VarDgpSpec(n=1, K=1, B=(np.array([[0.5]]),), sigma=np.eye(1))
+        spec = VarDgpSpec(B=(np.array([[0.5]]),), sigma=np.eye(1))
         irf = true_reduced_form_irf(spec, 0, 0, (1, 2, 3))
         assert np.allclose(irf, [0.5, 0.25, 0.125])
 
     def test_impact_indicator(self):
-        spec = VarDgpSpec(n=2, K=1, B=(0.3 * np.eye(2),),
+        spec = VarDgpSpec(B=(0.3 * np.eye(2),),
                           sigma=np.eye(2))
         assert true_reduced_form_irf(spec, 0, 0, (0,))[0] == 1.0
         assert true_reduced_form_irf(spec, 1, 0, (0,))[0] == 0.0
@@ -183,7 +183,7 @@ class TestTrueReducedFormIrf:
         rng = np.random.default_rng(7)
         for _ in range(50):
             B = random_stable_var(rng, 2, 2)
-            spec = VarDgpSpec(n=2, K=2, B=tuple(B), sigma=np.eye(2))
+            spec = VarDgpSpec(B=tuple(B), sigma=np.eye(2))
             H = 12
             path = np.zeros((H + 2 + 1, 2))
             shock = np.zeros(2)

@@ -1,4 +1,5 @@
-"""Every module of the package and every script uses what it imports.
+"""Every module of the package, every script and every test module uses
+what it imports.
 
 A stdlib-ast check, so it needs no linter: a name bound by an import must
 appear as a name somewhere in the module (string annotations included).
@@ -12,8 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    path for path in [*(ROOT / "src" / "hdlp").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    if path.name != "__init__.py"
+    path for directory in (ROOT / "src" / "hdlp", ROOT / "scripts", ROOT / "tests")
+    for path in directory.glob("*.py") if path.name != "__init__.py"
 )
 
 

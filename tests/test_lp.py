@@ -22,7 +22,7 @@ from hdlp.errors import (
     UnknownColumn,
 )
 from hdlp.linalg import PrefixBasis
-from hdlp.hac import HacConfig, cluster_omega, hac_variance, newey_west
+from hdlp.hac import HacConfig, cluster_omega, newey_west
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
@@ -191,7 +191,7 @@ class TestBuildLpDataset:
         rng = np.random.default_rng(27)
         x, W = rng.standard_normal(60), rng.standard_normal((60, 3))
         names = (("a", 0), ("b", 0), ("c", 0))
-        kw = dict(x=x, W=W, horizon=0, effective_T=60, intercept=True)
+        kw = dict(x=x, W=W, horizon=0, intercept=True)
         with pytest.raises(DimensionMismatch, match="shapes"):
             LpDataset(y=rng.standard_normal(50), column_map=names, **kw)
         with pytest.raises(DimensionMismatch, match="1 column names for 3 columns"):
@@ -525,7 +525,7 @@ def partial_out_one(C, intercept, x, y, method, oga_config):
     """The core's fit of one regression on all rows, or its error raised."""
     names = tuple((f"c{j}", 0) for j in range(C.shape[1]))
     dataset = LpDataset(y=y, x=x, W=C, column_map=names, horizon=0,
-                        effective_T=x.shape[0], intercept=intercept)
+                        intercept=intercept)
     [fit] = _fit([dataset], method, oga_config, None)
     return _unwrap(fit)
 
@@ -565,7 +565,7 @@ class TestPartialOutCore:
         C, x, y = random_design(seed, T, p, n_dup, with_intercept)
         ds = LpDataset(
             y=y, x=x, W=C, column_map=tuple(("w", j) for j in range(C.shape[1])),
-            horizon=1, effective_T=T, intercept=with_intercept,
+            horizon=1, intercept=with_intercept,
         )
         conv = conventional_lp(ds, HacConfig())
         full = double_oga_lp(ds, FULL_SELECTION, HacConfig())
@@ -709,7 +709,7 @@ class TestSelectionsIndexW:
         perm = [3, 0, 4, 2, 1]
         shuffled = LpDataset(y=ds.y, x=ds.x, W=ds.W[:, perm],
                              column_map=tuple(ds.column_map[j] for j in perm),
-                             horizon=1, effective_T=ds.effective_T, intercept=True)
+                             horizon=1, intercept=True)
         fit = double_oga_lp if method == DOUBLE_OGA else conventional_lp
         ref, got = fit(ds), fit(shuffled)
         for name in ("selected_y", "selected_x", "union"):

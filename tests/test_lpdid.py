@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,24 @@ class TestLpDidEstimate:
         panel = build_panel(2, 6, lambda i, t, d: float(t), adopt={0: 3, 1: 3})
         result = lpdid_estimate(panel, LpDidSpec(horizons=(1,)))
         assert "DegenerateShock" in result.errors[1]
+
+    @pytest.mark.parametrize("method", [DOUBLE_OGA, CONVENTIONAL_LP])
+    @pytest.mark.parametrize("variance", ["hac", "cluster"])
+    def test_simultaneous_adoption_fails_every_horizon_on_the_span_rule(
+        self, method, variance
+    ):
+        # every unit adopts in period 5: the time effects absorb the whole
+        # switch, so the core's shock check fails each horizon, warning-free
+        rng = np.random.default_rng(5)
+        panel = build_panel(30, 10, lambda i, t, d: 0.3 * i + 0.1 * t + d
+                            + rng.normal(0, 0.5), adopt=dict.fromkeys(range(30), 5))
+        spec = LpDidSpec(horizons=(0, 1, 2), method=method, variance=variance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lpdid_estimate(panel, spec)
+        assert not result.estimates
+        assert result.errors == dict.fromkeys(
+            (0, 1, 2), "DegenerateShock: shock series is constant")
 
     def test_no_degrees_of_freedom_is_insufficient_sample(self):
         # 9 rows at h=1: rank 5 (shock, lag, 3 covariates) + 4 time effects

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,12 @@ from hdlp.selection import OgaConfig
 def small_design(n_horizons=3, lags=2):
     """Cheap three-variable experiment for harness tests."""
     B = (np.array([[0.5, 0.0, 0.0], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]]),)
-    dgp = VarDgpSpec(n=3, K=1, B=B, sigma=toeplitz_power_sigma(3, 0.3),
-                     burn_in=50)
+    dgp = VarDgpSpec(B=B, sigma=toeplitz_power_sigma(3, 0.3), burn_in=50)
     lp = LpSpec(
         response="y2", shock="y1", horizons=tuple(range(1, n_horizons + 1)),
         contemporaneous=("y2", "y3"), lagged=("y1", "y2", "y3"), lags=lags,
     )
-    return McDesign(dgp=dgp, T=120, lp_spec=lp, response_index=1,
-                    innovation_index=0, oga=OgaConfig(c_star=2.0),
+    return McDesign(dgp=dgp, T=120, lp_spec=lp, oga=OgaConfig(c_star=2.0),
                     hac=HacConfig())
 
 
@@ -46,15 +46,20 @@ class TestRunMonteCarlo:
         design = small_design()
         full = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=8,
                                levels=(0.95,), seed=5)
-        checkpoints = []
+        checkpoints, records = [], []
+
+        def progress(done, total):
+            if done % 3 == 0 and done < total:
+                checkpoints.append([dict(r) for r in records])
+
         run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=8,
-                        levels=(0.95,), seed=5, checkpoint_every=3,
-                        checkpoint_writer=lambda recs: checkpoints.append(
-                            [dict(r) for r in recs]))
+                        levels=(0.95,), seed=5, records=records,
+                        progress=progress)
+        assert len(records) == 8
         assert checkpoints and len(checkpoints[0]) == 3
         resumed = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=8,
                                   levels=(0.95,), seed=5,
-                                  resume_records=checkpoints[0])
+                                  records=checkpoints[0])
         assert resumed.cells == full.cells
 
     def test_coverage_monotone_in_level(self):
@@ -97,3 +102,17 @@ class TestRunMonteCarlo:
         assert design.response_index == 1
         assert design.innovation_index == 0
         assert design.dgp.n == 10
+
+    def test_indices_are_read_off_the_series_names(self):
+        design = small_design()
+        lp_spec = dataclasses.replace(design.lp_spec, response="y3", shock="y2",
+                                      contemporaneous=("y3",))
+        moved = McDesign(dgp=design.dgp, T=design.T, lp_spec=lp_spec)
+        assert (moved.response_index, moved.innovation_index) == (2, 1)
+
+    @pytest.mark.parametrize("role", ["response", "shock"])
+    def test_series_outside_the_var_is_refused(self, role):
+        design = small_design()
+        lp_spec = dataclasses.replace(design.lp_spec, **{role: "y4"})
+        with pytest.raises(ValueError, match="'y4' is not a series of the VAR"):
+            McDesign(dgp=design.dgp, T=design.T, lp_spec=lp_spec)
