@@ -36,7 +36,7 @@ from .errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample
 from .linalg import SPAN_RTOL, extend
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
-TIE_RTOL = 1e-12  # greedy gains this close to the best one count as a tie
+TIE_RTOL = 1e-12  # greedy gains this close to the best one, relative to the starting RSS, tie
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,11 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
     """Order up to M columns of W greedily by residual-variance reduction.
 
     Each step adds the admissible column whose inclusion drops the RSS the
-    most. Gains within TIE_RTOL of the best count as a tie and ties go to
-    the lowest index, so rounding never decides between exact duplicates.
+    most. Gains within TIE_RTOL times the starting RSS (after the
+    intercept, when set) of the best count as a tie and ties go to the
+    lowest index, so rounding never decides between exact duplicates: the
+    gains are differences of RSS, whose rounding is on the scale of the
+    starting RSS however small the gains have become.
     A column whose component orthogonal to the current fit is at most
     SPAN_RTOL of its norm (a zero column, say) is already spanned and never
     picked. Returns the ordering, the per-step residual variances
@@ -185,6 +188,7 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         Q[:, 0] = inside / np.sqrt(T)[:, None]
         R -= inside * (R.sum(axis=1) / T)[:, None]
     m = np.full(k, int(intercept))
+    tie = TIE_RTOL * np.einsum("kn,kn->k", R, R)[:, None]
 
     S = R @ W  # W'r_i per path, downdated as the residuals move
     WT = np.ascontiguousarray(W.T)  # candidates as rows, for gathering picks
@@ -200,7 +204,7 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         gain /= np.maximum(proj_sq, 1e-300)
         gain[~alive] = -np.inf
         best = gain.max(axis=1, keepdims=True)
-        j = np.argmax(gain >= best * (1.0 - TIE_RTOL), axis=1)
+        j = np.argmax(gain >= best - tie, axis=1)
         # each pick joins its path's basis unless that basis spans it
         v = WT[j]
         v *= inside

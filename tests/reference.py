@@ -194,7 +194,8 @@ def simulate_var_stacked(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
 def oga_order_one_path(W, y, M: int, intercept: bool = False):
     """One greedy path at a time, as oga_order ran before it stepped many
     paths in lockstep: per step one W'r matvec, a Gram-Schmidt extension of
-    a growing basis, and one W'q matvec. Returns (order, sigma_sq, Q), or
+    a growing basis, and one W'q matvec; ties within TIE_RTOL times the
+    starting RSS, as oga_order has them. Returns (order, sigma_sq, Q), or
     raises AllColumnsDegenerate with no admissible column at the first step.
     """
     W = np.asarray(W, dtype=np.float64)
@@ -205,6 +206,7 @@ def oga_order_one_path(W, y, M: int, intercept: bool = False):
 
     Q = np.full((T, int(intercept)), 1.0 / math.sqrt(T))
     r = y - Q @ (Q.T @ y)
+    tie = TIE_RTOL * float(r @ r)
     proj_sq = np.maximum(norms_sq - np.sum((W.T @ Q) ** 2, axis=1), 0.0)
 
     order: list[int] = []
@@ -217,7 +219,7 @@ def oga_order_one_path(W, y, M: int, intercept: bool = False):
             break
         num = W.T @ r
         gain = np.where(alive, num * num / np.maximum(proj_sq, 1e-300), -np.inf)
-        j = int(np.argmax(gain >= gain.max() * (1.0 - TIE_RTOL)))
+        j = int(np.argmax(gain >= gain.max() - tie))
         q = gram_schmidt_extend(Q, W[:, j])
         if q is None:
             alive[j] = False
