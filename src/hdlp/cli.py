@@ -292,6 +292,9 @@ def load_checkpoint(path: Path, fingerprint: str) -> list | None:
 def cmd_montecarlo(run: MontecarloRun) -> int:
     fingerprint = _config_fingerprint(run)
     ckpt_path = _checkpoint_path(run.out_path)
+    if run.checkpoint and ckpt_path.is_dir():
+        raise ConfigError(f"montecarlo config.output: its checkpoint {ckpt_path} "
+                          "must be a file path, not an existing directory")
     records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint)) or []
     if records:
         print(

@@ -10,6 +10,7 @@ against.
 
 Draws use the counter-based Philox generator so that per-replication seeds
 can be derived from (base_seed, replication) pairs without correlation.
+simulate_var_block advances a block of such replications in one loop.
 """
 
 from __future__ import annotations
@@ -61,14 +62,14 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VarDgpSpec:
     """Vector autoregression with Gaussian innovations.
 
     B holds the lag coefficient matrices B_1 .. B_K, n x n each; n and K
     are read off them, not passed. When y1_rho is given, the first row of
     every lag matrix is overwritten so that the first variable follows a
-    pure AR(1) with that coefficient.
+    pure AR(1) with that coefficient. Frozen, so n and K cannot go stale.
     """
 
     B: tuple[np.ndarray, ...]
@@ -80,26 +81,26 @@ class VarDgpSpec:
     K: int = field(init=False)
 
     def __post_init__(self):
-        self.B = tuple(np.asarray(b, dtype=np.float64) for b in self.B)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        self.K = len(self.B)
-        self.n = self.B[0].shape[0] if self.K and self.B[0].ndim else 0
-        if not self.n or any(b.shape != (self.n, self.n) for b in self.B):
+        B = tuple(np.asarray(b, dtype=np.float64) for b in self.B)
+        sigma = np.asarray(self.sigma, dtype=np.float64)
+        n = B[0].shape[0] if B and B[0].ndim else 0
+        if not n or any(b.shape != (n, n) for b in B):
             raise DimensionMismatch("need one or more lag matrices, all n x n")
-        if self.sigma.shape != (self.n, self.n):
+        if sigma.shape != (n, n):
             raise DimensionMismatch("sigma must be n x n")
-        if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
+        if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise ValueError("sigma must be symmetric")
         try:
-            np.linalg.cholesky(self.sigma)
+            np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise ValueError("sigma must be positive definite") from None
         if self.y1_rho is not None:
-            B = [b.copy() for b in self.B]
+            B = tuple(b.copy() for b in B)
             for b in B:
                 b[0, :] = 0.0
             B[0][0, 0] = self.y1_rho
-            self.B = tuple(B)
+        for name, value in (("B", B), ("sigma", sigma), ("n", n), ("K", len(B))):
+            object.__setattr__(self, name, value)
         radius = spectral_radius(companion_matrix(self.B))
         if radius > 1.0 + 1e-9:
             raise NonStationarySpec(f"companion spectral radius {radius:.6f} > 1")
@@ -235,25 +236,32 @@ def _generator(seed) -> np.random.Generator:
 
 
 def simulate_var(spec: VarDgpSpec, T: int, seed) -> TimeSeriesMatrix:
-    """Draw T rows from the autoregression after discarding the burn-in.
+    """Draw T rows from the autoregression after discarding the burn-in."""
+    return simulate_var_block(spec, T, [seed])[0]
 
-    Each step is one matvec of [B_K .. B_1] on the last K rows, which sit
-    contiguously in y below K rows of zero presample, written straight into
-    the new row before its innovation is added.
+
+def simulate_var_block(spec: VarDgpSpec, T: int, seeds) -> list[TimeSeriesMatrix]:
+    """simulate_var for each seed, all advanced by one loop on their own draws.
+
+    A replication's last K rows sit contiguously in y below K rows of zero
+    presample. Each step is one stacked matmul of [B_K .. B_1] on every
+    window, which numpy runs as one matrix-vector product per replication,
+    so a replication's bits do not depend on its block or its place there.
     """
-    rng = _generator(seed)
     total = T + spec.burn_in
     chol = np.linalg.cholesky(spec.sigma)
-    u = rng.standard_normal((total, spec.n)) @ chol.T
-    K, n = spec.K, spec.n
+    K, n, width = spec.K, spec.n, len(seeds)
+    u = np.stack([_generator(seed).standard_normal((total, n)) @ chol.T
+                  for seed in seeds])
     B = np.hstack(spec.B[::-1])
-    y = np.zeros((K + total, n))
-    flat = y.ravel()  # a view: the last K rows are one contiguous window
+    y = np.zeros((width, K + total, n))
+    flat = y.reshape(width, -1)  # a view: each window is one contiguous run
+    step = np.empty((width, n, 1))
     for t in range(total):
-        row = y[K + t]
-        np.dot(B, flat[t * n : (K + t) * n], out=row)
-        row += u[t]
-    return TimeSeriesMatrix(values=y[K + spec.burn_in :], columns=spec.names)
+        np.matmul(B, flat[:, t * n : (K + t) * n, None], out=step)
+        np.add(step[:, :, 0], u[:, t], out=y[:, K + t])
+    return [TimeSeriesMatrix(values=rows, columns=spec.names)
+            for rows in y[:, K + spec.burn_in :]]
 
 
 def true_reduced_form_irf(

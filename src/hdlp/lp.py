@@ -19,12 +19,13 @@ selection candidate, exempt from the penalty count. Greedy paths start from
 its closed-form unit column instead of factoring it.
 
 Every horizon's design is a row prefix of the design at the shortest
-horizon, so ``estimate_irf`` hands all horizons to ``_fit`` as one batch of
-row-prefix regressions on that design: one lockstep greedy run, one batched
-Gram-Schmidt for the unions, one Cholesky factor for every no-selection
-prefix, one Newey-West call. Then ``double_oga_lp`` or ``conventional_lp``
-hands back each horizon's record, or raises its error. A single regression
-is the batch of one.
+horizon, so ``estimate_irf`` builds the datasets once and hands all horizons
+to ``_fit`` as one batch of row-prefix regressions on that design, per
+method: one lockstep greedy run, one batched Gram-Schmidt for the unions,
+one Cholesky factor for every no-selection prefix (read off one pivoted QR
+while no prefix may lose rank), one Newey-West call. Then ``double_oga_lp``
+or ``conventional_lp`` hands back each horizon's record, or raises its
+error. A single regression is the batch of one.
 """
 
 from __future__ import annotations
@@ -467,34 +468,36 @@ def estimate_irf(
     """Estimate the shock coefficient at every requested horizon.
 
     Horizons are independent regressions on row-prefix views of the dataset
-    at the smallest horizon that builds (the anchor); their controls are
-    column views of those, nothing is copied. All horizons are one batch of
-    the core, _fit; a horizon whose shock is degenerate fails on that check
-    before its selections are read.
-    The no-selection benchmark factors the design once and reads every
-    longer horizon off the same basis; where a prefix may lose rank it
-    factors the horizon's own design, which then serves the longer
-    horizons. double_oga_lp or conventional_lp hands back each horizon's
-    record. A package error or a linear-algebra failure at one horizon is recorded
-    and does not abort the others. Any other exception is a bug and
-    propagates.
+    at the smallest horizon that builds (the anchor), nothing is copied, and
+    all of them are one batch of the core, _fit. A package error or a
+    linear-algebra failure at one horizon is recorded and does not abort the
+    others. Any other exception is a bug and propagates.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    errors: dict[int, str] = {}
+    return _irfs(data, spec, oga_config, hac_config, (method,))[method]
+
+
+def _irfs(data, spec, oga_config, hac_config, methods) -> dict[str, IrfResult]:
+    """estimate_irf for each of methods, {method: IrfResult}, on one build of
+    the horizons' datasets: a horizon that fails to build fails in each."""
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    built: dict[int, str] = {}
     datasets: dict[int, LpDataset] = {}
     anchor = None
     for h in sorted(set(spec.horizons)):
-        dataset = _attempt(errors, h, build_lp_dataset, data, spec, h, anchor)
+        dataset = _attempt(built, h, build_lp_dataset, data, spec, h, anchor)
         if dataset is not None:
             datasets[h] = dataset
             anchor = anchor or dataset
 
-    fits = (_fit(list(datasets.values()), method, oga_config, hac_config)
-            if datasets else [])
-    record = double_oga_lp if method == DOUBLE_OGA else conventional_lp
-    done = {h: _attempt(errors, h, record, dataset, fit=fit)
-            for (h, dataset), fit in zip(datasets.items(), fits)}
-    estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
-    return IrfResult(method=method, estimates=estimates, errors=errors)
-
+    results = {}
+    for method in methods:
+        errors = dict(built)
+        fits = (_fit(list(datasets.values()), method, oga_config, hac_config)
+                if datasets else [])
+        record = double_oga_lp if method == DOUBLE_OGA else conventional_lp
+        done = {h: _attempt(errors, h, record, dataset, fit=fit)
+                for (h, dataset), fit in zip(datasets.items(), fits)}
+        estimates = tuple(done[h] for h in spec.horizons if done.get(h) is not None)
+        results[method] = IrfResult(method=method, estimates=estimates, errors=errors)
+    return results

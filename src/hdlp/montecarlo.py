@@ -1,28 +1,32 @@
 """Coverage and interval-width experiments against the companion-power truth.
 
 Each replication simulates one dataset, estimates the shock coefficient at
-every horizon with each method, and records whether the interval contains
-the true response and how wide it is. Per-replication seeds derive from
-(base_seed, replication) counter pairs and records are reduced in
-replication order, so a report is bit-identical no matter how many workers
-ran it. Replication records are plain JSON-friendly dicts, which is also
-the checkpoint format.
+every horizon with each method (one build of its datasets for all), and
+records whether the interval contains the true response and how wide it is.
+Serial runs and pool workers alike simulate blocks of replications in one
+loop, then estimate them one by one. Per-replication seeds derive from
+(base_seed, replication) counter pairs, a replication's bits do not depend
+on its block, and records are reduced in replication order, so a report is
+bit-identical whatever the workers, block widths or resume point. Records
+are plain JSON-friendly dicts, which is also the checkpoint format.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 import numpy as np
 
 from .dgp import Section3Design, VarDgpSpec, build_section3_coefficients, \
-    section3_lp_spec, simulate_var, true_reduced_form_irf
+    section3_lp_spec, simulate_var_block, true_reduced_form_irf
 from .hac import HacConfig
-from .lp import DEFAULT_LEVELS, DOUBLE_OGA, LpSpec, estimate_irf
+from .lp import DEFAULT_LEVELS, DOUBLE_OGA, LpSpec, _irfs
 from .selection import OgaConfig
 
 DEFAULT_METHODS = (DOUBLE_OGA,)
+BLOCK = 8  # replications simulated together; the records do not depend on it
 # report table columns; coverage and width are taken over the n_ok
 # replications whose estimate succeeded
 REPORT_COLUMNS = (
@@ -30,13 +34,13 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class McDesign:
     """Everything one replication needs: the process, its length, the estimator.
 
     The truth is the response of series lp_spec.response to the innovation
-    of series lp_spec.shock; both must be series of dgp (y1 .. yn), and their
-    positions there are read off the names, not passed.
+    of series lp_spec.shock; both must be series of dgp (y1 .. yn). Their
+    positions are read off the names, not passed, and frozen with them.
     """
 
     dgp: VarDgpSpec
@@ -49,11 +53,12 @@ class McDesign:
     innovation_index: int = field(init=False)
 
     def __post_init__(self):
+        names = self.dgp.names
         for name in (self.lp_spec.response, self.lp_spec.shock):
-            if name not in self.dgp.names:
-                raise ValueError(f"{name!r} is not a series of the VAR: {self.dgp.names}")
-        self.response_index = self.dgp.names.index(self.lp_spec.response)
-        self.innovation_index = self.dgp.names.index(self.lp_spec.shock)
+            if name not in names:
+                raise ValueError(f"{name!r} is not a series of the VAR: {names}")
+        object.__setattr__(self, "response_index", names.index(self.lp_spec.response))
+        object.__setattr__(self, "innovation_index", names.index(self.lp_spec.shock))
 
 
 def section3_mc_design(
@@ -102,14 +107,9 @@ class McReport:
     def rows(self):
         """Long-format rows, one per cell, in REPORT_COLUMNS order."""
         out = []
-        for method in self.methods:
-            for h in self.horizons:
-                for level in self.levels:
-                    cell = self.cells[(method, h, level)]
-                    out.append(
-                        (method, h, level, cell.coverage, cell.median_width,
-                         self.n_reps, cell.n_ok)
-                    )
+        for key in product(self.methods, self.horizons, self.levels):
+            cell = self.cells[key]
+            out.append((*key, cell.coverage, cell.median_width, self.n_reps, cell.n_ok))
         return out
 
     @property
@@ -120,25 +120,28 @@ class McReport:
 
 def run_replication(design: McDesign, methods, levels, seed: int, rep: int) -> dict:
     """One replication: simulate, estimate each method, record the intervals."""
-    data = simulate_var(design.dgp, design.T, seed=(seed, rep))
-    record = {"rep": rep, "methods": {}}
-    for method in methods:
-        result = estimate_irf(data, design.lp_spec, design.oga, design.hac,
-                              method=method)
-        by_h = result.by_horizon()
-        cells = {}
-        for h in design.lp_spec.horizons:
-            if h in by_h:
-                intervals = {str(level): list(by_h[h].ci(level)) for level in levels}
-                cells[str(h)] = {"ok": True, "cis": intervals}
-            else:
-                cells[str(h)] = {"ok": False, "error": result.errors[h]}
-        record["methods"][method] = cells
-    return record
+    return next(_block(design, methods, levels, seed, [rep]))
 
 
-def _replication_star(args):
-    return run_replication(*args)
+def _block(design: McDesign, methods, levels, seed: int, reps):
+    """Simulate the replications reps in one block, then estimate them one at
+    a time and yield each one's record, in order."""
+    datas = simulate_var_block(design.dgp, design.T, [(seed, rep) for rep in reps])
+    for rep, data in zip(reps, datas):
+        record = {"rep": rep, "methods": {}}
+        for method, result in _irfs(data, design.lp_spec, design.oga, design.hac,
+                                    methods).items():
+            by_h = result.by_horizon()
+            record["methods"][method] = {
+                str(h): {"ok": True, "cis": {str(level): list(by_h[h].ci(level))
+                                             for level in levels}}
+                if h in by_h else {"ok": False, "error": result.errors[h]}
+                for h in design.lp_spec.horizons}
+        yield record
+
+
+def _block_records(args) -> list:
+    return list(_block(*args))
 
 
 def aggregate_records(design: McDesign, methods, levels, records) -> McReport:
@@ -159,13 +162,9 @@ def aggregate_records(design: McDesign, methods, levels, records) -> McReport:
             ok = [e for e in entries if e["ok"]]
             failures += len(entries) - len(ok)
             for level in levels:
-                hits = 0
-                widths = []
-                for e in ok:
-                    lo, hi = e["cis"][str(level)]
-                    if lo <= truth[h] <= hi:
-                        hits += 1
-                    widths.append(hi - lo)
+                cis = [e["cis"][str(level)] for e in ok]
+                hits = sum(lo <= truth[h] <= hi for lo, hi in cis)
+                widths = [hi - lo for lo, hi in cis]
                 coverage = hits / len(ok) if ok else float("nan")
                 width = float(np.median(widths)) if widths else float("nan")
                 cells[(method, h, level)] = McCell(coverage, width, len(ok))
@@ -200,19 +199,22 @@ def run_monte_carlo(
     records = [] if records is None else records
     del records[n_reps:]
     pending = range(len(records), n_reps)
-    tasks = ((design, methods, levels, seed, rep) for rep in pending)
+    # narrower blocks when that gives every worker one
+    width = max(1, min(BLOCK, -(-len(pending) // max(1, parallelism))))
+    tasks = [(design, methods, levels, seed, pending[i : i + width])
+             for i in range(0, len(pending), width)]
 
-    def collect(iterator):
-        for record in iterator:
+    def collect(blocks):
+        for record in chain.from_iterable(blocks):
             records.append(record)
             if progress is not None:
                 progress(len(records), n_reps)
 
-    if parallelism > 1 and len(pending) > 1:
-        chunk = max(1, len(pending) // (parallelism * 4))
+    if parallelism > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            collect(pool.map(_replication_star, tasks, chunksize=chunk))
+            collect(pool.map(_block_records, tasks,
+                             chunksize=max(1, len(tasks) // (parallelism * 4))))
     else:
-        collect(map(_replication_star, tasks))
+        collect(_block(*task) for task in tasks)
 
     return aggregate_records(design, methods, levels, records)

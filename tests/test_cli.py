@@ -388,6 +388,21 @@ class TestMontecarloCommand:
         assert err.startswith("config error: invalid montecarlo config.estimation: ")
         assert "'y9' is not a series of the VAR" in err
 
+    def test_checkpoint_path_that_is_a_directory_is_config_error(self, tmp_path,
+                                                                  capsys):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        _checkpoint_path(tmp_path / "mc.csv").mkdir()
+        assert main(["montecarlo", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: montecarlo config.output: its checkpoint ")
+        assert "must be a file path, not an existing directory" in err
+        assert not (tmp_path / "mc.csv").exists()
+        # without checkpoints the directory is never read or written
+        cfg_path = write_yaml(tmp_path / "cfg.yaml",
+                              small_var_mc_cfg(tmp_path, checkpoint=False))
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert (tmp_path / "mc.csv").is_file()
+
     def test_dfm_design_rejected(self, tmp_path):
         cfg = small_var_mc_cfg(tmp_path)
         cfg["design"] = {

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlp.dgp import (
     DfmDgpSpec,
@@ -11,6 +15,7 @@ from hdlp.dgp import (
     section3_lp_spec,
     simulate_dfm,
     simulate_var,
+    simulate_var_block,
     spectral_radius,
     toeplitz_power_sigma,
     true_dfm_irf,
@@ -94,6 +99,13 @@ class TestVarDgpSpec:
         with pytest.raises(NonStationarySpec):
             VarDgpSpec(B=(np.array([[1.2]]),), sigma=np.eye(1))
 
+    def test_frozen_so_n_and_K_cannot_go_stale(self):
+        spec = VarDgpSpec(B=(0.4 * np.eye(2),), sigma=np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.B = (0.4 * np.eye(3),)
+        moved = dataclasses.replace(spec, B=(0.4 * np.eye(3),), sigma=np.eye(3))
+        assert (moved.n, moved.K, spec.n) == (3, 1, 2)
+
     def test_y1_rho_overwrites_first_row(self):
         B = (np.full((3, 3), 0.1),)
         spec = VarDgpSpec(B=B, sigma=np.eye(3), y1_rho=0.5)
@@ -164,6 +176,39 @@ class TestSimulateVar:
         u = simulate_var(spec, 100_000, seed=5).values
         sample = np.cov(u.T, ddof=0)
         assert np.linalg.norm(sample - sigma, "fro") < 0.05
+
+
+class TestSimulateVarBlock:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 12),
+        st.none() | st.floats(-0.95, 0.95), st.integers(1, 33),
+        st.integers(0, 2**64 - 1), st.integers(0, 30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_replication_equals_the_stacked_loop(self, draw, n, K, y1_rho,
+                                                        width, seed, burn_in):
+        # lag matrices whose absolute row sums add up to below 1 are stable,
+        # also after y1_rho overwrites the first rows
+        rng = np.random.default_rng(draw)
+        B = [rng.standard_normal((n, n)) for _ in range(K)]
+        total = sum(np.abs(b).sum(axis=1).max() for b in B)
+        B = [b * rng.uniform(0.1, 0.98) / total for b in B]
+        spec = VarDgpSpec(B=tuple(B), sigma=toeplitz_power_sigma(n, 0.3),
+                          burn_in=burn_in, y1_rho=y1_rho)
+        first = int(rng.integers(0, 1000))
+        seeds = [(seed, first + r) for r in range(width)]
+        block = simulate_var_block(spec, 20, seeds)
+        assert len(block) == width
+        for data, one in zip(block, seeds):
+            want = simulate_var_stacked(spec, 20, one)
+            assert data.columns == want.columns
+            assert np.array_equal(data.values, want.values)
+
+    def test_section3_block_equals_one_at_a_time(self):
+        spec = build_section3_coefficients(Section3Design.dense(0.95))
+        seeds = [(0, rep) for rep in range(3, 11)]
+        for data, seed in zip(simulate_var_block(spec, 300, seeds), seeds):
+            assert np.array_equal(data.values, simulate_var(spec, 300, seed).values)
 
 
 class TestTrueReducedFormIrf:

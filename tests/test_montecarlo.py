@@ -1,14 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import hdlp.lp
 from hdlp.dgp import Section3Design, VarDgpSpec, toeplitz_power_sigma
 from hdlp.hac import HacConfig
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA, LpSpec
 from hdlp.montecarlo import (
     McDesign,
     run_monte_carlo,
+    run_replication,
     section3_mc_design,
 )
 from hdlp.selection import OgaConfig
@@ -81,12 +84,11 @@ class TestRunMonteCarlo:
         assert all(r[5] == 2 for r in rows)
 
     def test_failures_counted_not_fatal(self):
-        design = small_design()
         # horizon far beyond the sample: every rep errors at that horizon
-        design.lp_spec = LpSpec(
+        design = dataclasses.replace(small_design(), lp_spec=LpSpec(
             response="y2", shock="y1", horizons=(1, 110),
             contemporaneous=("y2", "y3"), lagged=("y1", "y2", "y3"), lags=2,
-        )
+        ))
         report = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=3,
                                  levels=(0.95,), seed=13)
         assert report.failures == 3
@@ -110,9 +112,63 @@ class TestRunMonteCarlo:
         moved = McDesign(dgp=design.dgp, T=design.T, lp_spec=lp_spec)
         assert (moved.response_index, moved.innovation_index) == (2, 1)
 
+    def test_frozen_so_the_indices_cannot_go_stale(self):
+        design = small_design()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            design.lp_spec = dataclasses.replace(design.lp_spec, response="y3")
+        moved = dataclasses.replace(
+            design, lp_spec=dataclasses.replace(design.lp_spec, response="y3"))
+        assert (moved.response_index, design.response_index) == (2, 1)
+
     @pytest.mark.parametrize("role", ["response", "shock"])
     def test_series_outside_the_var_is_refused(self, role):
         design = small_design()
         lp_spec = dataclasses.replace(design.lp_spec, **{role: "y4"})
         with pytest.raises(ValueError, match="'y4' is not a series of the VAR"):
             McDesign(dgp=design.dgp, T=design.T, lp_spec=lp_spec)
+
+
+class TestBlocks:
+    """Replications are simulated in blocks; no record depends on the block."""
+
+    def records(self, n_reps, parallelism=1, records=None, progress=None):
+        records = [] if records is None else records
+        run_monte_carlo(small_design(), methods=(DOUBLE_OGA, CONVENTIONAL_LP),
+                        n_reps=n_reps, levels=(0.9, 0.95), seed=21,
+                        parallelism=parallelism, records=records,
+                        progress=progress)
+        return json.dumps(records)
+
+    def test_parallelism_does_not_change_records(self):
+        serial = self.records(10)  # blocks of 8 and 2
+        assert self.records(10, parallelism=2) == serial  # 5 and 5
+        assert self.records(10, parallelism=3) == serial  # 4, 4 and 2
+
+    def test_shorter_run_is_a_prefix(self):
+        full = json.loads(self.records(10))
+        for k in (1, 3, 9):
+            assert self.records(k) == json.dumps(full[:k])
+
+    def test_resumed_mid_block_matches_clean_run(self):
+        clean = self.records(10)
+        done = []
+        resumed = self.records(10, records=json.loads(clean)[:5],
+                               progress=lambda d, total: done.append(d))
+        assert resumed == clean
+        assert done == list(range(6, 11))  # once per record, not per block
+
+
+def test_one_dataset_build_per_horizon_for_both_methods(monkeypatch):
+    horizons = []
+    build = hdlp.lp.build_lp_dataset
+
+    def counted(data, spec, h, *args, **kwargs):
+        horizons.append(h)
+        return build(data, spec, h, *args, **kwargs)
+
+    monkeypatch.setattr(hdlp.lp, "build_lp_dataset", counted)
+    record = run_replication(small_design(n_horizons=20),
+                             (DOUBLE_OGA, CONVENTIONAL_LP), (0.95,), 0, 0)
+    assert horizons == list(range(1, 21))
+    assert all(cell["ok"] for cells in record["methods"].values()
+               for cell in cells.values())
