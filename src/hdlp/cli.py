@@ -40,7 +40,7 @@ from .config import (
 from .dgp import (DfmDgpSpec, simulate_dfm, simulate_var, true_dfm_irf,
                   true_reduced_form_irf)
 from .errors import ConfigError, DataError, HdlpError
-from .lp import TimeSeriesMatrix, estimate_irf
+from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
@@ -194,10 +194,9 @@ def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -
 
 def cmd_estimate(run: EstimateRun) -> int:
     data = read_wide_csv(run.data_path)
-    results = {method: estimate_irf(data, run.lp_spec, run.oga, run.hac, method=method)
-               for method in run.methods}
     return _write_estimates(
-        run.out_path, results, run.levels,
+        run.out_path, _irfs(data, run.lp_spec, run.oga, run.hac, run.methods),
+        run.levels,
         ["n_selected_y", "n_selected_x", "n_union", "bandwidth", "c_star_y",
          "c_star_x", "effective_T"],
         lambda est: [len(est.selected_y), len(est.selected_x), len(est.union),

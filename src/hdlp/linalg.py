@@ -12,6 +12,13 @@ design's rank; every prefix is read off one Cholesky factor. One two-pass
 kernel (orthogonalize, and extend on top of it) takes the residuals of many
 series on many zero-padded bases, or on one basis read on many prefixes, in
 a few batched products: greedy steps, unions and final residuals alike.
+
+Only the pivoted QR and the prefix Cholesky need scipy, and only the
+no-selection fits run them, so scipy is imported on their first call
+(_scipy), not with the package: greedy double selection runs on numpy
+alone. The module global, not an import inside each function, holds it, so
+a caller that rebinds module attributes (a tracer, a test) still sees the
+calls.
 """
 
 from __future__ import annotations
@@ -19,16 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import DimensionMismatch
+
+scipy = None  # bound by _scipy on first use
 
 SPAN_RTOL = 1e-10  # a column this far inside an existing span counts as degenerate
 # a row prefix keeps its design's basis while the smallest eigenvalue of its
 # Gram matrix Q_n'Q_n is provably at least this; projections then lose at most
 # a factor 1e4 of accuracy to the solve
 PREFIX_EIG_TOL = 1e-4
+
+
+def _scipy():
+    """scipy, with scipy.linalg and its LAPACK wrappers loaded."""
+    global scipy
+    if scipy is None:
+        import scipy.linalg.lapack
+    return scipy
 
 
 def _as_design(X) -> np.ndarray:
@@ -57,7 +72,7 @@ def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
     np.divide(X, np.where(norms > 0.0, norms, 1.0), out=scaled[:, :p])
     if intercept:
         scaled[:, p] = 1.0 / np.sqrt(n)
-    Q, R, _ = scipy.linalg.qr(scaled, overwrite_a=True, mode="economic", pivoting=True)
+    Q, R, _ = _scipy().linalg.qr(scaled, overwrite_a=True, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.zeros((X.shape[0], 0))
@@ -155,11 +170,12 @@ class PrefixBasis:
             raise DimensionMismatch(f"a basis of {N} rows has no {n}-row prefix")
         U = self.Q[n:][::-1]
         d = U.shape[0]
+        linalg = _scipy().linalg
         if d:
-            L, info = scipy.linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
+            L, info = linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
             d = d if info == 0 else info - 1
-        G = scipy.linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
-                                          check_finite=False) if d else U[:0]
+        G = linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
+                                    check_finite=False) if d else U[:0]
         bound = np.arange(1, d + 1) + np.cumsum(np.einsum("ij,ij->i", G, G))
         return PrefixBasis(self.Q, G[: np.count_nonzero(bound * PREFIX_EIG_TOL <= 1.0)])
 

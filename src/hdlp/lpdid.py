@@ -55,13 +55,14 @@ VARIANCE_HAC = "hac"
 VARIANCE_CLUSTER = "cluster"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
     """Long-format panel: one row per (unit, time).
 
     Treatment must be absorbing within each unit. Outcome and covariates may
     contain NaN; such rows drop out per horizon wherever they are needed.
     ``unit_code`` holds each row's unit as its rank among the sorted units.
+    Frozen, so the row lookup keys built here cannot go stale.
     """
 
     unit: np.ndarray
@@ -71,7 +72,10 @@ class PanelDataset:
     covariates: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.unit = np.asarray(self.unit)
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("unit", np.asarray(self.unit))
         time = np.asarray(self.time)
         if time.dtype.kind not in "iu":  # floats, or integers too wide for int64
             time = time.astype(np.float64)
@@ -80,17 +84,17 @@ class PanelDataset:
         if time.size and not -(2**62) < time.min() <= time.max() < 2**62:
             # keeps time + k lookups clear of int64 wrap-around
             raise DataError("time values must lie strictly within +-2**62")
-        self.time = time.astype(np.int64)
-        self.outcome = np.asarray(self.outcome, dtype=np.float64)
-        self.treatment = np.asarray(self.treatment, dtype=np.float64)
+        put("time", time.astype(np.int64))
+        put("outcome", np.asarray(self.outcome, dtype=np.float64))
+        put("treatment", np.asarray(self.treatment, dtype=np.float64))
         n = self.unit.shape[0]
         for name, arr in (("time", self.time), ("outcome", self.outcome),
                           ("treatment", self.treatment)):
             if arr.shape[0] != n:
                 raise DimensionMismatch(f"{name} length differs from unit length")
-        self.covariates = {
+        put("covariates", {
             k: np.asarray(v, dtype=np.float64) for k, v in self.covariates.items()
-        }
+        })
         for k, v in self.covariates.items():
             if v.shape[0] != n:
                 raise DimensionMismatch(f"covariate {k!r} length differs")
@@ -100,14 +104,18 @@ class PanelDataset:
         # one key per row, (unit code, time rank) flattened: memory stays
         # O(rows) however sparse the time coding is
         try:
-            self._units, self.unit_code = np.unique(self.unit, return_inverse=True)
+            units, unit_code = np.unique(self.unit, return_inverse=True)
         except TypeError:  # labels numpy cannot sort, such as 1 beside "1"
             raise DataError("unit column mixes label types that cannot be "
                             "ordered") from None
-        self._times, time_rank = np.unique(self.time, return_inverse=True)
-        key = self.unit_code * self._times.shape[0] + time_rank
-        self._order = np.argsort(key)
-        self._keys = key[self._order]
+        times, time_rank = np.unique(self.time, return_inverse=True)
+        key = unit_code * times.shape[0] + time_rank
+        order = np.argsort(key)
+        put("_units", units)
+        put("unit_code", unit_code)
+        put("_times", times)
+        put("_order", order)
+        put("_keys", key[order])
 
         same = np.diff(self._keys) == 0
         if np.any(same):
@@ -140,13 +148,6 @@ class PanelDataset:
     def _at(self, rows: np.ndarray, k: int) -> np.ndarray:
         """Row of the same unit k periods after each row's time, or -1."""
         return self._find(self.unit_code[rows], self.time[rows] + k)
-
-    def row(self, unit, time: int) -> int | None:
-        code = np.flatnonzero(self._units == unit)
-        if code.size == 0:
-            return None
-        r = int(self._find(code, np.array([int(time)]))[0])
-        return r if r >= 0 else None
 
 
 def restrict_sample(panel: PanelDataset, h: int) -> tuple[np.ndarray, np.ndarray]:

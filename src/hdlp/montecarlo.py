@@ -13,7 +13,6 @@ are plain JSON-friendly dicts, which is also the checkpoint format.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -211,6 +210,9 @@ def run_monte_carlo(
                 progress(len(records), n_reps)
 
     if parallelism > 1 and len(tasks) > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             collect(pool.map(_block_records, tasks,
                              chunksize=max(1, len(tasks) // (parallelism * 4))))

@@ -12,6 +12,7 @@ allocates each step for its in-place simulator, the one-path greedy loop
 for its lockstep greedy kernel, and the one-path holdout for its batched
 c_star tuning. The scalar criterion, its argmin and a tuning-only entry
 point (select_c_star) read the library's batched curves and holdout.
+panel_row looks one cell up through a panel's own vectorized lookup.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hdlp.linalg import (
     orthonormal_columns,
 )
 from hdlp.lp import TimeSeriesMatrix
+from hdlp.lpdid import PanelDataset
 from hdlp.selection import (
     TIE_RTOL,
     OgaConfig,
@@ -297,3 +299,12 @@ def select_c_star(
     paths = oga_order(W, Y, _budgets(train, W.shape[1], config), intercept, train)
     out = _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept)
     return _unwrap(out[0]) if single else out
+
+
+def panel_row(panel: PanelDataset, unit, time: int) -> int | None:
+    """The row of the panel's (unit, time) cell, or None if it lacks one."""
+    code = np.flatnonzero(panel._units == unit)
+    if code.size == 0:
+        return None
+    r = int(panel._find(code, np.array([int(time)]))[0])
+    return r if r >= 0 else None

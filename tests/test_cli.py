@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import hdlp.lp
 from hdlp.cli import (
     CHECKPOINT_VERSION,
     _blas_threads,
@@ -171,13 +172,33 @@ class TestEstimateCommand:
         def broken(*args, **kwargs):
             raise TypeError("injected bug")
 
-        monkeypatch.setattr("hdlp.cli.estimate_irf", broken)
+        monkeypatch.setattr("hdlp.cli._irfs", broken)
         cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
         assert main(["estimate", "--config", cfg_path]) == 4
         err = capsys.readouterr().err
         assert "internal error: TypeError: injected bug" in err
         assert "Traceback" in err
         assert not (tmp_path / "irf.csv").exists()
+
+    def test_one_dataset_build_per_horizon_for_both_methods(self, tmp_path, sim_csv,
+                                                            monkeypatch):
+        horizons = []
+        build = hdlp.lp.build_lp_dataset
+
+        def counted(data, spec, h, *args, **kwargs):
+            horizons.append(h)
+            return build(data, spec, h, *args, **kwargs)
+
+        monkeypatch.setattr(hdlp.lp, "build_lp_dataset", counted)
+        cfg = estimate_cfg(tmp_path, sim_csv, horizons={"from": 1, "to": 20})
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["estimate", "--config", cfg_path]) == 0
+        assert horizons == list(range(1, 21))
+        with open(tmp_path / "irf.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["horizon"]) for r in rows] == [
+            (method, str(h)) for method in ("double_oga", "conventional_lp")
+            for h in range(1, 21)]
 
     def test_unknown_column_is_computation_error(self, tmp_path, sim_csv):
         cfg = estimate_cfg(tmp_path, sim_csv, response="nope")

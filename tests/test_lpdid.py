@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from hdlp.lpdid import (
     restrict_sample,
 )
 from hdlp.selection import OgaConfig
+from reference import panel_row
 
 
 def build_panel(n_units, n_periods, outcome_fn, adopt=None, covariates=None):
@@ -136,8 +138,14 @@ class TestPanelValidation:
         assert cells
         for u in ["u0", "u3", "u5", "nobody"]:
             for t in range(1985, 2020):
-                assert panel.row(u, t) == cells.get((u, t))
-        assert panel.row(3, 1991) is None
+                assert panel_row(panel, u, t) == cells.get((u, t))
+        assert panel_row(panel, 3, 1991) is None
+
+    def test_frozen_so_the_lookup_keys_cannot_go_stale(self):
+        panel = build_panel(3, 4, lambda i, t, d: float(i + t))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            panel.time = panel.time + 1
+        assert panel_row(panel, "u1", 2) == 6
 
     def test_far_apart_times_build_small_and_look_up_right(self):
         # a dense unit x time grid over this span would need ~10**13 cells
@@ -258,8 +266,8 @@ class TestLpDidEstimate:
         dy, dd, zs, times = [], [], [], []
         for r, label in zip(idx, labels):
             i, t = panel.unit[r], int(panel.time[r])
-            prev = panel.row(i, t - 1)
-            ahead = panel.row(i, t + 1)
+            prev = panel_row(panel, i, t - 1)
+            ahead = panel_row(panel, i, t + 1)
             dy.append(panel.outcome[ahead] - panel.outcome[prev])
             dd.append(1.0 if label == TREATED else 0.0)
             zs.append(panel.covariates["z"][r])
