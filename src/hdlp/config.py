@@ -117,8 +117,8 @@ def list_of(conv, nonempty: bool = False):
 
 def as_levels(value, where):
     levels = list_of(as_float, nonempty=True)(value, where)
-    if not all(0.0 < level < 1.0 for level in levels):
-        _fail(where, "a list of levels strictly between 0 and 1", value)
+    if len(set(levels)) < len(levels) or not all(0.0 < level < 1.0 for level in levels):
+        _fail(where, "a list of distinct levels strictly between 0 and 1", value)
     return levels
 
 
@@ -133,7 +133,7 @@ def as_methods(value, where):
 def as_method(value, where):
     methods = as_methods(value, where)
     if len(methods) != 1:
-        _fail(where, "a single method", value)
+        _fail(where, "exactly one method", value)
     return methods[0]
 
 

@@ -351,16 +351,13 @@ def simulate_dfm(spec: DfmDgpSpec, seed) -> TimeSeriesMatrix:
         prev = f[t - 1] if t > 0 else np.zeros(k)
         f[t] = spec.phi @ prev + spec.h_load @ eps[t]
 
-    xi = rng.standard_normal((total, n))
-    v = np.zeros((total, n))
-    for i in range(n):
-        coeffs = spec.idio_ar[i]
-        for t in range(total):
-            acc = spec.idio_scale[i] * xi[t, i]
-            for j, c in enumerate(coeffs, start=1):
-                if t - j >= 0:
-                    acc += c * v[t - j, i]
-            v[t, i] = acc
+    # every series in one step, lag by lag; lags past a series' order add 0 * v
+    lags = max(map(len, spec.idio_ar), default=0)
+    ar = np.array([c + (0.0,) * (lags - len(c)) for c in spec.idio_ar]).reshape(n, lags)
+    v = rng.standard_normal((total, n)) * np.array(spec.idio_scale)
+    for t in range(total):
+        for j in range(1, min(t, lags) + 1):
+            v[t] += ar[:, j - 1] * v[t - j]
 
     x = f @ spec.lam.T + v
     names = tuple(f"x{i + 1}" for i in range(n))

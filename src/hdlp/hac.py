@@ -8,8 +8,9 @@ product series psi = v * u, and the coefficient variance is Omega / tau_sq**2
 second). Documented prominently because the scaling is easy to get wrong.
 Panels may replace the Bartlett Omega by a by-cluster sum of psi. Both
 estimators take a batch of zero-padded series, one per column with its own
-length and bandwidth, so an impulse response takes every horizon's variance
-in one call; a 1-D series is the batch of one, with the same bits.
+length (rows) and bandwidth, and return one result or error per column, so
+an impulse response takes every horizon's variance in one call; one series
+is the batch psi[:, None].
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class HacConfig:
 
 def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot product of each row of A with the same row of B, each one BLAS
-    dot, so a single row gets the bits of a 1-D a @ b."""
+    dot, so each row gets the bits of a 1-D a @ b."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
@@ -69,13 +70,14 @@ def newey_west(psi, K, rows=None):
     (1/T) * sum(psi**2). A negative rounding artifact is floored at
     1e-14 times the variance of psi.
 
-    A 2-D psi (n x k) holds k series, series i in its first rows[i] rows
-    (all n by default) and zero below, with bandwidth K[i] when K is a
-    sequence; it returns their k variances. Each lag is one batched call of
-    BLAS dots, so a 1-D psi is the one-series case, bit for bit.
+    psi (n x k) holds k series, series i in its first rows[i] rows (all n
+    by default) and zero below, with bandwidth K[i] when K is a sequence;
+    returns their k variances. Each lag is one batched call of BLAS dots,
+    one dot per series.
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    P = np.ascontiguousarray(np.atleast_2d(psi.T))  # one series per row
+    P = np.ascontiguousarray(np.asarray(psi, dtype=np.float64).T)  # one series per row
+    if P.ndim != 2:
+        raise DimensionMismatch("psi must be 2-D, one column per series")
     n = P.shape[1]
     T = np.full(len(P), n) if rows is None else np.asarray(rows)
     K = np.broadcast_to(np.asarray(K), T.shape)
@@ -91,7 +93,7 @@ def newey_west(psi, K, rows=None):
         omega += np.where(ell < K, 2.0 * weight * cross / np.maximum(T - ell, 1), 0.0)
     for i in np.flatnonzero(omega < 0.0):
         omega[i] = 1e-14 * float(np.var(P[i, : T[i]]))
-    return float(omega[0]) if psi.ndim == 1 else omega
+    return omega
 
 
 def cluster_omega(groups, psi) -> float:
@@ -109,16 +111,16 @@ def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
     With clusters (one group label per observation) omega_hat is instead
     cluster_omega(clusters, v * u) / T, K is unused and K_used is None.
 
-    2-D residuals (n x k) hold k pairs of series, pair i in its first
-    rows[i] rows (all n by default) and zero below; the call returns one
-    tuple, or the error that pair alone would raise, per pair.
+    The residuals (n x k each) hold k pairs of series, pair i in its first
+    rows[i] rows (all n by default) and zero below; returns one tuple, or
+    the error that pair alone would raise, per pair.
     """
     v = np.asarray(residuals_v, dtype=np.float64)
     u = np.asarray(residuals_u, dtype=np.float64)
-    if v.shape != u.shape:
-        raise DimensionMismatch("residual series must have equal length")
-    V = np.ascontiguousarray(np.atleast_2d(v.T))  # one series per row
-    psi = V * np.atleast_2d(u.T)
+    if v.shape != u.shape or v.ndim != 2:
+        raise DimensionMismatch("residuals must be 2-D, of one shape, one column per series")
+    V = np.ascontiguousarray(v.T)  # one series per row
+    psi = V * u.T
     T = np.full(len(V), V.shape[1]) if rows is None else np.asarray(rows)
     tau_sq = dots(V, V) / T
     if clusters is None:
@@ -142,6 +144,4 @@ def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
     for i in ok:
         out[i] = (float(omega[i] / tau_sq[i] ** 2), float(tau_sq[i]),
                   float(omega[i]), K_used[i])
-    if v.ndim == 1 and isinstance(out[0], Exception):
-        raise out[0]
-    return out[0] if v.ndim == 1 else out
+    return out

@@ -1,17 +1,19 @@
 """Orthonormal-basis kernels behind every fit in the estimators.
 
-Everything works on plain float64 arrays. Rank deficiency follows one rule,
-SPAN_RTOL: a column whose part outside the span of the columns before it
-is at most 1e-10 of its own norm is dropped, not raised on, because unions
-of selected lag columns are routinely collinear. A basis grown one column
-at a time tests that directly; a pivoted QR tests its pivots against the
-first, on the column-equilibrated design, where every nonzero column and
-the intercept column have unit norm. A basis of a design also serves every
-row prefix of that design (PrefixBasis), as long as the prefix keeps the
-design's rank; every prefix is read off one Cholesky factor. One two-pass
-kernel (orthogonalize, and extend on top of it) takes the residuals of many
-series on many zero-padded bases, or on one basis read on many prefixes, in
-a few batched products: greedy steps, unions and final residuals alike.
+Everything works on plain float64 arrays: a design is n x p, and the
+batched kernels take one zero-padded series per row. Rank deficiency
+follows one rule, SPAN_RTOL: a column whose part outside the span of the
+columns before it is at most 1e-10 of its own norm is dropped, not raised
+on, because unions of selected lag columns are routinely collinear. A basis
+grown one column at a time tests that directly; a pivoted QR tests its
+pivots against the first, on the column-equilibrated design, where every
+nonzero column and the intercept column have unit norm. A basis of a design
+also serves every row prefix of that design (PrefixBasis), as long as the
+prefix keeps the design's rank; every prefix is read off one Cholesky
+factor. One two-pass kernel (orthogonalize, and extend on top of it) takes
+the residuals of many series on many zero-padded bases, or on one basis
+read on many prefixes, in a few batched products: greedy steps, unions and
+final residuals alike.
 
 Only the pivoted QR and the prefix Cholesky need scipy, and only the
 no-selection fits run them, so scipy is imported on their first call
@@ -46,24 +48,16 @@ def _scipy():
     return scipy
 
 
-def _as_design(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise DimensionMismatch(f"design must be 1-D or 2-D, got ndim={X.ndim}")
-    return X
-
-
 def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
-    """Orthonormal basis for the column space of X (rank revealed by pivoted
-    QR), and of a constant column after X's when intercept is set.
+    """Orthonormal basis for the column space of the n x p design X (rank
+    revealed by pivoted QR), and of a constant column after X's when
+    intercept is set.
 
     Each column is divided by its norm first (zero columns stay zero), so a
     column's pivot is judged against its own scale: the rank does not
     depend on the units a series is measured in.
     """
-    X = _as_design(X)
+    X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     if p + intercept == 0:
         return np.zeros((n, 0))

@@ -23,9 +23,9 @@ horizon, so ``estimate_irf`` builds the datasets once and hands all horizons
 to ``_fit`` as one batch of row-prefix regressions on that design, per
 method: one lockstep greedy run, one batched Gram-Schmidt for the unions,
 one Cholesky factor for every no-selection prefix (read off one pivoted QR
-while no prefix may lose rank), one Newey-West call. Then ``double_oga_lp``
-or ``conventional_lp`` hands back each horizon's record, or raises its
-error. A single regression is the batch of one.
+while no prefix may lose rank), one Newey-West call. Like those kernels,
+it returns one record or error per dataset; ``_unwrap`` hands one back or
+raises its error. One regression is the batch of one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, dots, hac_variance
 from .linalg import SPAN_RTOL, PrefixBasis, extend, orthogonalize
-from .selection import OgaConfig, _unwrap, oga_hdaic_select
+from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
 CONVENTIONAL_LP = "conventional_lp"
@@ -109,8 +109,9 @@ class LpSpec:
         object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
         object.__setattr__(self, "contemporaneous", tuple(self.contemporaneous))
         object.__setattr__(self, "lagged", tuple(self.lagged))
-        if not self.horizons or any(h < 0 for h in self.horizons):
-            raise ValueError("horizons must be nonempty and nonnegative")
+        if (not self.horizons or any(h < 0 for h in self.horizons)
+                or len(set(self.horizons)) < len(self.horizons)):
+            raise ValueError("horizons must be nonempty, nonnegative and distinct")
         if self.lags < 0 or self.lag_augment < 0:
             raise ValueError("lag counts must be nonnegative")
         if self.shock in self.contemporaneous:
@@ -433,6 +434,13 @@ def _attempt(errors: dict, h: int, fn, *args, **kwargs):
         return None
 
 
+def _unwrap(fit):
+    """One entry of _fit's list: its LpEstimate, or its error raised."""
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
 def double_oga_lp(dataset: LpDataset, oga_config: OgaConfig | None = None,
                   hac_config: HacConfig | None = None, *, fit=None) -> LpEstimate:
     """Double-selection estimate of the shock coefficient at one horizon.
@@ -484,7 +492,7 @@ def _irfs(data, spec, oga_config, hac_config, methods) -> dict[str, IrfResult]:
     built: dict[int, str] = {}
     datasets: dict[int, LpDataset] = {}
     anchor = None
-    for h in sorted(set(spec.horizons)):
+    for h in sorted(spec.horizons):
         dataset = _attempt(built, h, build_lp_dataset, data, spec, h, anchor)
         if dataset is not None:
             datasets[h] = dataset

@@ -45,8 +45,9 @@ from .lp import (
     LpEstimate,
     _attempt,
     _fit,
+    _unwrap,
 )
-from .selection import OgaConfig, _unwrap
+from .selection import OgaConfig
 
 TREATED = "treated"
 CLEAN = "clean"
@@ -187,8 +188,9 @@ class LpDidSpec:
     def __post_init__(self):
         object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
         object.__setattr__(self, "extra_controls", tuple(self.extra_controls))
-        if not self.horizons or any(h < 0 for h in self.horizons):
-            raise ValueError("horizons must be nonempty and nonnegative")
+        if (not self.horizons or any(h < 0 for h in self.horizons)
+                or len(set(self.horizons)) < len(self.horizons)):
+            raise ValueError("horizons must be nonempty, nonnegative and distinct")
         if self.outcome_lags < 0:
             raise ValueError("outcome_lags must be nonnegative")
         if self.method not in METHODS:

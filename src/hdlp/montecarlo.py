@@ -97,12 +97,6 @@ class McReport:
     cells: dict[tuple[str, int, float], McCell]
     failures: int
 
-    def coverage(self, method: str, horizon: int, level: float) -> float:
-        return self.cells[(method, horizon, float(level))].coverage
-
-    def median_width(self, method: str, horizon: int, level: float) -> float:
-        return self.cells[(method, horizon, float(level))].median_width
-
     def rows(self):
         """Long-format rows, one per cell, in REPORT_COLUMNS order."""
         out = []
@@ -115,11 +109,6 @@ class McReport:
     def failure_fraction(self) -> float:
         total = self.n_reps * len(self.methods) * len(self.horizons)
         return self.failures / total if total else 0.0
-
-
-def run_replication(design: McDesign, methods, levels, seed: int, rep: int) -> dict:
-    """One replication: simulate, estimate each method, record the intervals."""
-    return next(_block(design, methods, levels, seed, [rep]))
 
 
 def _block(design: McDesign, methods, levels, seed: int, reps):

@@ -14,15 +14,17 @@ An optional intercept is always part of the projection, is never a
 selection candidate, and does not count toward the penalty. Its basis
 column, the constant 1/sqrt(T), is written down rather than factored.
 
-Many short paths cost little more than one: oga_order and oga_hdaic_select
-take a 2-D y, one path per column, each on its own
-leading rows of one shared design, and advance every path in lockstep with
-one matrix product per step. Tuning and cutting run in the same style: the
-holdout systems of all training paths are stacked and solved in one call
-per path length, every holdout error curve comes from one sum of squares,
-and the criterion curves of every path and candidate are one array
-expression that repeats the scalar criterion's arithmetic exactly. A path
-that fails gets its error in its slot and leaves the others alone.
+Every selection runs on a batch: y holds one column per path, each path on
+its own leading rows of one shared design (rows), and the result is one
+entry per column, the path's result or the error that path alone would
+raise; one series is the batch y[:, None]. The paths advance in lockstep
+with one matrix product per step, so many short paths cost little more than
+one. Tuning and cutting run in the same style: the holdout systems of all
+training paths are stacked and solved in one call per path length, every
+holdout error curve comes from one sum of squares, and the criterion curves
+of every path and candidate are one array expression that repeats the
+scalar criterion's arithmetic exactly. A path that fails gets its error in
+its slot and leaves the others alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class OgaConfig:
     c_star: fixed penalty constant; a tuple means data-driven choice over
         those candidates, and None means data-driven over
         DEFAULT_C_STAR_CANDIDATES.
-    max_steps_override: hard cap on the number of greedy steps.
+    max_steps_override: hard cap on the number of greedy steps, at least 1.
     mbar_scale / delta_assumed: constants of the step-budget formula
         ceil(mbar_scale * (T / max(log p, 1)^3) ** (1 / (2 * delta_assumed))),
         which is defined only up to unknown constants, hence configurable.
@@ -65,6 +67,8 @@ class OgaConfig:
                 raise ValueError("c_star candidates must be positive and nonempty")
         elif self.c_star is not None and self.c_star <= 0:
             raise ValueError("c_star must be positive")
+        if self.max_steps_override is not None and self.max_steps_override < 1:
+            raise ValueError("max_steps_override must be at least 1")
         if self.mbar_scale <= 0:
             raise ValueError("mbar_scale must be positive")
         if self.delta_assumed <= 1:
@@ -109,69 +113,53 @@ def max_steps(T: int, p: int, config: OgaConfig) -> int:
     budget = math.ceil(
         config.mbar_scale * (T / logp**3) ** (1.0 / (2.0 * config.delta_assumed))
     )
-    m = min(p, T - 1, budget)
-    if config.max_steps_override is not None:
-        m = min(m, config.max_steps_override)
-    return max(m, 1)
+    return max(min(p, T - 1, budget, config.max_steps_override or p), 1)
 
 
 def _as_paths(W, y, rows):
-    """W as a float64 matrix, y as one column per path, and each path's row
-    count (all of W's rows by default); also whether y was a single path."""
+    """W and y (one column per path) as float64 matrices, and each path's
+    row count (all of W's rows by default)."""
     W = np.asarray(W, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    single = y.ndim == 1
-    Y = y[:, None] if single else y
+    Y = np.asarray(y, dtype=np.float64)
     if W.ndim != 2 or Y.ndim != 2 or W.shape[0] != Y.shape[0]:
-        raise DimensionMismatch("W must be 2-D with rows matching y")
+        raise DimensionMismatch("W and y must be 2-D with matching rows")
     n = W.shape[0]
-    if rows is None:
-        rows = [n] * Y.shape[1]
-    rows = [int(r) for r in np.ravel(rows)]
+    rows = [int(r) for r in np.ravel([n] * Y.shape[1] if rows is None else rows)]
     if len(rows) != Y.shape[1] or not all(1 <= r <= n for r in rows):
         raise DimensionMismatch(f"need one row count in 1..{n} per column of y")
-    return W, Y, rows, single
-
-
-def _unwrap(result):
-    """A single path's result, raised when it is the path's error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return W, Y, rows
 
 
 def oga_order(W, y, M, intercept: bool = False, rows=None):
-    """Order up to M columns of W greedily by residual-variance reduction.
+    """Order up to M columns of W greedily by residual-variance reduction,
+    once against each column of y.
 
-    Each step adds the admissible column whose inclusion drops the RSS the
-    most. Gains within TIE_RTOL times the starting RSS (after the
-    intercept, when set) of the best count as a tie and ties go to the
-    lowest index, so rounding never decides between exact duplicates: the
-    gains are differences of RSS, whose rounding is on the scale of the
-    starting RSS however small the gains have become.
-    A column whose component orthogonal to the current fit is at most
-    SPAN_RTOL of its norm (a zero column, say) is already spanned and never
-    picked. Returns the ordering, the per-step residual variances
-    ||r_m||^2 / T, and the orthonormal basis built along the way: the
-    constant unit column when intercept is set, then one column per pick in
-    pick order. The path is shorter than M when the admissible pool empties
-    first; with no admissible column at the first step it raises
-    AllColumnsDegenerate.
+    y (n x k) holds k paths: path i orders the first rows[i] rows of W (all
+    of them by default) against column i of y, whose entries below those
+    rows are ignored, for M[i] steps when M is a sequence. Each step adds
+    the admissible column whose inclusion drops the RSS the most. Gains
+    within TIE_RTOL times the starting RSS (after the intercept, when set)
+    of the best count as a tie and ties go to the lowest index, so rounding
+    never decides between exact duplicates: the gains are differences of
+    RSS, whose rounding is on the scale of the starting RSS however small
+    the gains have become. A column whose component orthogonal to the
+    current fit is at most SPAN_RTOL of its norm (a zero column, say) is
+    already spanned and never picked. Returns, per path, the ordering, the
+    per-step residual variances ||r_m||^2 / T and the orthonormal basis
+    built along the way (the constant unit column when intercept is set,
+    then one column per pick in pick order), or, for a path with no
+    admissible column at its first step, AllColumnsDegenerate. A path is
+    shorter than M when its admissible pool empties first.
 
-    A 2-D y (n x k) runs k paths in lockstep on one design: path i orders
-    the first rows[i] rows of W (all of them by default) against column i
-    of y, whose entries below those rows are ignored, for M[i] steps when M
-    is a sequence. Residuals are kept zero below each path's rows, so the
-    scores W'r_i of every path are one product, formed once and then
-    downdated with the product W'q that each step forms anyway for the
-    candidates' norms (r_i loses its component along the new basis column
-    q, so W'r_i loses W'q times q'r_i); they equal W_i'r_i up to rounding.
-    The bases share one preallocated array. A path
-    whose pick turns out spanned retries without advancing. Returns one
-    (order, sigma_sq, Q) per path, or, for a path with no admissible column
-    at its first step, the AllColumnsDegenerate it would raise alone.
+    The paths advance in lockstep on one design. Residuals are kept zero
+    below each path's rows, so the scores W'r_i of every path are one
+    product, formed once and then downdated with the product W'q that each
+    step forms anyway for the candidates' norms (r_i loses its component
+    along the new basis column q, so W'r_i loses W'q times q'r_i); they
+    equal W_i'r_i up to rounding. The bases share one preallocated array.
+    A path whose pick turns out spanned retries without advancing.
     """
-    W, Y, rows, single = _as_paths(W, y, rows)
+    W, Y, rows = _as_paths(W, y, rows)
     n, p = W.shape
     k = Y.shape[1]
     steps = np.broadcast_to(np.asarray(M, dtype=np.intp), (k,))
@@ -229,13 +217,12 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
             orders[i].append(int(pick))
             sigma_sq[i].append(float(s))
 
-    paths = [
+    return [
         AllColumnsDegenerate("no admissible column at the first step")
         if steps[i] and not orders[i]
         else (orders[i], sigma_sq[i], Q[i, : m[i], : rows[i]].T)
         for i in range(k)
     ]
-    return _unwrap(paths[0]) if single else paths
 
 
 def _candidate_norms(W, rows, intercept: bool):
@@ -280,7 +267,7 @@ def _padded(paths) -> np.ndarray:
 
 
 def _budgets(counts, p: int, config: OgaConfig) -> list[int]:
-    """max_steps per row count; 0 for a single row, which cannot be selected
+    """max_steps per row count; 0 for one row, which cannot be selected
     on (its path then reports InsufficientSample)."""
     return [max_steps(n, p, config) if n >= 2 else 0 for n in counts]
 
@@ -290,14 +277,14 @@ def oga_hdaic_select(
 ):
     """Full selection: order greedily, then cut the path at the criterion minimum.
 
-    A 2-D y selects against each of its columns on that column's rows, as
-    oga_order runs them, and returns one SelectionPath per column, or the
-    error that column's selection alone would raise (AllColumnsDegenerate,
+    Selects against each column of y on that column's rows, as oga_order
+    runs them, and returns one SelectionPath per column, or the error that
+    column's selection alone would raise (AllColumnsDegenerate,
     or from tuning InsufficientSample or a LinAlgError). With a tuned
     c_star the training-row paths of every column join the same lockstep
     run, and every column is tuned and cut in one pass over arrays.
     """
-    W, Y, rows, single = _as_paths(W, y, rows)
+    W, Y, rows = _as_paths(W, y, rows)
     if min(rows, default=2) < 2:
         raise DimensionMismatch("W and y must share at least two rows")
     p, k = W.shape[1], Y.shape[1]
@@ -328,7 +315,7 @@ def oga_hdaic_select(
             c_star_used=c_star[i],
             basis=Q[:, : int(intercept) + m],
         )
-    return _unwrap(out[0]) if single else out
+    return out
 
 
 def _train_rows(T: int, config: OgaConfig) -> int:
@@ -340,7 +327,7 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     """Per column i of Y, the candidate whose cut of paths[i], a greedy path
     on the first train[i] rows, predicts rows train[i]..rows[i] - 1 best;
     ties go to the smaller candidate. A path's error (or InsufficientSample
-    for a single training row) stays in its slot.
+    for one training row) stays in its slot.
 
     On the n training rows X = [1, W[:, order]] (the 1 only with an
     intercept) is Q R, R square. The holdout rows of that basis solve

@@ -13,6 +13,14 @@ for its lockstep greedy kernel, and the one-path holdout for its batched
 c_star tuning. The scalar criterion, its argmin and a tuning-only entry
 point (select_c_star) read the library's batched curves and holdout.
 panel_row looks one cell up through a panel's own vectorized lookup.
+
+The library's kernels take one column per path or series and return one
+result or error per column. order_one, select_one, newey_west_one and
+hac_one run one series as a batch of one and raise its error; bartlett_sum
+is the long-run variance of one series as it is defined. coverage,
+median_width and replication read one cell of a Monte Carlo report and run
+one replication as a block of one; simulate_dfm_per_series is the
+one-series-at-a-time idiosyncratic loop of the factor-model simulator.
 """
 
 from __future__ import annotations
@@ -24,16 +32,13 @@ import math
 import numpy as np
 import scipy.linalg
 
-from hdlp.dgp import VarDgpSpec, _generator
+from hdlp.dgp import DfmDgpSpec, VarDgpSpec, _generator
 from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
-from hdlp.linalg import (
-    PREFIX_EIG_TOL,
-    SPAN_RTOL,
-    _as_design,
-    orthonormal_columns,
-)
+from hdlp.hac import hac_variance, newey_west
+from hdlp.linalg import PREFIX_EIG_TOL, SPAN_RTOL, orthonormal_columns
 from hdlp.lp import TimeSeriesMatrix
 from hdlp.lpdid import PanelDataset
+from hdlp.montecarlo import McDesign, McReport, _block
 from hdlp.selection import (
     TIE_RTOL,
     OgaConfig,
@@ -42,9 +47,71 @@ from hdlp.selection import (
     _hdaic_curves,
     _holdout_c_stars,
     _train_rows,
-    _unwrap,
+    oga_hdaic_select,
     oga_order,
 )
+
+
+def one(results):
+    """The only entry of a batch of one, raised when it is an error."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def order_one(W, y, M, intercept: bool = False):
+    """oga_order on the one series y: (order, sigma_sq, Q), or its error raised."""
+    return one(oga_order(W, np.asarray(y, dtype=np.float64)[:, None], M, intercept))
+
+
+def select_one(W, y, config: OgaConfig, intercept: bool = False):
+    """oga_hdaic_select on the one series y: its SelectionPath, or its error raised."""
+    return one(oga_hdaic_select(W, np.asarray(y, dtype=np.float64)[:, None], config,
+                                intercept))
+
+
+def newey_west_one(psi, K) -> float:
+    """newey_west of the one series psi."""
+    return float(one(newey_west(np.asarray(psi, dtype=np.float64)[:, None], K)))
+
+
+def hac_one(v, u, K=None, clusters=None):
+    """hac_variance of the one pair (v, u): its tuple, or its error raised."""
+    return one(hac_variance(np.asarray(v, dtype=np.float64)[:, None],
+                            np.asarray(u, dtype=np.float64)[:, None], K, clusters))
+
+
+def bartlett_sum(psi, K: int) -> float:
+    """The Bartlett long-run variance of one series, summed as it is defined:
+    over lags |ell| < K, (1 - |ell|/K) sum_t psi_t psi_{t-|ell|} / (T - |ell|)."""
+    psi = np.asarray(psi, dtype=np.float64)
+    T = psi.shape[0]
+    return sum((1.0 - abs(ell) / K) * float(psi[abs(ell):] @ psi[: T - abs(ell)])
+               / (T - abs(ell)) for ell in range(1 - K, K))
+
+
+def coverage(report: McReport, method: str, horizon: int, level: float) -> float:
+    return report.cells[(method, horizon, float(level))].coverage
+
+
+def median_width(report: McReport, method: str, horizon: int, level: float) -> float:
+    return report.cells[(method, horizon, float(level))].median_width
+
+
+def replication(design: McDesign, methods, levels, seed: int, rep: int) -> dict:
+    """One replication's record: simulated, estimated and scored as a block of one."""
+    return next(_block(design, methods, levels, seed, [rep]))
+
+
+def _as_design(X) -> np.ndarray:
+    """X as a float64 design, a 1-D X as its one column."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2:
+        raise DimensionMismatch(f"design must be 1-D or 2-D, got ndim={X.ndim}")
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,19 +353,17 @@ def select_c_star(
     """The library's tuned c_star for y's columns on their own: the training
     paths of every column in one lockstep oga_order run and one batched
     holdout pass (_holdout_c_stars), as oga_hdaic_select tunes them. Ties
-    go to the smaller candidate; a 1-D y returns one c_star or raises its
-    error, a 2-D y one c_star or error per column."""
+    go to the smaller candidate; returns one c_star or error per column."""
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")
     config = config or OgaConfig()
-    W, Y, rows, single = _as_paths(W, y, rows)
+    W, Y, rows = _as_paths(W, y, rows)
     if min(rows, default=2) < 2:
         raise DimensionMismatch("W and y must share at least two rows")
     train = [_train_rows(T, config) for T in rows]
     paths = oga_order(W, Y, _budgets(train, W.shape[1], config), intercept, train)
-    out = _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept)
-    return _unwrap(out[0]) if single else out
+    return _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept)
 
 
 def panel_row(panel: PanelDataset, unit, time: int) -> int | None:
@@ -308,3 +373,29 @@ def panel_row(panel: PanelDataset, unit, time: int) -> int | None:
         return None
     r = int(panel._find(code, np.array([int(time)]))[0])
     return r if r >= 0 else None
+
+
+def simulate_dfm_per_series(spec: DfmDgpSpec, seed) -> TimeSeriesMatrix:
+    """simulate_dfm's draws with the idiosyncratic terms advanced one series
+    at a time: v_t = scale * xi_t + sum over lags j <= t of c_j v_{t-j}."""
+    rng = _generator(seed)
+    total = spec.T + spec.burn_in
+    k, n = spec.n_factors, spec.n_series
+    eps = rng.standard_normal((total, spec.h_load.shape[1]))
+    f = np.zeros((total, k))
+    for t in range(total):
+        prev = f[t - 1] if t > 0 else np.zeros(k)
+        f[t] = spec.phi @ prev + spec.h_load @ eps[t]
+    xi = rng.standard_normal((total, n))
+    v = np.zeros((total, n))
+    for i in range(n):
+        coeffs = spec.idio_ar[i]
+        for t in range(total):
+            acc = spec.idio_scale[i] * xi[t, i]
+            for j, c in enumerate(coeffs, start=1):
+                if t - j >= 0:
+                    acc += c * v[t - j, i]
+            v[t, i] = acc
+    x = f @ spec.lam.T + v
+    names = tuple(f"x{i + 1}" for i in range(n))
+    return TimeSeriesMatrix(values=x[spec.burn_in :], columns=names)

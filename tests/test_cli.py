@@ -18,6 +18,7 @@ from hdlp.cli import (
     save_checkpoint,
 )
 from hdlp.config import build_montecarlo_run, load_yaml
+from reference import replication
 
 
 def write_yaml(path, cfg):
@@ -157,6 +158,22 @@ class TestEstimateCommand:
         cfg["unexpected_key"] = 1
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main(["estimate", "--config", cfg_path]) == 2
+        assert not (tmp_path / "irf.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("horizons", [1, 1, 2], "horizons must be nonempty, nonnegative and distinct"),
+        ("levels", [0.9, 0.95, 0.9], "a list of distinct levels"),
+        ("selection", {"c_star": 2.0, "max_steps": 0},
+         "max_steps_override must be at least 1"),
+        ("selection", {"c_star": 2.0, "max_steps": -3},
+         "max_steps_override must be at least 1"),
+    ])
+    def test_repeated_horizon_or_level_or_step_cap_below_one_is_config_error(
+            self, tmp_path, sim_csv, capsys, key, value, message):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml",
+                              estimate_cfg(tmp_path, sim_csv, **{key: value}))
+        assert main(["estimate", "--config", cfg_path]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "irf.csv").exists()
 
     def test_candidates_key_is_gone(self, tmp_path, sim_csv):
@@ -300,10 +317,8 @@ class TestMontecarloCommand:
 
         # craft a mid-run checkpoint: first 4 replications only
         run = build_montecarlo_run(load_yaml(cfg_path))
-        from hdlp.montecarlo import run_replication
-
         records = [
-            run_replication(run.design, run.methods, run.levels, run.seed, rep)
+            replication(run.design, run.methods, run.levels, run.seed, rep)
             for rep in range(4)
         ]
         save_checkpoint(
@@ -423,6 +438,15 @@ class TestMontecarloCommand:
                               small_var_mc_cfg(tmp_path, checkpoint=False))
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert (tmp_path / "mc.csv").is_file()
+
+    def test_repeated_horizon_is_config_error(self, tmp_path, capsys):
+        # each horizon would be estimated and counted against the failure limit twice
+        cfg = small_var_mc_cfg(tmp_path)
+        cfg["estimation"]["horizons"] = [1, 2, 1]
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["montecarlo", "--config", cfg_path]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "mc.csv").exists()
 
     def test_dfm_design_rejected(self, tmp_path):
         cfg = small_var_mc_cfg(tmp_path)
@@ -558,6 +582,14 @@ class TestLpdidCommand:
         assert "estimation failed for 1 horizon(s)" in err
         log = (tmp_path / "did.csv.log").read_text()
         assert log.startswith("horizon 1: InsufficientSample: ")
+
+    def test_repeated_horizon_is_config_error(self, tmp_path, capsys, panel_csv):
+        cfg = {"data": panel_csv, "output": str(tmp_path / "did.csv"),
+               "horizons": [0, 0]}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["lpdid", "--config", cfg_path]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "did.csv").exists()
 
     def test_bogus_variance_is_config_error(self, tmp_path, capsys, panel_csv):
         cfg = {"data": panel_csv, "output": str(tmp_path / "did.csv"),

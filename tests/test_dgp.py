@@ -22,7 +22,7 @@ from hdlp.dgp import (
     true_reduced_form_irf,
 )
 from hdlp.errors import NonStationarySpec
-from reference import simulate_var_per_lag, simulate_var_stacked
+from reference import simulate_dfm_per_series, simulate_var_per_lag, simulate_var_stacked
 
 
 def random_stable_var(rng, n, K, scale=0.4):
@@ -288,6 +288,30 @@ class TestSimulateDfm:
         f = simulate_dfm(spec, seed=2).values[:, 0]
         r1 = np.corrcoef(f[1:], f[:-1])[0, 1]
         assert r1 == pytest.approx(0.8, abs=0.02)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lags=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        scales=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        log_scale=st.floats(-6.0, 6.0),
+        n_factors=st.integers(1, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_all_series_in_one_step_equal_the_per_series_loop_bit_for_bit(
+        self, seed, lags, scales, log_scale, n_factors
+    ):
+        rng = np.random.default_rng(seed)
+        n = len(lags)
+        # AR polynomials prod_k (1 - r_k z) with roots inside (-0.9, 0.9): stationary
+        idio_ar = tuple(tuple(-np.poly(rng.uniform(-0.9, 0.9, L))[1:]) if L else ()
+                        for L in lags)
+        spec = DfmDgpSpec(
+            phi=0.5 * np.eye(n_factors), h_load=np.eye(n_factors),
+            lam=rng.standard_normal((n, n_factors)), idio_ar=idio_ar,
+            idio_scale=tuple(10.0**log_scale * np.array(scales[:n])), T=40, burn_in=30,
+        )
+        got = simulate_dfm(spec, seed=seed).values
+        assert got.tobytes() == simulate_dfm_per_series(spec, seed).values.tobytes()
 
     def test_rejects_explosive_factor(self):
         with pytest.raises(NonStationarySpec):

@@ -1,9 +1,13 @@
 """Every module of the package, every script and every test module uses
-what it imports, and the commands load only what they run.
+what it imports, the package uses what it defines, and the commands load
+only what they run.
 
-A stdlib-ast check, so it needs no linter: a name bound by an import must
+Stdlib-ast checks, so they need no linter: a name bound by an import must
 appear as a name somewhere in the module (string annotations included).
 The package's __init__.py is skipped, since its imports are re-exports.
+A function, method or class the package defines must be read somewhere in
+the package outside its own definition: as a name, an attribute or a
+re-export from __init__.py.
 
 The import graph is checked in a fresh interpreter, since pytest's own
 process has scipy loaded already: greedy double selection runs on numpy
@@ -17,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +68,60 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree, reexports: bool = False) -> Counter:
+    """How often each name is read, as a Name or an Attribute, in tree; with
+    reexports, names imported from a module count as read too."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            read[node.attr] += 1
+        elif reexports and isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """'module.name' for each top-level function or class, and each method
+    that is not a dunder, that the modules (by name; __init__ re-exports)
+    read nowhere outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum((names_read(tree, module == "__init__") for module, tree in trees.items()),
+               Counter())
+    unused = []
+    for module, tree in trees.items():
+        defs = [node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("__")]
+        unused += [f"{module}.{node.name}" for node in defs
+                   if read[node.name] <= names_read(node)[node.name]]
+    return unused
+
+
+def test_the_check_finds_an_unused_definition():
+    sources = {
+        "__init__": "from .a import shown\n",
+        "a": ("def shown(): pass\n"
+              "def loop(n): return loop(n - 1)\n"  # reads itself only
+              "def called(): pass\n"
+              "class C:\n"
+              "    def __init__(self): self.kept()\n"
+              "    def kept(self): pass\n"
+              "    def dropped(self): pass\n"),
+        "b": "from .a import C, called\nC(); called()\n",
+    }
+    assert unused_definitions(sources) == ["a.loop", "a.dropped"]
+
+
+def test_the_package_uses_what_it_defines():
+    package = ROOT / "src" / "hdlp"
+    assert unused_definitions({path.stem: path.read_text()
+                               for path in sorted(package.glob("*.py"))}) == []
 
 
 # run in a fresh interpreter: each argument is a command and its config

@@ -22,7 +22,7 @@ from hdlp.errors import (
     UnknownColumn,
 )
 from hdlp.linalg import PrefixBasis
-from hdlp.hac import HacConfig, cluster_omega, newey_west
+from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
@@ -30,14 +30,15 @@ from hdlp.lp import (
     LpSpec,
     TimeSeriesMatrix,
     _fit,
+    _unwrap,
     build_lp_dataset,
     conventional_lp,
     double_oga_lp,
     estimate_irf,
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
-from hdlp.selection import OgaConfig, _unwrap
-from reference import ols_fit, project_out
+from hdlp.selection import OgaConfig
+from reference import newey_west_one, ols_fit, project_out
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
 
@@ -302,7 +303,7 @@ class TestDoubleOgaLp:
         v, e = resid(est.selected_x, ds.x), resid(est.selected_y, ds.y)
         np.testing.assert_allclose(est.residuals_v, v, atol=1e-12)
         assert est.tau_sq == pytest.approx(float(v @ v) / ds.effective_T, rel=1e-12)
-        assert est.omega == pytest.approx(newey_west(v * e, est.bandwidth), rel=1e-9)
+        assert est.omega == pytest.approx(newey_west_one(v * e, est.bandwidth), rel=1e-9)
         x_u, y_u = resid(est.union, ds.x), resid(est.union, ds.y)
         beta = float(x_u @ y_u) / float(x_u @ x_u)
         np.testing.assert_allclose(est.residuals_u, y_u - beta * x_u, atol=1e-12)
@@ -629,7 +630,7 @@ class TestPartialOutCore:
         T = dy.shape[0]
         tau_sq = float(fit.residuals_v @ fit.residuals_v) / T
         if variance == "hac":
-            omega = newey_west(fit.residuals_v * fit.residuals_e, got.bandwidth)
+            omega = newey_west_one(fit.residuals_v * fit.residuals_e, got.bandwidth)
         else:
             omega = cluster_omega(units, fit.residuals_v * fit.residuals_e) / T
         se = np.sqrt(omega / tau_sq**2 / (T - fit.rank))
@@ -763,6 +764,41 @@ class TestScaleFreeChecks:
                 assert a.beta == pytest.approx(b.beta, rel=rel)
                 assert a.se == pytest.approx(b.se, rel=rel)
                 assert a.union == b.union
+
+
+class TestAffineResponse:
+    """An affine map a*y + b of the response series (a lagged control too)
+    moves no selection, with the intercept in: the constant is projected
+    out and every greedy gain, criterion value and holdout error scales by
+    a^2. beta scales by a and se by |a|."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_a=st.floats(-3.0, 3.0),
+        negative=st.booleans(),
+        b=st.floats(-100.0, 100.0),
+        tuned=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_keeps_every_selection_and_scales_beta_and_se(self, seed, log_a,
+                                                          negative, b, tuned):
+        rng = np.random.default_rng(seed)
+        data = make_data(rng, 90, 4, names=("y", "x", "w", "z"))
+        values = data.values.copy()
+        values[1:, 0] += 0.6 * values[:-1, 1] + 0.4 * values[:-1, 2]
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2, 3, 4),
+                      contemporaneous=("w",), lagged=("y", "x", "w", "z"), lags=2)
+        oga = OgaConfig(c_star=None if tuned else 2.0)
+        ref = estimate_irf(TimeSeriesMatrix(values, data.columns), spec, oga)
+        a = -(10.0**log_a) if negative else 10.0**log_a
+        values[:, 0] = a * values[:, 0] + b
+        got = estimate_irf(TimeSeriesMatrix(values, data.columns), spec, oga)
+        assert not ref.errors and not got.errors
+        for est, want in zip(got.estimates, ref.estimates, strict=True):
+            assert (est.union, est.c_star_y, est.c_star_x) == (
+                want.union, want.c_star_y, want.c_star_x)
+            assert abs(est.beta - a * want.beta) <= 1e-9 * est.se
+            assert abs(est.se - abs(a) * want.se) <= 1e-9 * est.se
 
 
 class TestEquilibratedDesign:

@@ -8,13 +8,9 @@ import hdlp.lp
 from hdlp.dgp import Section3Design, VarDgpSpec, toeplitz_power_sigma
 from hdlp.hac import HacConfig
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA, LpSpec
-from hdlp.montecarlo import (
-    McDesign,
-    run_monte_carlo,
-    run_replication,
-    section3_mc_design,
-)
+from hdlp.montecarlo import McDesign, run_monte_carlo, section3_mc_design
 from hdlp.selection import OgaConfig
+from reference import coverage, replication
 
 
 def small_design(n_horizons=3, lags=2):
@@ -34,7 +30,7 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(small_design(), methods=(DOUBLE_OGA,),
                                  n_reps=1, levels=(0.95,), seed=3)
         for h in report.horizons:
-            assert report.coverage(DOUBLE_OGA, h, 0.95) in (0.0, 1.0)
+            assert coverage(report, DOUBLE_OGA, h, 0.95) in (0.0, 1.0)
 
     def test_parallelism_does_not_change_report(self):
         design = small_design()
@@ -69,9 +65,8 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(small_design(), methods=(DOUBLE_OGA,),
                                  n_reps=30, levels=(0.68, 0.95), seed=7)
         for h in report.horizons:
-            assert report.coverage(DOUBLE_OGA, h, 0.95) >= report.coverage(
-                DOUBLE_OGA, h, 0.68
-            )
+            assert (coverage(report, DOUBLE_OGA, h, 0.95)
+                    >= coverage(report, DOUBLE_OGA, h, 0.68))
 
     def test_report_rows_layout(self):
         report = run_monte_carlo(small_design(n_horizons=5),
@@ -92,8 +87,8 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(design, methods=(DOUBLE_OGA,), n_reps=3,
                                  levels=(0.95,), seed=13)
         assert report.failures == 3
-        assert np.isnan(report.coverage(DOUBLE_OGA, 110, 0.95))
-        assert report.coverage(DOUBLE_OGA, 1, 0.95) in (0.0, 1/3, 2/3, 1.0)
+        assert np.isnan(coverage(report, DOUBLE_OGA, 110, 0.95))
+        assert coverage(report, DOUBLE_OGA, 1, 0.95) in (0.0, 1/3, 2/3, 1.0)
         assert report.failure_fraction == pytest.approx(0.5)
 
     def test_section3_design_wiring(self):
@@ -167,8 +162,8 @@ def test_one_dataset_build_per_horizon_for_both_methods(monkeypatch):
         return build(data, spec, h, *args, **kwargs)
 
     monkeypatch.setattr(hdlp.lp, "build_lp_dataset", counted)
-    record = run_replication(small_design(n_horizons=20),
-                             (DOUBLE_OGA, CONVENTIONAL_LP), (0.95,), 0, 0)
+    record = replication(small_design(n_horizons=20),
+                         (DOUBLE_OGA, CONVENTIONAL_LP), (0.95,), 0, 0)
     assert horizons == list(range(1, 21))
     assert all(cell["ok"] for cells in record["methods"].values()
                for cell in cells.values())

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlp.errors import AllColumnsDegenerate, InsufficientSample
+from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample
 from hdlp.selection import (
     DEFAULT_C_STAR_CANDIDATES,
     OgaConfig,
@@ -21,8 +21,11 @@ from reference import (
     holdout_c_star_one_path,
     oga_order_one_path,
     ols_fit,
+    one,
+    order_one,
     select_c_star,
     select_hdaic,
+    select_one,
 )
 
 
@@ -69,35 +72,35 @@ class TestOgaOrder:
         rng = np.random.default_rng(1)
         Q, _ = np.linalg.qr(rng.standard_normal((40, 8)))
         y = 2.0 * Q[:, 3] + 0.5 * Q[:, 7]
-        order, sigma_sq, _ = oga_order(Q, y, 3)
+        order, sigma_sq, _ = order_one(Q, y, 3)
         assert order[:2] == [3, 7]
         assert sigma_sq[1] == pytest.approx(0.0, abs=1e-20)
 
     def test_single_candidate(self):
         rng = np.random.default_rng(2)
         W = rng.standard_normal((10, 1))
-        order, _, _ = oga_order(W, rng.standard_normal(10), 1)
+        order, _, _ = order_one(W, rng.standard_normal(10), 1)
         assert order == [0]
 
     def test_matches_refit_oracle(self):
         rng = np.random.default_rng(3)
         W = rng.standard_normal((40, 8))
         y = rng.standard_normal(40)
-        order, _, _ = oga_order(W, y, 8)
+        order, _, _ = order_one(W, y, 8)
         assert order == refit_greedy_oracle(W, y, 8)
 
     def test_matches_refit_oracle_with_base(self):
         rng = np.random.default_rng(4)
         W = rng.standard_normal((30, 6)) + 1.5
         y = rng.standard_normal(30) + 0.7
-        order, _, _ = oga_order(W, y, 6, intercept=True)
+        order, _, _ = order_one(W, y, 6, intercept=True)
         assert order == refit_greedy_oracle(W, y, 6, base=np.ones((30, 1)))
 
     def test_sigma_path_nonincreasing(self):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((50, 10))
         y = rng.standard_normal(50)
-        _, sigma_sq, _ = oga_order(W, y, 10)
+        _, sigma_sq, _ = order_one(W, y, 10)
         diffs = np.diff(sigma_sq)
         assert np.all(diffs <= 1e-12)
 
@@ -107,7 +110,7 @@ class TestOgaOrder:
         b = rng.standard_normal(20)
         W = np.column_stack([a, 2.0 * a, b])  # column 1 spanned once 0 enters
         y = 3.0 * a + b + 0.01 * rng.standard_normal(20)
-        order, _, _ = oga_order(W, y, 3)
+        order, _, _ = order_one(W, y, 3)
         assert len(order) == 2
         assert set(order) == {0, 2}
 
@@ -115,22 +118,22 @@ class TestOgaOrder:
         # a zero column is inside every span, the empty one included
         W = np.column_stack([np.zeros(10), np.arange(10.0) ** 2, np.zeros(10)])
         for intercept in (False, True):
-            order, _, Q = oga_order(W, np.arange(10.0), 3, intercept=intercept)
+            order, _, Q = order_one(W, np.arange(10.0), 3, intercept=intercept)
             assert order == [1]
             assert Q.shape == (10, 1 + intercept)
             with pytest.raises(AllColumnsDegenerate):
-                oga_order(np.zeros((10, 2)), np.arange(10.0), 2, intercept=intercept)
+                order_one(np.zeros((10, 2)), np.arange(10.0), 2, intercept=intercept)
 
     def test_all_degenerate_first_step(self):
         W = np.column_stack([np.ones(10), 2.0 * np.ones(10)])
         with pytest.raises(AllColumnsDegenerate):
-            oga_order(W, np.arange(10.0), 2, intercept=True)
+            order_one(W, np.arange(10.0), 2, intercept=True)
 
     def test_intercept_column_is_written_down(self):
         rng = np.random.default_rng(7)
         W = rng.standard_normal((25, 4)) + 2.0
         y = rng.standard_normal(25) + 1.0
-        order, sigma_sq, Q = oga_order(W, y, 4, intercept=True)
+        order, sigma_sq, Q = order_one(W, y, 4, intercept=True)
         assert np.all(Q[:, 0] == 1.0 / math.sqrt(25))
         X = np.column_stack([np.ones(25), W[:, order]])
         rss = [ols_fit(X[:, : m + 2], y).rss for m in range(len(order))]
@@ -142,10 +145,10 @@ class TestOgaOrder:
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((25, 6))
         y = rng.standard_normal(25)
-        order, _, _ = oga_order(W, y, 6)
+        order, _, _ = order_one(W, y, 6)
         W2 = W.copy()
         W2[:, 2] *= scale
-        order2, _, _ = oga_order(W2, y, 6)
+        order2, _, _ = order_one(W2, y, 6)
         assert order == order2
 
 
@@ -161,8 +164,8 @@ class TestOgaOrder:
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((30, 7)) + with_base
         y = rng.standard_normal(30)
-        order, _, _ = oga_order(W, y, 7, intercept=with_base)
-        scaled, _, _ = oga_order(W * 10.0 ** np.array(log_scales), y, 7,
+        order, _, _ = order_one(W, y, 7, intercept=with_base)
+        scaled, _, _ = order_one(W * 10.0 ** np.array(log_scales), y, 7,
                                  intercept=with_base)
         assert scaled == order
         assert order == oga_order_one_path(W, y, 7, with_base)[0]
@@ -188,8 +191,8 @@ class TestOgaOrder:
         buffer = np.empty(W.size + 1)
         shifted = buffer[1:].reshape(W.shape)
         shifted[...] = W
-        order, sigma_sq, _ = oga_order(W, y, p + 1, intercept=with_base)
-        order2, sigma_sq2, _ = oga_order(shifted, y, p + 1, intercept=with_base)
+        order, sigma_sq, _ = order_one(W, y, p + 1, intercept=with_base)
+        order2, sigma_sq2, _ = order_one(shifted, y, p + 1, intercept=with_base)
         assert order2 == order
         assert sigma_sq2 == sigma_sq
         assert k in order and d not in order
@@ -274,18 +277,21 @@ class TestLockstep:
                 assert path[0] == paths[i][0]
                 np.testing.assert_allclose(path[1], paths[i][1], rtol=1e-12)
 
-    def test_one_path_is_the_first_column(self):
+    def test_a_batch_of_one_is_the_one_path_oracle(self):
         rng = np.random.default_rng(16)
         W = rng.standard_normal((30, 6))
         y = W[:, 1] - W[:, 4] + rng.standard_normal(30)
-        order, sigma_sq, Q = oga_order(W, y, 4, intercept=True)
-        [(order2, sigma_sq2, Q2)] = oga_order(W, y[:, None], [4], intercept=True)
-        assert order2 == order and sigma_sq2 == sigma_sq
-        np.testing.assert_array_equal(Q2, Q)
-        with pytest.raises(AllColumnsDegenerate):
-            oga_order(np.zeros((30, 2)), y, 2)
+        [(order, sigma_sq, Q)] = oga_order(W, y[:, None], [4], intercept=True)
+        want = oga_order_one_path(W, y, 4, intercept=True)
+        assert order == want[0] == refit_greedy_oracle(W, y, 4, base=np.ones((30, 1)))
+        np.testing.assert_allclose(sigma_sq, want[1], rtol=1e-12)
+        assert_same_span_basis(Q, W, order, True)
         [failed] = oga_order(np.zeros((30, 2)), y[:, None], 2)
         assert isinstance(failed, AllColumnsDegenerate)
+        with pytest.raises(AllColumnsDegenerate):
+            oga_order_one_path(np.zeros((30, 2)), y, 2)
+        with pytest.raises(DimensionMismatch):  # one series is y[:, None]
+            oga_order(W, y, 4)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -311,13 +317,13 @@ class TestLockstep:
         assert isinstance(paths[-1], AllColumnsDegenerate)
         assert isinstance(c_stars[-1], AllColumnsDegenerate)
         for i, T in enumerate(rows[:-1]):
-            alone = oga_hdaic_select(W[:T], Y[:T, i], cfg, intercept)
+            alone = select_one(W[:T], Y[:T, i], cfg, intercept)
             assert paths[i].chosen_set == alone.chosen_set
             assert paths[i].c_star_used == alone.c_star_used
             np.testing.assert_allclose(paths[i].sigma_sq_path, alone.sigma_sq_path,
                                        rtol=1e-12)
-            assert c_stars[i] == select_c_star(W[:T], Y[:T, i], (0.5, 2.0, 8.0),
-                                               cfg, intercept)
+            assert c_stars[i] == one(select_c_star(W[:T], Y[:T, i : i + 1],
+                                                   (0.5, 2.0, 8.0), cfg, intercept))
 
 
 class TestHdaic:
@@ -414,7 +420,7 @@ class TestOgaHdaicSelect:
         W = rng.standard_normal((40, p)) + with_base
         W = np.column_stack([W] + [2.0 * W[:, k % p] for k in range(n_dup)])
         y = W[:, 0] - W[:, -1] + rng.standard_normal(40)
-        path = oga_hdaic_select(W, y, OgaConfig(c_star=2.0), intercept=with_base)
+        path = select_one(W, y, OgaConfig(c_star=2.0), intercept=with_base)
         Q = path.basis
         assert Q.shape == (40, with_base + path.chosen_m)
         np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
@@ -426,11 +432,39 @@ class TestOgaHdaicSelect:
         coef = np.linalg.lstsq(X, Q, rcond=None)[0]
         np.testing.assert_allclose(X @ coef, Q, atol=1e-9)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 60),
+        p=st.integers(1, 8),
+        intercept=st.booleans(),
+        tuned=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_batch_of_one_is_the_one_path_oracle(self, seed, n, p, intercept, tuned):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n, p)) + intercept * rng.uniform(-1, 1, p)
+        y = W[:, 0] - 0.5 * W[:, -1] + rng.standard_normal(n)
+        candidates = (0.5, 2.0, 8.0)
+        cfg = OgaConfig(c_star=candidates if tuned else 2.0)
+        [path] = oga_hdaic_select(W, y[:, None], cfg, intercept)
+        order, sigma_sq, _ = oga_order_one_path(W, y, max_steps(n, p, cfg), intercept)
+        c_star = 2.0
+        if tuned:
+            n_train = min(max(int((1.0 - cfg.eval_fraction) * n), 2), n - 1)
+            train = oga_order_one_path(W[:n_train], y[:n_train],
+                                       max_steps(n_train, p, cfg), intercept)
+            c_star = holdout_c_star_one_path(W, y, n_train, train, candidates, intercept)
+        assert path.ordered_indices == tuple(order)
+        np.testing.assert_allclose(path.sigma_sq_path, sigma_sq, rtol=1e-12)
+        assert path.c_star_used == c_star
+        assert path.chosen_m == select_hdaic(sigma_sq, p, n, c_star)
+        assert_same_span_basis(path.basis, W, list(path.chosen_set), intercept)
+
     def test_exact_single_column(self):
         rng = np.random.default_rng(9)
         Q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
         y = Q[:, 5].copy()
-        path = oga_hdaic_select(Q, y, OgaConfig(c_star=2.0))
+        path = select_one(Q, y, OgaConfig(c_star=2.0))
         assert path.chosen_set == (5,)
         assert path.chosen_m == 1
 
@@ -438,7 +472,7 @@ class TestOgaHdaicSelect:
         rng = np.random.default_rng(10)
         W = rng.standard_normal((1000, 2))
         y = rng.standard_normal(1000)
-        path = oga_hdaic_select(W, y, OgaConfig(c_star=2.0))
+        path = select_one(W, y, OgaConfig(c_star=2.0))
         assert path.chosen_m == 1
         # the selected model explains essentially nothing
         assert path.sigma_sq_path[0] >= 0.99 * np.var(y)
@@ -448,7 +482,7 @@ class TestOgaHdaicSelect:
         W = rng.standard_normal((60, 30))
         y = W @ rng.standard_normal(30) + rng.standard_normal(60)
         cfg = OgaConfig(c_star=2.0)
-        path = oga_hdaic_select(W, y, cfg)
+        path = select_one(W, y, cfg)
         assert path.chosen_m <= max_steps(60, 30, cfg)
         assert path.chosen_set == path.ordered_indices[: path.chosen_m]
 
@@ -456,7 +490,7 @@ class TestOgaHdaicSelect:
         rng = np.random.default_rng(12)
         W = rng.standard_normal((100, 5))
         y = W[:, 0] + 0.1 * rng.standard_normal(100)
-        path = oga_hdaic_select(W, y, OgaConfig(c_star=None))
+        path = select_one(W, y, OgaConfig(c_star=None))
         assert path.c_star_used in DEFAULT_C_STAR_CANDIDATES
 
 
@@ -465,14 +499,14 @@ class TestSelectCStar:
         rng = np.random.default_rng(13)
         W = rng.standard_normal((50, 4))
         y = rng.standard_normal(50)
-        assert select_c_star(W, y, (2.0,)) == 2.0
+        assert select_c_star(W, y[:, None], (2.0,)) == [2.0]
 
     def test_tie_goes_to_smaller(self):
         # strong single signal: every candidate selects the same model
         rng = np.random.default_rng(14)
         W = rng.standard_normal((200, 4))
         y = 5.0 * W[:, 2] + 0.01 * rng.standard_normal(200)
-        assert select_c_star(W, y, (1.6, 2.4)) == 1.6
+        assert select_c_star(W, y[:, None], (1.6, 2.4)) == [1.6]
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -490,16 +524,16 @@ class TestSelectCStar:
         W = rng.standard_normal((T, p)) + intercept * rng.uniform(-1, 1, p)
         y = W[:, 0] - 0.5 * W[:, -1] + rng.standard_normal(T)
         cfg = OgaConfig(eval_fraction=eval_fraction)
-        chosen = select_c_star(W, y, candidates, config=cfg, intercept=intercept)
+        [chosen] = select_c_star(W, y[:, None], candidates, config=cfg,
+                                 intercept=intercept)
         # oracle: a full selection per candidate on the training rows, then
         # the holdout error of its fit; argmin with ties to the smaller
         n_train = min(max(int((1.0 - eval_fraction) * T), 2), T - 1)
         fixed = [np.ones((T, 1))] if intercept else []
         mspes = {}
         for c in candidates:
-            path = oga_hdaic_select(
-                W[:n_train], y[:n_train], OgaConfig(c_star=c), intercept
-            )
+            path = select_one(W[:n_train], y[:n_train], OgaConfig(c_star=c),
+                              intercept)
             cols = list(path.chosen_set)
             X = np.column_stack([W[:, cols]] + fixed)
             fit = ols_fit(X[:n_train], y[:n_train])
@@ -524,11 +558,10 @@ class TestSelectCStar:
         y = W[:, :6] @ np.linspace(1.0, 0.1, 6) + rng.standard_normal(T)
         candidates = (0.2, 0.5, 1.0, 1.6, 1.8, 2.0, 2.2, 2.4, 8.0, 30.0)
         n_train = int(0.8 * T)
-        _, sigma_sq, _ = oga_order(W[:n_train], y[:n_train],
+        _, sigma_sq, _ = order_one(W[:n_train], y[:n_train],
                                    max_steps(n_train, p, OgaConfig()),
                                    intercept=True)
-        path = oga_hdaic_select(W, y, OgaConfig(c_star=candidates),
-                                intercept=True)
+        path = select_one(W, y, OgaConfig(c_star=candidates), intercept=True)
         assert path.c_star_used in candidates
         # several candidates with distinct cuts, so the curve has many points
         assert len({select_hdaic(sigma_sq, p, n_train, c) for c in candidates}) > 1
@@ -625,13 +658,13 @@ class TestBatchedTuning:
         cfg = OgaConfig(c_star=None)
         # two rows leave one to train on and one to hold out
         with pytest.raises(InsufficientSample):
-            oga_hdaic_select(W[:2], Y[:2, 0], cfg)
-        with pytest.raises(InsufficientSample):
-            select_c_star(W[:2], Y[:2, 0], DEFAULT_C_STAR_CANDIDATES, cfg)
+            select_one(W[:2], Y[:2, 0], cfg)
+        [short] = select_c_star(W[:2], Y[:2, :1], DEFAULT_C_STAR_CANDIDATES, cfg)
+        assert isinstance(short, InsufficientSample)
         tiny, whole = oga_hdaic_select(W, Y, cfg, rows=[2, 30])
         assert isinstance(tiny, InsufficientSample)
-        alone = oga_hdaic_select(W, Y[:, 1], cfg)
+        alone = select_one(W, Y[:, 1], cfg)
         assert whole.chosen_set == alone.chosen_set
         assert whole.c_star_used == alone.c_star_used
         # a fixed c_star needs no holdout, so two rows still select
-        assert oga_hdaic_select(W[:2], Y[:2, 0], OgaConfig(c_star=2.0)).chosen_m == 1
+        assert select_one(W[:2], Y[:2, 0], OgaConfig(c_star=2.0)).chosen_m == 1
