@@ -1,13 +1,14 @@
 """Command-line entry points: estimate, simulate, montecarlo, lpdid.
 
-Every command takes --config pointing at a YAML file; --seed, --threads and
---out override the corresponding config scalars. Output tables are CSV with
-floats at 17 significant digits, written to a temporary file and renamed,
-so an aborted run never leaves a partial table. Exit codes: 0 success,
-2 configuration problem (any malformed config value, named by its dotted
-key), 3 input-data problem, 4 computation problem. An exception outside
-those, which is a bug, also exits 4 but is labelled "internal error" and
-printed with its traceback.
+Every command takes --config pointing at a YAML file; --out overrides the
+output path, --seed the seed of simulate and montecarlo, and --threads the
+worker count of montecarlo. Output tables are CSV with floats at 17
+significant digits, written to a temporary file and renamed, so an aborted
+run never leaves a partial table. Exit codes: 0 success, 2 configuration
+problem (any malformed config value, named by its dotted key), 3 input-data
+problem, 4 computation problem. An exception outside those, which is a
+bug, also exits 4 but is labelled "internal error" and printed with its
+traceback.
 """
 
 from __future__ import annotations
@@ -354,6 +355,8 @@ BUILDERS = {
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     if args.seed is not None:
+        if args.command not in ("simulate", "montecarlo"):
+            raise ConfigError("--seed applies to simulate and montecarlo only")
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["output"] = args.out
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the simulate or montecarlo seed")
         p.add_argument("--threads", type=int, default=None,
                        help="override montecarlo parallelism")
         p.add_argument("--out", default=None, help="override the output path")

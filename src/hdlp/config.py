@@ -220,7 +220,7 @@ def _section3(variant=Section3Design, **kw) -> Section3Design:
 RANGE = {"from": ("lo", as_int(0), REQUIRED), "to": ("hi", as_int(0), REQUIRED)}
 SELECTION = {
     "c_star": ("c_star", as_c_star, NULLABLE),
-    "max_steps": ("max_steps_override", as_int()),
+    "max_steps": ("max_steps_override", as_int(1)),
     "mbar_scale": ("mbar_scale", as_float),
     "delta": ("delta_assumed", as_float),
     "eval_fraction": ("eval_fraction", as_float),

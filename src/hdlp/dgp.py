@@ -124,10 +124,10 @@ class VarDgpSpec:
 class Section3Design:
     """The ten-variable simulation design: AR(1) first block, loaded rows below.
 
-    a is the length n-1 loading vector (sparse/dense constructors fill it
-    from the documented endpoints); tau sets the innovation correlation
-    decay; lags_dgp is the true lag order and lags_est the deeper order the
-    estimator uses (lag augmentation).
+    a is the length n-1 loading vector, filled from the documented sparse
+    endpoints when empty (dense fills it from its own); tau sets the
+    innovation correlation decay; lags_dgp is the true lag order and
+    lags_est the deeper order the estimator uses (lag augmentation).
     """
 
     rho: float = 0.5
@@ -137,7 +137,6 @@ class Section3Design:
     T: int = 300
     lags_dgp: int = 12
     lags_est: int = 21
-    horizons: tuple[int, ...] = tuple(range(1, 61))
     burn_in: int = 500
 
     def __post_init__(self):
@@ -151,13 +150,10 @@ class Section3Design:
         if len(a) != self.n - 1:
             raise DimensionMismatch(f"a must have length n-1 = {self.n - 1}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "horizons", tuple(self.horizons))
 
     @classmethod
     def sparse(cls, rho: float = 0.5, **kwargs) -> "Section3Design":
-        n = kwargs.get("n", 10)
-        a = tuple(alternating_decay_vector(*SPARSE_ENDPOINTS, n - 1))
-        return cls(rho=rho, a=a, **kwargs)
+        return cls(rho=rho, **kwargs)
 
     @classmethod
     def dense(cls, rho: float = 0.5, **kwargs) -> "Section3Design":
@@ -210,7 +206,8 @@ def build_section3_coefficients(design: Section3Design) -> VarDgpSpec:
 
 
 def section3_lp_spec(design: Section3Design, horizons=None) -> LpSpec:
-    """Estimation layout for the design: shock y1, response y2, full controls.
+    """Estimation layout for the design: shock y1, response y2, full controls,
+    at the given horizons (1-60 by default).
 
     The contemporaneous values of every non-shock variable enter as
     controls, so the regression targets the companion-power response to the
@@ -220,7 +217,7 @@ def section3_lp_spec(design: Section3Design, horizons=None) -> LpSpec:
     return LpSpec(
         response=names[1],
         shock=names[0],
-        horizons=tuple(horizons) if horizons is not None else design.horizons,
+        horizons=range(1, 61) if horizons is None else horizons,
         contemporaneous=tuple(names[1:]),
         lagged=tuple(names),
         lags=design.lags_dgp,

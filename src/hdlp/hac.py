@@ -8,9 +8,11 @@ product series psi = v * u, and the coefficient variance is Omega / tau_sq**2
 second). Documented prominently because the scaling is easy to get wrong.
 Panels may replace the Bartlett Omega by a by-cluster sum of psi. Both
 estimators take a batch of zero-padded series, one per column with its own
-length (rows) and bandwidth, and return one result or error per column, so
-an impulse response takes every horizon's variance in one call; one series
-is the batch psi[:, None].
+length (rows) and bandwidth, so an impulse response takes every horizon's
+variance in one call; one series is the batch psi[:, None]. hac_variance
+returns one result or error per column; newey_west returns the variances
+and raises BandwidthTooLarge for the batch if any length does not exceed
+its bandwidth.
 """
 
 from __future__ import annotations

@@ -92,6 +92,14 @@ class TimeSeriesMatrix:
             raise UnknownColumn(name) from None
 
 
+def _horizons(values) -> tuple[int, ...]:
+    """The horizons as a tuple of ints; a ValueError says what is wrong with them."""
+    horizons = tuple(int(h) for h in values)
+    if not horizons or min(horizons) < 0 or len(set(horizons)) < len(horizons):
+        raise ValueError("horizons must be nonempty, nonnegative and distinct")
+    return horizons
+
+
 @dataclass(frozen=True)
 class LpSpec:
     """What to regress on what, and how deep the lag structure goes."""
@@ -106,12 +114,9 @@ class LpSpec:
     include_intercept: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
+        object.__setattr__(self, "horizons", _horizons(self.horizons))
         object.__setattr__(self, "contemporaneous", tuple(self.contemporaneous))
         object.__setattr__(self, "lagged", tuple(self.lagged))
-        if (not self.horizons or any(h < 0 for h in self.horizons)
-                or len(set(self.horizons)) < len(self.horizons)):
-            raise ValueError("horizons must be nonempty, nonnegative and distinct")
         if self.lags < 0 or self.lag_augment < 0:
             raise ValueError("lag counts must be nonnegative")
         if self.shock in self.contemporaneous:

@@ -45,12 +45,10 @@ from .lp import (
     LpEstimate,
     _attempt,
     _fit,
+    _horizons,
     _unwrap,
 )
 from .selection import OgaConfig
-
-TREATED = "treated"
-CLEAN = "clean"
 
 VARIANCE_HAC = "hac"
 VARIANCE_CLUSTER = "cluster"
@@ -105,14 +103,13 @@ class PanelDataset:
         # one key per row, (unit code, time rank) flattened: memory stays
         # O(rows) however sparse the time coding is
         try:
-            units, unit_code = np.unique(self.unit, return_inverse=True)
-        except TypeError:  # labels numpy cannot sort, such as 1 beside "1"
+            _, unit_code = np.unique(self.unit, return_inverse=True)
+        except TypeError:  # unit ids numpy cannot sort, such as 1 beside "1"
             raise DataError("unit column mixes label types that cannot be "
                             "ordered") from None
         times, time_rank = np.unique(self.time, return_inverse=True)
         key = unit_code * times.shape[0] + time_rank
         order = np.argsort(key)
-        put("_units", units)
         put("unit_code", unit_code)
         put("_times", times)
         put("_order", order)
@@ -136,23 +133,21 @@ class PanelDataset:
     def n_rows(self) -> int:
         return self.unit.shape[0]
 
-    def _find(self, codes: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Row of each (unit code, time) cell, -1 where the panel lacks it."""
+    def _at(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Row of the same unit k periods after each row's time, or -1."""
+        times = self.time[rows] + k
         rank = np.searchsorted(self._times, times)
         rank_ok = rank < self._times.shape[0]
         rank = np.where(rank_ok, rank, 0)
-        key = codes * self._times.shape[0] + rank
+        key = self.unit_code[rows] * self._times.shape[0] + rank
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.shape[0] - 1)
         found = rank_ok & (self._times[rank] == times) & (self._keys[pos] == key)
         return np.where(found, self._order[pos], -1)
 
-    def _at(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Row of the same unit k periods after each row's time, or -1."""
-        return self._find(self.unit_code[rows], self.time[rows] + k)
-
 
 def restrict_sample(panel: PanelDataset, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows usable at horizon h, each labeled "treated" or "clean".
+    """Rows usable at horizon h, and per row whether it is newly treated
+    (True) or a clean control (False).
 
     A row (i, t) is kept when the unit is observed at t-1 and t+h with
     non-missing outcomes there, and it is either newly treated at t or still
@@ -170,8 +165,7 @@ def restrict_sample(panel: PanelDataset, h: int) -> tuple[np.ndarray, np.ndarray
     keep = treated | ((delta_d == 0.0) & (d[ahead] == 0.0))
     rows, treated = rows[keep], treated[keep]
     order = np.lexsort((panel.unit_code[rows], panel.time[rows]))
-    labels = np.where(treated[order], TREATED, CLEAN).astype(object)
-    return rows[order], labels
+    return rows[order], treated[order]
 
 
 @dataclass(frozen=True)
@@ -186,11 +180,8 @@ class LpDidSpec:
     variance: str = VARIANCE_HAC
 
     def __post_init__(self):
-        object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
+        object.__setattr__(self, "horizons", _horizons(self.horizons))
         object.__setattr__(self, "extra_controls", tuple(self.extra_controls))
-        if (not self.horizons or any(h < 0 for h in self.horizons)
-                or len(set(self.horizons)) < len(self.horizons)):
-            raise ValueError("horizons must be nonempty, nonnegative and distinct")
         if self.outcome_lags < 0:
             raise ValueError("outcome_lags must be nonnegative")
         if self.method not in METHODS:
@@ -201,10 +192,10 @@ class LpDidSpec:
 
 def _assemble(panel: PanelDataset, spec: LpDidSpec, h: int):
     """Long differences, treatment switch, controls; listwise-complete rows."""
-    idx, labels = restrict_sample(panel, h)
-    if idx.size == 0 or not np.any(labels == TREATED):
+    idx, treated = restrict_sample(panel, h)
+    if not treated.any():
         raise NoTreatedUnits(f"no newly treated observations at horizon {h}")
-    if not np.any(labels == CLEAN):
+    if treated.all():
         raise NoCleanControls(f"no clean-control observations at horizon {h}")
 
     control_names = tuple(
@@ -218,33 +209,26 @@ def _assemble(panel: PanelDataset, spec: LpDidSpec, h: int):
     cols += [panel.covariates[name][idx] for name in spec.extra_controls]
     C = np.column_stack(cols) if cols else np.zeros((idx.shape[0], 0))
     complete = np.isfinite(C).all(axis=1)
-    idx, C = idx[complete], C[complete]
+    idx, treated, C = idx[complete], treated[complete], C[complete]
     if idx.size == 0:
         raise NoTreatedUnits(f"no complete observations at horizon {h}")
+    if not treated.any():
+        raise NoTreatedUnits(f"no newly treated observations survive at horizon {h}")
+    if treated.all():
+        raise NoCleanControls(f"no clean controls survive at horizon {h}")
 
     times = panel.time[idx]
     units = panel.unit_code[idx]
     dy = panel.outcome[panel._at(idx, h)] - panel.outcome[panel._at(idx, -1)]
-    dd = (labels[complete] == TREATED).astype(np.float64)
-    if not np.any(dd == 1.0):
-        raise NoTreatedUnits(f"no newly treated observations survive at horizon {h}")
-    if not np.any(dd == 0.0):
-        raise NoCleanControls(f"no clean controls survive at horizon {h}")
-    return times, units, dy, dd, C, control_names
+    return times, units, dy, treated.astype(np.float64), C, control_names
 
 
-def _demean_within(groups: np.ndarray, *arrays):
-    """Subtract group means from 1-D or 2-D arrays; returns demeaned copies."""
+def _demean_within(groups: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, int]:
+    """M (rows x columns) less its group means, and the number of groups."""
     _, g = np.unique(groups, return_inverse=True)
     counts = np.bincount(g)
-    out = []
-    for a in arrays:
-        cols = np.asarray(a, dtype=np.float64).reshape(g.shape[0], -1)
-        means = np.empty((counts.shape[0], cols.shape[1]))
-        for j in range(cols.shape[1]):
-            means[:, j] = np.bincount(g, weights=cols[:, j]) / counts
-        out.append((cols - means[g]).reshape(np.shape(a)))
-    return out
+    sums = np.column_stack([np.bincount(g, weights=column) for column in M.T])
+    return M - (sums / counts[:, None])[g], counts.shape[0]
 
 
 def _lpdid_one(
@@ -258,10 +242,11 @@ def _lpdid_one(
     n_treated = int(np.sum(dd == 1.0))
     n_clean = int(np.sum(dd == 0.0))
 
-    keep = np.arange(C.shape[1])
+    keep, absorbed = np.arange(C.shape[1]), 0
     if spec.time_effects:
         norms = np.linalg.norm(C, axis=0)
-        dy, dd, C = _demean_within(times, dy, dd, C)
+        M, absorbed = _demean_within(times, np.column_stack([dy, dd, C]))
+        dy, dd, C = M[:, 0], M[:, 1], M[:, 2:]
         # a control the time effects absorb is left with rounding noise only
         keep = np.flatnonzero(np.linalg.norm(C, axis=0) > SPAN_RTOL * norms)
         C = C[:, keep]
@@ -273,7 +258,7 @@ def _lpdid_one(
     est = _unwrap(_fit(
         [dataset], spec.method, oga_config, hac_config,
         clusters=units if spec.variance == VARIANCE_CLUSTER else None,
-        absorbed=len(np.unique(times)) if spec.time_effects else 0,
+        absorbed=absorbed,
     )[0])
     # the selections index the controls the time effects kept; map them back
     selections = {name: tuple(keep[list(getattr(est, name))].tolist())

@@ -279,14 +279,13 @@ def oga_hdaic_select(
 
     Selects against each column of y on that column's rows, as oga_order
     runs them, and returns one SelectionPath per column, or the error that
-    column's selection alone would raise (AllColumnsDegenerate,
-    or from tuning InsufficientSample or a LinAlgError). With a tuned
-    c_star the training-row paths of every column join the same lockstep
-    run, and every column is tuned and cut in one pass over arrays.
+    column's selection alone would raise (InsufficientSample for one row,
+    AllColumnsDegenerate, or from tuning InsufficientSample or a
+    LinAlgError). With a tuned c_star the training-row paths of every column
+    join the same lockstep run, and every column is tuned and cut in one
+    pass over arrays.
     """
     W, Y, rows = _as_paths(W, y, rows)
-    if min(rows, default=2) < 2:
-        raise DimensionMismatch("W and y must share at least two rows")
     p, k = W.shape[1], Y.shape[1]
     candidates = config.tuning_candidates
     if candidates:
@@ -299,7 +298,9 @@ def oga_hdaic_select(
         paths = oga_order(W, Y, _budgets(rows, p, config), intercept, rows)
         c_star = [float(config.c_star)] * k
     # a tuning error comes first, as tuning runs first on one column alone
-    out = [c if isinstance(c, Exception) else path for c, path in zip(c_star, paths)]
+    out = [c if isinstance(c, Exception)
+           else InsufficientSample(f"selection needs at least 2 rows, got {T}")
+           if T < 2 else path for T, c, path in zip(rows, c_star, paths)]
     ok = [i for i, path in enumerate(out) if not isinstance(path, Exception)]
     sigma_sq = [paths[i][1] for i in ok]
     c_ok = np.array([c_star[i] for i in ok], dtype=np.float64)[:, None]
@@ -319,8 +320,9 @@ def oga_hdaic_select(
 
 
 def _train_rows(T: int, config: OgaConfig) -> int:
-    """Leading rows that tuning selects on; the rest, at least one, are held out."""
-    return min(max(int((1.0 - config.eval_fraction) * T), 2), T - 1)
+    """Leading rows that tuning selects on; the rest, at least one, are held
+    out. One row is its own training row, too few to tune on."""
+    return min(max(int((1.0 - config.eval_fraction) * T), 2), max(T - 1, 1))
 
 
 def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> list:

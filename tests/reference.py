@@ -12,7 +12,8 @@ allocates each step for its in-place simulator, the one-path greedy loop
 for its lockstep greedy kernel, and the one-path holdout for its batched
 c_star tuning. The scalar criterion, its argmin and a tuning-only entry
 point (select_c_star) read the library's batched curves and holdout.
-panel_row looks one cell up through a panel's own vectorized lookup.
+panel_row finds one cell of a panel with a plain mask over its unit and
+time columns, independent of the panel's keyed row lookup.
 
 The library's kernels take one column per path or series and return one
 result or error per column. order_one, select_one, newey_west_one and
@@ -368,11 +369,8 @@ def select_c_star(
 
 def panel_row(panel: PanelDataset, unit, time: int) -> int | None:
     """The row of the panel's (unit, time) cell, or None if it lacks one."""
-    code = np.flatnonzero(panel._units == unit)
-    if code.size == 0:
-        return None
-    r = int(panel._find(code, np.array([int(time)]))[0])
-    return r if r >= 0 else None
+    rows = np.flatnonzero((panel.unit == unit) & (panel.time == time))
+    return int(rows[0]) if rows.size else None
 
 
 def simulate_dfm_per_series(spec: DfmDgpSpec, seed) -> TimeSeriesMatrix:

@@ -164,9 +164,9 @@ class TestEstimateCommand:
         ("horizons", [1, 1, 2], "horizons must be nonempty, nonnegative and distinct"),
         ("levels", [0.9, 0.95, 0.9], "a list of distinct levels"),
         ("selection", {"c_star": 2.0, "max_steps": 0},
-         "max_steps_override must be at least 1"),
+         "estimate config.selection.max_steps must be an integer >= 1, got 0"),
         ("selection", {"c_star": 2.0, "max_steps": -3},
-         "max_steps_override must be at least 1"),
+         "estimate config.selection.max_steps must be an integer >= 1, got -3"),
     ])
     def test_repeated_horizon_or_level_or_step_cap_below_one_is_config_error(
             self, tmp_path, sim_csv, capsys, key, value, message):
@@ -655,6 +655,41 @@ class TestCsvReaderFrame:
             assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+
+class TestOverrideFlags:
+    """--seed and --threads set what only some commands read; elsewhere
+    they are config errors (exit 2), raised before any file is written."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("estimate", "--seed", "7"), ("lpdid", "--seed", "7"),
+        ("estimate", "--threads", "2"), ("lpdid", "--threads", "2"),
+        ("simulate", "--threads", "2"),
+    ])
+    def test_flag_nothing_reads_is_config_error(self, tmp_path, capsys, sim_csv,
+                                                panel_csv, command, flag, value):
+        cfg = {
+            "estimate": estimate_cfg(tmp_path, sim_csv),
+            "simulate": dfm_simulate_cfg(tmp_path),
+            "lpdid": {"data": panel_csv, "output": str(tmp_path / "did.csv"),
+                      "horizons": [1]},
+        }[command]
+        args = [command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg), flag, value]
+        before = set(tmp_path.rglob("*"))
+        assert main(args) == 2
+        applies = {"--seed": "simulate and montecarlo", "--threads": "montecarlo"}
+        assert capsys.readouterr().err == (
+            f"config error: {flag} applies to {applies[flag]} only\n")
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_seed_flag_sets_the_simulate_seed(self, tmp_path):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
+        tables = []
+        for seed in ("3", "4"):
+            assert main(["simulate", "--config", cfg_path, "--seed", seed]) == 0
+            tables.append((tmp_path / "dfm.csv").read_bytes())
+        assert main(["simulate", "--config", cfg_path]) == 0  # the file says 3
+        assert (tmp_path / "dfm.csv").read_bytes() == tables[0] != tables[1]
 
 
 class TestOutputIsADirectory:

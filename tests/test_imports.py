@@ -5,9 +5,9 @@ only what they run.
 Stdlib-ast checks, so they need no linter: a name bound by an import must
 appear as a name somewhere in the module (string annotations included).
 The package's __init__.py is skipped, since its imports are re-exports.
-A function, method or class the package defines must be read somewhere in
-the package outside its own definition: as a name, an attribute or a
-re-export from __init__.py.
+A function, method, class or module-level UPPER_CASE constant the package
+defines must be read somewhere in the package outside its own definition:
+as a name, an attribute or a re-export from __init__.py.
 
 The import graph is checked in a fresh interpreter, since pytest's own
 process has scipy loaded already: greedy double selection runs on numpy
@@ -85,21 +85,27 @@ def names_read(tree, reexports: bool = False) -> Counter:
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """'module.name' for each top-level function or class, and each method
-    that is not a dunder, that the modules (by name; __init__ re-exports)
-    read nowhere outside its own definition."""
+    """'module.name' for each top-level function or class, each method that
+    is not a dunder, and each module-level UPPER_CASE constant, that the
+    modules (by name; __init__ re-exports) read nowhere outside its own
+    definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = sum((names_read(tree, module == "__init__") for module, tree in trees.items()),
                Counter())
     unused = []
     for module, tree in trees.items():
-        defs = [node for node in tree.body
+        defs = [(node.name, node) for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
+        defs += [(node.name, node) for _, cls in defs if isinstance(cls, ast.ClassDef)
                  for node in cls.body if isinstance(node, ast.FunctionDef)
                  and not node.name.startswith("__")]
-        unused += [f"{module}.{node.name}" for node in defs
-                   if read[node.name] <= names_read(node)[node.name]]
+        defs += [(target.id, node) for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+        unused += [f"{module}.{name}" for name, node in defs
+                   if read[name] <= names_read(node)[name]]
     return unused
 
 
@@ -112,10 +118,13 @@ def test_the_check_finds_an_unused_definition():
               "class C:\n"
               "    def __init__(self): self.kept()\n"
               "    def kept(self): pass\n"
-              "    def dropped(self): pass\n"),
-        "b": "from .a import C, called\nC(); called()\n",
+              "    def dropped(self): pass\n"
+              "LIMIT = 3\n"
+              "SPARE: int = 4\n"
+              "lower = 5\n"),  # not UPPER_CASE, so not checked
+        "b": "from .a import LIMIT, C, called\nC(); called(LIMIT)\n",
     }
-    assert unused_definitions(sources) == ["a.loop", "a.dropped"]
+    assert unused_definitions(sources) == ["a.loop", "a.dropped", "a.SPARE"]
 
 
 def test_the_package_uses_what_it_defines():

@@ -17,8 +17,6 @@ from hdlp.errors import (
 from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA
 from hdlp.lpdid import (
-    CLEAN,
-    TREATED,
     LpDidSpec,
     PanelDataset,
     _assemble,
@@ -157,7 +155,7 @@ class TestPanelValidation:
         try:
             panel = PanelDataset(unit=unit, time=time, outcome=np.arange(8.0),
                                  treatment=treat)
-            idx, labels = restrict_sample(panel, 1)
+            idx, treated = restrict_sample(panel, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,35 +165,35 @@ class TestPanelValidation:
         assert list(panel._at(np.arange(8), -1)) == [-1, -1, 6, 1, -1, 0, -1, 5]
         assert list(panel._at(np.arange(8), 1)) == [5, 3, -1, -1, -1, 7, 2, -1]
         # only unit 2's t = far + 1 has both t-1 and t+1, and it is newly treated
-        assert list(idx) == [5] and list(labels) == [TREATED]
-        idx0, labels0 = restrict_sample(panel, 0)
+        assert list(idx) == [5] and treated.tolist() == [True]
+        idx0, treated0 = restrict_sample(panel, 0)
         assert [(int(panel.unit[r]), int(panel.time[r])) for r in idx0] == [
             (1, 1), (2, 1), (2, far + 1)]
-        assert list(labels0) == [CLEAN, CLEAN, TREATED]
+        assert treated0.tolist() == [False, False, True]
 
 
 class TestRestrictSample:
     def test_never_treated_all_clean(self):
         panel = build_panel(1, 6, lambda i, t, d: float(t))
-        idx, labels = restrict_sample(panel, h=1)
+        idx, treated = restrict_sample(panel, h=1)
         # t=1..4 have both t-1 and t+1 observed
         assert len(idx) == 4
-        assert all(label == CLEAN for label in labels)
+        assert treated.dtype == bool and not treated.any()
 
     def test_rule_application_on_switching_unit(self):
         # D = (0, 0, 1, 1) over t=0..3, h=1:
         # t=2 is newly treated; t=1 fails clean control (D at t+1 is 1);
         # t=0 lacks t-1; t=3 is previously treated.
         panel = build_panel(1, 4, lambda i, t, d: float(t), adopt={0: 2})
-        idx, labels = restrict_sample(panel, h=1)
+        idx, treated = restrict_sample(panel, h=1)
         times = panel.time[idx]
         assert list(times) == [2]
-        assert list(labels) == [TREATED]
+        assert treated.tolist() == [True]
 
     def test_previously_treated_always_excluded(self):
         panel = build_panel(2, 8, lambda i, t, d: float(t), adopt={0: 3})
         for h in (0, 1, 2):
-            idx, labels = restrict_sample(panel, h)
+            idx, _ = restrict_sample(panel, h)
             treated_unit_times = panel.time[idx][panel.unit[idx] == "u0"]
             assert all(t <= 3 for t in treated_unit_times)
 
@@ -206,11 +204,11 @@ class TestRestrictSample:
             unit=panel.unit[perm], time=panel.time[perm],
             outcome=panel.outcome[perm], treatment=panel.treatment[perm],
         )
-        idx_a, lab_a = restrict_sample(panel, 1)
-        idx_b, lab_b = restrict_sample(shuffled, 1)
-        cells_a = {(panel.unit[r], panel.time[r], l) for r, l in zip(idx_a, lab_a)}
+        idx_a, treated_a = restrict_sample(panel, 1)
+        idx_b, treated_b = restrict_sample(shuffled, 1)
+        cells_a = {(panel.unit[r], panel.time[r], f) for r, f in zip(idx_a, treated_a)}
         cells_b = {
-            (shuffled.unit[r], shuffled.time[r], l) for r, l in zip(idx_b, lab_b)
+            (shuffled.unit[r], shuffled.time[r], f) for r, f in zip(idx_b, treated_b)
         }
         assert cells_a == cells_b
 
@@ -262,14 +260,14 @@ class TestLpDidEstimate:
         est = result.by_horizon()[1]
 
         # independent reimplementation with explicit time dummies
-        idx, labels = restrict_sample(panel, 1)
+        idx, treated = restrict_sample(panel, 1)
         dy, dd, zs, times = [], [], [], []
-        for r, label in zip(idx, labels):
+        for r, flag in zip(idx, treated):
             i, t = panel.unit[r], int(panel.time[r])
             prev = panel_row(panel, i, t - 1)
             ahead = panel_row(panel, i, t + 1)
             dy.append(panel.outcome[ahead] - panel.outcome[prev])
-            dd.append(1.0 if label == TREATED else 0.0)
+            dd.append(float(flag))
             zs.append(panel.covariates["z"][r])
             times.append(t)
         dy, dd, zs = np.array(dy), np.array(dd), np.array(zs)
@@ -490,13 +488,14 @@ class TestVectorizedGroupSums:
         n = units.shape[0]
         y = rng.normal(5.0, 3.0, n)
         X = rng.normal(-2.0, 1.0, (n, k))
+        M = np.column_stack([y, X])
         for groups in (times, units):
-            got = _demean_within(groups, y, X)
-            want = demean_within_loop(groups, y, X)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                np.testing.assert_allclose(a, b, rtol=1e-12,
-                                           atol=1e-12 * np.abs(b).max(initial=1.0))
+            got, n_groups = _demean_within(groups, M)
+            [want] = demean_within_loop(groups, M)
+            assert n_groups == len(set(groups))
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(initial=1.0))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
@@ -512,7 +511,7 @@ class TestVectorizedGroupSums:
 def old_restrict_sample(panel, h):
     """Reference: the per-row engine, one dict lookup per cell."""
     cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
-    keep, labels = [], []
+    keep, treated = [], []
     for r in range(panel.n_rows):
         i, t = panel.unit[r], int(panel.time[r])
         prev = cells.get((i, t - 1))
@@ -524,27 +523,27 @@ def old_restrict_sample(panel, h):
         delta_d = panel.treatment[r] - panel.treatment[prev]
         if delta_d == 1.0:
             keep.append(r)
-            labels.append(TREATED)
+            treated.append(True)
         elif delta_d == 0.0 and panel.treatment[ahead] == 0.0:
             keep.append(r)
-            labels.append(CLEAN)
+            treated.append(False)
     keep_arr = np.asarray(keep, dtype=np.int64)
-    labels_arr = np.asarray(labels, dtype=object)
+    treated_arr = np.asarray(treated, dtype=bool)
     order = np.lexsort((panel.unit[keep_arr], panel.time[keep_arr])) if keep else []
-    return keep_arr[order], labels_arr[order]
+    return keep_arr[order], treated_arr[order]
 
 
 def old_assemble(panel, spec, h):
     """Reference: per-row long differences and controls, units as values."""
     cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
-    idx, labels = old_restrict_sample(panel, h)
-    if idx.size == 0 or not np.any(labels == TREATED):
+    idx, treated = old_restrict_sample(panel, h)
+    if not np.any(treated):
         raise NoTreatedUnits(f"no newly treated observations at horizon {h}")
-    if not np.any(labels == CLEAN):
+    if np.all(treated):
         raise NoCleanControls(f"no clean-control observations at horizon {h}")
     n_controls = spec.outcome_lags + len(spec.extra_controls)
     rows = []
-    for r, label in zip(idx, labels):
+    for r, flag in zip(idx, treated):
         i, t = panel.unit[r], int(panel.time[r])
         controls = []
         for j in range(1, spec.outcome_lags + 1):
@@ -554,7 +553,7 @@ def old_assemble(panel, spec, h):
         if not np.all(np.isfinite(controls)):
             continue
         dy = panel.outcome[cells[(i, t + h)]] - panel.outcome[cells[(i, t - 1)]]
-        rows.append((t, i, dy, 1.0 if label == TREATED else 0.0, controls))
+        rows.append((t, i, dy, float(flag), controls))
     if not rows:
         raise NoTreatedUnits(f"no complete observations at horizon {h}")
     times = np.array([r[0] for r in rows])
@@ -610,10 +609,10 @@ class TestVectorizedPanelEngine:
                                         gaps, int_ids, h, lags, covariates):
         rng = np.random.default_rng(seed)
         panel = random_panel(rng, n_units, n_times, balanced, gaps, int_ids)
-        idx, labels = restrict_sample(panel, h)
-        ref_idx, ref_labels = old_restrict_sample(panel, h)
+        idx, treated = restrict_sample(panel, h)
+        ref_idx, ref_treated = old_restrict_sample(panel, h)
         assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
-        assert list(labels) == list(ref_labels)
+        assert treated.dtype == ref_treated.dtype and np.array_equal(treated, ref_treated)
 
         spec = LpDidSpec(horizons=(h,), outcome_lags=lags,
                          extra_controls=("z1", "z2") if covariates else ())
@@ -657,3 +656,55 @@ class TestVectorizedPanelEngine:
         for est in result.estimates:
             assert est.n_treated + est.n_clean == est.effective_T
             assert np.isfinite(est.beta) and np.isfinite(est.se) and est.se > 0
+
+
+def panel_like(panel, rows, unit=None):
+    """The panel's cells in the given row order, units optionally renamed."""
+    return PanelDataset(
+        unit=panel.unit[rows] if unit is None else unit[rows], time=panel.time[rows],
+        outcome=panel.outcome[rows], treatment=panel.treatment[rows],
+        covariates={k: v[rows] for k, v in panel.covariates.items()},
+    )
+
+
+def assert_bit_identical(a, b):
+    assert a.errors == b.errors
+    assert len(a.estimates) == len(b.estimates)
+    for x, y in zip(a.estimates, b.estimates):
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            if isinstance(u, (float, np.ndarray)):
+                assert np.asarray(u).tobytes() == np.asarray(v).tobytes(), f.name
+            else:
+                assert u == v, f.name
+
+
+class TestInvariance:
+    """lpdid_estimate reads a panel by (time, unit rank), so neither the row
+    order nor unit names that sort alike can move a bit of its results."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 14), st.integers(4, 9),
+           st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2),
+           st.booleans(), st.sampled_from([CONVENTIONAL_LP, DOUBLE_OGA]),
+           st.sampled_from(["hac", "cluster"]), st.booleans(),
+           st.sampled_from([2.0, None]))
+    @settings(max_examples=100, deadline=None)
+    def test_row_order_and_unit_names_change_nothing(
+            self, seed, n_units, n_times, balanced, gaps, int_ids, lags,
+            covariates, method, variance, time_effects, c_star):
+        rng = np.random.default_rng(seed)
+        panel = random_panel(rng, n_units, n_times, balanced, gaps, int_ids)
+        spec = LpDidSpec(horizons=(0, 1, 2), outcome_lags=lags,
+                         extra_controls=("z1", "z2") if covariates else (),
+                         time_effects=time_effects, method=method, variance=variance)
+        oga = OgaConfig(c_star=c_star)
+        want = lpdid_estimate(panel, spec, oga)
+        rows = rng.permutation(panel.n_rows)
+        assert_bit_identical(lpdid_estimate(panel_like(panel, rows), spec, oga), want)
+        # new names in the old names' order: integers become padded strings
+        # and strings become integers
+        _, code = np.unique(panel.unit, return_inverse=True)
+        renamed = (np.array([f"id{c:04d}" for c in code], dtype=object) if int_ids
+                   else 1000 + 3 * code)
+        assert_bit_identical(
+            lpdid_estimate(panel_like(panel, rows, renamed), spec, oga), want)

@@ -66,6 +66,11 @@ class TestMaxSteps:
     def test_at_least_one(self):
         assert max_steps(2, 3, OgaConfig(mbar_scale=1e-6)) == 1
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_override_below_one_is_refused(self, cap):
+        with pytest.raises(ValueError, match="max_steps_override must be at least 1"):
+            OgaConfig(max_steps_override=cap)
+
 
 class TestOgaOrder:
     def test_orthogonal_design_ranks_by_signal(self):
@@ -668,3 +673,21 @@ class TestBatchedTuning:
         assert whole.c_star_used == alone.c_star_used
         # a fixed c_star needs no holdout, so two rows still select
         assert select_one(W[:2], Y[:2, 0], OgaConfig(c_star=2.0)).chosen_m == 1
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("c_star", [2.0, None])
+    def test_a_one_row_column_fails_only_its_slot(self, c_star, intercept):
+        rng = np.random.default_rng(23)
+        W = rng.standard_normal((30, 5)) + intercept
+        Y = W[:, :2] @ rng.standard_normal((2, 2)) + rng.standard_normal((30, 2))
+        cfg = OgaConfig(c_star=c_star)
+        for rows in ([1, 30], [30, 1]):
+            paths = oga_hdaic_select(W, Y, cfg, intercept, rows)
+            short = rows.index(1)
+            assert isinstance(paths[short], InsufficientSample)
+            [alone] = oga_hdaic_select(W, Y[:, 1 - short : 2 - short], cfg, intercept)
+            whole = paths[1 - short]
+            assert whole.chosen_set == alone.chosen_set
+            assert whole.c_star_used == alone.c_star_used
+            np.testing.assert_allclose(whole.sigma_sq_path, alone.sigma_sq_path,
+                                       rtol=1e-12)
