@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import traceback
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,9 @@ def read_wide_csv(path: Path) -> TimeSeriesMatrix:
 
 
 def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
-    """Long panel: unit, integer time, outcome, 0/1 treatment, covariates."""
+    """Long panel: unit, integer time, outcome, 0/1 treatment, covariates.
+    Numeric cells go straight into typed arrays, 8 bytes each; times stay
+    Python ints until PanelDataset checks their range."""
     path = Path(path)
 
     def parse(header, rows):
@@ -145,8 +148,8 @@ def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
                 raise DataError(f"{path}: missing column {name!r}")
             col[name] = header.index(name)
 
-        unit, time, outcome, treatment = [], [], [], []
-        covs: dict[str, list] = {c: [] for c in run.spec.extra_controls}
+        unit, time, outcome, treatment = [], [], array("d"), array("d")
+        covs = {c: array("d") for c in run.spec.extra_controls}
         for lineno, row in rows:
             try:
                 unit.append(row[col[run.unit_col]])
@@ -161,8 +164,8 @@ def read_long_csv(path: Path, run: LpdidRun) -> PanelDataset:
                 raise DataError(f"{path}:{lineno}: malformed cell") from None
         return {
             "unit": np.array(unit, dtype=object), "time": np.array(time),
-            "outcome": np.array(outcome), "treatment": np.array(treatment),
-            "covariates": {k: np.array(v) for k, v in covs.items()},
+            "outcome": np.frombuffer(outcome), "treatment": np.frombuffer(treatment),
+            "covariates": {k: np.frombuffer(v) for k, v in covs.items()},
         }
 
     return _read_csv(path, PanelDataset, parse)

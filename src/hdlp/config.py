@@ -13,6 +13,7 @@ where null means auto. Defaults live in the dataclasses the tables fill.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +68,17 @@ def as_float(value, where):
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         _fail(where, "a finite number", value)
     return float(value)
+
+
+def as_float_in(lo: float, hi: float = math.inf):
+    """A finite number strictly between lo and hi."""
+    def conv(value, where):
+        number = as_float(value, where)
+        if not lo < number < hi:
+            _fail(where, f"a number > {lo:g}" if hi == math.inf
+                  else f"a number strictly between {lo:g} and {hi:g}", value)
+        return number
+    return conv
 
 
 def as_type(*types, what: str):
@@ -221,9 +233,9 @@ RANGE = {"from": ("lo", as_int(0), REQUIRED), "to": ("hi", as_int(0), REQUIRED)}
 SELECTION = {
     "c_star": ("c_star", as_c_star, NULLABLE),
     "max_steps": ("max_steps_override", as_int(1)),
-    "mbar_scale": ("mbar_scale", as_float),
-    "delta": ("delta_assumed", as_float),
-    "eval_fraction": ("eval_fraction", as_float),
+    "mbar_scale": ("mbar_scale", as_float_in(0.0)),
+    "delta": ("delta_assumed", as_float_in(1.0)),
+    "eval_fraction": ("eval_fraction", as_float_in(0.0, 0.5)),
 }
 HAC = {
     "bandwidth": ("bandwidth", as_bandwidth),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch
+from .errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch, InsufficientSample
 
 PSI_FINAL_U = "final_u"
 PSI_FIRST_STAGE_E = "first_stage_e"
@@ -115,7 +115,9 @@ def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
 
     The residuals (n x k each) hold k pairs of series, pair i in its first
     rows[i] rows (all n by default) and zero below; returns one tuple, or
-    the error that pair alone would raise, per pair.
+    the error that pair alone would raise, per pair. A Newey-West pair
+    needs at least 8 rows, the floor build_lp_dataset also sets; fewer is
+    InsufficientSample.
     """
     v = np.asarray(residuals_v, dtype=np.float64)
     u = np.asarray(residuals_u, dtype=np.float64)
@@ -132,7 +134,7 @@ def hac_variance(residuals_v, residuals_u, K: int | None = None, clusters=None,
     out: list = [None] * len(V)
     for i, (t, tau, k) in enumerate(zip(T.tolist(), tau_sq, K_used)):
         if clusters is None and t < 8:
-            out[i] = DimensionMismatch("need at least 8 observations for the variance")
+            out[i] = InsufficientSample("need at least 8 observations for the variance")
         elif tau == 0.0:
             out[i] = DegenerateShock("shock residual is zero")
         elif k is not None and t <= k:

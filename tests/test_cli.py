@@ -1,12 +1,17 @@
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdlp.lp
 from hdlp.cli import (
@@ -15,9 +20,11 @@ from hdlp.cli import (
     _checkpoint_path,
     _config_fingerprint,
     main,
+    read_long_csv,
     save_checkpoint,
 )
-from hdlp.config import build_montecarlo_run, load_yaml
+from hdlp.config import build_lpdid_run, build_montecarlo_run, load_yaml
+from hdlp.errors import DataError
 from reference import replication
 
 
@@ -167,6 +174,13 @@ class TestEstimateCommand:
          "estimate config.selection.max_steps must be an integer >= 1, got 0"),
         ("selection", {"c_star": 2.0, "max_steps": -3},
          "estimate config.selection.max_steps must be an integer >= 1, got -3"),
+        ("selection", {"c_star": 2.0, "delta": 0.5},
+         "estimate config.selection.delta must be a number > 1, got 0.5"),
+        ("selection", {"c_star": 2.0, "mbar_scale": 0},
+         "estimate config.selection.mbar_scale must be a number > 0, got 0"),
+        ("selection", {"c_star": 2.0, "eval_fraction": 0.5},
+         "estimate config.selection.eval_fraction must be a number strictly "
+         "between 0 and 0.5, got 0.5"),
     ])
     def test_repeated_horizon_or_level_or_step_cap_below_one_is_config_error(
             self, tmp_path, sim_csv, capsys, key, value, message):
@@ -548,7 +562,9 @@ class TestLpdidCommand:
         # no table, no failure log, no leftover temporary file
         assert set(tmp_path.iterdir()) == {path, tmp_path / "cfg.yaml"}
 
-    @pytest.mark.parametrize("time", ["100000000000000000000", "2.5"])
+    @pytest.mark.parametrize("time", [
+        "100000000000000000000", "2.5",
+        pytest.param("1" + "0" * 400, id="too-wide-even-for-a-float")])
     def test_out_of_range_or_non_integral_time_is_data_error(
         self, tmp_path, capsys, time
     ):
@@ -582,6 +598,27 @@ class TestLpdidCommand:
         assert "estimation failed for 1 horizon(s)" in err
         log = (tmp_path / "did.csv.log").read_text()
         assert log.startswith("horizon 1: InsufficientSample: ")
+
+    def test_sample_under_the_variance_floor_is_insufficient(self, tmp_path, capsys):
+        # unit a adopts at 2, b and c never: horizon 1 keeps a at 2 and b, c
+        # at 1 and 2, five rows, under the long-run variance's floor of 8
+        path = tmp_path / "small.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["unit", "time", "outcome", "treatment"])
+            for k, unit in enumerate("abc"):
+                for t in range(4):
+                    d = int(unit == "a" and t >= 2)
+                    writer.writerow([unit, t, 0.5 * t + d + 0.1 * k * t * t, d])
+        out = tmp_path / "did.csv"
+        cfg = {"data": str(path), "output": str(out), "horizons": [1]}
+        assert main(["lpdid", "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
+        log = (tmp_path / "did.csv.log").read_text()
+        assert log == ("horizon 1: InsufficientSample: need at least 8 observations "
+                       "for the variance\n")
+        assert not out.exists()
 
     def test_repeated_horizon_is_config_error(self, tmp_path, capsys, panel_csv):
         cfg = {"data": panel_csv, "output": str(tmp_path / "did.csv"),
@@ -655,6 +692,78 @@ class TestCsvReaderFrame:
             assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+
+# cells float() reads, including the empty cell the reader reads as NaN
+NUMERIC_CELLS = ["", "nan", "-inf", "inf", "-0", "1e400", "-1e400", "1e-320", " 4 ",
+                 "1_0", "0.5", "-3.25e2"]
+# cells that break a column: text, a 20-digit time, a non-integral time,
+# quoted commas
+ODD_CELLS = ["x", "100000000000000000000", "-100000000000000000000", "2.5", "1,5",
+             "u,1", '"', "nan", ""]
+
+
+def cell_value(cell: str) -> float:
+    return float(cell) if cell != "" else np.nan
+
+
+@st.composite
+def long_csvs(draw):
+    """Data rows of a long panel CSV (unit, time, outcome, treatment, c1):
+    up to six odd numeric cells among the outcomes and covariates, up to
+    two cells of text, 20-digit times and the like anywhere, maybe a ragged
+    row, in random row order."""
+    n_units, n_times = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    number = st.floats(-1e3, 1e3).map(repr)
+    rows = []
+    for i in range(n_units):
+        adopt = draw(st.integers(1, n_times))  # n_times: never treated
+        rows += [[f"u,{i}" if i % 2 else f"u{i}", str(t), draw(number),
+                  str(int(t >= adopt)), draw(number)] for t in range(n_times)]
+    row = st.integers(0, len(rows) - 1)
+    numeric = st.tuples(row, st.sampled_from([2, 4]), st.sampled_from(NUMERIC_CELLS))
+    odd = st.tuples(row, st.integers(0, 4),
+                    st.one_of(st.sampled_from(ODD_CELLS), st.text(max_size=3)))
+    for r, c, cell in draw(st.lists(numeric, max_size=6)) + draw(st.lists(odd, max_size=2)):
+        rows[r][c] = cell
+    if draw(st.integers(0, 9)) == 0:  # one ragged row
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["9"]
+    return draw(st.permutations(rows))
+
+
+class TestLpdidFuzz:
+    @given(long_csvs(), st.booleans(), st.integers(0, 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_long_csvs_exit_cleanly_and_parse_like_float(
+            self, rows, bom, lags, covariate):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, cfg_path = Path(tmp) / "panel.csv", Path(tmp) / "cfg.yaml"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write("\ufeff" if bom else "")
+                writer = csv.writer(fh)
+                writer.writerow(["unit", "time", "outcome", "treatment", "c1"])
+                writer.writerows(rows)
+            cfg = {"data": str(path), "output": str(Path(tmp) / "did.csv"),
+                   "horizons": [0, 1], "outcome_lags": lags,
+                   "extra_controls": ["c1"] if covariate else [],
+                   "selection": {"c_star": 2.0}}
+            write_yaml(cfg_path, cfg)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["lpdid", "--config", str(cfg_path)])
+            assert code in (0, 3, 4)
+            assert "internal error" not in err.getvalue()
+            try:
+                panel = read_long_csv(path, build_lpdid_run(load_yaml(cfg_path)))
+            except DataError:
+                assert code == 3
+                return
+        columns = [(panel.outcome, 2), (panel.treatment, 3)]
+        columns += [(panel.covariates["c1"], 4)] if covariate else []
+        for parsed, c in columns:
+            want = np.array([cell_value(row[c]) for row in rows])
+            assert parsed.dtype == np.float64 and parsed.tobytes() == want.tobytes()
 
 
 class TestOverrideFlags:

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlp.errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch
+from hdlp.errors import (
+    BandwidthTooLarge,
+    DegenerateShock,
+    DimensionMismatch,
+    InsufficientSample,
+)
 from hdlp.hac import HacConfig, auto_bandwidth, hac_variance, newey_west
 from reference import bartlett_sum, hac_one, newey_west_one
 
@@ -96,13 +101,13 @@ class TestPaddedNeweyWest:
         for i, r in enumerate(rows):
             try:
                 want = hac_one(v[:r, i], u[:r, i])
-            except (DimensionMismatch, DegenerateShock, BandwidthTooLarge) as exc:
+            except (InsufficientSample, DegenerateShock, BandwidthTooLarge) as exc:
                 assert type(got[i]) is type(exc) and str(got[i]) == str(exc)
                 continue
             assert got[i][3] == want[3]
             assert got[i][:3] == pytest.approx(want[:3], rel=1e-12)
         assert [type(g).__name__ for g in got[2:]] == [
-            "DimensionMismatch", "DegenerateShock", "DimensionMismatch"
+            "InsufficientSample", "DegenerateShock", "InsufficientSample"
         ]
         groups = np.repeat(np.arange(12), 5)
         clustered = hac_variance(v[:, :2], u[:, :2], clusters=groups, rows=rows[:2])

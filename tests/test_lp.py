@@ -601,7 +601,7 @@ class TestPartialOutCore:
                          time_effects=False, method=method)
         oga = OgaConfig(c_star=2.0)
         result = lpdid_estimate(panel, spec, oga, HacConfig())
-        _, _, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
+        _, _, dy, dd, C = hdlp.lpdid._assemble(hdlp.lpdid._Layout.of(panel, spec), 1)
         fit = partial_out_one(C, True, dd, dy, method, oga)
         assert result.by_horizon()[1].beta == fit.beta
 
@@ -625,7 +625,7 @@ class TestPartialOutCore:
         got = lpdid_estimate(panel, spec, oga, first).by_horizon()[1]
         final = lpdid_estimate(panel, spec, oga, HacConfig()).by_horizon()[1]
 
-        _, units, dy, dd, C, _ = hdlp.lpdid._assemble(panel, spec, 1)
+        _, units, dy, dd, C = hdlp.lpdid._assemble(hdlp.lpdid._Layout.of(panel, spec), 1)
         fit = partial_out_one(C, True, dd, dy, method, oga)
         T = dy.shape[0]
         tau_sq = float(fit.residuals_v @ fit.residuals_v) / T
@@ -1033,7 +1033,8 @@ class TestOneRecord:
             assert est.control_names == ("outcome_lag1", "outcome_lag2", "season", "z")
             assert 2 not in est.union  # "season" is absorbed by the time effects
             # rank: the shock, the union and the time effects it absorbed
-            times, _, _, dd, C, _ = hdlp.lpdid._assemble(panel, spec, est.horizon)
+            layout = hdlp.lpdid._Layout.of(panel, spec)
+            times, _, _, dd, C = hdlp.lpdid._assemble(layout, est.horizon)
             design = np.column_stack([dd, C[:, list(est.union)],
                                       times[:, None] == np.unique(times)])
             assert est.rank == np.linalg.matrix_rank(design)

@@ -20,12 +20,21 @@ from hdlp.lpdid import (
     LpDidSpec,
     PanelDataset,
     _assemble,
-    _demean_within,
+    _demean_runs,
+    _Layout,
     lpdid_estimate,
     restrict_sample,
 )
 from hdlp.selection import OgaConfig
 from reference import panel_row
+
+
+def sample(panel, h):
+    """The panel rows usable at horizon h, in (time, unit) order, and
+    whether each is newly treated."""
+    layout = _Layout.of(panel, LpDidSpec(horizons=(h,)))
+    pos, _ = restrict_sample(layout, h)
+    return layout.rows[pos], layout.treated[pos]
 
 
 def build_panel(n_units, n_periods, outcome_fn, adopt=None, covariates=None):
@@ -104,6 +113,7 @@ class TestPanelValidation:
         [1.0, np.nan],
         [1, 10**20],       # too wide for int64
         [1, 2**63],        # numpy makes this a float array
+        [1, 10**400],      # too wide even for a float
     ])
     def test_rejects_non_integral_or_out_of_range_times(self, time):
         with pytest.raises(DataError, match="time values"):
@@ -155,7 +165,7 @@ class TestPanelValidation:
         try:
             panel = PanelDataset(unit=unit, time=time, outcome=np.arange(8.0),
                                  treatment=treat)
-            idx, treated = restrict_sample(panel, 1)
+            idx, treated = sample(panel, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -166,7 +176,7 @@ class TestPanelValidation:
         assert list(panel._at(np.arange(8), 1)) == [5, 3, -1, -1, -1, 7, 2, -1]
         # only unit 2's t = far + 1 has both t-1 and t+1, and it is newly treated
         assert list(idx) == [5] and treated.tolist() == [True]
-        idx0, treated0 = restrict_sample(panel, 0)
+        idx0, treated0 = sample(panel, 0)
         assert [(int(panel.unit[r]), int(panel.time[r])) for r in idx0] == [
             (1, 1), (2, 1), (2, far + 1)]
         assert treated0.tolist() == [False, False, True]
@@ -175,7 +185,7 @@ class TestPanelValidation:
 class TestRestrictSample:
     def test_never_treated_all_clean(self):
         panel = build_panel(1, 6, lambda i, t, d: float(t))
-        idx, treated = restrict_sample(panel, h=1)
+        idx, treated = sample(panel, h=1)
         # t=1..4 have both t-1 and t+1 observed
         assert len(idx) == 4
         assert treated.dtype == bool and not treated.any()
@@ -185,7 +195,7 @@ class TestRestrictSample:
         # t=2 is newly treated; t=1 fails clean control (D at t+1 is 1);
         # t=0 lacks t-1; t=3 is previously treated.
         panel = build_panel(1, 4, lambda i, t, d: float(t), adopt={0: 2})
-        idx, treated = restrict_sample(panel, h=1)
+        idx, treated = sample(panel, h=1)
         times = panel.time[idx]
         assert list(times) == [2]
         assert treated.tolist() == [True]
@@ -193,19 +203,19 @@ class TestRestrictSample:
     def test_previously_treated_always_excluded(self):
         panel = build_panel(2, 8, lambda i, t, d: float(t), adopt={0: 3})
         for h in (0, 1, 2):
-            idx, _ = restrict_sample(panel, h)
+            idx, _ = sample(panel, h)
             treated_unit_times = panel.time[idx][panel.unit[idx] == "u0"]
             assert all(t <= 3 for t in treated_unit_times)
 
     def test_invariant_to_unit_ordering(self):
         panel = build_panel(3, 6, lambda i, t, d: float(i + t), adopt={1: 3})
-        perm = np.random.default_rng(0).permutation(panel.n_rows)
+        perm = np.random.default_rng(0).permutation(len(panel.unit))
         shuffled = PanelDataset(
             unit=panel.unit[perm], time=panel.time[perm],
             outcome=panel.outcome[perm], treatment=panel.treatment[perm],
         )
-        idx_a, treated_a = restrict_sample(panel, 1)
-        idx_b, treated_b = restrict_sample(shuffled, 1)
+        idx_a, treated_a = sample(panel, 1)
+        idx_b, treated_b = sample(shuffled, 1)
         cells_a = {(panel.unit[r], panel.time[r], f) for r, f in zip(idx_a, treated_a)}
         cells_b = {
             (shuffled.unit[r], shuffled.time[r], f) for r, f in zip(idx_b, treated_b)
@@ -260,7 +270,7 @@ class TestLpDidEstimate:
         est = result.by_horizon()[1]
 
         # independent reimplementation with explicit time dummies
-        idx, treated = restrict_sample(panel, 1)
+        idx, treated = sample(panel, 1)
         dy, dd, zs, times = [], [], [], []
         for r, flag in zip(idx, treated):
             i, t = panel.unit[r], int(panel.time[r])
@@ -490,8 +500,9 @@ class TestVectorizedGroupSums:
         X = rng.normal(-2.0, 1.0, (n, k))
         M = np.column_stack([y, X])
         for groups in (times, units):
-            got, n_groups = _demean_within(groups, M)
-            [want] = demean_within_loop(groups, M)
+            rows = np.argsort(groups, kind="stable")  # each group one run
+            got, n_groups = _demean_runs(groups[rows], M[rows])
+            [want] = demean_within_loop(groups[rows], M[rows])
             assert n_groups == len(set(groups))
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -512,7 +523,7 @@ def old_restrict_sample(panel, h):
     """Reference: the per-row engine, one dict lookup per cell."""
     cells = {(u, int(t)): r for r, (u, t) in enumerate(zip(panel.unit, panel.time))}
     keep, treated = [], []
-    for r in range(panel.n_rows):
+    for r in range(len(panel.unit)):
         i, t = panel.unit[r], int(panel.time[r])
         prev = cells.get((i, t - 1))
         ahead = cells.get((i, t + h))
@@ -600,38 +611,72 @@ def random_panel(rng, n_units, n_times, balanced, gaps, int_ids):
     )
 
 
+def old_demean_within(groups, M):
+    """Reference: the groups numbered by np.unique, summed by bincount."""
+    _, g = np.unique(groups, return_inverse=True)
+    counts = np.bincount(g)
+    sums = np.column_stack([np.bincount(g, weights=column) for column in M.T])
+    return M - (sums / counts[:, None])[g], counts.shape[0]
+
+
 class TestVectorizedPanelEngine:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 10),
            st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4),
-           st.integers(0, 3), st.booleans())
+           st.integers(0, 3), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_row_engine(self, seed, n_units, n_times, balanced,
-                                        gaps, int_ids, h, lags, covariates):
+                                        gaps, int_ids, h, lags, covariates,
+                                        time_effects):
         rng = np.random.default_rng(seed)
         panel = random_panel(rng, n_units, n_times, balanced, gaps, int_ids)
-        idx, treated = restrict_sample(panel, h)
+        assert np.array_equal(panel.unit_code,
+                              np.unique(panel.unit, return_inverse=True)[1])
+        idx, treated = sample(panel, h)
         ref_idx, ref_treated = old_restrict_sample(panel, h)
         assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
         assert treated.dtype == ref_treated.dtype and np.array_equal(treated, ref_treated)
 
         spec = LpDidSpec(horizons=(h,), outcome_lags=lags,
                          extra_controls=("z1", "z2") if covariates else ())
+        layout = _Layout.of(panel, spec)
+        assert len(layout.control_names) == lags + 2 * covariates
         try:
             want = old_assemble(panel, spec, h)
         except HdlpError as exc:
             with pytest.raises(type(exc)):
-                _assemble(panel, spec, h)
+                _assemble(layout, h)
             return
-        times, units, dy, dd, C, names = _assemble(panel, spec, h)
-        assert len(names) == lags + 2 * covariates
-        for got, ref in ((times, want[0]), (dy, want[2]), (dd, want[3]),
-                         (C, want[4])):
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert np.array_equal(got, ref)
+        times, units, dy, dd, C = _assemble(layout, h)
+        got, ref = [times, dy, dd, C], [want[0], want[2], want[3], want[4]]
+        if time_effects:  # the runs of equal time are np.unique's groups
+            M, n_runs = _demean_runs(times, np.column_stack([dy, dd, C]))
+            M_ref, n_groups = old_demean_within(want[0], np.column_stack(ref[1:]))
+            assert n_runs == n_groups
+            got, ref = got + [M], ref + [M_ref]
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
         # same unit per row, so the same grouping in the same group order
         assert units.dtype.kind == "i"
         assert np.array_equal(np.unique(units, return_inverse=True)[1],
                               np.unique(want[1], return_inverse=True)[1])
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40), st.booleans(),
+           st.integers(0, 39))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_codes_rank_the_labels_as_unique_does(self, ids, as_str, mixed):
+        labels = [f"u{i}" for i in ids] if as_str else ids
+        unit = np.array(labels, dtype=object if as_str else np.int64)
+        n = unit.shape[0]
+        panel = PanelDataset(unit=unit, time=np.arange(n), outcome=np.zeros(n),
+                             treatment=np.zeros(n))
+        assert np.array_equal(panel.unit_code, np.unique(unit, return_inverse=True)[1])
+        if n > 1:  # one label of the other type cannot be ordered among them
+            unit = np.array(labels, dtype=object)
+            unit[mixed % n] = ids[mixed % n] if as_str else f"u{ids[mixed % n]}"
+            with pytest.raises(DataError, match="unit column"):
+                PanelDataset(unit=unit, time=np.arange(n), outcome=np.zeros(n),
+                             treatment=np.zeros(n))
 
     def test_scale_smoke_96k_rows(self):
         # 4,000 units x 24 periods, a third never treated, the rest adopting
@@ -648,7 +693,7 @@ class TestVectorizedPanelEngine:
         perm = rng.permutation(unit.size)
         panel = PanelDataset(unit=unit[perm], time=time[perm],
                              outcome=outcome[perm], treatment=treat[perm])
-        assert panel.n_rows == 96_000
+        assert len(panel.unit) == 96_000
         result = lpdid_estimate(
             panel, LpDidSpec(horizons=(0, 1, 2, 3, 4), outcome_lags=2))
         assert not result.errors
@@ -699,7 +744,7 @@ class TestInvariance:
                          time_effects=time_effects, method=method, variance=variance)
         oga = OgaConfig(c_star=c_star)
         want = lpdid_estimate(panel, spec, oga)
-        rows = rng.permutation(panel.n_rows)
+        rows = rng.permutation(len(panel.unit))
         assert_bit_identical(lpdid_estimate(panel_like(panel, rows), spec, oga), want)
         # new names in the old names' order: integers become padded strings
         # and strings become integers
