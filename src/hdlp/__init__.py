@@ -1,16 +1,15 @@
 """Local projections with greedy high-dimensional control selection."""
 
+from types import ModuleType as _ModuleType
+
 from .dgp import (
-    DfmDgpSpec,
     Section3Design,
     VarDgpSpec,
     alternating_decay_vector,
     build_section3_coefficients,
     section3_lp_spec,
-    simulate_dfm,
     simulate_var,
     toeplitz_power_sigma,
-    true_dfm_irf,
     true_reduced_form_irf,
 )
 from .hac import HacConfig, auto_bandwidth, hac_variance, newey_west
@@ -46,45 +45,6 @@ from .selection import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVENTIONAL_LP",
-    "DOUBLE_OGA",
-    "METHODS",
-    "DfmDgpSpec",
-    "HacConfig",
-    "IrfResult",
-    "LpDataset",
-    "LpDidSpec",
-    "LpEstimate",
-    "LpSpec",
-    "McDesign",
-    "McReport",
-    "OgaConfig",
-    "PanelDataset",
-    "Section3Design",
-    "SelectionPath",
-    "TimeSeriesMatrix",
-    "VarDgpSpec",
-    "aggregate_records",
-    "alternating_decay_vector",
-    "auto_bandwidth",
-    "build_lp_dataset",
-    "build_section3_coefficients",
-    "conventional_lp",
-    "double_oga_lp",
-    "estimate_irf",
-    "hac_variance",
-    "lpdid_estimate",
-    "max_steps",
-    "newey_west",
-    "oga_hdaic_select",
-    "oga_order",
-    "run_monte_carlo",
-    "section3_lp_spec",
-    "section3_mc_design",
-    "simulate_dfm",
-    "simulate_var",
-    "toeplitz_power_sigma",
-    "true_dfm_irf",
-    "true_reduced_form_irf",
-]
+# every public name imported above, the submodules those imports bind excepted
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

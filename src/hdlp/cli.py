@@ -39,8 +39,7 @@ from .config import (
     build_simulate_run,
     load_yaml,
 )
-from .dgp import (DfmDgpSpec, simulate_dfm, simulate_var, true_dfm_irf,
-                  true_reduced_form_irf)
+from .dgp import simulate_var, true_reduced_form_irf
 from .errors import ConfigError, DataError, HdlpError
 from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
@@ -89,28 +88,36 @@ def _read_csv(path: Path, make, parse):
     """The frame both CSV readers share. path must be a file and start with
     a header; parse(header, rows) turns rows, the (line number, cells) of each
     non-blank data row, into the keyword arguments of make. A row without
-    one cell per header name, a file without data rows and a package error
-    that make raises are DataErrors naming the file."""
+    one cell per header name, a byte that is not UTF-8, a malformed or
+    over-long field, a file without data rows and a package error that make
+    raises are DataErrors naming the file."""
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
 
     def data_rows(reader, width):
         empty = True
-        for lineno, row in enumerate(reader, start=2):
-            if row:
+        for row in reader:
+            if row:  # line_num: the physical line the row ends on
                 if len(row) != width:
-                    raise DataError(f"{path}:{lineno}: expected {width} cells")
+                    raise DataError(f"{path}:{reader.line_num}: expected {width} cells")
                 empty = False
-                yield lineno, row
+                yield reader.line_num, row
         if empty:
             raise DataError(f"{path} has no data rows")
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty")
-        kwargs = parse(header, data_rows(reader, len(header)))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            kwargs = parse(header, data_rows(reader, len(header)))
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:  # no UTF-8 sequence spans a newline: find the line
+        lineno = next(i for i, line in enumerate(path.read_bytes().split(b"\n"), 1)
+                      if line.decode("utf-8", "ignore").encode() != line)
+        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
     try:
         return make(**kwargs)
     except HdlpError as exc:
@@ -209,11 +216,8 @@ def cmd_estimate(run: EstimateRun) -> int:
 
 
 def cmd_simulate(run: SimulateRun) -> int:
-    if isinstance(run.spec, DfmDgpSpec):
-        data, irf = simulate_dfm(run.spec, seed=run.seed), true_dfm_irf
-    else:
-        data, irf = simulate_var(run.spec, run.T, seed=run.seed), true_reduced_form_irf
-    truth = irf(run.spec, run.response, run.innovation, run.horizons)
+    data = simulate_var(run.spec, run.T, seed=run.seed)
+    truth = true_reduced_form_irf(run.spec, run.response, run.innovation, run.horizons)
     write_csv_atomic(
         run.sidecar_path,
         ["horizon", "true_irf"],
@@ -275,19 +279,17 @@ def save_checkpoint(path: Path, fingerprint: str, records: list):
 
 
 def load_checkpoint(path: Path, fingerprint: str) -> list | None:
-    path = Path(path)
-    if not path.exists():
-        return None
+    """The records saved at path, or None if there is no JSON object there
+    (missing, unreadable, not UTF-8, not JSON) or it is of another version,
+    run or BLAS setting."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if blob.get("version") != CHECKPOINT_VERSION:
-        return None
-    if blob.get("fingerprint") != fingerprint:
-        return None
-    if blob.get("blas_threads") != _blas_threads():
+    same = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
+            "blas_threads": _blas_threads()}
+    if not isinstance(blob, dict) or any(blob.get(k) != v for k, v in same.items()):
         return None
     return blob.get("records")
 

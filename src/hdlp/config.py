@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dgp import DfmDgpSpec, Section3Design, VarDgpSpec, build_section3_coefficients
+from .dgp import Section3Design, VarDgpSpec, build_section3_coefficients
 from .errors import ConfigError
 from .hac import HacConfig
 from .lp import DEFAULT_LEVELS, METHODS, LpSpec
@@ -40,12 +40,12 @@ SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 def load_yaml(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = yaml.load(fh, Loader=SAFE_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return as_mapping(cfg, "config root")
 
@@ -270,27 +270,15 @@ VAR = {
     "y1_rho": ("y1_rho", as_float),
     "burn_in": ("burn_in", as_int(0)),
 }
-DFM = {
-    "phi": ("phi", as_matrix, REQUIRED),
-    "shock_loadings": ("h_load", as_matrix, REQUIRED),
-    "loadings": ("lam", as_matrix, REQUIRED),
-    "idio_ar": ("idio_ar", list_of(list_of(as_float)), REQUIRED),
-    "idio_scale": ("idio_scale", list_of(as_float), REQUIRED),
-    "T": ("T", as_int(1)),
-    "burn_in": ("burn_in", as_int(0)),
-}
-DESIGNS = {"section3": (SECTION3, _section3), "var": (VAR, VarDgpSpec),
-           "dfm": (DFM, DfmDgpSpec)}
+DESIGNS = {"section3": (SECTION3, _section3), "var": (VAR, VarDgpSpec)}
 
 
-def as_design(*kinds):
-    """Converter for a design mapping whose kind, one of kinds, picks the table."""
-    def conv(value, where):
-        kind = as_choice(kinds)(as_mapping(value, where).get("kind"), f"{where}.kind")
-        table, build = DESIGNS[kind]
-        rest = {k: v for k, v in value.items() if k != "kind"}
-        return section(table, build)(rest, where)
-    return conv
+def as_design(value, where):
+    """A design mapping whose kind picks its table in DESIGNS."""
+    kind = as_mapping(value, where).get("kind")
+    table, build = as_choice(DESIGNS)(kind, f"{where}.kind")
+    rest = {k: v for k, v in value.items() if k != "kind"}
+    return section(table, build)(rest, where)
 
 
 # root sections, shared by the commands that take them
@@ -299,25 +287,19 @@ DATA = {"data": ("data_path", as_path, REQUIRED)}
 REPORT = {"methods": ("methods", as_methods), "levels": ("levels", as_levels)}
 TUNING = {"selection": ("oga", section(SELECTION, OgaConfig)),
           "hac": ("hac", section(HAC, HacConfig))}
+DESIGN = {"design": ("spec", as_design, REQUIRED), "T": ("T", as_int(1))}
 SIMULATE = {
     "seed": ("seed", as_int(0, 2**128 - 1)),  # the Philox key
     "true_irf_output": ("sidecar_path", as_output),
-    "T": ("T", as_int(1)),
     "response": ("response", as_series),
     "innovation": ("innovation", as_series),
     "horizons": ("horizons", as_horizons),
-    "design": ("spec", as_design(*DESIGNS), REQUIRED),
 }
 MONTECARLO = {
     "seed": ("seed", as_int(0, 2**64 - 1)),  # one uint64 word of the Philox key
     "n_reps": ("n_reps", as_int(1), REQUIRED),
     "parallelism": ("parallelism", as_int(1)),
     "checkpoint": ("checkpoint", as_bool),
-}
-MC_DESIGN = {  # montecarlo needs the companion-form truth of a VAR
-    "design": ("spec", as_design("section3", "var"), REQUIRED),
-    "T": ("T", as_int(1)),
-    "estimation": ("estimation", as_mapping),
 }
 LPDID = {key: (key, as_str)
          for key in ("unit_col", "time_col", "outcome_col", "treatment_col")}
@@ -348,11 +330,11 @@ class EstimateRun:
 class SimulateRun:
     out_path: Path
     sidecar_path: Path
-    spec: object  # VarDgpSpec (a section3 design resolves to one) or DfmDgpSpec
+    spec: VarDgpSpec  # a section3 design resolves to one
     T: int
     seed: int = 0
     response: int  # 0-based series index
-    innovation: int  # 0-based innovation (var) or factor-shock (dfm) index
+    innovation: int  # 0-based innovation index
     horizons: tuple[int, ...] = tuple(range(21))
 
 
@@ -383,14 +365,12 @@ class LpdidRun:
     seed: int = 0
 
 
-def _index(value, count: int, where: str, prefix: str | None = None) -> int:
-    """0-based index of a series named '<prefix><i>' or given as 1-based i."""
-    names = [f"{prefix}{i + 1}" for i in range(count)] if prefix else []
+def _index(value, names: tuple[str, ...], where: str) -> int:
+    """0-based index of a series given by its name or as 1-based i."""
     if value in names:
         return names.index(value)
-    if type(value) is not int or not 1 <= value <= count:
-        named = f" or {names[0]}..{names[-1]}" if names else ""
-        _fail(where, f"1..{count}{named}", value)
+    if type(value) is not int or not 1 <= value <= len(names):
+        _fail(where, f"1..{len(names)} or {names[0]}..{names[-1]}", value)
     return value - 1
 
 
@@ -412,23 +392,18 @@ def build_estimate_run(cfg: dict) -> EstimateRun:
 
 def build_simulate_run(cfg: dict) -> SimulateRun:
     where = "simulate config"
-    (kw,) = read(cfg, where, {**RUN, **SIMULATE})
+    (kw,) = read(cfg, where, {**RUN, **SIMULATE, **DESIGN})
     spec, kw["T"] = _length(kw.pop("spec"), kw.pop("T", None), where)
     if isinstance(spec, Section3Design):
         spec = make(build_section3_coefficients, {"design": spec}, f"{where}.design")
-    dfm = isinstance(spec, DfmDgpSpec)
-    n = spec.n_series if dfm else spec.n
     if "sidecar_path" not in kw:
         out = kw["out_path"]
         kw["sidecar_path"] = as_output(str(out.with_name(out.stem + "_true_irf.csv")),
                                        f"{where}.true_irf_output")
     return SimulateRun(
         spec=spec,
-        response=_index(kw.pop("response", 1 if dfm else 2), n,
-                        f"{where}.response", "x" if dfm else "y"),
-        innovation=_index(kw.pop("innovation", 1),
-                          spec.h_load.shape[1] if dfm else n,
-                          f"{where}.innovation", None if dfm else "y"),
+        response=_index(kw.pop("response", 2), spec.names, f"{where}.response"),
+        innovation=_index(kw.pop("innovation", 1), spec.names, f"{where}.innovation"),
         **kw,
     )
 
@@ -436,7 +411,7 @@ def build_simulate_run(cfg: dict) -> SimulateRun:
 def build_montecarlo_run(cfg: dict) -> MontecarloRun:
     where = "montecarlo config"
     run, kw = read(cfg, where, {**RUN, **REPORT, **MONTECARLO},
-                   {**TUNING, **MC_DESIGN})
+                   {**TUNING, **DESIGN, "estimation": ("estimation", as_mapping)})
     spec, T = _length(kw.pop("spec"), kw.pop("T", None), where)
     est = kw.pop("estimation", {})
     est_where = f"{where}.estimation"

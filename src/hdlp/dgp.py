@@ -1,12 +1,11 @@
 """Synthetic data generators and the matching true impulse responses.
 
-Three families: the ten-variable persistent system with a sparse or dense
+Two families: the ten-variable persistent system with a sparse or dense
 coefficient pattern (one autoregressive scalar block plus polynomially
-loaded rows), a generic stationary vector autoregression with user-supplied
-matrices, and a three-equation dynamic factor model. The true reduced-form
-response of one variable to one innovation is read off powers of the
-companion matrix, which is the oracle every coverage experiment scores
-against.
+loaded rows), and a generic stationary vector autoregression with
+user-supplied matrices. The true reduced-form response of one variable to
+one innovation is read off powers of the companion matrix, which is the
+oracle every coverage experiment scores against.
 
 Draws use the counter-based Philox generator so that per-replication seeds
 can be derived from (base_seed, replication) pairs without correlation.
@@ -282,97 +281,3 @@ def true_reduced_form_irf(
         values[h] = float(power[response, innovation])
     return np.array([values[h] for h in horizons])
 
-
-@dataclass(eq=False)
-class DfmDgpSpec:
-    """Dynamic factor model: factor autoregression, loadings, AR idiosyncrasies.
-
-    phi is the factor transition, h_load maps the factor shocks in, lam
-    holds the observation loadings, idio_ar[i] the AR coefficients of series
-    i's idiosyncratic term and idio_scale[i] its shock scale.
-    """
-
-    phi: np.ndarray
-    h_load: np.ndarray
-    lam: np.ndarray
-    idio_ar: tuple[tuple[float, ...], ...]
-    idio_scale: tuple[float, ...]
-    T: int = 200
-    burn_in: int = 500
-
-    def __post_init__(self):
-        self.phi = np.atleast_2d(np.asarray(self.phi, dtype=np.float64))
-        self.h_load = np.atleast_2d(np.asarray(self.h_load, dtype=np.float64))
-        self.lam = np.atleast_2d(np.asarray(self.lam, dtype=np.float64))
-        self.idio_ar = tuple(tuple(float(c) for c in row) for row in self.idio_ar)
-        self.idio_scale = tuple(float(s) for s in self.idio_scale)
-        k = self.phi.shape[0]
-        if self.phi.shape != (k, k):
-            raise DimensionMismatch("phi must be square")
-        if self.h_load.shape[0] != k:
-            raise DimensionMismatch("h_load must have one row per factor")
-        if self.lam.shape[1] != k:
-            raise DimensionMismatch("lam must have one column per factor")
-        n = self.lam.shape[0]
-        if len(self.idio_ar) != n or len(self.idio_scale) != n:
-            raise DimensionMismatch("need idiosyncratic terms for every series")
-        if spectral_radius(self.phi) >= 1.0:
-            raise NonStationarySpec("factor process is not stationary")
-        for i, coeffs in enumerate(self.idio_ar):
-            if coeffs:
-                comp = companion_matrix([np.array([[c]]) for c in coeffs])
-                if spectral_radius(comp) >= 1.0:
-                    raise NonStationarySpec(
-                        f"idiosyncratic process {i} is not stationary"
-                    )
-
-    @property
-    def n_series(self) -> int:
-        return self.lam.shape[0]
-
-    @property
-    def n_factors(self) -> int:
-        return self.phi.shape[0]
-
-
-def simulate_dfm(spec: DfmDgpSpec, seed) -> TimeSeriesMatrix:
-    """Draw observations x_t = lam @ f_t + v_t with AR idiosyncratic noise."""
-    rng = _generator(seed)
-    total = spec.T + spec.burn_in
-    k, n = spec.n_factors, spec.n_series
-    m = spec.h_load.shape[1]
-
-    eps = rng.standard_normal((total, m))
-    f = np.zeros((total, k))
-    for t in range(total):
-        prev = f[t - 1] if t > 0 else np.zeros(k)
-        f[t] = spec.phi @ prev + spec.h_load @ eps[t]
-
-    # every series in one step, lag by lag; lags past a series' order add 0 * v
-    lags = max(map(len, spec.idio_ar), default=0)
-    ar = np.array([c + (0.0,) * (lags - len(c)) for c in spec.idio_ar]).reshape(n, lags)
-    v = rng.standard_normal((total, n)) * np.array(spec.idio_scale)
-    for t in range(total):
-        for j in range(1, min(t, lags) + 1):
-            v[t] += ar[:, j - 1] * v[t - j]
-
-    x = f @ spec.lam.T + v
-    names = tuple(f"x{i + 1}" for i in range(n))
-    return TimeSeriesMatrix(values=x[spec.burn_in :], columns=names)
-
-
-def true_dfm_irf(
-    spec: DfmDgpSpec, response: int, shock: int, horizons
-) -> np.ndarray:
-    """Response of one series to a unit factor shock: lam_i' phi^h h_load e_j."""
-    horizons = [int(h) for h in horizons]
-    if not 0 <= response < spec.n_series:
-        raise DimensionMismatch("response must index an observed series")
-    if not 0 <= shock < spec.h_load.shape[1]:
-        raise DimensionMismatch("shock must index a factor innovation")
-    by_h = {}
-    power = np.eye(spec.n_factors)
-    for h in range(max(horizons, default=0) + 1):
-        by_h[h] = float(spec.lam[response] @ power @ spec.h_load[:, shock])
-        power = spec.phi @ power
-    return np.array([by_h[h] for h in horizons])

@@ -20,8 +20,7 @@ result or error per column. order_one, select_one, newey_west_one and
 hac_one run one series as a batch of one and raise its error; bartlett_sum
 is the long-run variance of one series as it is defined. coverage,
 median_width and replication read one cell of a Monte Carlo report and run
-one replication as a block of one; simulate_dfm_per_series is the
-one-series-at-a-time idiosyncratic loop of the factor-model simulator.
+one replication as a block of one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from hdlp.dgp import DfmDgpSpec, VarDgpSpec, _generator
+from hdlp.dgp import VarDgpSpec, _generator
 from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
 from hdlp.hac import hac_variance, newey_west
 from hdlp.linalg import PREFIX_EIG_TOL, SPAN_RTOL, orthonormal_columns
@@ -372,28 +371,3 @@ def panel_row(panel: PanelDataset, unit, time: int) -> int | None:
     rows = np.flatnonzero((panel.unit == unit) & (panel.time == time))
     return int(rows[0]) if rows.size else None
 
-
-def simulate_dfm_per_series(spec: DfmDgpSpec, seed) -> TimeSeriesMatrix:
-    """simulate_dfm's draws with the idiosyncratic terms advanced one series
-    at a time: v_t = scale * xi_t + sum over lags j <= t of c_j v_{t-j}."""
-    rng = _generator(seed)
-    total = spec.T + spec.burn_in
-    k, n = spec.n_factors, spec.n_series
-    eps = rng.standard_normal((total, spec.h_load.shape[1]))
-    f = np.zeros((total, k))
-    for t in range(total):
-        prev = f[t - 1] if t > 0 else np.zeros(k)
-        f[t] = spec.phi @ prev + spec.h_load @ eps[t]
-    xi = rng.standard_normal((total, n))
-    v = np.zeros((total, n))
-    for i in range(n):
-        coeffs = spec.idio_ar[i]
-        for t in range(total):
-            acc = spec.idio_scale[i] * xi[t, i]
-            for j, c in enumerate(coeffs, start=1):
-                if t - j >= 0:
-                    acc += c * v[t - j, i]
-            v[t, i] = acc
-    x = f @ spec.lam.T + v
-    names = tuple(f"x{i + 1}" for i in range(n))
-    return TimeSeriesMatrix(values=x[spec.burn_in :], columns=names)

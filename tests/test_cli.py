@@ -21,6 +21,7 @@ from hdlp.cli import (
     _config_fingerprint,
     main,
     read_long_csv,
+    read_wide_csv,
     save_checkpoint,
 )
 from hdlp.config import build_lpdid_run, build_montecarlo_run, load_yaml
@@ -103,21 +104,19 @@ def small_var_mc_cfg(tmp_path, **overrides):
     return cfg
 
 
-def dfm_simulate_cfg(tmp_path, **overrides):
+def var_simulate_cfg(tmp_path, **overrides):
     cfg = {
-        "output": str(tmp_path / "dfm.csv"),
+        "output": str(tmp_path / "var.csv"),
         "seed": 3,
         "T": 60,
         "response": 2,
-        "innovation": 1,
+        "innovation": "y1",
         "horizons": [0, 1, 2],
         "design": {
-            "kind": "dfm",
-            "phi": [[0.8]],
-            "shock_loadings": [[1.0]],
-            "loadings": [[1.0], [0.5]],
-            "idio_ar": [[0.4], []],
-            "idio_scale": [0.5, 1.0],
+            "kind": "var",
+            "coefficients": [[[0.5, 0.0], [0.2, 0.3]], [[0.1, 0.0], [0.0, 0.1]]],
+            "sigma": [[1.0, 0.3], [0.3, 1.0]],
+            "y1_rho": 0.6,
             "burn_in": 50,
         },
     }
@@ -293,15 +292,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path]) == 0
         assert (tmp_path / "sim.csv").read_bytes() == first
 
-    def test_dfm_kind(self, tmp_path):
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
-        assert main(["simulate", "--config", cfg_path]) == 0
-        with open(tmp_path / "dfm_true_irf.csv") as fh:
-            truth = list(csv.DictReader(fh))
-        # lam_2 * phi^h: 0.5, 0.4, 0.32
-        assert float(truth[0]["true_irf"]) == pytest.approx(0.5)
-        assert float(truth[1]["true_irf"]) == pytest.approx(0.4)
-
 
 class TestMontecarloCommand:
     def test_report_cardinality(self, tmp_path):
@@ -404,6 +394,17 @@ class TestMontecarloCommand:
             with open(tmp_path / "mc.csv") as fh:
                 assert len(list(csv.DictReader(fh))) == 10
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1]", b"null", b"{"],
+                             ids=["not UTF-8", "array", "null", "not JSON"])
+    def test_checkpoint_that_holds_no_json_object_is_ignored(self, tmp_path, capsys,
+                                                             content):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        _checkpoint_path(tmp_path / "mc.csv").write_bytes(content)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming" not in capsys.readouterr().err
+        with open(tmp_path / "mc.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 10
+
     def test_changed_blas_threads_restart_the_run(self, tmp_path, monkeypatch):
         # records hash differently under 1 and 2 BLAS threads, so a checkpoint
         # written under one setting is not resumed under another
@@ -462,18 +463,19 @@ class TestMontecarloCommand:
         assert "distinct" in capsys.readouterr().err
         assert not (tmp_path / "mc.csv").exists()
 
-    def test_dfm_design_rejected(self, tmp_path):
-        cfg = small_var_mc_cfg(tmp_path)
-        cfg["design"] = {
-            "kind": "dfm",
-            "phi": [[0.5]],
-            "shock_loadings": [[1.0]],
-            "loadings": [[1.0]],
-            "idio_ar": [[]],
-            "idio_scale": [1.0],
-        }
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
-        assert main(["montecarlo", "--config", cfg_path]) == 2
+
+@pytest.mark.parametrize("command, base", [("simulate", var_simulate_cfg),
+                                           ("montecarlo", small_var_mc_cfg)])
+def test_dfm_design_rejected(tmp_path, capsys, command, base):
+    # the dynamic factor model design was retired; both commands name the kinds
+    cfg = base(tmp_path)
+    cfg["design"] = {"kind": "dfm", "phi": [[0.5]], "shock_loadings": [[1.0]],
+                     "loadings": [[1.0]], "idio_ar": [[]], "idio_scale": [1.0]}
+    assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {command} config.design.kind must be one of section3, var, "
+        "got 'dfm'\n")
+    assert set(tmp_path.iterdir()) == {tmp_path / "cfg.yaml"}
 
 
 @pytest.fixture
@@ -653,6 +655,11 @@ class TestCsvReaderFrame:
         ("ragged row", "{header}\n{row}\n{row},9\n", "{path}:3: expected {n} cells"),
         ("short row after a blank line", "{header}\n{row}\n\n1\n",
          "{path}:4: expected {n} cells"),
+        # a surrogate escape writes one raw byte: 0xff is never UTF-8
+        ("byte that is not UTF-8", "{header}\n{row}\n\n\udcff{row}\n",
+         "{path}:4: not UTF-8 text"),
+        ("field over the csv module's limit", "{header}\n{row}\n{over_long}",
+         "{path}:3: field larger than field limit (131072)"),
     ])
     @pytest.mark.parametrize("command", ["estimate", "lpdid"])
     def test_file_level_problem_is_data_error(self, tmp_path, capsys, command,
@@ -662,7 +669,9 @@ class TestCsvReaderFrame:
         if body == "/":
             path.mkdir()
         elif body is not None:
-            path.write_text(body.format(header=header, row=self.ROWS[command]))
+            body = body.format(header=header, row=self.ROWS[command],
+                               over_long="9" * (csv.field_size_limit() + 1))
+            path.write_bytes(body.encode("utf-8", "surrogateescape"))
         if command == "estimate":
             cfg = estimate_cfg(tmp_path, str(path))
         else:
@@ -673,6 +682,20 @@ class TestCsvReaderFrame:
         n = len(header.split(","))
         expected = message.format(path=path, n=n)
         assert capsys.readouterr().err == f"data error: {expected}\n"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("u2,1,0.1", "4: expected 4 cells"), ("u2,1,x,0", "4: malformed cell"),
+        ("u2,1,0.1,0\n\udcff", "5: not UTF-8 text"),
+    ])
+    def test_a_quoted_line_break_counts_as_a_line(self, tmp_path, capsys, bad_row,
+                                                  message):
+        # the unit "u\n1" spans lines 2 and 3; errors name the physical line
+        path = tmp_path / "panel.csv"
+        body = f'unit,time,outcome,treatment\n"u\n1",1,0.5,0\n{bad_row}\n'
+        path.write_bytes(body.encode("utf-8", "surrogateescape"))
+        cfg = {"data": str(path), "output": str(tmp_path / "did.csv"), "horizons": [0]}
+        assert main(["lpdid", "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 3
+        assert capsys.readouterr().err == f"data error: {path}:{message}\n"
 
     @pytest.mark.parametrize("command", ["estimate", "lpdid"])
     def test_byte_order_mark_changes_nothing(self, tmp_path, sim_csv, panel_csv,
@@ -732,6 +755,92 @@ def long_csvs(draw):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def wide_csvs(draw):
+    """A wide CSV's header (y, x, z, maybe one renamed or repeated) and data
+    rows: floats with up to three odd or text cells, maybe a ragged row."""
+    header = ["y", "x", "z"]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, 2))] = draw(st.sampled_from(["y", "x", "", "w"]))
+    n_rows = draw(st.integers(1, 30))
+    rows = draw(st.lists(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=3,
+                                  max_size=3), min_size=n_rows, max_size=n_rows))
+    odd = st.tuples(st.integers(0, n_rows - 1), st.integers(0, 2),
+                    st.one_of(st.sampled_from(NUMERIC_CELLS + ODD_CELLS),
+                              st.text(max_size=3)))
+    for r, c, cell in draw(st.lists(odd, max_size=3)):
+        rows[r][c] = cell
+    if draw(st.integers(0, 9)) == 0:  # one ragged row
+        r = draw(st.integers(0, n_rows - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["9"]
+    return header, rows
+
+
+# byte sequences that are never UTF-8 (stray continuation, truncated lead,
+# encoded surrogate, overlong form, past U+10FFFF), and a field over the csv
+# module's size limit
+NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
+            b"\xc0\xaf", b"\xf4\x90\x80\x80"]
+OVER_LONG = b"9" * (csv.field_size_limit() + 1)
+
+
+def run_captured(command, cfg_path) -> tuple[int, str]:
+    """main's exit code and stderr for one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg_path)])
+    return code, err.getvalue()
+
+
+def write_table(path, header, rows, bom=False, splice=None, at=0):
+    """Write the CSV at path, with the bytes splice inserted at byte at."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header] + rows)
+    raw = ("\ufeff" if bom else "").encode() + text.getvalue().encode("utf-8")
+    at = min(at, len(raw))
+    path.write_bytes(raw[:at] + (splice or b"") + raw[at:])
+    return raw[:at].count(b"\n") + 1  # the line of the spliced bytes
+
+
+def assert_spliced_data_error(code, err, path, line):
+    """Spliced bytes exit 3, as the first problem of the file that the
+    reader meets does; a message about bytes that are not UTF-8 names their
+    line."""
+    assert code == 3 and err.startswith(f"data error: {path}")
+    assert "internal error" not in err and "Traceback" not in err
+    if "UTF-8" in err:
+        assert err == f"data error: {path}:{line}: not UTF-8 text\n"
+
+
+class TestEstimateFuzz:
+    @given(wide_csvs(), st.booleans(), st.sampled_from([None, OVER_LONG] + NOT_UTF8),
+           st.integers(0, 4000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_wide_csvs_exit_cleanly_and_parse_like_float(
+            self, table, bom, splice, at):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path, cfg_path = Path(tmp) / "data.csv", Path(tmp) / "cfg.yaml"
+            line = write_table(path, header, rows, bom, splice, at)
+            cfg = estimate_cfg(Path(tmp), str(path), methods=["double_oga"],
+                               horizons=[1, 2])
+            write_yaml(cfg_path, cfg)
+            code, err = run_captured("estimate", cfg_path)
+            if splice is not None:
+                assert_spliced_data_error(code, err, path, line)
+                return
+            assert code in (0, 3, 4)
+            assert "internal error" not in err
+            try:
+                data = read_wide_csv(path)
+            except DataError:
+                assert code == 3
+                return
+        assert data.columns == tuple(header)
+        want = np.array([[float(cell) for cell in row] for row in rows])
+        assert data.values.tobytes() == want.tobytes()
+
+
 class TestLpdidFuzz:
     @given(long_csvs(), st.booleans(), st.integers(0, 1), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -749,11 +858,9 @@ class TestLpdidFuzz:
                    "extra_controls": ["c1"] if covariate else [],
                    "selection": {"c_star": 2.0}}
             write_yaml(cfg_path, cfg)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(["lpdid", "--config", str(cfg_path)])
+            code, err = run_captured("lpdid", cfg_path)
             assert code in (0, 3, 4)
-            assert "internal error" not in err.getvalue()
+            assert "internal error" not in err
             try:
                 panel = read_long_csv(path, build_lpdid_run(load_yaml(cfg_path)))
             except DataError:
@@ -764,6 +871,18 @@ class TestLpdidFuzz:
         for parsed, c in columns:
             want = np.array([cell_value(row[c]) for row in rows])
             assert parsed.dtype == np.float64 and parsed.tobytes() == want.tobytes()
+
+    @given(long_csvs(), st.booleans(), st.sampled_from([OVER_LONG] + NOT_UTF8),
+           st.integers(0, 4000))
+    @settings(max_examples=40, deadline=None)
+    def test_spliced_raw_bytes_are_data_errors(self, rows, bom, splice, at):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, cfg_path = Path(tmp) / "panel.csv", Path(tmp) / "cfg.yaml"
+            line = write_table(path, ["unit", "time", "outcome", "treatment", "c1"],
+                               rows, bom, splice, at)
+            write_yaml(cfg_path, {"data": str(path), "output": str(Path(tmp) / "did.csv"),
+                                  "horizons": [0, 1], "extra_controls": ["c1"]})
+            assert_spliced_data_error(*run_captured("lpdid", cfg_path), path, line)
 
 
 class TestOverrideFlags:
@@ -779,7 +898,7 @@ class TestOverrideFlags:
                                                 panel_csv, command, flag, value):
         cfg = {
             "estimate": estimate_cfg(tmp_path, sim_csv),
-            "simulate": dfm_simulate_cfg(tmp_path),
+            "simulate": var_simulate_cfg(tmp_path),
             "lpdid": {"data": panel_csv, "output": str(tmp_path / "did.csv"),
                       "horizons": [1]},
         }[command]
@@ -792,13 +911,13 @@ class TestOverrideFlags:
         assert set(tmp_path.rglob("*")) == before
 
     def test_seed_flag_sets_the_simulate_seed(self, tmp_path):
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", var_simulate_cfg(tmp_path))
         tables = []
         for seed in ("3", "4"):
             assert main(["simulate", "--config", cfg_path, "--seed", seed]) == 0
-            tables.append((tmp_path / "dfm.csv").read_bytes())
+            tables.append((tmp_path / "var.csv").read_bytes())
         assert main(["simulate", "--config", cfg_path]) == 0  # the file says 3
-        assert (tmp_path / "dfm.csv").read_bytes() == tables[0] != tables[1]
+        assert (tmp_path / "var.csv").read_bytes() == tables[0] != tables[1]
 
 
 class TestOutputIsADirectory:
@@ -815,7 +934,7 @@ class TestOutputIsADirectory:
                                           panel_csv, command, key, flag):
         cfg = {
             "estimate": estimate_cfg(tmp_path, sim_csv),
-            "simulate": dfm_simulate_cfg(tmp_path),
+            "simulate": var_simulate_cfg(tmp_path),
             "montecarlo": small_var_mc_cfg(tmp_path),
             "lpdid": {"data": panel_csv, "output": str(tmp_path / "did.csv"),
                       "horizons": [1]},
@@ -833,11 +952,11 @@ class TestOutputIsADirectory:
         assert set(tmp_path.rglob("*")) == before
 
     def test_derived_sidecar_path(self, tmp_path, capsys):
-        (tmp_path / "dfm_true_irf.csv").mkdir()  # where output dfm.csv puts it
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", dfm_simulate_cfg(tmp_path))
+        (tmp_path / "var_true_irf.csv").mkdir()  # where output var.csv puts it
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", var_simulate_cfg(tmp_path))
         assert main(["simulate", "--config", cfg_path]) == 2
         assert "config.true_irf_output must be a file path" in capsys.readouterr().err
-        assert not (tmp_path / "dfm.csv").exists()
+        assert not (tmp_path / "var.csv").exists()
 
 
 class TestExampleConfigs:

@@ -21,7 +21,7 @@ from hdlp.config import (
 )
 import hdlp.config
 from hdlp.errors import ConfigError
-from test_cli import dfm_simulate_cfg, estimate_cfg, small_var_mc_cfg, write_yaml
+from test_cli import estimate_cfg, small_var_mc_cfg, var_simulate_cfg, write_yaml
 
 REPO = Path(__file__).resolve().parent.parent
 OUT = Path("out")  # builders only name output paths, they never write
@@ -33,7 +33,7 @@ CONFIGS = {
                    load_yaml(REPO / "configs/montecarlo.yaml")),
     "lpdid": (build_lpdid_run, load_yaml(REPO / "configs/lpdid.yaml")),
     "montecarlo_var": (build_montecarlo_run, small_var_mc_cfg(OUT)),
-    "simulate_dfm": (build_simulate_run, dfm_simulate_cfg(OUT)),
+    "simulate_var": (build_simulate_run, var_simulate_cfg(OUT)),
 }
 
 
@@ -82,11 +82,11 @@ class TestEveryNodeIsValidated:
     def test_cases_cover_every_bundled_key(self):
         assert len(CASES) > 150
         assert ("montecarlo", ("design", "rho")) in CASES
-        assert ("simulate_dfm", ("design", "idio_ar", 1)) in CASES
+        assert ("simulate_var", ("design", "coefficients", 1, 0, 1)) in CASES
 
     @settings(max_examples=600, deadline=None)
     @given(case=st.sampled_from(CASES), value=yaml_values)
-    @example(case=("simulate_dfm", ("output",)), value="/")  # a path with no file name
+    @example(case=("simulate_var", ("output",)), value="/")  # a path with no file name
     def test_one_replaced_node_builds_or_raises_config_error(self, case, value):
         name, path = case
         build, cfg = CONFIGS[name]
@@ -141,8 +141,8 @@ def _simulate(tmp_path):
                     true_irf_output=str(tmp_path / "out" / "truth.csv"))
 
 
-def _dfm(tmp_path):
-    return dfm_simulate_cfg(tmp_path / "out")
+def _var(tmp_path):
+    return var_simulate_cfg(tmp_path / "out")
 
 
 @pytest.mark.parametrize("command, base, path, value", [
@@ -166,8 +166,8 @@ def _dfm(tmp_path):
     ("estimate", _estimate, ("hac",), 5),
     ("estimate", _estimate, ("selection", "c_star"), "fast"),
     ("lpdid", _lpdid, ("time_effects",), "false"),
-    ("simulate", _dfm, ("response",), "y9"),
-    ("simulate", _dfm, ("innovation",), "y1"),
+    ("simulate", _var, ("response",), "y9"),
+    ("simulate", _var, ("innovation",), "x1"),
     ("simulate", _simulate, ("response",), 0),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else repr(v))
 def test_malformed_value_exits_2_and_writes_nothing(tmp_path, capsys, command,
@@ -216,6 +216,24 @@ class TestYamlLoader:
         assert main(["estimate", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("case, message", [
+        ("latin-1 byte", "cannot parse {path}: 'utf-8' codec can't decode byte 0xe9"),
+        ("directory", "config file not found: {path}"),
+    ])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, monkeypatch, loader,
+                                     case, message):
+        monkeypatch.setattr(hdlp.config, "SAFE_LOADER", loader)
+        path = tmp_path / "cfg.yaml"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"output: out.csv\n# caf\xe9\n")
+        assert main(["estimate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=path))
+        assert "internal error" not in err and "Traceback" not in err
+
 
 class TestSimulateSeries:
     @pytest.mark.parametrize("response, innovation", [("y2", "y1"), (2, 1)])
@@ -224,11 +242,6 @@ class TestSimulateSeries:
         run = build_simulate_run({**cfg, "response": response,
                                   "innovation": innovation})
         assert (run.response, run.innovation) == (1, 0)
-
-    def test_dfm_series_by_name_and_root_length(self):
-        run = build_simulate_run(dfm_simulate_cfg(OUT, response="x2"))
-        assert (run.response, run.innovation) == (1, 0)
-        assert run.T == run.spec.T == 60
 
 
 def test_bundled_montecarlo_checkpoint_still_resumes():

@@ -6,23 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlp.dgp import (
-    DfmDgpSpec,
     Section3Design,
     VarDgpSpec,
     alternating_decay_vector,
     build_section3_coefficients,
     companion_matrix,
     section3_lp_spec,
-    simulate_dfm,
     simulate_var,
     simulate_var_block,
     spectral_radius,
     toeplitz_power_sigma,
-    true_dfm_irf,
     true_reduced_form_irf,
 )
 from hdlp.errors import NonStationarySpec
-from reference import simulate_dfm_per_series, simulate_var_per_lag, simulate_var_stacked
+from reference import simulate_var_per_lag, simulate_var_stacked
 
 
 def random_stable_var(rng, n, K, scale=0.4):
@@ -250,79 +247,3 @@ class TestTrueReducedFormIrf:
         irf22 = np.abs(true_reduced_form_irf(spec, 1, 1, range(1, 61)))
         assert irf22[39:].max() < irf22[:20].max()
 
-
-def tiny_dfm(**overrides):
-    params = dict(
-        phi=np.array([[0.8]]),
-        h_load=np.array([[1.0]]),
-        lam=np.array([[1.0], [0.5], [-0.3]]),
-        idio_ar=((0.4,), (0.0,), ()),
-        idio_scale=(0.5, 1.0, 0.2),
-        T=300,
-        burn_in=200,
-    )
-    params.update(overrides)
-    return DfmDgpSpec(**params)
-
-
-class TestSimulateDfm:
-    def test_zero_loadings_leave_idiosyncratic_noise(self):
-        spec = tiny_dfm(lam=np.zeros((3, 1)), idio_ar=((), (), ()),
-                        idio_scale=(1.0, 2.0, 3.0), T=20_000)
-        x = simulate_dfm(spec, seed=0).values
-        assert np.std(x[:, 0]) == pytest.approx(1.0, rel=0.05)
-        assert np.std(x[:, 1]) == pytest.approx(2.0, rel=0.05)
-        assert np.std(x[:, 2]) == pytest.approx(3.0, rel=0.05)
-
-    def test_pure_factor_observation(self):
-        spec = tiny_dfm(idio_ar=((), (), ()), idio_scale=(0.0, 0.0, 0.0), T=500)
-        x = simulate_dfm(spec, seed=1).values
-        # columns are exact multiples of the single factor
-        f = x[:, 0] / spec.lam[0, 0]
-        assert np.allclose(x[:, 1], 0.5 * f, atol=1e-12)
-        assert np.allclose(x[:, 2], -0.3 * f, atol=1e-12)
-
-    def test_factor_autocorrelation(self):
-        spec = tiny_dfm(idio_ar=((), (), ()), idio_scale=(0.0, 0.0, 0.0),
-                        T=50_000, burn_in=500)
-        f = simulate_dfm(spec, seed=2).values[:, 0]
-        r1 = np.corrcoef(f[1:], f[:-1])[0, 1]
-        assert r1 == pytest.approx(0.8, abs=0.02)
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        lags=st.lists(st.integers(0, 3), min_size=1, max_size=5),
-        scales=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
-        log_scale=st.floats(-6.0, 6.0),
-        n_factors=st.integers(1, 2),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_all_series_in_one_step_equal_the_per_series_loop_bit_for_bit(
-        self, seed, lags, scales, log_scale, n_factors
-    ):
-        rng = np.random.default_rng(seed)
-        n = len(lags)
-        # AR polynomials prod_k (1 - r_k z) with roots inside (-0.9, 0.9): stationary
-        idio_ar = tuple(tuple(-np.poly(rng.uniform(-0.9, 0.9, L))[1:]) if L else ()
-                        for L in lags)
-        spec = DfmDgpSpec(
-            phi=0.5 * np.eye(n_factors), h_load=np.eye(n_factors),
-            lam=rng.standard_normal((n, n_factors)), idio_ar=idio_ar,
-            idio_scale=tuple(10.0**log_scale * np.array(scales[:n])), T=40, burn_in=30,
-        )
-        got = simulate_dfm(spec, seed=seed).values
-        assert got.tobytes() == simulate_dfm_per_series(spec, seed).values.tobytes()
-
-    def test_rejects_explosive_factor(self):
-        with pytest.raises(NonStationarySpec):
-            tiny_dfm(phi=np.array([[1.05]]))
-
-    def test_rejects_explosive_idiosyncratic(self):
-        with pytest.raises(NonStationarySpec):
-            tiny_dfm(idio_ar=((1.1,), (), ()))
-
-    def test_true_factor_shock_irf(self):
-        spec = tiny_dfm()
-        irf = true_dfm_irf(spec, response=1, shock=0, horizons=(0, 1, 2))
-        # lam_2 * phi^h * h = 0.5 * 0.8^h
-        assert np.allclose(irf, [0.5, 0.4, 0.32])

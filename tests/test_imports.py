@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -131,6 +132,21 @@ def test_the_package_uses_what_it_defines():
     package = ROOT / "src" / "hdlp"
     assert unused_definitions({path.stem: path.read_text()
                                for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_all_lists_every_reexport_once_sorted():
+    import hdlp
+
+    tree = ast.parse((ROOT / "src" / "hdlp" / "__init__.py").read_text())
+    reexported = {alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names}
+    assert hdlp.__all__ == sorted(reexported)
+    assert not any(isinstance(getattr(hdlp, name), types.ModuleType)
+               for name in hdlp.__all__)
+    namespace = {}
+    exec("from hdlp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == reexported
 
 
 # run in a fresh interpreter: each argument is a command and its config

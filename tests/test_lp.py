@@ -766,6 +766,71 @@ class TestScaleFreeChecks:
                 assert a.union == b.union
 
 
+@st.composite
+def control_designs(draw):
+    """A small estimate_irf problem: response y and shock x both load on
+    k persistent control series z1..zk, which enter at lag 0 and as lags;
+    a fixed or a tuned c_star, with or without an intercept."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, k = draw(st.integers(50, 90)), draw(st.integers(1, 4))
+    z = np.zeros((T, k))
+    for t in range(1, T):
+        z[t] = 0.6 * z[t - 1] + rng.standard_normal(k)
+    x = z @ rng.uniform(-1, 1, k) + rng.standard_normal(T)
+    y = 0.5 * x + z @ rng.uniform(-2, 2, k) + rng.standard_normal(T)
+    controls = tuple(f"z{i + 1}" for i in range(k))
+    data = TimeSeriesMatrix(np.column_stack([y, x, z]), ("y", "x") + controls)
+    spec = LpSpec(response="y", shock="x", horizons=(0, 1, 2, 3),
+                  contemporaneous=controls, lagged=("y", "x") + controls,
+                  lags=draw(st.integers(1, 2)),
+                  include_intercept=draw(st.booleans()))
+    oga = OgaConfig(c_star=draw(st.sampled_from([1.0, 2.0, None])))
+    return data, spec, oga
+
+
+class TestSelectionProperties:
+    """Invariants of double selection, end to end through estimate_irf."""
+
+    @given(design=control_designs(), log_scale=st.floats(-6.0, 6.0), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_one_control_leaves_every_selection_unchanged(
+            self, design, log_scale, data):
+        series, spec, oga = design
+        j = series.index(data.draw(st.sampled_from(spec.contemporaneous),
+                                   label="scaled control"))
+        values = series.values.copy()
+        values[:, j] *= 10.0**log_scale
+        scaled = TimeSeriesMatrix(values, series.columns)
+        ref, got = estimate_irf(series, spec, oga), estimate_irf(scaled, spec, oga)
+        assert ref.errors.keys() == got.errors.keys()
+        for a, b in zip(ref.estimates, got.estimates, strict=True):
+            assert (a.selected_y, a.selected_x, a.union) == (
+                b.selected_y, b.selected_x, b.union)
+
+    @given(design=control_designs(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_an_exact_duplicate_never_joins_its_original_in_a_union(
+            self, design, data):
+        series, spec, oga = design
+        original = data.draw(st.sampled_from(spec.contemporaneous), label="original")
+        # the copy at any position among the series and the control lists
+        at = [data.draw(st.integers(0, len(names)), label="position")
+              for names in (series.columns, spec.contemporaneous, spec.lagged)]
+        columns, contemporaneous, lagged = (
+            names[:i] + ("copy",) + names[i:]
+            for i, names in zip(at, (series.columns, spec.contemporaneous, spec.lagged)))
+        values = np.insert(series.values, at[0], series.values[:, series.index(original)],
+                           axis=1)
+        with_copy = TimeSeriesMatrix(values, columns)
+        spec = replace(spec, contemporaneous=contemporaneous, lagged=lagged)
+        result = estimate_irf(with_copy, spec, oga)
+        sources = build_lp_dataset(with_copy, spec, 0).column_map
+        for est in result.estimates:
+            union = [(original if source == "copy" else source, lag)
+                     for source, lag in (sources[i] for i in est.union)]
+            assert len(set(union)) == len(union), (est.horizon, est.union)
+
+
 class TestAffineResponse:
     """An affine map a*y + b of the response series (a lagged control too)
     moves no selection, with the intercept in: the constant is projected
