@@ -278,10 +278,36 @@ def save_checkpoint(path: Path, fingerprint: str, records: list):
     _write_atomic(path, lambda fh: json.dump(blob, fh))
 
 
-def load_checkpoint(path: Path, fingerprint: str) -> list | None:
+def _is_ci(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
+def _is_record(rep: int, record, run: MontecarloRun) -> bool:
+    """Whether record is replication rep of run: a dict whose rep is rep,
+    with an entry for every method and horizon that is ok with a [lo, hi]
+    pair of numbers per level, or that holds an error string."""
+    def is_cell(cell):
+        if not isinstance(cell, dict):
+            return False
+        if cell.get("ok") is False:
+            return isinstance(cell.get("error"), str)
+        cis = cell.get("cis")
+        return cell.get("ok") is True and isinstance(cis, dict) and all(
+            _is_ci(cis.get(str(level))) for level in run.levels)
+
+    if not isinstance(record, dict) or record.get("rep") != rep:
+        return False
+    cells = record.get("methods")
+    return isinstance(cells, dict) and all(
+        isinstance(cells.get(m), dict) and is_cell(cells[m].get(str(h)))
+        for m in run.methods for h in run.design.lp_spec.horizons)
+
+
+def load_checkpoint(path: Path, fingerprint: str, run: MontecarloRun) -> list | None:
     """The records saved at path, or None if there is no JSON object there
-    (missing, unreadable, not UTF-8, not JSON) or it is of another version,
-    run or BLAS setting."""
+    (missing, unreadable, not UTF-8, not JSON), it is of another version,
+    run or BLAS setting, or its records are not replications 0..k-1 of run."""
     try:
         with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -291,7 +317,11 @@ def load_checkpoint(path: Path, fingerprint: str) -> list | None:
             "blas_threads": _blas_threads()}
     if not isinstance(blob, dict) or any(blob.get(k) != v for k, v in same.items()):
         return None
-    return blob.get("records")
+    records = blob.get("records")
+    if not isinstance(records, list) or not all(
+            _is_record(rep, record, run) for rep, record in enumerate(records)):
+        return None
+    return records
 
 
 def cmd_montecarlo(run: MontecarloRun) -> int:
@@ -300,7 +330,7 @@ def cmd_montecarlo(run: MontecarloRun) -> int:
     if run.checkpoint and ckpt_path.is_dir():
         raise ConfigError(f"montecarlo config.output: its checkpoint {ckpt_path} "
                           "must be a file path, not an existing directory")
-    records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint)) or []
+    records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint, run)) or []
     if records:
         print(
             f"montecarlo: resuming from checkpoint with {len(records)} "

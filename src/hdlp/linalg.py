@@ -8,8 +8,8 @@ on, because unions of selected lag columns are routinely collinear. A basis
 grown one column at a time tests that directly; a pivoted QR tests its
 pivots against the first, on the column-equilibrated design, where every
 nonzero column and the intercept column have unit norm. A basis of a design
-also serves every row prefix of that design (PrefixBasis), as long as the
-prefix keeps the design's rank; every prefix is read off one Cholesky
+also serves every row prefix of that design (prefix_residuals), as long as
+the prefix keeps the design's rank; every prefix is read off one Cholesky
 factor. One two-pass kernel (orthogonalize, and extend on top of it) takes
 the residuals of many series on many zero-padded bases, or on one basis
 read on many prefixes, in a few batched products: greedy steps, unions and
@@ -25,11 +25,7 @@ calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DimensionMismatch
 
 scipy = None  # bound by _scipy on first use
 
@@ -81,7 +77,7 @@ def orthogonalize(B, V, inside=None, G=None, dropped=None) -> np.ndarray:
     or one basis (1 x m x n) for every series; V (k x c x n) holds c series
     per basis, zero on rows they do not use, and inside (broadcast against
     V) keeps their residuals zero there. G and dropped read one basis on row
-    prefixes (PrefixBasis): series j, with dropped[j] rows dropped, has
+    prefixes (prefix_residuals): series j, with dropped[j] rows dropped, has
     coefficients a + G_d'(G_d a), G_d the first dropped[j] rows of G.
     """
     for _ in range(2):
@@ -113,71 +109,59 @@ def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray, going=None) -> np.ndarra
     return new
 
 
-@dataclass(frozen=True, eq=False)
-class PrefixBasis:
-    """Orthonormal basis Q of a design X, used for the projection on the
-    column space of X's first n rows, for every n from min_rows up.
+def prefix_residuals(C, intercept: bool, V: np.ndarray, rows, failed) -> np.ndarray:
+    """Residuals of the series in V (k x c x n; regression i's are zero
+    below rows[i], and rows do not increase) on the column space of the
+    first rows[i] rows of [C, 1] (C alone without intercept), in place, and
+    each regression's rank. A factorization that fails fails its regression:
+    the error goes in failed[i].
 
-    X[:n] = Q[:n] R, so with U = Q[n:] (the d dropped rows) the projection of
-    v on that column space is Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v
-    (Woodbury on (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}). G = L^{-1} U, L the
-    Cholesky factor of I - UU', turns the correction into G'(G a). Taken in
-    reverse order, the dropped rows of every prefix are the leading rows of
-    those of the shortest, U~, so each prefix's L and G are the leading
-    block and rows of the one L and G of U~ (Golub & Van Loan, Matrix
-    Computations, section 4.2). G holds them; the prefix with d dropped
-    rows reads its first d rows.
+    One pivoted QR, Q of the first N = rows[i] rows, serves every later
+    prefix that keeps its rank. For a prefix of n rows, with U = Q[n:] (the
+    d dropped rows), the projection of v on its column space is
+    Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v (Woodbury on
+    (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}). G = L^{-1} U, L the Cholesky
+    factor of I - UU', turns the correction into G'(G a). Taken in reverse
+    order, the dropped rows of every prefix are the leading rows of those of
+    the shortest, U~, so each prefix's L and G are the leading block and
+    rows of the one L and G of U~ (Golub & Van Loan, Matrix Computations,
+    section 4.2); orthogonalize reads the first d rows of G.
+
+    The smallest eigenvalue of I - UU' (that of Q[:n]'Q[:n]) is at least
+    1 / trace((I - UU')^{-1}) = 1 / (d + ||G_d||_F^2), a running sum over
+    G's rows. The prefixes served stop before the first whose bound is below
+    PREFIX_EIG_TOL, or whose leading block of I - U~U~' the Cholesky
+    factorization reports not positive definite (LAPACK's info; the Cholesky
+    diagonal alone bounds that eigenvalue only from above). That prefix is
+    factored afresh and serves those after it.
     """
-
-    Q: np.ndarray
-    G: np.ndarray
-
-    @classmethod
-    def of(cls, X, intercept: bool = False) -> "PrefixBasis":
-        """Basis of all of X's rows (and a constant column when intercept is
-        set), from one pivoted QR."""
-        Q = orthonormal_columns(X, intercept)
-        return cls(Q, np.zeros((0, Q.shape[1])))
-
-    @property
-    def rank(self) -> int:
-        return self.Q.shape[1]
-
-    @property
-    def min_rows(self) -> int:
-        """The shortest prefix the basis serves."""
-        return self.Q.shape[0] - self.G.shape[0]
-
-    def reach(self, n: int) -> "PrefixBasis":
-        """The basis read on every prefix of at least n rows that keeps its rank.
-
-        The smallest eigenvalue of I - UU' (that of Q[:n]'Q[:n]) is at least
-        1 / trace((I - UU')^{-1}) = 1 / (d + ||G_d||_F^2) for d dropped rows,
-        a running sum over G's rows. The prefixes served stop before the
-        first whose bound is below PREFIX_EIG_TOL, or whose leading block of
-        I - U~U~' the Cholesky factorization reports not positive definite
-        (LAPACK's info); the caller factors that prefix afresh. (The
-        Cholesky diagonal alone bounds that eigenvalue only from above.)
-        """
-        N = self.Q.shape[0]
-        if not 0 < n <= N:
-            raise DimensionMismatch(f"a basis of {N} rows has no {n}-row prefix")
-        U = self.Q[n:][::-1]
-        d = U.shape[0]
-        linalg = _scipy().linalg
-        if d:
-            L, info = linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
-            d = d if info == 0 else info - 1
-        G = linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
-                                    check_finite=False) if d else U[:0]
+    k, c, _ = V.shape
+    rank = np.zeros(k, dtype=np.intp)
+    i = 0
+    while i < k:
+        N = rows[i]
+        try:
+            Q = orthonormal_columns(C[:N], intercept)
+            U = Q[rows[-1]:][::-1]
+            d = U.shape[0]
+            linalg = _scipy().linalg
+            if d:
+                L, info = linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
+                d = d if info == 0 else info - 1
+            G = linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
+                                        check_finite=False) if d else U[:0]
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+            i += 1
+            continue
         bound = np.arange(1, d + 1) + np.cumsum(np.einsum("ij,ij->i", G, G))
-        return PrefixBasis(self.Q, G[: np.count_nonzero(bound * PREFIX_EIG_TOL <= 1.0)])
-
-    def residual(self, V: np.ndarray, rows) -> np.ndarray:
-        """Residuals of the series in V's rows, in place: series i lives on
-        the first rows[i] rows (at least min_rows), is zero below, and is
-        projected on the column space of that prefix in two passes."""
-        N = self.Q.shape[0]
-        rows = np.asarray(rows)
-        inside = np.arange(N) < rows[:, None]
-        return orthogonalize(self.Q.T[None], V[None], inside, self.G, N - rows)[0]
+        G = G[: np.count_nonzero(bound * PREFIX_EIG_TOL <= 1.0)]
+        j = i + sum(1 for r in rows[i:] if r >= N - G.shape[0])
+        served = np.repeat(rows[i:j], c)
+        block = V[i:j, :, :N].reshape(-1, N)  # a copy unless N is V's width
+        orthogonalize(Q.T[None], block[None], np.arange(N) < served[:, None], G,
+                      N - served)
+        V[i:j, :, :N] = block.reshape(j - i, c, N)
+        rank[i:j] = Q.shape[1]
+        i = j
+    return rank

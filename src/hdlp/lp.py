@@ -22,10 +22,10 @@ Every horizon's design is a row prefix of the design at the shortest
 horizon, so ``estimate_irf`` builds the datasets once and hands all horizons
 to ``_fit`` as one batch of row-prefix regressions on that design, per
 method: one lockstep greedy run, one batched Gram-Schmidt for the unions,
-one Cholesky factor for every no-selection prefix (read off one pivoted QR
-while no prefix may lose rank), one Newey-West call. Like those kernels,
-it returns one record or error per dataset; ``_unwrap`` hands one back or
-raises its error. One regression is the batch of one.
+one pivoted QR and one Cholesky factor for every no-selection prefix that
+keeps its rank (linalg.prefix_residuals), one Newey-West call. Like those
+kernels, it returns one record or error per dataset; ``_unwrap`` hands one
+back or raises its error. One regression is the batch of one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     UnknownColumn,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, dots, hac_variance
-from .linalg import SPAN_RTOL, PrefixBasis, extend, orthogonalize
+from .linalg import SPAN_RTOL, extend, orthogonalize, prefix_residuals
 from .selection import OgaConfig, oga_hdaic_select
 
 DOUBLE_OGA = "double_oga"
@@ -272,11 +272,12 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
     basis is the shock path's orthonormal basis extended by Gram-Schmidt
     with the outcome-only columns (in index order, skipping spanned ones);
     v and e come off each path's basis (_union_residuals). CONVENTIONAL_LP,
-    or an empty C, controls for every column (_design_residuals); v and e
-    are then the final residuals. beta = x_resid'y_resid / x_resid'x_resid
-    on the union basis. The shock is degenerate when it is zero, or constant
-    while the intercept is in, or when what is left of it is at most
-    SPAN_RTOL of its norm.
+    or an empty C, controls for every column (prefix_residuals: one pivoted
+    QR serves every prefix that keeps its rank); v and e are then the final
+    residuals. beta = x_resid'y_resid / x_resid'x_resid on the union basis.
+    The shock is degenerate when it is zero, or constant while the intercept
+    is in, or when what is left of it is at most SPAN_RTOL of its norm. It
+    is NonFinite when the squares of y or x, or beta or se, overflow.
 
     psi = v * u with u the final residual, or e under psi_source
     first_stage_e; Omega is its Bartlett long-run variance, or its
@@ -298,11 +299,15 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
         centred = (X - (X.sum(axis=1) / T)[:, None]) * (np.arange(n) < T[:, None])
     for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
         out[i] = DegenerateShock("shock series is constant")
+    for i in np.flatnonzero(~np.isfinite(np.hypot(x_norm, np.linalg.norm(Y, axis=1)))):
+        out[i] = NonFinite("the squares of the response or shock overflow")
+        X[i] = Y[i] = 0.0  # their infinite greedy gains would never advance a path
     if method == DOUBLE_OGA and p:
         resid, v, e, rank, sets = _union_residuals(C, intercept, X, Y, rows,
                                                   oga_config, out)
     else:
-        resid, rank = _design_residuals(C, intercept, X, Y, rows, out)
+        resid = np.stack([Y, X], axis=1)
+        rank = prefix_residuals(C, intercept, resid, rows, out)
         v, e = resid[:, 1], resid[:, 0]
         every = tuple(range(p))
         sets = [dict(selected_y=every, selected_x=every, union=every,
@@ -337,10 +342,14 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
                 )
                 continue
             sigma_sq *= T / (T - r)
+        se = float(np.sqrt(sigma_sq / T))
+        if not (abs(beta[i]) < np.inf and se < np.inf):  # false on inf and nan
+            out[i] = NonFinite("beta or its standard error overflows")
+            continue
         out[i] = LpEstimate(
             horizon=datasets[i].horizon, method=method, beta=float(beta[i]),
             effective_T=T, rank=r, residuals_u=u[i, :T], residuals_v=v[i, :T],
-            residuals_e=e[i, :T], se=float(np.sqrt(sigma_sq / T)),
+            residuals_e=e[i, :T], se=se,
             sigma_sq=sigma_sq, tau_sq=tau_sq, omega=omega, bandwidth=K, **sets[i],
         )
     return out
@@ -397,35 +406,6 @@ def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
     resid[live] = orthogonalize(B, np.stack([Y[live], X[live]], axis=1))
     rank[live] = m
     return resid, v, e, rank, sets
-
-
-def _design_residuals(C, intercept, X, Y, rows, failed):
-    """The residuals of y and x (k x 2 x n) on the column space of [C, 1]
-    (C alone without intercept) on each regression's rows, and its rank.
-
-    One pivoted QR at the first regression's rows serves every later one
-    whose prefix keeps its rank (PrefixBasis.reach, one Cholesky for all of
-    them); the first it cannot serve is factored afresh and serves those
-    after it. A factorization that fails fails its regression.
-    """
-    k = len(rows)
-    resid = np.zeros((k, 2, C.shape[0]))
-    rank = np.zeros(k, dtype=np.intp)
-    i = 0
-    while i < k:
-        N = rows[i]
-        try:
-            basis = PrefixBasis.of(C[:N], intercept).reach(rows[-1])
-        except np.linalg.LinAlgError as exc:
-            failed[i] = exc
-            i += 1
-            continue
-        j = i + sum(1 for r in rows[i:] if r >= basis.min_rows)
-        V = np.stack([Y[i:j, :N], X[i:j, :N]], axis=1).reshape(-1, N)
-        resid[i:j, :, :N] = basis.residual(V, np.repeat(rows[i:j], 2)).reshape(-1, 2, N)
-        rank[i:j] = basis.rank
-        i = j
-    return resid, rank
 
 
 def _attempt(errors: dict, h: int, fn, *args, **kwargs):

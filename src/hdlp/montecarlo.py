@@ -202,9 +202,10 @@ def run_monte_carlo(
         # imported here: a serial run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        workers = min(parallelism, len(tasks))  # no worker forked without a task
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_block_records, tasks,
-                             chunksize=max(1, len(tasks) // (parallelism * 4))))
+                             chunksize=max(1, len(tasks) // (workers * 4))))
     else:
         collect(_block(*task) for task in tasks)
 

@@ -26,6 +26,7 @@ from hdlp.cli import (
 )
 from hdlp.config import build_lpdid_run, build_montecarlo_run, load_yaml
 from hdlp.errors import DataError
+from hdlp.montecarlo import run_monte_carlo
 from reference import replication
 
 
@@ -55,6 +56,14 @@ def sim_csv(tmp_path):
     return write_wide_csv(
         tmp_path / "data.csv", ["y", "x", "z"], np.column_stack([y, x, z])
     )
+
+
+def short_run_records(run, n_reps):
+    """The records of run's first n_reps replications, from a real run."""
+    records = []
+    run_monte_carlo(run.design, run.methods, n_reps, run.levels, run.seed,
+                    records=records)
+    return records
 
 
 def estimate_cfg(tmp_path, sim_csv, **overrides):
@@ -377,20 +386,22 @@ class TestMontecarloCommand:
             assert changed == (path[0] not in ("out_path", "parallelism",
                                                "checkpoint")), path
 
-    def test_stale_checkpoint_ignored(self, tmp_path):
+    def test_stale_checkpoint_ignored(self, tmp_path, capsys):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
-        fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        fingerprint = _config_fingerprint(run)
+        records = short_run_records(run, 2)
         # a wrong fingerprint, or records of the version-1 simulator, the
-        # version-3 per-path greedy kernel or the version-4 per-horizon tail:
-        # the broken record would fail the run if it were resumed
+        # version-3 per-path greedy kernel or the version-4 per-horizon tail
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
                             (3, fingerprint), (4, fingerprint)):
             ckpt.write_text(json.dumps(
                 {"version": version, "fingerprint": fp,
-                 "blas_threads": _blas_threads(), "records": [{"rep": 0}]}
+                 "blas_threads": _blas_threads(), "records": records}
             ))
             assert main(["montecarlo", "--config", cfg_path]) == 0
+            assert "resuming" not in capsys.readouterr().err
             with open(tmp_path / "mc.csv") as fh:
                 assert len(list(csv.DictReader(fh))) == 10
 
@@ -405,20 +416,61 @@ class TestMontecarloCommand:
         with open(tmp_path / "mc.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 10
 
-    def test_changed_blas_threads_restart_the_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("how", [
+        "records not a list", "record not a dict", "rep only", "misnumbered",
+        "repeated", "method missing", "horizon missing", "level missing",
+        "interval not a pair", "interval of strings", "error not a string",
+    ])
+    def test_malformed_records_restart_the_run(self, tmp_path, capsys, how):
+        # records run_monte_carlo cannot continue are no checkpoint at all
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        records = short_run_records(run, 3)
+        cell = records[0]["methods"]["double_oga"]["1"]
+        if how == "records not a list":
+            records = 5
+        elif how == "record not a dict":
+            records = [1]
+        elif how == "rep only":
+            records = [{"rep": 0}]
+        elif how == "misnumbered":
+            records = records[1:]
+        elif how == "repeated":
+            records = [records[0], records[0]]
+        elif how == "method missing":
+            del records[1]["methods"]["conventional_lp"]
+        elif how == "horizon missing":
+            del records[2]["methods"]["double_oga"]["5"]
+        elif how == "level missing":
+            cell["cis"].clear()
+        elif how == "interval not a pair":
+            cell["cis"]["0.95"].pop()
+        elif how == "interval of strings":
+            cell["cis"]["0.95"] = ["0.1", "0.2"]
+        else:
+            records[0]["methods"]["double_oga"]["1"] = {"ok": False, "error": 5}
+        save_checkpoint(_checkpoint_path(run.out_path), _config_fingerprint(run),
+                        records)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming" not in capsys.readouterr().err
+        with open(tmp_path / "mc.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 10
+
+    def test_changed_blas_threads_restart_the_run(self, tmp_path, capsys, monkeypatch):
         # records hash differently under 1 and 2 BLAS threads, so a checkpoint
         # written under one setting is not resumed under another
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
-        fingerprint = _config_fingerprint(build_montecarlo_run(load_yaml(cfg_path)))
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        records = short_run_records(run, 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        save_checkpoint(ckpt, fingerprint, [{"rep": 0}])
-        # under the same setting the broken record is resumed and fails the run
-        assert main(["montecarlo", "--config", cfg_path]) == 4
-        assert not (tmp_path / "mc.csv").exists()
-        save_checkpoint(ckpt, fingerprint, [{"rep": 0}])
+        save_checkpoint(ckpt, _config_fingerprint(run), records)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming from checkpoint with 2 replications" in capsys.readouterr().err
+        save_checkpoint(ckpt, _config_fingerprint(run), records)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming" not in capsys.readouterr().err
         with open(tmp_path / "mc.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 10
 

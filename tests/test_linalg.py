@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from hdlp.errors import DimensionMismatch, NonFinite
 import scipy.linalg.lapack
 
-from hdlp.linalg import PrefixBasis, extend, orthogonalize, orthonormal_columns
+import hdlp.linalg
+from hdlp.linalg import extend, orthogonalize, orthonormal_columns, prefix_residuals
 from reference import (
     gram_schmidt_extend,
     ols_fit,
@@ -152,6 +155,26 @@ class TestGramSchmidtExtend:
             assert np.allclose(resid_q, resid_ols, rtol=1e-7, atol=1e-9)
 
 
+def prefix_fit(X, V, rows, intercept=False):
+    """prefix_residuals on X, in place on V; its ranks, its failures and the
+    row count of every prefix it factored (one pivoted QR each)."""
+    factored = []
+
+    def counted(design, *args):
+        factored.append(design.shape[0])
+        return orthonormal_columns(design, *args)
+
+    failed = [None] * len(rows)
+    with mock.patch.object(hdlp.linalg, "orthonormal_columns", counted):
+        rank = prefix_residuals(X, intercept, V, rows, failed)
+    return rank, failed, factored
+
+
+def on_rows(v, rows, N):
+    """v's first rows[i] entries in row i of a k x 1 x N array, zero below."""
+    return np.where(np.arange(N) < np.asarray(rows)[:, None], v[:N], 0.0)[:, None]
+
+
 class TestPrefixBasis:
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12),
            n_dup=st.integers(0, 3), drop=st.integers(0, 20),
@@ -165,41 +188,47 @@ class TestPrefixBasis:
         X = rng.standard_normal((n + drop, p))
         if p:
             X = np.column_stack([X, X[:, rng.integers(0, p, size=n_dup)]])
-        v = rng.standard_normal(n)
-        basis = PrefixBasis.of(X).reach(n)
-        assert basis.min_rows == n  # Gaussian rows keep the rank by a wide margin
+        v = rng.standard_normal(n + drop)
+        V = on_rows(v, [n + drop, n], n + drop)
+        rank, failed, factored = prefix_fit(X, V, [n + drop, n])
+        # Gaussian rows keep the rank by a wide margin: one QR serves both
+        assert factored == [n + drop] and failed == [None, None]
         fresh = orthonormal_columns(X[:n])
-        assert basis.rank == fresh.shape[1]
-        V = np.zeros((1, n + drop))
-        V[0, :n] = v
-        got = basis.residual(V, [n])[0]
-        np.testing.assert_allclose(got[:n], orthogonal_residual(fresh, v),
+        assert rank[1] == fresh.shape[1]
+        np.testing.assert_allclose(V[1, 0, :n], orthogonal_residual(fresh, v[:n]),
                                    rtol=0, atol=1e-9 * np.linalg.norm(v))
-        assert not got[n:].any()
+        assert not V[1, 0, n:].any()
 
     def test_no_dropped_rows_is_the_plain_residual(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((40, 6))
         v = rng.standard_normal(40)
         want = orthogonal_residual(orthonormal_columns(X), v)
-        basis = PrefixBasis.of(X)
-        assert np.array_equal(basis.residual(v[None].copy(), [40])[0], want)
-        assert np.array_equal(basis.reach(40).residual(v[None].copy(), [40])[0], want)
+        V = v[None, None].copy()
+        rank, _, factored = prefix_fit(X, V, [40])
+        assert factored == [40] and rank.tolist() == [6]
+        assert np.array_equal(V[0, 0], want)
 
     def test_guard_refuses_prefixes_that_lose_rank(self):
         rng = np.random.default_rng(32)
         X = rng.standard_normal((40, 5))
         X[:, 2] = 0.0
         X[-2:, 2] = 1.0  # nonzero only on the last two rows
-        basis = PrefixBasis.of(X)
-        assert basis.rank == 5
-        assert basis.reach(39).min_rows == 39
-        assert basis.reach(38).min_rows == 39
         D = rng.standard_normal((40, 5))
         D[:, 4] = D[:, 0]
         D[-1, 4] += 1.0  # a duplicate apart from the last row
-        assert PrefixBasis.of(D).rank == 5
-        assert PrefixBasis.of(D).reach(39).min_rows == 40
+        v = rng.standard_normal(40)
+        # the 39-row prefix of X keeps the rank and is served, the 38-row
+        # one is factored afresh; D loses its rank at 39 rows already
+        cases = ((X, [40, 39, 38], [40, 38], [5, 5, 4]), (D, [40, 39], [40, 39], [5, 4]))
+        for design, rows, want, ranks in cases:
+            V = on_rows(v, rows, 40)
+            rank, _, factored = prefix_fit(design, V, rows)
+            assert factored == want and rank.tolist() == ranks
+            for i, n in enumerate(rows):
+                fresh = orthonormal_columns(design[:n])
+                np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
+                                           rtol=0, atol=1e-9 * np.linalg.norm(v))
 
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 8),
            n_dup=st.integers(0, 2), spare=st.integers(3, 30),
@@ -220,22 +249,20 @@ class TestPrefixBasis:
         mid = n_min + cut if 0 < cut < drop else 0
         X[:mid, 0] = 0.0
         v = rng.standard_normal(N)
-        basis = PrefixBasis.of(X)
-        reached = basis.reach(n_min)
+        Q = orthonormal_columns(X)
         rows = list(range(N, n_min - 1, -1))
-        oracle = {n: prefix_residual_one_prefix(basis.Q, n, v[:n]) for n in rows}
-        served = [n for n in rows if n >= reached.min_rows]
+        oracle = {n: prefix_residual_one_prefix(Q, n, v[:n]) for n in rows}
+        V = on_rows(v, rows, N)
+        _, _, factored = prefix_fit(X, V, rows)
+        served = rows[: rows.index(factored[1])] if len(factored) > 1 else rows
+        assert factored[0] == N
         assert served == [n for n in rows if oracle[n] is not None]
         if mid:
-            assert reached.min_rows > mid
-        V = np.zeros((len(served), N))
+            assert factored[1] >= mid
         for i, n in enumerate(served):
-            V[i, :n] = v[:n]
-        got = reached.residual(V, served)
-        for i, n in enumerate(served):
-            np.testing.assert_allclose(got[i, :n], oracle[n], rtol=0,
+            np.testing.assert_allclose(V[i, 0, :n], oracle[n], rtol=0,
                                        atol=1e-9 * np.linalg.norm(v))
-            assert not got[i, n:].any()
+            assert not V[i, 0, n:].any()
 
     def test_a_failed_factorization_keeps_its_leading_blocks(self):
         # column 2 is zero above row 30: LAPACK reports the leading minor of
@@ -243,25 +270,43 @@ class TestPrefixBasis:
         # leading blocks before it still serve their prefixes
         X = np.random.default_rng(0).standard_normal((40, 5))
         X[:30, 2] = 0.0
-        basis = PrefixBasis.of(X)
-        U = basis.Q[20:][::-1]
+        Q = orthonormal_columns(X)
+        U = Q[20:][::-1]
         assert scipy.linalg.lapack.dpotrf(np.eye(20) - U @ U.T, lower=True)[1] == 10
-        reached = basis.reach(20)
-        assert reached.min_rows == 31
         v = np.random.default_rng(1).standard_normal(40)
-        rows = np.arange(40, 30, -1)
-        got = reached.residual(np.where(np.arange(40) < rows[:, None], v, 0.0), rows)
-        for r, n in zip(got, rows):
+        rows = np.arange(40, 19, -1)
+        V = on_rows(v, rows, 40)
+        rank, _, factored = prefix_fit(X, V, rows)
+        assert factored == [40, 30]
+        assert rank.tolist() == [5] * 10 + [4] * 11
+        for r, n in zip(V[:10, 0], rows):
             np.testing.assert_allclose(
-                r[:n], prefix_residual_one_prefix(basis.Q, n, v[:n]),
+                r[:n], prefix_residual_one_prefix(Q, n, v[:n]),
                 rtol=0, atol=1e-12 * np.linalg.norm(v),
             )
 
-    def test_rows_must_lie_inside_the_anchor(self):
-        basis = PrefixBasis.of(np.random.default_rng(33).standard_normal((10, 2)))
-        for n in (0, 11):
-            with pytest.raises(DimensionMismatch):
-                basis.reach(n)
+    def test_a_failed_qr_fails_its_regression_only(self):
+        # a LinAlgError from one factorization lands in that regression's
+        # slot, and the next prefix is factored afresh
+        X = np.random.default_rng(2).standard_normal((30, 3))
+        real = orthonormal_columns
+        calls = []
+
+        def failing_first(design, *args):
+            calls.append(design.shape[0])
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("injected")
+            return real(design, *args)
+
+        V = on_rows(np.ones(30), [30, 29, 28], 30)
+        failed = [None] * 3
+        with mock.patch.object(hdlp.linalg, "orthonormal_columns", failing_first):
+            rank = prefix_residuals(X, True, V, [30, 29, 28], failed)
+        assert calls == [30, 29]
+        assert isinstance(failed[0], np.linalg.LinAlgError) and failed[1:] == [None, None]
+        assert rank.tolist() == [0, 4, 4]
+        # a constant series lies in the span of the intercept
+        assert np.abs(V[1:]).max() < 1e-12
 
 
 def padded_bases(rng, k, n):

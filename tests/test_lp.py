@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hdlp
@@ -18,14 +18,16 @@ from hdlp.dgp import (
 from hdlp.errors import (
     DegenerateShock,
     DimensionMismatch,
+    HdlpError,
     InsufficientSample,
     UnknownColumn,
 )
-from hdlp.linalg import PrefixBasis
+from hdlp.linalg import SPAN_RTOL, orthonormal_columns
 from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import (
     CONVENTIONAL_LP,
     DOUBLE_OGA,
+    METHODS,
     LpDataset,
     LpSpec,
     TimeSeriesMatrix,
@@ -37,7 +39,7 @@ from hdlp.lp import (
     estimate_irf,
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
-from hdlp.selection import OgaConfig
+from hdlp.selection import TIE_RTOL, OgaConfig, _train_rows, max_steps
 from reference import newey_west_one, ols_fit, project_out
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
@@ -788,8 +790,62 @@ def control_designs(draw):
     return data, spec, oga
 
 
+def has_near_tie(W, y, steps: int, intercept: bool) -> bool:
+    """Whether a greedy path of steps picks against y on W meets a step
+    whose best and second-best gains lie within TIE_RTOL times the starting
+    RSS, where the order of the columns could break the tie."""
+    T = len(y)
+    Q = np.full((T, int(intercept)), 1.0 / np.sqrt(T))
+    r = y - Q @ (Q.T @ y)
+    tie = TIE_RTOL * (r @ r)
+    floor = SPAN_RTOL**2 * np.einsum("ij,ij->j", W, W)
+    for _ in range(steps):
+        outside = W - Q @ (Q.T @ W)
+        proj_sq = np.einsum("ij,ij->j", outside, outside)
+        alive = proj_sq > floor
+        if not alive.any():
+            return False
+        gain = np.where(alive, (outside.T @ r) ** 2 / np.maximum(proj_sq, 1e-300), -np.inf)
+        top = np.sort(gain)[-2:]
+        if top.size == 2 and top[1] - top[0] <= tie:
+            return True
+        j = np.argmax(gain)
+        q = outside[:, j] / np.sqrt(proj_sq[j])
+        Q = np.column_stack([Q, q])
+        r = r - q * (q @ r)
+    return False
+
+
 class TestSelectionProperties:
     """Invariants of double selection, end to end through estimate_irf."""
+
+    @given(design=control_designs(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_the_controls_permutes_every_selection(self, design, data):
+        series, spec, oga = design
+        # the candidates are the contemporaneous names, then the lagged names
+        # lag by lag, so reordering the two lists permutes the columns of W
+        permuted = replace(
+            spec,
+            contemporaneous=data.draw(st.permutations(spec.contemporaneous)),
+            lagged=data.draw(st.permutations(spec.lagged)),
+        )
+        for h in spec.horizons:
+            ds = build_lp_dataset(series, spec, h)
+            T = ds.effective_T
+            for n in (T, _train_rows(T, oga)) if oga.tuning_candidates else (T,):
+                steps = max_steps(n, ds.W.shape[1], oga)
+                for z in (ds.y, ds.x):
+                    assume(not has_near_tie(ds.W[:n], z[:n], steps, ds.intercept))
+        ref, got = estimate_irf(series, spec, oga), estimate_irf(series, permuted, oga)
+        names = build_lp_dataset(series, spec, 0).column_map
+        new_names = build_lp_dataset(series, permuted, 0).column_map
+        assert sorted(names) == sorted(new_names)
+        assert ref.errors == got.errors
+        for a, b in zip(ref.estimates, got.estimates, strict=True):
+            for chosen in ("selected_y", "selected_x", "union"):
+                assert sorted(names[i] for i in getattr(a, chosen)) == sorted(
+                    new_names[i] for i in getattr(b, chosen)), (a.horizon, chosen)
 
     @given(design=control_designs(), log_scale=st.floats(-6.0, 6.0), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -866,6 +922,137 @@ class TestAffineResponse:
             assert abs(est.se - abs(a) * want.se) <= 1e-9 * est.se
 
 
+def awkward_column(draw, rng, values, j):
+    """Column j of values made constant, zero, a copy of an earlier column,
+    a step, small integers (exact ties), a spike or far from unit scale."""
+    T = values.shape[0]
+    kind = draw(st.sampled_from(["normal"] * 4 + ["constant", "zero", "copy", "step",
+                                              "integers", "spike", "scaled"]),
+                label=f"column {j}")
+    if kind == "constant":
+        values[:, j] = rng.standard_normal()
+    elif kind == "zero":
+        values[:, j] = 0.0
+    elif kind == "copy" and j:
+        values[:, j] = values[:, rng.integers(0, j)]
+    elif kind == "step":
+        values[:, j] = np.arange(T) >= rng.integers(0, T + 1)
+    elif kind == "integers":
+        values[:, j] = rng.integers(-2, 3, size=T)
+    elif kind == "spike":
+        values[:, j] = 0.0
+        values[rng.integers(0, T), j] = 1.0
+    elif kind == "scaled":
+        values[:, j] *= 10.0 ** draw(st.integers(-300, 300), label="log scale")
+
+
+@st.composite
+def awkward_irf_problems(draw):
+    """estimate_irf on a few short series with degenerate columns, any
+    sample length from too short up, and every knob of the estimator."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, n = draw(st.integers(1, 60)), draw(st.integers(2, 4))
+    values = rng.standard_normal((T, n))
+    for j in range(n):
+        awkward_column(draw, rng, values, j)
+    names = tuple(f"s{j}" for j in range(n))
+    response, shock = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    others = [name for name in names if name != shock]
+    spec = LpSpec(
+        response=response, shock=shock,
+        horizons=draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True)),
+        contemporaneous=draw(st.lists(st.sampled_from(others), unique=True)) if others else (),
+        lagged=draw(st.lists(st.sampled_from(names), unique=True)),
+        lags=draw(st.integers(0, 3)), lag_augment=draw(st.integers(0, 1)),
+        include_intercept=draw(st.booleans()))
+    oga = OgaConfig(c_star=draw(st.sampled_from([2.0, 0.5, None])),
+                    max_steps_override=draw(st.sampled_from([None, 1, 3])))
+    hac = HacConfig(bandwidth=draw(st.sampled_from([None, 1, 4])),
+                    psi_source=draw(st.sampled_from(["final_u", "first_stage_e"])),
+                    dof_correction=draw(st.booleans()))
+    return TimeSeriesMatrix(values, names), spec, oga, hac
+
+
+@st.composite
+def awkward_panels(draw):
+    """lpdid_estimate on a small, possibly unbalanced panel with any
+    adoption pattern, missing cells and degenerate covariates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_units, n_periods = draw(st.integers(1, 24)), draw(st.integers(2, 10))
+    unit = np.repeat(np.arange(n_units), n_periods)
+    time = np.tile(np.arange(n_periods), n_units)
+    adopt = rng.integers(1, n_periods + 2, size=n_units)  # n_periods + 1: never
+    values = rng.standard_normal((unit.size, 3))
+    for j in range(3):
+        awkward_column(draw, rng, values, j)
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
+    keep = rng.random(unit.size) >= draw(st.sampled_from([0.0, 0.2]))
+    panel = dict(unit=unit[keep], time=time[keep], outcome=values[keep, 0],
+                 treatment=(time >= adopt[unit])[keep].astype(float),
+                 covariates={"c1": values[keep, 1], "c2": values[keep, 2]})
+    spec = LpDidSpec(
+        horizons=draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)),
+        outcome_lags=draw(st.integers(0, 2)),
+        extra_controls=draw(st.lists(st.sampled_from(["c1", "c2"]), unique=True)),
+        time_effects=draw(st.booleans()),
+        method=draw(st.sampled_from(METHODS)),
+        variance=draw(st.sampled_from(["hac", "cluster"])))
+    oga = OgaConfig(c_star=draw(st.sampled_from([2.0, None])))
+    return panel, spec, oga
+
+
+def assert_finite_estimates(result):
+    for est in result.estimates:
+        assert np.isfinite(est.beta) and np.isfinite(est.se), est
+
+
+class TestNoRaiseFuzz:
+    """No input an estimator accepts makes it raise anything but a package
+    error, or return a non-finite beta or se: a failure is an error in its
+    horizon's slot."""
+
+    @given(problem=awkward_irf_problems(), method=st.sampled_from(METHODS))
+    @settings(max_examples=150, deadline=None)
+    def test_estimate_irf(self, problem, method):
+        data, spec, oga, hac = problem
+        try:
+            with np.errstate(all="ignore"):  # squares of extreme scales overflow
+                result = estimate_irf(data, spec, oga, hac, method=method)
+        except HdlpError:
+            return
+        assert_finite_estimates(result)
+
+    @given(problem=awkward_panels())
+    @settings(max_examples=150, deadline=None)
+    def test_lpdid_estimate(self, problem):
+        panel, spec, oga = problem
+        try:
+            with np.errstate(all="ignore"):
+                result = lpdid_estimate(PanelDataset(**panel), spec, oga)
+        except HdlpError:
+            return
+        assert_finite_estimates(result)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("series, scale", [("y", 1e200), ("x", 1e-100)])
+    def test_scales_float64_cannot_square_fail_their_horizons(self, method, series,
+                                                              scale):
+        # a response whose squares overflow once stalled the greedy paths;
+        # a shock this small made se infinite and was returned as an estimate
+        rng = np.random.default_rng(5)
+        data = make_data(rng, 60, 3, names=("y", "x", "z"))
+        values = data.values.copy()
+        values[:, data.index(series)] *= scale
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y", "x", "z"),
+                      lags=2)
+        with np.errstate(all="ignore"):
+            result = estimate_irf(TimeSeriesMatrix(values, data.columns), spec,
+                                  method=method)
+        assert not result.estimates
+        assert all(msg.startswith("NonFinite: ") for msg in result.errors.values())
+        assert sorted(result.errors) == [1, 2]
+
+
 class TestEquilibratedDesign:
     def test_controls_in_small_units_keep_their_rank(self):
         # the pivoted QR judges each column against its own norm, so a
@@ -877,7 +1064,7 @@ class TestEquilibratedDesign:
         values[:, data.index("y5")] *= 1e-9
         scaled = TimeSeriesMatrix(values, data.columns)
         W = build_lp_dataset(scaled, spec, 1).W
-        assert PrefixBasis.of(W, intercept=True).rank == W.shape[1] + 1 == 220
+        assert orthonormal_columns(W, True).shape[1] == W.shape[1] + 1 == 220
         ref = estimate_irf(data, spec, method=CONVENTIONAL_LP)
         got = estimate_irf(scaled, spec, method=CONVENTIONAL_LP)
         assert not ref.errors and not got.errors
@@ -1026,7 +1213,7 @@ class TestBugsPropagate:
 
         # every estimator reaches one of the two residual builders of the core
         monkeypatch.setattr(hdlp.lp, "_union_residuals", broken)
-        monkeypatch.setattr(hdlp.lp, "_design_residuals", broken)
+        monkeypatch.setattr(hdlp.lp, "prefix_residuals", broken)
         rng = np.random.default_rng(18)
         data = make_data(rng, 60, 2, names=("y", "x"))
         spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y",),

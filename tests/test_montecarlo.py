@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -138,6 +140,34 @@ class TestBlocks:
         serial = self.records(10)  # blocks of 8 and 2
         assert self.records(10, parallelism=2) == serial  # 5 and 5
         assert self.records(10, parallelism=3) == serial  # 4, 4 and 2
+
+    def test_pool_has_no_worker_without_a_task(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process; a real
+        # one forks max_workers processes at its first submit
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        def refuse(process):
+            raise AssertionError(f"started process {process.name}")
+
+        serial = self.records(3)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert self.records(3, parallelism=8) == serial  # 3 one-replication tasks
+        assert self.records(10, parallelism=2) == self.records(10)  # 5 and 5
+        assert sizes == [3, 2]
 
     def test_shorter_run_is_a_prefix(self):
         full = json.loads(self.records(10))
