@@ -1,9 +1,13 @@
-"""SHA-256 digests of a fixed set of command outputs, for byte-identity checks.
+"""SHA-256 digests of a fixed set of command outputs, for byte-identity checks,
+and a cell-by-cell comparison of two kept sets of them.
 
-Runs, with one BLAS thread, into a temporary directory:
+Runs, with one BLAS thread, into a temporary directory (or DIR with --keep):
   - simulate from configs/simulate.yaml;
   - estimate on that dataset with both methods, with fixed and with tuned
     c_star, and once with no controls;
+  - estimate with conventional_lp on that dataset plus a control that is
+    nonzero on the last five rows of the horizon-1 sample only, so the
+    design loses rank from horizon 6 on and is factored afresh there;
   - montecarlo at 24 replications with both methods, plus the records of a
     12-replication run (the checkpoint format);
   - lpdid on a generated 250-unit panel (perfbench/inputs.py), with both
@@ -12,8 +16,15 @@ and prints one "sha256 name" line per output file. Run it in two checkouts
 and diff what they print: a change that keeps every output bit prints the
 same lines.
 
+A change that moves the last bits of some outputs is checked with --keep in
+both checkouts and --compare on the two directories: per output, the
+largest relative difference over its float cells and every other cell
+(integers, text) that differs. It exits 1 when a float cell differs by more
+than --rtol or another cell differs at all.
+
 Usage:
-    python scripts/output_digests.py
+    python scripts/output_digests.py [--keep DIR]
+    python scripts/output_digests.py --compare DIR_A DIR_B [--rtol 1e-11]
 """
 
 import os
@@ -21,8 +32,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
+import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -38,6 +52,7 @@ from hdlp.montecarlo import run_monte_carlo  # noqa: E402
 from perfbench.inputs import PANEL_COVARIATES, write_panel  # noqa: E402
 
 PANEL_SEED, PANEL_UNITS = 0, 250
+SPIKE_ROWS = 5  # the rank-losing control is nonzero on this many rows
 
 
 def bundled(name: str, **overrides) -> dict:
@@ -57,6 +72,19 @@ def run(tmp: Path, command: str, name: str, cfg: dict):
         raise SystemExit(f"{command} {name} exited {code}")
 
 
+def with_spike(data: Path, out: Path):
+    """data plus a column "spike", zero but for 1, 2, .., SPIKE_ROWS on the
+    rows before the last: the rows that only the shortest horizons reach."""
+    with open(data, newline="") as fh:
+        rows = list(csv.reader(fh))
+    last = len(rows) - 2  # the index of the last data row
+    for i, row in enumerate(rows[1:]):
+        row.append(repr(float(max(0, i - (last - 1 - SPIKE_ROWS)) if i < last else 0)))
+    rows[0].append("spike")
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def outputs(tmp: Path):
     data = tmp / "section3.csv"
     run(tmp, "simulate", "simulate", bundled(
@@ -72,6 +100,12 @@ def outputs(tmp: Path):
     run(tmp, "estimate", "estimate_no_controls", bundled(
         "estimate.yaml", data=str(data), output=str(tmp / "estimate_no_controls.csv"),
         contemporaneous=[], lagged=[], lags=0, lag_augment=0))
+    spiked = tmp / "section3_spike.csv"
+    with_spike(data, spiked)
+    cfg = bundled("estimate.yaml", data=str(spiked), methods=["conventional_lp"],
+                  output=str(tmp / "estimate_rank_loss.csv"))
+    cfg["contemporaneous"] = cfg["contemporaneous"] + ["spike"]
+    run(tmp, "estimate", "estimate_rank_loss", cfg)
 
     mc = bundled("montecarlo.yaml", n_reps=24, checkpoint=False,
                  output=str(tmp / "montecarlo.csv"))
@@ -96,9 +130,94 @@ def outputs(tmp: Path):
     return sorted(p for p in tmp.iterdir() if p.suffix != ".yaml")
 
 
-def main_digests() -> int:
+def cells(path: Path) -> list:
+    """(where, value) for every cell of an output: a CSV's cells under their
+    line and column names, or a JSON document's leaves under their keys."""
+    if path.suffix == ".json":
+        leaves = []
+
+        def walk(node, key):
+            items = node.items() if isinstance(node, dict) else (
+                enumerate(node) if isinstance(node, list) else None)
+            if items is None:
+                leaves.append((key, node))
+            for k, child in items or ():
+                walk(child, f"{key}[{k!r}]")
+
+        walk(json.loads(path.read_text()), "")
+        return leaves
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return [(f"line {i} {name}", text) for i, row in enumerate(rows, start=2)
+            for name, text in zip(header, row)]
+
+
+def as_float(value):
+    """value as a float when it is a non-integer number (a float or its
+    text), else None: integers, such as counts and ranks, compare exactly."""
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, str):
+        return None
+    try:
+        int(value)
+        return None
+    except ValueError:
+        pass
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def compare(a_dir: Path, b_dir: Path, rtol: float) -> int:
+    """Print, per output of the two kept directories, the largest relative
+    float difference and the other cells that differ; 1 if any exceeds."""
+    bad = False
+    names = sorted({p.name for d in (a_dir, b_dir) for p in d.iterdir()
+                    if p.suffix != ".yaml"})
+    for name in names:
+        a, b = a_dir / name, b_dir / name
+        if not (a.exists() and b.exists()):
+            print(f"{name}: only in {a_dir if a.exists() else b_dir}")
+            bad = True
+            continue
+        ca, cb = cells(a), cells(b)
+        other = [] if len(ca) == len(cb) else [f"{len(ca)} cells against {len(cb)}"]
+        worst = 0.0
+        for (where, x), (_, y) in zip(ca, cb):
+            fx, fy = as_float(x), as_float(y)
+            if fx is None or fy is None:
+                if x != y:
+                    other.append(f"{where}: {x!r} against {y!r}")
+            elif fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+                rel = abs(fx - fy) / max(abs(fx), abs(fy))
+                worst = max(worst, math.inf if math.isnan(rel) else rel)
+        print(f"{name}: largest relative float difference {worst:.3g}"
+              + (f", {len(other)} other cells differ" if other else ""))
+        for line in other[:20]:
+            print(f"  {line}")
+        bad = bad or worst > rtol or bool(other)
+    return int(bad)
+
+
+def main_digests(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the outputs into DIR and keep them")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two kept output directories instead of running")
+    parser.add_argument("--rtol", type=float, default=1e-11,
+                        help="relative tolerance on float cells for --compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.rtol)
     with tempfile.TemporaryDirectory() as tmp:
-        for path in outputs(Path(tmp)):
+        out = Path(tmp)
+        if args.keep:
+            out = args.keep
+            out.mkdir(parents=True, exist_ok=True)
+        for path in outputs(out):
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
     return 0
 

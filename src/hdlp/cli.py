@@ -45,7 +45,7 @@ from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 5  # 5: records of the batched partialling-out tail
+CHECKPOINT_VERSION = 6  # 6: no-selection residuals off the complement basis
 CHECKPOINT_EVERY = 50
 
 

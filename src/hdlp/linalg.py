@@ -7,11 +7,16 @@ columns before it is at most 1e-10 of its own norm is dropped, not raised
 on, because unions of selected lag columns are routinely collinear. A basis
 grown one column at a time tests that directly; a pivoted QR tests its
 pivots against the first, on the column-equilibrated design, where every
-nonzero column and the intercept column have unit norm. A basis of a design
-also serves every row prefix of that design (prefix_residuals), as long as
-the prefix keeps the design's rank; every prefix is read off one Cholesky
-factor. One two-pass kernel (orthogonalize, and extend on top of it) takes
-the residuals of many series on many zero-padded bases, or on one basis
+nonzero column and the intercept column have unit norm. Of that QR's
+orthogonal factor only the narrower part is formed (narrow_basis): the
+basis of the design's column space when the design is tall, else the basis
+of its complement (a 278 x 220 design has a 58-column complement), so a
+near-square no-selection design costs neither a full orthogonal factor nor
+two projections on it. A basis of a design also serves every row prefix of
+that design (prefix_residuals), as long as the prefix keeps the design's
+rank; every prefix, on either basis, is read off one Cholesky factor. One
+two-pass kernel (orthogonalize, and extend on top of it) takes the
+residuals of many series on many zero-padded bases, or on one range basis
 read on many prefixes, in a few batched products: greedy steps, unions and
 final residuals alike.
 
@@ -44,30 +49,49 @@ def _scipy():
     return scipy
 
 
-def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
-    """Orthonormal basis for the column space of the n x p design X (rank
-    revealed by pivoted QR), and of a constant column after X's when
-    intercept is set.
+def _optimal(routine, *args, **kwargs):
+    """The first output of a LAPACK wrapper run with its optimal workspace,
+    queried first, as scipy.linalg.qr sizes it."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    return routine(*args, lwork=lwork, **kwargs)[0]
+
+
+def narrow_basis(X, intercept: bool = False) -> tuple[int, np.ndarray]:
+    """The rank r of the n x p design X (and of a constant column after X's
+    when intercept is set), revealed by one pivoted Householder QR, and the
+    narrower of the two orthonormal bases that QR's n x n factor Q splits
+    into: the range Q[:, :r] when r <= n - r, else the complement Q[:, r:]
+    (n - r < r columns, so the caller tells them apart by width).
 
     Each column is divided by its norm first (zero columns stay zero), so a
     column's pivot is judged against its own scale: the rank does not
-    depend on the units a series is measured in.
+    depend on the units a series is measured in. The QR is kept in LAPACK's
+    raw form, and only the chosen basis is formed: the range as scipy's
+    economic mode forms it, the complement by applying Q to [0; I].
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     if p + intercept == 0:
-        return np.zeros((n, 0))
+        return 0, np.zeros((n, 0))
     norms = np.linalg.norm(X, axis=0)
     scaled = np.empty((n, p + intercept), order="F")  # LAPACK's layout: QR in place
     np.divide(X, np.where(norms > 0.0, norms, 1.0), out=scaled[:, :p])
     if intercept:
         scaled[:, p] = 1.0 / np.sqrt(n)
-    Q, R, _ = _scipy().linalg.qr(scaled, overwrite_a=True, mode="economic", pivoting=True)
+    linalg = _scipy().linalg
+    (qr, tau), R, _ = linalg.qr(scaled, overwrite_a=True, mode="raw", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= 0.0:
-        return np.zeros((X.shape[0], 0))
+        return 0, np.zeros((n, 0))
     rank = int(np.sum(diag > SPAN_RTOL * diag[0]))
-    return Q[:, :rank]
+    reflectors = qr[:, : tau.size]  # a wide design has only n of them
+    if rank <= n - rank:
+        Q = _optimal(linalg.lapack.dorgqr, reflectors, tau, overwrite_a=1)
+        return rank, Q[:, :rank]
+    unit = np.zeros((n, n - rank), order="F")
+    np.fill_diagonal(unit[rank:], 1.0)
+    return rank, _optimal(linalg.lapack.dormqr, "L", "N", reflectors, tau, unit,
+                          overwrite_c=1)
 
 
 def orthogonalize(B, V, inside=None, G=None, dropped=None) -> np.ndarray:
@@ -116,24 +140,33 @@ def prefix_residuals(C, intercept: bool, V: np.ndarray, rows, failed) -> np.ndar
     each regression's rank. A factorization that fails fails its regression:
     the error goes in failed[i].
 
-    One pivoted QR, Q of the first N = rows[i] rows, serves every later
-    prefix that keeps its rank. For a prefix of n rows, with U = Q[n:] (the
-    d dropped rows), the projection of v on its column space is
+    One pivoted QR of the first N = rows[i] rows, of rank r, serves every
+    later prefix that keeps its rank, through the narrower of its two bases
+    (narrow_basis). For a prefix of n rows, let U and D be the d = N - n
+    dropped rows of the range Q[:, :r] and of the complement P = Q[:, r:];
+    the rows of Q are orthonormal, so UU' + DD' = I, and both sides factor
+    that one Gram matrix, LL' = DD' = I - UU'. On the range side (r <= N - r:
+    tall designs) the projection of v on the prefix's column space is
     Q[:n] (a + U'(I - UU')^{-1} U a), a = Q[:n]'v (Woodbury on
-    (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}). G = L^{-1} U, L the Cholesky
-    factor of I - UU', turns the correction into G'(G a). Taken in reverse
+    (Q[:n]'Q[:n])^{-1} = (I - U'U)^{-1}); G = L^{-1} U turns the correction
+    into G'(G a), and orthogonalize removes it in two passes. On the
+    complement side the residual itself is one pass, P (b - G'(G b)),
+    b = P'v, G = L^{-1} D: the prefix's residual space is P times the null
+    space of D, onto which I - G'G projects. There DD' is formed directly,
+    free of the cancellation in I - UU' near rank loss. Taken in reverse
     order, the dropped rows of every prefix are the leading rows of those of
-    the shortest, U~, so each prefix's L and G are the leading block and
-    rows of the one L and G of U~ (Golub & Van Loan, Matrix Computations,
-    section 4.2); orthogonalize reads the first d rows of G.
+    the shortest, so each prefix's L and G are the leading block and rows of
+    the one L and G of the shortest (Golub & Van Loan, Matrix Computations,
+    section 4.2).
 
-    The smallest eigenvalue of I - UU' (that of Q[:n]'Q[:n]) is at least
-    1 / trace((I - UU')^{-1}) = 1 / (d + ||G_d||_F^2), a running sum over
-    G's rows. The prefixes served stop before the first whose bound is below
-    PREFIX_EIG_TOL, or whose leading block of I - U~U~' the Cholesky
-    factorization reports not positive definite (LAPACK's info; the Cholesky
-    diagonal alone bounds that eigenvalue only from above). That prefix is
-    factored afresh and serves those after it.
+    The smallest eigenvalue of DD' (that of Q[:n, :r]'Q[:n, :r]) is at
+    least 1 / trace((DD')^{-1}) = 1 / ||L_d^{-1}||_F^2, a running sum over
+    the rows of L^{-1}; on the range side it is d + ||G_d||_F^2. The
+    prefixes served stop before the first whose bound is below
+    PREFIX_EIG_TOL, or whose leading block the Cholesky factorization
+    reports not positive definite (LAPACK's info; the Cholesky diagonal
+    alone bounds that eigenvalue only from above). That prefix is factored
+    afresh and serves those after it.
     """
     k, c, _ = V.shape
     rank = np.zeros(k, dtype=np.intp)
@@ -141,27 +174,41 @@ def prefix_residuals(C, intercept: bool, V: np.ndarray, rows, failed) -> np.ndar
     while i < k:
         N = rows[i]
         try:
-            Q = orthonormal_columns(C[:N], intercept)
-            U = Q[rows[-1]:][::-1]
-            d = U.shape[0]
+            r, B = narrow_basis(C[:N], intercept)
+            complement = B.shape[1] < r
+            M = B[rows[-1]:][::-1]  # U or D of the shortest prefix, last row first
+            d = M.shape[0]
             linalg = _scipy().linalg
-            if d:
-                L, info = linalg.lapack.dpotrf(np.eye(d) - U @ U.T, lower=True)
-                d = d if info == 0 else info - 1
-            G = linalg.solve_triangular(L[:d, :d], U[:d], lower=True,
-                                        check_finite=False) if d else U[:0]
+            gram = M @ M.T if complement else np.eye(d) - M @ M.T
+            L, info = linalg.lapack.dpotrf(gram, lower=True)
+            d = d if info == 0 else info - 1
+            L = L[:d, :d]
+            if complement:  # G's rows are orthonormal here: the bound needs L^{-1}
+                L_inv = linalg.solve_triangular(L, np.eye(d), lower=True,
+                                                check_finite=False)
+                G, sq = L_inv @ M[:d], np.einsum("ij,ij->i", L_inv, L_inv)
+            else:
+                G = linalg.solve_triangular(L, M[:d], lower=True, check_finite=False)
+                sq = 1.0 + np.einsum("ij,ij->i", G, G)
         except np.linalg.LinAlgError as exc:
             failed[i] = exc
             i += 1
             continue
-        bound = np.arange(1, d + 1) + np.cumsum(np.einsum("ij,ij->i", G, G))
-        G = G[: np.count_nonzero(bound * PREFIX_EIG_TOL <= 1.0)]
-        j = i + sum(1 for r in rows[i:] if r >= N - G.shape[0])
+        G = G[: np.count_nonzero(np.cumsum(sq) * PREFIX_EIG_TOL <= 1.0)]
+        j = i + sum(1 for n in rows[i:] if n >= N - G.shape[0])
         served = np.repeat(rows[i:j], c)
+        dropped = N - served
+        inside = np.arange(N) < served[:, None]
         block = V[i:j, :, :N].reshape(-1, N)  # a copy unless N is V's width
-        orthogonalize(Q.T[None], block[None], np.arange(N) < served[:, None], G,
-                      N - served)
+        if complement:
+            b = block @ B
+            g = b @ G.T
+            g *= np.arange(G.shape[0]) < dropped[:, None]
+            b -= g @ G
+            block = (b @ B.T) * inside
+        else:
+            orthogonalize(B.T[None], block[None], inside, G, dropped)
         V[i:j, :, :N] = block.reshape(j - i, c, N)
-        rank[i:j] = Q.shape[1]
+        rank[i:j] = r
         i = j
     return rank

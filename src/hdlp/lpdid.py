@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     NoCleanControls,
     NonAbsorbingTreatment,
+    NonFinite,
     NoTreatedUnits,
 )
 from .hac import HacConfig
@@ -278,6 +279,8 @@ def _lpdid_one(
     keep, absorbed = np.arange(C.shape[1]), 0
     if spec.time_effects:
         norms = np.linalg.norm(C, axis=0)
+        if not np.isfinite(norms).all():  # as _fit fails it, before keep drops it
+            raise NonFinite("the squares of a candidate control overflow")
         M, absorbed = _demean_runs(times, np.column_stack([dy, dd, C]))
         dy, dd, C = M[:, 0], M[:, 1], M[:, 2:]
         # a control the time effects absorb is left with rounding noise only

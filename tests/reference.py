@@ -5,12 +5,13 @@ build, so it carries no general OLS solver. These independent pivoted-QR
 routines are the oracle the tests compare it against. Rank deficiency is
 handled by a rank-revealing (pivoted) QR with a relative pivot tolerance of
 1e-10: dependent columns are dropped and get zero coefficients. The
-two-pass residual and Gram-Schmidt step are the oracles for the library's
-batched projection kernel, the per-prefix Cholesky for its one-factor
-prefix basis, the lag-by-lag autoregression loop and the stacked loop that
-allocates each step for its in-place simulator, the one-path greedy loop
-for its lockstep greedy kernel, and the one-path holdout for its batched
-c_star tuning. The scalar criterion, its argmin and a tuning-only entry
+economic QR's range basis (orthonormal_columns) is the oracle for the
+library's rank and narrower basis, the two-pass residual and Gram-Schmidt
+step for its batched projection kernel, the per-prefix Cholesky for its
+one-factor prefix basis, the lag-by-lag autoregression loop and the
+stacked loop that allocates each step for its in-place simulator, the
+one-path greedy loop for its lockstep greedy kernel, and the one-path
+holdout for its batched c_star tuning. The scalar criterion, its argmin and a tuning-only entry
 point (select_c_star) read the library's batched curves and holdout.
 panel_row finds one cell of a panel with a plain mask over its unit and
 time columns, independent of the panel's keyed row lookup.
@@ -35,7 +36,7 @@ import scipy.linalg
 from hdlp.dgp import VarDgpSpec, _generator
 from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
 from hdlp.hac import hac_variance, newey_west
-from hdlp.linalg import PREFIX_EIG_TOL, SPAN_RTOL, orthonormal_columns
+from hdlp.linalg import PREFIX_EIG_TOL, SPAN_RTOL
 from hdlp.lp import TimeSeriesMatrix
 from hdlp.lpdid import PanelDataset
 from hdlp.montecarlo import McDesign, McReport, _block
@@ -155,6 +156,26 @@ def ols_fit(X, y) -> OlsFit:
         coef[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], qty)
     resid = y - X @ coef
     return OlsFit(coef, resid, float(resid @ resid), rank)
+
+
+def orthonormal_columns(X, intercept: bool = False) -> np.ndarray:
+    """Orthonormal basis for the column space of the n x p design X (and of a
+    constant column after X's when intercept is set), from scipy's economic
+    pivoted QR of the column-equilibrated design: the range basis, and the
+    rank by its width, under the library's rule."""
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    if p + intercept == 0:
+        return np.zeros((n, 0))
+    norms = np.linalg.norm(X, axis=0)
+    scaled = X / np.where(norms > 0.0, norms, 1.0)
+    if intercept:
+        scaled = np.column_stack([scaled, np.full(n, 1.0 / np.sqrt(n))])
+    Q, R, _ = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] <= 0.0:
+        return np.zeros((n, 0))
+    return Q[:, : int(np.sum(diag > SPAN_RTOL * diag[0]))]
 
 
 def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -246,6 +246,23 @@ class TestEstimateCommand:
         assert not (tmp_path / "irf.csv").exists()
         assert (tmp_path / "irf.csv.log").exists()
 
+    def test_a_control_float64_cannot_square_is_logged(self, tmp_path, sim_csv):
+        # every horizon of both methods fails with NonFinite, and the failure
+        # log names it: the control is not silently left out of the design
+        with open(sim_csv) as fh:
+            rows = list(csv.reader(fh))
+        values = np.array(rows[1:], dtype=float)
+        values[:, 2] *= 1e200
+        data = write_wide_csv(tmp_path / "big.csv", rows[0], values)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, data))
+        with np.errstate(all="ignore"):
+            assert main(["estimate", "--config", cfg_path]) == 4
+        assert not (tmp_path / "irf.csv").exists()
+        log = (tmp_path / "irf.csv.log").read_text().splitlines()
+        assert len(log) == 6
+        assert all(line.endswith(": NonFinite: the squares of a candidate control "
+                                 "overflow") for line in log)
+
     def test_out_override(self, tmp_path, sim_csv):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
         other = tmp_path / "elsewhere.csv"
@@ -393,9 +410,10 @@ class TestMontecarloCommand:
         fingerprint = _config_fingerprint(run)
         records = short_run_records(run, 2)
         # a wrong fingerprint, or records of the version-1 simulator, the
-        # version-3 per-path greedy kernel or the version-4 per-horizon tail
+        # version-3 per-path greedy kernel, the version-4 per-horizon tail or
+        # the version-5 no-selection residuals off the full range basis
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
-                            (3, fingerprint), (4, fingerprint)):
+                            (3, fingerprint), (4, fingerprint), (5, fingerprint)):
             ckpt.write_text(json.dumps(
                 {"version": version, "fingerprint": fp,
                  "blas_threads": _blas_threads(), "records": records}

@@ -9,11 +9,12 @@ from hdlp.errors import DimensionMismatch, NonFinite
 import scipy.linalg.lapack
 
 import hdlp.linalg
-from hdlp.linalg import extend, orthogonalize, orthonormal_columns, prefix_residuals
+from hdlp.linalg import extend, narrow_basis, orthogonalize, prefix_residuals
 from reference import (
     gram_schmidt_extend,
     ols_fit,
     orthogonal_residual,
+    orthonormal_columns,
     prefix_residual_one_prefix,
     project_out,
 )
@@ -156,18 +157,21 @@ class TestGramSchmidtExtend:
 
 
 def prefix_fit(X, V, rows, intercept=False):
-    """prefix_residuals on X, in place on V; its ranks, its failures and the
-    row count of every prefix it factored (one pivoted QR each)."""
-    factored = []
+    """prefix_residuals on X, in place on V; its ranks, its failures, and the
+    row count of every prefix it factored (one pivoted QR each) with whether
+    the basis formed was the complement."""
+    factored, sides = [], []
 
     def counted(design, *args):
+        rank, basis = narrow_basis(design, *args)
         factored.append(design.shape[0])
-        return orthonormal_columns(design, *args)
+        sides.append(basis.shape[1] < rank)
+        return rank, basis
 
     failed = [None] * len(rows)
-    with mock.patch.object(hdlp.linalg, "orthonormal_columns", counted):
+    with mock.patch.object(hdlp.linalg, "narrow_basis", counted):
         rank = prefix_residuals(X, intercept, V, rows, failed)
-    return rank, failed, factored
+    return rank, failed, factored, sides
 
 
 def on_rows(v, rows, N):
@@ -175,14 +179,24 @@ def on_rows(v, rows, N):
     return np.where(np.arange(N) < np.asarray(rows)[:, None], v[:N], 0.0)[:, None]
 
 
+# both sides of narrow_basis's choice: the complement of a near-square
+# design (rank above half its rows) and the range of a tall one
+SIDES = [pytest.param(True, id="complement"), pytest.param(False, id="range")]
+
+
 class TestPrefixBasis:
-    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12),
-           n_dup=st.integers(0, 3), drop=st.integers(0, 20),
-           spare=st.integers(3, 60))
+    @pytest.mark.parametrize("complement", SIDES)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 3),
+           drop=st.integers(0, 20))
     @settings(max_examples=200, deadline=None)
     def test_prefix_residual_matches_a_fresh_factorization(
-        self, seed, p, n_dup, drop, spare
+        self, complement, data, seed, n_dup, drop
     ):
+        # columns p and spare rows: N - p = spare + drop stays below p on the
+        # complement side and at or above it on the range side
+        p = data.draw(st.integers(33, 40) if complement else st.integers(0, 12), "p")
+        spare = data.draw(st.integers(8, 12) if complement else st.integers(12, 60),
+                          "spare")
         rng = np.random.default_rng(seed)
         n = p + spare
         X = rng.standard_normal((n + drop, p))
@@ -190,57 +204,68 @@ class TestPrefixBasis:
             X = np.column_stack([X, X[:, rng.integers(0, p, size=n_dup)]])
         v = rng.standard_normal(n + drop)
         V = on_rows(v, [n + drop, n], n + drop)
-        rank, failed, factored = prefix_fit(X, V, [n + drop, n])
+        rank, failed, factored, sides = prefix_fit(X, V, [n + drop, n])
         # Gaussian rows keep the rank by a wide margin: one QR serves both
         assert factored == [n + drop] and failed == [None, None]
+        assert sides == [complement]
         fresh = orthonormal_columns(X[:n])
         assert rank[1] == fresh.shape[1]
         np.testing.assert_allclose(V[1, 0, :n], orthogonal_residual(fresh, v[:n]),
                                    rtol=0, atol=1e-9 * np.linalg.norm(v))
         assert not V[1, 0, n:].any()
 
-    def test_no_dropped_rows_is_the_plain_residual(self):
+    @pytest.mark.parametrize("p, complement", [(6, False), (30, True)])
+    def test_no_dropped_rows_is_the_plain_residual(self, p, complement):
         rng = np.random.default_rng(31)
-        X = rng.standard_normal((40, 6))
+        X = rng.standard_normal((40, p))
         v = rng.standard_normal(40)
         want = orthogonal_residual(orthonormal_columns(X), v)
         V = v[None, None].copy()
-        rank, _, factored = prefix_fit(X, V, [40])
-        assert factored == [40] and rank.tolist() == [6]
-        assert np.array_equal(V[0, 0], want)
+        rank, _, factored, sides = prefix_fit(X, V, [40])
+        assert factored == [40] and sides == [complement] and rank.tolist() == [p]
+        # the range side removes the projection in the same two passes as
+        # the oracle, bit for bit; the complement side keeps P(P'v) in one
+        atol = 1e-14 * np.linalg.norm(v) if complement else 0.0
+        np.testing.assert_allclose(V[0, 0], want, rtol=0, atol=atol)
 
-    def test_guard_refuses_prefixes_that_lose_rank(self):
+    @pytest.mark.parametrize("p, complement", [(5, False), (30, True)])
+    def test_guard_refuses_prefixes_that_lose_rank(self, p, complement):
         rng = np.random.default_rng(32)
-        X = rng.standard_normal((40, 5))
+        X = rng.standard_normal((40, p))
         X[:, 2] = 0.0
         X[-2:, 2] = 1.0  # nonzero only on the last two rows
-        D = rng.standard_normal((40, 5))
+        D = rng.standard_normal((40, p))
         D[:, 4] = D[:, 0]
         D[-1, 4] += 1.0  # a duplicate apart from the last row
         v = rng.standard_normal(40)
         # the 39-row prefix of X keeps the rank and is served, the 38-row
         # one is factored afresh; D loses its rank at 39 rows already
-        cases = ((X, [40, 39, 38], [40, 38], [5, 5, 4]), (D, [40, 39], [40, 39], [5, 4]))
+        cases = ((X, [40, 39, 38], [40, 38], [p, p, p - 1]),
+                 (D, [40, 39], [40, 39], [p, p - 1]))
         for design, rows, want, ranks in cases:
             V = on_rows(v, rows, 40)
-            rank, _, factored = prefix_fit(design, V, rows)
+            rank, _, factored, sides = prefix_fit(design, V, rows)
             assert factored == want and rank.tolist() == ranks
+            assert sides == [complement] * len(want)
             for i, n in enumerate(rows):
                 fresh = orthonormal_columns(design[:n])
                 np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
                                            rtol=0, atol=1e-9 * np.linalg.norm(v))
 
-    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 8),
-           n_dup=st.integers(0, 2), spare=st.integers(3, 30),
+    @pytest.mark.parametrize("complement", SIDES)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 2),
            drop=st.integers(1, 25), cut=st.integers(-10, 24))
     @settings(max_examples=150, deadline=None)
     def test_one_cholesky_matches_per_prefix_factorizations(
-        self, seed, p, n_dup, spare, drop, cut
+        self, complement, data, seed, n_dup, drop, cut
     ):
         # every prefix of at least N - drop rows, read off one Cholesky
         # factor, against each prefix's own factor; with cut > 0 column 0 is
         # zero above row N - drop + cut, so the rank drops at a middle prefix
         # and the single factorization fails (or its guard trips) partway
+        p = data.draw(st.integers(40, 48) if complement else st.integers(1, 8), "p")
+        spare = data.draw(st.integers(8, 12) if complement else st.integers(8, 30),
+                          "spare")
         rng = np.random.default_rng(seed)
         n_min = p + n_dup + spare
         N = n_min + drop
@@ -253,9 +278,9 @@ class TestPrefixBasis:
         rows = list(range(N, n_min - 1, -1))
         oracle = {n: prefix_residual_one_prefix(Q, n, v[:n]) for n in rows}
         V = on_rows(v, rows, N)
-        _, _, factored = prefix_fit(X, V, rows)
+        _, _, factored, sides = prefix_fit(X, V, rows)
         served = rows[: rows.index(factored[1])] if len(factored) > 1 else rows
-        assert factored[0] == N
+        assert factored[0] == N and sides[0] == complement
         assert served == [n for n in rows if oracle[n] is not None]
         if mid:
             assert factored[1] >= mid
@@ -264,49 +289,87 @@ class TestPrefixBasis:
                                        atol=1e-9 * np.linalg.norm(v))
             assert not V[i, 0, n:].any()
 
-    def test_a_failed_factorization_keeps_its_leading_blocks(self):
-        # column 2 is zero above row 30: LAPACK reports the leading minor of
-        # order 10 (the 30-row prefix) not positive definite, and the 9
-        # leading blocks before it still serve their prefixes
-        X = np.random.default_rng(0).standard_normal((40, 5))
-        X[:30, 2] = 0.0
-        Q = orthonormal_columns(X)
-        U = Q[20:][::-1]
-        assert scipy.linalg.lapack.dpotrf(np.eye(20) - U @ U.T, lower=True)[1] == 10
+    @pytest.mark.parametrize("p, zero_above, low, complement",
+                             [(5, 30, 20, False), (30, 35, 32, True)])
+    def test_a_failed_factorization_keeps_its_leading_blocks(
+        self, p, zero_above, low, complement
+    ):
+        # column 2 is zero above row zero_above: LAPACK reports the leading
+        # minor of the dropped rows' Gram matrix that belongs to that prefix
+        # not positive definite, and the leading blocks before it still
+        # serve their prefixes
+        X = np.random.default_rng(0).standard_normal((40, p))
+        X[:zero_above, 2] = 0.0
+        _, B = narrow_basis(X)
+        M = B[low:][::-1]
+        gram = M @ M.T if complement else np.eye(40 - low) - M @ M.T
+        served = 40 - zero_above
+        assert scipy.linalg.lapack.dpotrf(gram, lower=True)[1] == served
         v = np.random.default_rng(1).standard_normal(40)
-        rows = np.arange(40, 19, -1)
+        rows = np.arange(40, low - 1, -1)
         V = on_rows(v, rows, 40)
-        rank, _, factored = prefix_fit(X, V, rows)
-        assert factored == [40, 30]
-        assert rank.tolist() == [5] * 10 + [4] * 11
-        for r, n in zip(V[:10, 0], rows):
+        rank, _, factored, sides = prefix_fit(X, V, rows)
+        assert factored == [40, zero_above] and sides == [complement] * 2
+        assert rank.tolist() == [p] * served + [p - 1] * (len(rows) - served)
+        Q = orthonormal_columns(X)
+        for r, n in zip(V[:served, 0], rows):
             np.testing.assert_allclose(
                 r[:n], prefix_residual_one_prefix(Q, n, v[:n]),
                 rtol=0, atol=1e-12 * np.linalg.norm(v),
             )
 
-    def test_a_failed_qr_fails_its_regression_only(self):
+    @pytest.mark.parametrize("p, complement", [(3, False), (20, True)])
+    def test_a_failed_qr_fails_its_regression_only(self, p, complement):
         # a LinAlgError from one factorization lands in that regression's
         # slot, and the next prefix is factored afresh
-        X = np.random.default_rng(2).standard_normal((30, 3))
-        real = orthonormal_columns
+        X = np.random.default_rng(2).standard_normal((30, p))
         calls = []
 
         def failing_first(design, *args):
             calls.append(design.shape[0])
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("injected")
-            return real(design, *args)
+            return narrow_basis(design, *args)
 
         V = on_rows(np.ones(30), [30, 29, 28], 30)
         failed = [None] * 3
-        with mock.patch.object(hdlp.linalg, "orthonormal_columns", failing_first):
+        with mock.patch.object(hdlp.linalg, "narrow_basis", failing_first):
             rank = prefix_residuals(X, True, V, [30, 29, 28], failed)
         assert calls == [30, 29]
+        assert (narrow_basis(X[:29], True)[1].shape[1] < p + 1) == complement
         assert isinstance(failed[0], np.linalg.LinAlgError) and failed[1:] == [None, None]
-        assert rank.tolist() == [0, 4, 4]
+        assert rank.tolist() == [0, p + 1, p + 1]
         # a constant series lies in the span of the intercept
         assert np.abs(V[1:]).max() < 1e-12
+
+    @pytest.mark.parametrize("N, p, k, intercept, width", [
+        (40, 20, 20, False, 20),  # rank 20 = N - rank: the range
+        (40, 19, 19, True, 20),  # the intercept counts in the rank
+        (40, 21, 21, False, 19),  # one column more: the complement
+        (30, 40, 20, False, 10),  # wide, rank 20: 30 of 41 reflectors
+        (30, 40, 30, False, 0),  # wide, full row rank: no complement
+    ])
+    def test_the_narrower_basis_is_formed(self, N, p, k, intercept, width):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((N, k)) @ rng.standard_normal((k, p))
+        rank, B = narrow_basis(X, intercept)
+        Q = orthonormal_columns(X, intercept)
+        assert rank == Q.shape[1] and B.shape == (N, width)
+        if width == rank:
+            assert np.array_equal(B, Q)  # the economic QR's basis, bit for bit
+        else:
+            assert width == N - rank
+            np.testing.assert_allclose(B.T @ B, np.eye(width), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(Q.T @ B, 0.0, rtol=0, atol=1e-13)
+        v = rng.standard_normal(N)
+        rows = [N, N - 1, N - 2]
+        V = on_rows(v, rows, N)
+        ranks, _, _, _ = prefix_fit(X, V, rows, intercept)
+        for i, n in enumerate(rows):
+            fresh = orthonormal_columns(X[:n], intercept)
+            assert ranks[i] == fresh.shape[1]
+            np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
+                                       rtol=0, atol=1e-9 * np.linalg.norm(v))
 
 
 def padded_bases(rng, k, n):

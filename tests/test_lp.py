@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from hdlp.errors import (
     InsufficientSample,
     UnknownColumn,
 )
-from hdlp.linalg import SPAN_RTOL, orthonormal_columns
+from hdlp.linalg import SPAN_RTOL, narrow_basis
 from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import (
     CONVENTIONAL_LP,
@@ -40,7 +41,7 @@ from hdlp.lp import (
 )
 from hdlp.lpdid import LpDidSpec, PanelDataset, lpdid_estimate
 from hdlp.selection import TIE_RTOL, OgaConfig, _train_rows, max_steps
-from reference import newey_west_one, ols_fit, project_out
+from reference import newey_west_one, ols_fit, orthonormal_columns, project_out
 
 FULL_SELECTION = OgaConfig(c_star=1e-12, mbar_scale=1e9)
 
@@ -1052,6 +1053,36 @@ class TestNoRaiseFuzz:
         assert all(msg.startswith("NonFinite: ") for msg in result.errors.values())
         assert sorted(result.errors) == [1, 2]
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_control_float64_cannot_square_fails_every_horizon(self, method):
+        # such a control was once dropped silently: the pivoted QR divided it
+        # by its infinite norm, the greedy paths gave it an infinite admission
+        # floor, and LP-DiD's time effects screened it out before either
+        message = "NonFinite: the squares of a candidate control overflow"
+        rng = np.random.default_rng(5)
+        data = make_data(rng, 60, 3, names=("y", "x", "z"))
+        values = data.values.copy()
+        values[:, data.index("z")] *= 1e200
+        spec = LpSpec(response="y", shock="x", horizons=(1, 2), lagged=("y", "x", "z"),
+                      lags=2)
+        with np.errstate(all="ignore"):
+            result = estimate_irf(TimeSeriesMatrix(values, data.columns), spec,
+                                  method=method)
+        assert not result.estimates and result.errors == {1: message, 2: message}
+        unit = np.repeat(np.arange(30), 8)
+        time = np.tile(np.arange(8), 30)
+        treat = (time >= rng.integers(2, 12, size=30)[unit]).astype(float)
+        panel = PanelDataset(unit=unit, time=time,
+                             outcome=rng.standard_normal(unit.size) + treat,
+                             treatment=treat,
+                             covariates={"c": 1e200 * rng.standard_normal(unit.size)})
+        for time_effects in (True, False):
+            spec = LpDidSpec(horizons=(0, 1), outcome_lags=1, extra_controls=("c",),
+                             time_effects=time_effects, method=method)
+            with np.errstate(all="ignore"):
+                result = lpdid_estimate(panel, spec)
+            assert not result.estimates and result.errors == {0: message, 1: message}
+
 
 class TestEquilibratedDesign:
     def test_controls_in_small_units_keep_their_rank(self):
@@ -1078,22 +1109,21 @@ class TestFactorizationBudget:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"qr": 0, "orthonormal_columns": 0}
-        qr, orthonormal_columns = scipy.linalg.qr, hdlp.linalg.orthonormal_columns
+        counts = {"qr": 0, "narrow_basis": 0}
+        qr = scipy.linalg.qr
 
         def counted_qr(*args, **kwargs):
             counts["qr"] += 1
             return qr(*args, **kwargs)
 
-        def counted_orthonormal_columns(*args, **kwargs):
-            counts["orthonormal_columns"] += 1
-            return orthonormal_columns(*args, **kwargs)
+        def counted_narrow_basis(*args, **kwargs):
+            counts["narrow_basis"] += 1
+            return narrow_basis(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         for module in vars(hdlp).values():
-            if getattr(module, "orthonormal_columns", None) is orthonormal_columns:
-                monkeypatch.setattr(module, "orthonormal_columns",
-                                    counted_orthonormal_columns)
+            if getattr(module, "narrow_basis", None) is narrow_basis:
+                monkeypatch.setattr(module, "narrow_basis", counted_narrow_basis)
         return counts
 
     def dataset(self):
@@ -1183,7 +1213,7 @@ class TestFactorizationBudget:
 
     def test_project_out_is_never_called(self, counts):
         # the library has no project_out: every residual comes off a basis,
-        # and the only QR is the one inside orthonormal_columns
+        # and the only QR is the one inside narrow_basis
         assert not any(
             hasattr(m, "project_out") for m in (hdlp, *vars(hdlp).values())
         )
@@ -1203,7 +1233,27 @@ class TestFactorizationBudget:
         for method in (DOUBLE_OGA, CONVENTIONAL_LP):
             spec = LpDidSpec(horizons=(0, 1), outcome_lags=2, method=method)
             assert not lpdid_estimate(panel, spec).errors
-        assert counts["qr"] == counts["orthonormal_columns"] > 0
+        assert counts["qr"] == counts["narrow_basis"] > 0
+
+    def test_a_tall_no_selection_fit_forms_no_complement(self):
+        # a 200,000 x 4 design (three controls and the intercept) is factored
+        # into its 4-column range basis; the complement would hold 200,000 x
+        # 199,996 floats
+        rng = np.random.default_rng(26)
+        n = 200_000
+        ds = LpDataset(y=rng.standard_normal(n), x=rng.standard_normal(n),
+                       W=rng.standard_normal((n, 3)),
+                       column_map=(("a", 0), ("b", 0), ("c", 0)), horizon=0,
+                       intercept=True)
+        size = ds.y.nbytes + ds.x.nbytes + ds.W.nbytes
+        tracemalloc.start()
+        try:
+            est = conventional_lp(ds, HacConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.rank == 5 and est.effective_T == n
+        assert peak < 8 * size
 
 
 class TestBugsPropagate:
