@@ -182,21 +182,27 @@ def on_rows(v, rows, N):
 # both sides of narrow_basis's choice: the complement of a near-square
 # design (rank above half its rows) and the range of a tall one
 SIDES = [pytest.param(True, id="complement"), pytest.param(False, id="range")]
+# the property tests' draws of columns p and spare rows: held on the
+# complement side, held on the range side, and small designs with as few as
+# 3 spare rows, whose side follows from the drawn shape (None)
+DRAWS = [pytest.param(True, id="complement"), pytest.param(False, id="range"),
+         pytest.param(None, id="either")]
 
 
 class TestPrefixBasis:
-    @pytest.mark.parametrize("complement", SIDES)
+    @pytest.mark.parametrize("complement", DRAWS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 3),
            drop=st.integers(0, 20))
     @settings(max_examples=200, deadline=None)
     def test_prefix_residual_matches_a_fresh_factorization(
         self, complement, data, seed, n_dup, drop
     ):
-        # columns p and spare rows: N - p = spare + drop stays below p on the
+        # the rank is p, and N - p = spare + drop stays below p on the
         # complement side and at or above it on the range side
-        p = data.draw(st.integers(33, 40) if complement else st.integers(0, 12), "p")
-        spare = data.draw(st.integers(8, 12) if complement else st.integers(12, 60),
-                          "spare")
+        p, spare = data.draw({True: st.tuples(st.integers(33, 40), st.integers(8, 12)),
+                              False: st.tuples(st.integers(0, 12), st.integers(12, 60)),
+                              None: st.tuples(st.integers(0, 12), st.integers(3, 60)),
+                              }[complement], "p, spare")
         rng = np.random.default_rng(seed)
         n = p + spare
         X = rng.standard_normal((n + drop, p))
@@ -207,7 +213,7 @@ class TestPrefixBasis:
         rank, failed, factored, sides = prefix_fit(X, V, [n + drop, n])
         # Gaussian rows keep the rank by a wide margin: one QR serves both
         assert factored == [n + drop] and failed == [None, None]
-        assert sides == [complement]
+        assert sides == [spare + drop < p] and complement in (None, sides[0])
         fresh = orthonormal_columns(X[:n])
         assert rank[1] == fresh.shape[1]
         np.testing.assert_allclose(V[1, 0, :n], orthogonal_residual(fresh, v[:n]),
@@ -252,7 +258,7 @@ class TestPrefixBasis:
                 np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
                                            rtol=0, atol=1e-9 * np.linalg.norm(v))
 
-    @pytest.mark.parametrize("complement", SIDES)
+    @pytest.mark.parametrize("complement", DRAWS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 2),
            drop=st.integers(1, 25), cut=st.integers(-10, 24))
     @settings(max_examples=150, deadline=None)
@@ -263,9 +269,10 @@ class TestPrefixBasis:
         # factor, against each prefix's own factor; with cut > 0 column 0 is
         # zero above row N - drop + cut, so the rank drops at a middle prefix
         # and the single factorization fails (or its guard trips) partway
-        p = data.draw(st.integers(40, 48) if complement else st.integers(1, 8), "p")
-        spare = data.draw(st.integers(8, 12) if complement else st.integers(8, 30),
-                          "spare")
+        p, spare = data.draw({True: st.tuples(st.integers(40, 48), st.integers(8, 12)),
+                              False: st.tuples(st.integers(1, 8), st.integers(8, 30)),
+                              None: st.tuples(st.integers(1, 8), st.integers(3, 30)),
+                              }[complement], "p, spare")
         rng = np.random.default_rng(seed)
         n_min = p + n_dup + spare
         N = n_min + drop
@@ -280,7 +287,8 @@ class TestPrefixBasis:
         V = on_rows(v, rows, N)
         _, _, factored, sides = prefix_fit(X, V, rows)
         served = rows[: rows.index(factored[1])] if len(factored) > 1 else rows
-        assert factored[0] == N and sides[0] == complement
+        assert factored[0] == N and sides[0] == (N - p < p)
+        assert complement in (None, sides[0])
         assert served == [n for n in rows if oracle[n] is not None]
         if mid:
             assert factored[1] >= mid
@@ -341,6 +349,24 @@ class TestPrefixBasis:
         assert rank.tolist() == [0, p + 1, p + 1]
         # a constant series lies in the span of the intercept
         assert np.abs(V[1:]).max() < 1e-12
+
+    @pytest.mark.parametrize("routine, p", [("dorgqr", 3), ("dormqr", 20)])
+    def test_an_illegal_lapack_argument_fails_its_regression(self, routine, p):
+        # LAPACK's info < 0 from the routine that forms the basis raises
+        # LinAlgError, which lands in the regression's slot
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def illegal(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            return (*out, info if kwargs["lwork"] == -1 else -5)
+
+        X = np.random.default_rng(2).standard_normal((30, p))
+        V = on_rows(np.ones(30), [30], 30)
+        failed = [None]
+        with mock.patch.object(scipy.linalg.lapack, routine, illegal):
+            prefix_residuals(X, False, V, [30], failed)
+        assert isinstance(failed[0], np.linalg.LinAlgError)
+        assert "illegal value in argument 5" in str(failed[0])
 
     @pytest.mark.parametrize("N, p, k, intercept, width", [
         (40, 20, 20, False, 20),  # rank 20 = N - rank: the range
