@@ -7,7 +7,9 @@ Runs, with one BLAS thread, into a temporary directory (or DIR with --keep):
     c_star, and once with no controls;
   - estimate with conventional_lp on that dataset plus a control that is
     nonzero on the last five rows of the horizon-1 sample only, so the
-    design loses rank from horizon 6 on and is factored afresh there;
+    design loses rank from horizon 6 on and is factored afresh there, and
+    again with y3 and that control as the only controls and no lags, a
+    tall design whose prefixes lose rank in the same way;
   - montecarlo at 24 replications with both methods, plus the records of a
     12-replication run (the checkpoint format);
   - lpdid on a generated 250-unit panel (perfbench/inputs.py), with both
@@ -106,6 +108,9 @@ def outputs(tmp: Path):
                   output=str(tmp / "estimate_rank_loss.csv"))
     cfg["contemporaneous"] = cfg["contemporaneous"] + ["spike"]
     run(tmp, "estimate", "estimate_rank_loss", cfg)
+    run(tmp, "estimate", "estimate_rank_loss_tall", dict(
+        cfg, output=str(tmp / "estimate_rank_loss_tall.csv"),
+        contemporaneous=["y3", "spike"], lagged=[], lags=0, lag_augment=0))
 
     mc = bundled("montecarlo.yaml", n_reps=24, checkpoint=False,
                  output=str(tmp / "montecarlo.csv"))

@@ -45,7 +45,7 @@ from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 6  # 6: no-selection residuals off the complement basis
+CHECKPOINT_VERSION = 7  # 7: no-selection residuals off a formed or reflected complement
 CHECKPOINT_EVERY = 50
 
 

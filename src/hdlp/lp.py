@@ -23,11 +23,11 @@ horizon, so ``estimate_irf`` builds the datasets once and hands all horizons
 to ``_fit`` as one batch of row-prefix regressions on that design, per
 method: one lockstep greedy run, one batched Gram-Schmidt for the unions,
 one pivoted QR and one Cholesky factor for every no-selection prefix that
-keeps its rank (linalg.prefix_residuals, on the design's column space or,
-for a near-square design, on its narrower complement), one Newey-West
-call. Like those kernels, it returns one record or error per dataset;
-``_unwrap`` hands one back or raises its error. One regression is the batch
-of one.
+keeps its rank (linalg.prefix_residuals, by one formula on the complement
+of the design's column space, formed or applied as the QR's reflectors),
+one Newey-West call. Like those kernels, it returns one record or error
+per dataset; ``_unwrap`` hands one back or raises its error. One regression
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -275,10 +275,9 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
     with the outcome-only columns (in index order, skipping spanned ones);
     v and e come off each path's basis (_union_residuals). CONVENTIONAL_LP,
     or an empty C, controls for every column (prefix_residuals: one pivoted
-    QR serves every prefix that keeps its rank, through the basis of its
-    column space or of the complement, whichever is narrower); v and e are
-    then the final residuals. beta = x_resid'y_resid / x_resid'x_resid on
-    the union basis. The shock is degenerate when it is zero, or constant
+    QR serves every prefix that keeps its rank, through the complement of
+    its column space, formed or reflected); v and e are then the final
+    residuals. beta = x_resid'y_resid / x_resid'x_resid on the union basis. The shock is degenerate when it is zero, or constant
     while the intercept is in, or when what is left of it is at most
     SPAN_RTOL of its norm. It is NonFinite when the squares of y or x, or
     beta or se, overflow; every regression of the batch is NonFinite when
@@ -298,18 +297,20 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
     for i, ds in enumerate(datasets):
         X[i, : rows[i]], Y[i, : rows[i]] = ds.x, ds.y
     out: list = [None] * k  # each regression's error, then its estimate
-    x_norm = np.linalg.norm(X, axis=1)
-    centred = X
-    if intercept:  # then a constant shock lies in every projection's span
-        T = np.asarray(rows)
-        centred = (X - (X.sum(axis=1) / T)[:, None]) * (np.arange(n) < T[:, None])
-    for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
-        out[i] = DegenerateShock("shock series is constant")
-    for i in np.flatnonzero(~np.isfinite(np.hypot(x_norm, np.linalg.norm(Y, axis=1)))):
-        out[i] = NonFinite("the squares of the response or shock overflow")
-        X[i] = Y[i] = 0.0  # their infinite greedy gains would never advance a path
-    if not np.isfinite(np.linalg.norm(C, axis=0)).all():
-        return [NonFinite("the squares of a candidate control overflow") for _ in out]
+    with np.errstate(over="ignore"):  # an overflowing square is NonFinite below
+        x_norm = np.linalg.norm(X, axis=1)
+        centred = X
+        if intercept:  # then a constant shock lies in every projection's span
+            T = np.asarray(rows)
+            centred = (X - (X.sum(axis=1) / T)[:, None]) * (np.arange(n) < T[:, None])
+        for i in np.flatnonzero(np.linalg.norm(centred, axis=1) <= SPAN_RTOL * x_norm):
+            out[i] = DegenerateShock("shock series is constant")
+        y_norm = np.linalg.norm(Y, axis=1)
+        for i in np.flatnonzero(~np.isfinite(np.hypot(x_norm, y_norm))):
+            out[i] = NonFinite("the squares of the response or shock overflow")
+            X[i] = Y[i] = 0.0  # their infinite greedy gains would never advance a path
+        if not np.isfinite(np.linalg.norm(C, axis=0)).all():
+            return [NonFinite("the squares of a candidate control overflow") for _ in out]
     if method == DOUBLE_OGA and p:
         resid, v, e, rank, sets = _union_residuals(C, intercept, X, Y, rows,
                                                   oga_config, out)

@@ -278,7 +278,8 @@ def _lpdid_one(
 
     keep, absorbed = np.arange(C.shape[1]), 0
     if spec.time_effects:
-        norms = np.linalg.norm(C, axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(C, axis=0)
         if not np.isfinite(norms).all():  # as _fit fails it, before keep drops it
             raise NonFinite("the squares of a candidate control overflow")
         M, absorbed = _demean_runs(times, np.column_stack([dy, dd, C]))

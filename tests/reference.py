@@ -6,9 +6,9 @@ routines are the oracle the tests compare it against. Rank deficiency is
 handled by a rank-revealing (pivoted) QR with a relative pivot tolerance of
 1e-10: dependent columns are dropped and get zero coefficients. The
 economic QR's range basis (orthonormal_columns) is the oracle for the
-library's rank and narrower basis, the two-pass residual and Gram-Schmidt
+library's rank and complement, the two-pass residual and Gram-Schmidt
 step for its batched projection kernel, the per-prefix Cholesky for its
-one-factor prefix basis, the lag-by-lag autoregression loop and the
+one-factor prefix residuals, the lag-by-lag autoregression loop and the
 stacked loop that allocates each step for its in-place simulator, the
 one-path greedy loop for its lockstep greedy kernel, and the one-path
 holdout for its batched c_star tuning. The scalar criterion, its argmin and a tuning-only entry

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,21 @@ class TestEstimateCommand:
         assert all(line.endswith(": NonFinite: the squares of a candidate control "
                                  "overflow") for line in log)
 
+    def test_an_overflowing_control_warns_nothing(self, tmp_path, capsys, sim_csv):
+        # the overflow is checked, so numpy prints no warning before hdlp's
+        # own line: under an error filter, a warning would be a crash
+        with open(sim_csv) as fh:
+            rows = list(csv.reader(fh))
+        values = np.array(rows[1:], dtype=float)
+        values[:, 2] *= 1e200
+        data = write_wide_csv(tmp_path / "big.csv", rows[0], values)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", cfg_path]) == 4
+        assert capsys.readouterr().err == (
+            f"estimation failed for 6 horizon(s); detail in {tmp_path / 'irf.csv.log'}\n")
+
     def test_out_override(self, tmp_path, sim_csv):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
         other = tmp_path / "elsewhere.csv"
@@ -410,10 +426,12 @@ class TestMontecarloCommand:
         fingerprint = _config_fingerprint(run)
         records = short_run_records(run, 2)
         # a wrong fingerprint, or records of the version-1 simulator, the
-        # version-3 per-path greedy kernel, the version-4 per-horizon tail or
-        # the version-5 no-selection residuals off the full range basis
+        # version-3 per-path greedy kernel, the version-4 per-horizon tail,
+        # the version-5 no-selection residuals off the full range basis or
+        # the version-6 ones off the range basis of a tall design
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
-                            (3, fingerprint), (4, fingerprint), (5, fingerprint)):
+                            (3, fingerprint), (4, fingerprint), (5, fingerprint),
+                            (6, fingerprint)):
             ckpt.write_text(json.dumps(
                 {"version": version, "fingerprint": fp,
                  "blas_threads": _blas_threads(), "records": records}
@@ -585,6 +603,30 @@ class TestLpdidCommand:
         for r in rows:
             assert float(r["beta"]) == pytest.approx(0.9, abs=0.5)
             assert int(r["n_treated"]) > 0
+
+    @pytest.mark.parametrize("time_effects", [True, False])
+    def test_an_overflowing_control_warns_nothing(self, tmp_path, capsys,
+                                                  time_effects):
+        # as for estimate: with or without time effects, only hdlp's line
+        rng = np.random.default_rng(1)
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["unit", "time", "outcome", "treatment", "z"])
+            for i in range(8):
+                for t in range(14):
+                    d = int(i < 4 and t >= 6 + i % 3)
+                    writer.writerow([f"u{i}", t, 0.9 * d + rng.normal(), d,
+                                     1e200 * np.sin(i + t)])
+        cfg = {"data": str(path), "output": str(tmp_path / "did.csv"),
+               "horizons": [0, 1], "outcome_lags": 1, "extra_controls": ["z"],
+               "method": "conventional_lp", "time_effects": time_effects}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lpdid", "--config", cfg_path]) == 4
+        assert capsys.readouterr().err == (
+            f"estimation failed for 2 horizon(s); detail in {tmp_path / 'did.csv.log'}\n")
 
     def test_missing_column_is_data_error(self, tmp_path, panel_csv):
         cfg = {

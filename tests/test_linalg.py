@@ -9,7 +9,7 @@ from hdlp.errors import DimensionMismatch, NonFinite
 import scipy.linalg.lapack
 
 import hdlp.linalg
-from hdlp.linalg import extend, narrow_basis, orthogonalize, prefix_residuals
+from hdlp.linalg import complement, extend, orthogonalize, prefix_residuals
 from reference import (
     gram_schmidt_extend,
     ols_fit,
@@ -159,17 +159,17 @@ class TestGramSchmidtExtend:
 def prefix_fit(X, V, rows, intercept=False):
     """prefix_residuals on X, in place on V; its ranks, its failures, and the
     row count of every prefix it factored (one pivoted QR each) with whether
-    the basis formed was the complement."""
+    its complement was formed (n - r < r) rather than reflected."""
     factored, sides = [], []
 
     def counted(design, *args):
-        rank, basis = narrow_basis(design, *args)
+        out = complement(design, *args)
         factored.append(design.shape[0])
-        sides.append(basis.shape[1] < rank)
-        return rank, basis
+        sides.append(design.shape[0] - out[0] < out[0])
+        return out
 
     failed = [None] * len(rows)
-    with mock.patch.object(hdlp.linalg, "narrow_basis", counted):
+    with mock.patch.object(hdlp.linalg, "complement", counted):
         rank = prefix_residuals(X, intercept, V, rows, failed)
     return rank, failed, factored, sides
 
@@ -179,30 +179,28 @@ def on_rows(v, rows, N):
     return np.where(np.arange(N) < np.asarray(rows)[:, None], v[:N], 0.0)[:, None]
 
 
-# both sides of narrow_basis's choice: the complement of a near-square
-# design (rank above half its rows) and the range of a tall one
-SIDES = [pytest.param(True, id="complement"), pytest.param(False, id="range")]
-# the property tests' draws of columns p and spare rows: held on the
-# complement side, held on the range side, and small designs with as few as
-# 3 spare rows, whose side follows from the drawn shape (None)
-DRAWS = [pytest.param(True, id="complement"), pytest.param(False, id="range"),
+# the property tests' draws of columns p and spare rows: held where the
+# complement is formed (a near-square design, rank above half its rows), held
+# where it is reflected (a tall one), and small designs with as few as 3
+# spare rows, whose side follows from the drawn shape (None)
+DRAWS = [pytest.param(True, id="formed"), pytest.param(False, id="reflected"),
          pytest.param(None, id="either")]
 
 
 class TestPrefixBasis:
-    @pytest.mark.parametrize("complement", DRAWS)
+    @pytest.mark.parametrize("formed", DRAWS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 3),
            drop=st.integers(0, 20))
     @settings(max_examples=200, deadline=None)
     def test_prefix_residual_matches_a_fresh_factorization(
-        self, complement, data, seed, n_dup, drop
+        self, formed, data, seed, n_dup, drop
     ):
-        # the rank is p, and N - p = spare + drop stays below p on the
-        # complement side and at or above it on the range side
+        # the rank is p, and N - p = spare + drop stays below p where the
+        # complement is formed and at or above it where it is reflected
         p, spare = data.draw({True: st.tuples(st.integers(33, 40), st.integers(8, 12)),
                               False: st.tuples(st.integers(0, 12), st.integers(12, 60)),
                               None: st.tuples(st.integers(0, 12), st.integers(3, 60)),
-                              }[complement], "p, spare")
+                              }[formed], "p, spare")
         rng = np.random.default_rng(seed)
         n = p + spare
         X = rng.standard_normal((n + drop, p))
@@ -213,29 +211,29 @@ class TestPrefixBasis:
         rank, failed, factored, sides = prefix_fit(X, V, [n + drop, n])
         # Gaussian rows keep the rank by a wide margin: one QR serves both
         assert factored == [n + drop] and failed == [None, None]
-        assert sides == [spare + drop < p] and complement in (None, sides[0])
+        assert sides == [spare + drop < p] and formed in (None, sides[0])
         fresh = orthonormal_columns(X[:n])
         assert rank[1] == fresh.shape[1]
         np.testing.assert_allclose(V[1, 0, :n], orthogonal_residual(fresh, v[:n]),
                                    rtol=0, atol=1e-9 * np.linalg.norm(v))
         assert not V[1, 0, n:].any()
 
-    @pytest.mark.parametrize("p, complement", [(6, False), (30, True)])
-    def test_no_dropped_rows_is_the_plain_residual(self, p, complement):
+    @pytest.mark.parametrize("p, formed", [(6, False), (30, True)])
+    def test_no_dropped_rows_is_the_plain_residual(self, p, formed):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((40, p))
         v = rng.standard_normal(40)
         want = orthogonal_residual(orthonormal_columns(X), v)
         V = v[None, None].copy()
         rank, _, factored, sides = prefix_fit(X, V, [40])
-        assert factored == [40] and sides == [complement] and rank.tolist() == [p]
-        # the range side removes the projection in the same two passes as
-        # the oracle, bit for bit; the complement side keeps P(P'v) in one
-        atol = 1e-14 * np.linalg.norm(v) if complement else 0.0
-        np.testing.assert_allclose(V[0, 0], want, rtol=0, atol=atol)
+        assert factored == [40] and sides == [formed] and rank.tolist() == [p]
+        # the residual is P(P'v), formed or reflected, not the oracle's two
+        # projection passes
+        np.testing.assert_allclose(V[0, 0], want, rtol=0,
+                                   atol=1e-14 * np.linalg.norm(v))
 
-    @pytest.mark.parametrize("p, complement", [(5, False), (30, True)])
-    def test_guard_refuses_prefixes_that_lose_rank(self, p, complement):
+    @pytest.mark.parametrize("p, formed", [(5, False), (30, True)])
+    def test_guard_refuses_prefixes_that_lose_rank(self, p, formed):
         rng = np.random.default_rng(32)
         X = rng.standard_normal((40, p))
         X[:, 2] = 0.0
@@ -252,18 +250,18 @@ class TestPrefixBasis:
             V = on_rows(v, rows, 40)
             rank, _, factored, sides = prefix_fit(design, V, rows)
             assert factored == want and rank.tolist() == ranks
-            assert sides == [complement] * len(want)
+            assert sides == [formed] * len(want)
             for i, n in enumerate(rows):
                 fresh = orthonormal_columns(design[:n])
                 np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
                                            rtol=0, atol=1e-9 * np.linalg.norm(v))
 
-    @pytest.mark.parametrize("complement", DRAWS)
+    @pytest.mark.parametrize("formed", DRAWS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_dup=st.integers(0, 2),
            drop=st.integers(1, 25), cut=st.integers(-10, 24))
     @settings(max_examples=150, deadline=None)
     def test_one_cholesky_matches_per_prefix_factorizations(
-        self, complement, data, seed, n_dup, drop, cut
+        self, formed, data, seed, n_dup, drop, cut
     ):
         # every prefix of at least N - drop rows, read off one Cholesky
         # factor, against each prefix's own factor; with cut > 0 column 0 is
@@ -272,7 +270,7 @@ class TestPrefixBasis:
         p, spare = data.draw({True: st.tuples(st.integers(40, 48), st.integers(8, 12)),
                               False: st.tuples(st.integers(1, 8), st.integers(8, 30)),
                               None: st.tuples(st.integers(1, 8), st.integers(3, 30)),
-                              }[complement], "p, spare")
+                              }[formed], "p, spare")
         rng = np.random.default_rng(seed)
         n_min = p + n_dup + spare
         N = n_min + drop
@@ -288,7 +286,7 @@ class TestPrefixBasis:
         _, _, factored, sides = prefix_fit(X, V, rows)
         served = rows[: rows.index(factored[1])] if len(factored) > 1 else rows
         assert factored[0] == N and sides[0] == (N - p < p)
-        assert complement in (None, sides[0])
+        assert formed in (None, sides[0])
         assert served == [n for n in rows if oracle[n] is not None]
         if mid:
             assert factored[1] >= mid
@@ -297,27 +295,28 @@ class TestPrefixBasis:
                                        atol=1e-9 * np.linalg.norm(v))
             assert not V[i, 0, n:].any()
 
-    @pytest.mark.parametrize("p, zero_above, low, complement",
+    @pytest.mark.parametrize("p, zero_above, low, formed",
                              [(5, 30, 20, False), (30, 35, 32, True)])
     def test_a_failed_factorization_keeps_its_leading_blocks(
-        self, p, zero_above, low, complement
+        self, p, zero_above, low, formed
     ):
         # column 2 is zero above row zero_above: LAPACK reports the leading
-        # minor of the dropped rows' Gram matrix that belongs to that prefix
-        # not positive definite, and the leading blocks before it still
-        # serve their prefixes
+        # minor of the dropped rows' Gram matrix DD' = I - UU' that belongs
+        # to that prefix not positive definite, and the leading blocks
+        # before it still serve their prefixes
         X = np.random.default_rng(0).standard_normal((40, p))
         X[:zero_above, 2] = 0.0
-        _, B = narrow_basis(X)
-        M = B[low:][::-1]
-        gram = M @ M.T if complement else np.eye(40 - low) - M @ M.T
+        _, D, _, _ = complement(X, False, 40 - low)
+        U = orthonormal_columns(X)[low:][::-1]
+        np.testing.assert_allclose(D @ D.T, np.eye(40 - low) - U @ U.T, rtol=0,
+                                   atol=1e-14)
         served = 40 - zero_above
-        assert scipy.linalg.lapack.dpotrf(gram, lower=True)[1] == served
+        assert scipy.linalg.lapack.dpotrf(D @ D.T, lower=True)[1] == served
         v = np.random.default_rng(1).standard_normal(40)
         rows = np.arange(40, low - 1, -1)
         V = on_rows(v, rows, 40)
         rank, _, factored, sides = prefix_fit(X, V, rows)
-        assert factored == [40, zero_above] and sides == [complement] * 2
+        assert factored == [40, zero_above] and sides == [formed] * 2
         assert rank.tolist() == [p] * served + [p - 1] * (len(rows) - served)
         Q = orthonormal_columns(X)
         for r, n in zip(V[:served, 0], rows):
@@ -326,8 +325,8 @@ class TestPrefixBasis:
                 rtol=0, atol=1e-12 * np.linalg.norm(v),
             )
 
-    @pytest.mark.parametrize("p, complement", [(3, False), (20, True)])
-    def test_a_failed_qr_fails_its_regression_only(self, p, complement):
+    @pytest.mark.parametrize("p, formed", [(3, False), (20, True)])
+    def test_a_failed_qr_fails_its_regression_only(self, p, formed):
         # a LinAlgError from one factorization lands in that regression's
         # slot, and the next prefix is factored afresh
         X = np.random.default_rng(2).standard_normal((30, p))
@@ -337,65 +336,82 @@ class TestPrefixBasis:
             calls.append(design.shape[0])
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("injected")
-            return narrow_basis(design, *args)
+            return complement(design, *args)
 
         V = on_rows(np.ones(30), [30, 29, 28], 30)
         failed = [None] * 3
-        with mock.patch.object(hdlp.linalg, "narrow_basis", failing_first):
+        with mock.patch.object(hdlp.linalg, "complement", failing_first):
             rank = prefix_residuals(X, True, V, [30, 29, 28], failed)
         assert calls == [30, 29]
-        assert (narrow_basis(X[:29], True)[1].shape[1] < p + 1) == complement
+        assert (29 - (p + 1) < p + 1) == formed
         assert isinstance(failed[0], np.linalg.LinAlgError) and failed[1:] == [None, None]
         assert rank.tolist() == [0, p + 1, p + 1]
         # a constant series lies in the span of the intercept
         assert np.abs(V[1:]).max() < 1e-12
 
-    @pytest.mark.parametrize("routine, p", [("dorgqr", 3), ("dormqr", 20)])
-    def test_an_illegal_lapack_argument_fails_its_regression(self, routine, p):
-        # LAPACK's info < 0 from the routine that forms the basis raises
-        # LinAlgError, which lands in the regression's slot
-        real = getattr(scipy.linalg.lapack, routine)
+    @pytest.mark.parametrize("p", [pytest.param(3, id="reflected"),
+                                   pytest.param(20, id="formed")])
+    def test_an_illegal_lapack_argument_fails_its_regression(self, p):
+        # LAPACK's info < 0 from the routine that applies the reflectors
+        # raises LinAlgError, which lands in the regression's slot and
+        # leaves its series as they were; Q (not Q') is applied last, to
+        # form P or to bring the residuals back, so that call fails here
+        real = scipy.linalg.lapack.dormqr
 
         def illegal(*args, **kwargs):
             *out, info = real(*args, **kwargs)
-            return (*out, info if kwargs["lwork"] == -1 else -5)
+            return (*out, info if kwargs["lwork"] == -1 or args[1] == "T" else -5)
 
         X = np.random.default_rng(2).standard_normal((30, p))
         V = on_rows(np.ones(30), [30], 30)
         failed = [None]
-        with mock.patch.object(scipy.linalg.lapack, routine, illegal):
+        with mock.patch.object(scipy.linalg.lapack, "dormqr", illegal):
             prefix_residuals(X, False, V, [30], failed)
         assert isinstance(failed[0], np.linalg.LinAlgError)
         assert "illegal value in argument 5" in str(failed[0])
+        assert np.array_equal(V, on_rows(np.ones(30), [30], 30))
 
-    @pytest.mark.parametrize("N, p, k, intercept, width", [
-        (40, 20, 20, False, 20),  # rank 20 = N - rank: the range
-        (40, 19, 19, True, 20),  # the intercept counts in the rank
-        (40, 21, 21, False, 19),  # one column more: the complement
-        (30, 40, 20, False, 10),  # wide, rank 20: 30 of 41 reflectors
-        (30, 40, 30, False, 0),  # wide, full row rank: no complement
+    @pytest.mark.parametrize("N, p, k, intercept, formed", [
+        (40, 20, 20, False, False),  # rank 20 = N - rank: reflected
+        (40, 19, 19, True, False),  # the intercept counts in the rank
+        (40, 21, 21, False, True),  # one column more: formed, 19 columns
+        (30, 40, 20, False, True),  # wide, rank 20: 30 of 41 reflectors
+        (30, 40, 30, False, True),  # wide, full row rank: no complement
     ])
-    def test_the_narrower_basis_is_formed(self, N, p, k, intercept, width):
+    def test_the_complement_and_its_moves(self, N, p, k, intercept, formed):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((N, k)) @ rng.standard_normal((k, p))
-        rank, B = narrow_basis(X, intercept)
+        v = rng.standard_normal((2, N))
+        calls, real = [], scipy.linalg.lapack.dormqr
+
+        def spy(side, trans, *args, **kwargs):
+            if kwargs["lwork"] != -1:
+                calls.append(trans)
+            return real(side, trans, *args, **kwargs)
+
+        with mock.patch.object(scipy.linalg.lapack, "dormqr", spy):
+            rank, D, onto, back = complement(X, intercept, 3)
+            b = onto(v)
+            moved = back(b)
+        # a formed P is Q applied once, to [0; I]; a reflected one applies
+        # Q' for D and for onto, and Q for back
+        assert calls == (["N"] if formed else ["T", "T", "N"])
         Q = orthonormal_columns(X, intercept)
-        assert rank == Q.shape[1] and B.shape == (N, width)
-        if width == rank:
-            assert np.array_equal(B, Q)  # the economic QR's basis, bit for bit
-        else:
-            assert width == N - rank
-            np.testing.assert_allclose(B.T @ B, np.eye(width), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(Q.T @ B, 0.0, rtol=0, atol=1e-13)
-        v = rng.standard_normal(N)
+        assert rank == Q.shape[1] and (N - rank < rank) == formed
+        assert D.shape == (3, N - rank) and b.shape == (2, N - rank)
+        U = Q[N - 3:][::-1]
+        np.testing.assert_allclose(D @ D.T, np.eye(3) - U @ U.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(moved, [orthogonal_residual(Q, w) for w in v],
+                                   rtol=0, atol=1e-13 * np.linalg.norm(v))
         rows = [N, N - 1, N - 2]
-        V = on_rows(v, rows, N)
-        ranks, _, _, _ = prefix_fit(X, V, rows, intercept)
+        V = on_rows(v[0], rows, N)
+        ranks, _, _, sides = prefix_fit(X, V, rows, intercept)
+        assert sides[0] == formed
         for i, n in enumerate(rows):
             fresh = orthonormal_columns(X[:n], intercept)
             assert ranks[i] == fresh.shape[1]
-            np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[:n]),
-                                       rtol=0, atol=1e-9 * np.linalg.norm(v))
+            np.testing.assert_allclose(V[i, 0, :n], orthogonal_residual(fresh, v[0, :n]),
+                                       rtol=0, atol=1e-9 * np.linalg.norm(v[0]))
 
 
 def padded_bases(rng, k, n):

@@ -23,7 +23,7 @@ from hdlp.errors import (
     InsufficientSample,
     UnknownColumn,
 )
-from hdlp.linalg import SPAN_RTOL, narrow_basis
+from hdlp.linalg import SPAN_RTOL, complement
 from hdlp.hac import HacConfig, cluster_omega
 from hdlp.lp import (
     CONVENTIONAL_LP,
@@ -1109,21 +1109,21 @@ class TestFactorizationBudget:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"qr": 0, "narrow_basis": 0}
+        counts = {"qr": 0, "complement": 0}
         qr = scipy.linalg.qr
 
         def counted_qr(*args, **kwargs):
             counts["qr"] += 1
             return qr(*args, **kwargs)
 
-        def counted_narrow_basis(*args, **kwargs):
-            counts["narrow_basis"] += 1
-            return narrow_basis(*args, **kwargs)
+        def counted_complement(*args, **kwargs):
+            counts["complement"] += 1
+            return complement(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         for module in vars(hdlp).values():
-            if getattr(module, "narrow_basis", None) is narrow_basis:
-                monkeypatch.setattr(module, "narrow_basis", counted_narrow_basis)
+            if getattr(module, "complement", None) is complement:
+                monkeypatch.setattr(module, "complement", counted_complement)
         return counts
 
     def dataset(self):
@@ -1213,7 +1213,7 @@ class TestFactorizationBudget:
 
     def test_project_out_is_never_called(self, counts):
         # the library has no project_out: every residual comes off a basis,
-        # and the only QR is the one inside narrow_basis
+        # and the only QR is the one inside complement
         assert not any(
             hasattr(m, "project_out") for m in (hdlp, *vars(hdlp).values())
         )
@@ -1233,26 +1233,28 @@ class TestFactorizationBudget:
         for method in (DOUBLE_OGA, CONVENTIONAL_LP):
             spec = LpDidSpec(horizons=(0, 1), outcome_lags=2, method=method)
             assert not lpdid_estimate(panel, spec).errors
-        assert counts["qr"] == counts["narrow_basis"] > 0
+        assert counts["qr"] == counts["complement"] > 0
 
     def test_a_tall_no_selection_fit_forms_no_complement(self):
-        # a 200,000 x 4 design (three controls and the intercept) is factored
-        # into its 4-column range basis; the complement would hold 200,000 x
-        # 199,996 floats
+        # 20 row prefixes (19 dropped rows) of a 200,000 x 4 design (three
+        # controls and the intercept) are read off the QR's reflectors: the
+        # complement would hold 200,000 x 199,996 floats
         rng = np.random.default_rng(26)
-        n = 200_000
-        ds = LpDataset(y=rng.standard_normal(n), x=rng.standard_normal(n),
-                       W=rng.standard_normal((n, 3)),
-                       column_map=(("a", 0), ("b", 0), ("c", 0)), horizon=0,
-                       intercept=True)
-        size = ds.y.nbytes + ds.x.nbytes + ds.W.nbytes
+        n, k = 200_000, 20
+        y, x = rng.standard_normal((2, n))
+        W = rng.standard_normal((n, 3))
+        datasets = [LpDataset(y=y[: n - i], x=x[: n - i], W=W[: n - i],
+                              column_map=(("a", 0), ("b", 0), ("c", 0)), horizon=i,
+                              intercept=True) for i in range(k)]
+        size = 2 * k * y.nbytes + W.nbytes  # the batch's series and the design
         tracemalloc.start()
         try:
-            est = conventional_lp(ds, HacConfig())
+            fits = _fit(datasets, CONVENTIONAL_LP, None, HacConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.rank == 5 and est.effective_T == n
+        assert [est.rank for est in fits] == [5] * k
+        assert [est.effective_T for est in fits] == [n - i for i in range(k)]
         assert peak < 8 * size
 
 
