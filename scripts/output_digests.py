@@ -11,7 +11,8 @@ Runs, with one BLAS thread, into a temporary directory (or DIR with --keep):
     again with y3 and that control as the only controls and no lags, a
     tall design whose prefixes lose rank in the same way;
   - montecarlo at 24 replications with both methods, plus the records of a
-    12-replication run (the checkpoint format);
+    12-replication run (the checkpoint's records line) and the checkpoint
+    file that save_checkpoint writes for them;
   - lpdid on a generated 250-unit panel (perfbench/inputs.py), with both
     methods, both variances, and time effects on and off.
 and prints one "sha256 name" line per output file. Run it in two checkouts
@@ -48,7 +49,7 @@ import yaml  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from hdlp.cli import main  # noqa: E402
+from hdlp.cli import _config_fingerprint, main, save_checkpoint  # noqa: E402
 from hdlp.config import build_montecarlo_run  # noqa: E402
 from hdlp.montecarlo import run_monte_carlo  # noqa: E402
 from perfbench.inputs import PANEL_COVARIATES, write_panel  # noqa: E402
@@ -120,6 +121,8 @@ def outputs(tmp: Path):
     run_monte_carlo(mc_run.design, mc_run.methods, 12, mc_run.levels, mc_run.seed,
                     records=records)
     (tmp / "montecarlo_records.json").write_text(json.dumps(records))
+    save_checkpoint(tmp / "montecarlo_checkpoint.ckpt", _config_fingerprint(mc_run),
+                    records)
 
     panel = tmp / "panel.csv"
     write_panel(panel, PANEL_SEED, PANEL_UNITS)
@@ -137,8 +140,10 @@ def outputs(tmp: Path):
 
 def cells(path: Path) -> list:
     """(where, value) for every cell of an output: a CSV's cells under their
-    line and column names, or a JSON document's leaves under their keys."""
-    if path.suffix == ".json":
+    line and column names, or the leaves of a JSON document, or of the two
+    of a checkpoint, under their keys. A checkpoint's digest is left out: it
+    follows from the records, which are compared cell by cell."""
+    if path.suffix in (".json", ".ckpt"):
         leaves = []
 
         def walk(node, key):
@@ -149,7 +154,10 @@ def cells(path: Path) -> list:
             for k, child in items or ():
                 walk(child, f"{key}[{k!r}]")
 
-        walk(json.loads(path.read_text()), "")
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        if path.suffix == ".ckpt":
+            del docs[0]["digest"]
+        walk(docs, "")
         return leaves
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)

@@ -45,7 +45,7 @@ from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 7  # 7: no-selection residuals off a formed or reflected complement
+CHECKPOINT_VERSION = 8  # 8: two-line checkpoint, records checked by digest
 CHECKPOINT_EVERY = 50
 
 
@@ -188,13 +188,14 @@ def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -
               for h, msg in sorted(result.errors.items())]
     if failed:
         log_path = out_path.with_suffix(out_path.suffix + ".log")
-        log_path.write_text("".join(f"{line}\n" for line in failed))
+        _write_atomic(log_path,
+                      lambda fh: fh.writelines(f"{line}\n" for line in failed))
         print(f"estimation failed for {len(failed)} horizon(s); detail in {log_path}",
               file=sys.stderr)
         return 4
     header = ["horizon", "method", "beta", "se"]
     for level in levels:
-        tag = format(level, "g")
+        tag = repr(level)
         header += [f"ci_low_{tag}", f"ci_high_{tag}"]
     rows = [[est.horizon, est.method, est.beta, est.se]
             + [bound for level in levels for bound in est.ci(level)] + tail(est)
@@ -272,56 +273,34 @@ def _blas_threads() -> dict:
     return {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
 
 
+def _checkpoint_header(fingerprint: str, records_text: str) -> dict:
+    return {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
+            "blas_threads": _blas_threads(),
+            "digest": hashlib.sha256(records_text.encode()).hexdigest()}
+
+
 def save_checkpoint(path: Path, fingerprint: str, records: list):
-    blob = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
-            "blas_threads": _blas_threads(), "records": records}
-    _write_atomic(path, lambda fh: json.dump(blob, fh))
+    """Write records to path as two lines: a JSON header (version, run
+    fingerprint, BLAS thread settings and the SHA-256 of the second line),
+    then the records as JSON."""
+    text = json.dumps(records)
+    header = json.dumps(_checkpoint_header(fingerprint, text))
+    _write_atomic(path, lambda fh: fh.write(f"{header}\n{text}\n"))
 
 
-def _is_ci(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-
-
-def _is_record(rep: int, record, run: MontecarloRun) -> bool:
-    """Whether record is replication rep of run: a dict whose rep is rep,
-    with an entry for every method and horizon that is ok with a [lo, hi]
-    pair of numbers per level, or that holds an error string."""
-    def is_cell(cell):
-        if not isinstance(cell, dict):
-            return False
-        if cell.get("ok") is False:
-            return isinstance(cell.get("error"), str)
-        cis = cell.get("cis")
-        return cell.get("ok") is True and isinstance(cis, dict) and all(
-            _is_ci(cis.get(str(level))) for level in run.levels)
-
-    if not isinstance(record, dict) or record.get("rep") != rep:
-        return False
-    cells = record.get("methods")
-    return isinstance(cells, dict) and all(
-        isinstance(cells.get(m), dict) and is_cell(cells[m].get(str(h)))
-        for m in run.methods for h in run.design.lp_spec.horizons)
-
-
-def load_checkpoint(path: Path, fingerprint: str, run: MontecarloRun) -> list | None:
-    """The records saved at path, or None if there is no JSON object there
-    (missing, unreadable, not UTF-8, not JSON), it is of another version,
-    run or BLAS setting, or its records are not replications 0..k-1 of run."""
+def load_checkpoint(path: Path, fingerprint: str) -> list | None:
+    """The records saved at path, or None if the file is missing, unreadable,
+    not UTF-8 or not JSON, or its header is not the one save_checkpoint
+    writes for these records under this version, run and BLAS setting: a
+    record edited after it was written changes the digest."""
     try:
         with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
+            header, text = json.loads(fh.readline()), fh.read().removesuffix("\n")
+        if header != _checkpoint_header(fingerprint, text):
+            return None
+        return json.loads(text)
     except (OSError, ValueError):
         return None
-    same = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
-            "blas_threads": _blas_threads()}
-    if not isinstance(blob, dict) or any(blob.get(k) != v for k, v in same.items()):
-        return None
-    records = blob.get("records")
-    if not isinstance(records, list) or not all(
-            _is_record(rep, record, run) for rep, record in enumerate(records)):
-        return None
-    return records
 
 
 def cmd_montecarlo(run: MontecarloRun) -> int:
@@ -330,7 +309,7 @@ def cmd_montecarlo(run: MontecarloRun) -> int:
     if run.checkpoint and ckpt_path.is_dir():
         raise ConfigError(f"montecarlo config.output: its checkpoint {ckpt_path} "
                           "must be a file path, not an existing directory")
-    records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint, run)) or []
+    records = (run.checkpoint and load_checkpoint(ckpt_path, fingerprint)) or []
     if records:
         print(
             f"montecarlo: resuming from checkpoint with {len(records)} "

@@ -8,7 +8,8 @@ loop, then estimate them one by one. Per-replication seeds derive from
 (base_seed, replication) counter pairs, a replication's bits do not depend
 on its block, and records are reduced in replication order, so a report is
 bit-identical whatever the workers, block widths or resume point. Records
-are plain JSON-friendly dicts, which is also the checkpoint format.
+are plain JSON-friendly dicts, written as they are as the records line of a
+CLI checkpoint.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -65,6 +66,13 @@ def short_run_records(run, n_reps):
     run_monte_carlo(run.design, run.methods, n_reps, run.levels, run.seed,
                     records=records)
     return records
+
+
+def rewrite_checkpoint_records(path, records):
+    """Replace the records line of the checkpoint at path, keeping its
+    header: an edit made after the file was written."""
+    header = path.read_text().splitlines()[0]
+    path.write_text(f"{header}\n{json.dumps(records)}\n")
 
 
 def estimate_cfg(tmp_path, sim_csv, **overrides):
@@ -279,6 +287,15 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == (
             f"estimation failed for 6 horizon(s); detail in {tmp_path / 'irf.csv.log'}\n")
 
+    def test_levels_alike_to_six_digits_get_distinct_columns(self, tmp_path, sim_csv):
+        cfg = estimate_cfg(tmp_path, sim_csv, levels=[0.95, 0.9500001])
+        assert main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 0
+        with open(tmp_path / "irf.csv") as fh:
+            header = next(csv.reader(fh))
+        assert len(set(header)) == len(header)
+        assert header[4:8] == ["ci_low_0.95", "ci_high_0.95", "ci_low_0.9500001",
+                               "ci_high_0.9500001"]
+
     def test_out_override(self, tmp_path, sim_csv):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", estimate_cfg(tmp_path, sim_csv))
         other = tmp_path / "elsewhere.csv"
@@ -424,18 +441,26 @@ class TestMontecarloCommand:
         ckpt = _checkpoint_path(tmp_path / "mc.csv")
         run = build_montecarlo_run(load_yaml(cfg_path))
         fingerprint = _config_fingerprint(run)
-        records = short_run_records(run, 2)
+        text = json.dumps(short_run_records(run, 2))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+
+        def write(version, fp):  # a correct digest: only version or fp can reject
+            header = {"version": version, "fingerprint": fp,
+                      "blas_threads": _blas_threads(), "digest": digest}
+            ckpt.write_text(f"{json.dumps(header)}\n{text}\n")
+
+        write(CHECKPOINT_VERSION, fingerprint)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming from checkpoint with 2 replications" in capsys.readouterr().err
         # a wrong fingerprint, or records of the version-1 simulator, the
         # version-3 per-path greedy kernel, the version-4 per-horizon tail,
-        # the version-5 no-selection residuals off the full range basis or
-        # the version-6 ones off the range basis of a tall design
+        # the version-5 no-selection residuals off the full range basis, the
+        # version-6 ones off the range basis of a tall design or the
+        # version-7 one-line file whose records were checked by shape
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
                             (3, fingerprint), (4, fingerprint), (5, fingerprint),
-                            (6, fingerprint)):
-            ckpt.write_text(json.dumps(
-                {"version": version, "fingerprint": fp,
-                 "blas_threads": _blas_threads(), "records": records}
-            ))
+                            (6, fingerprint), (7, fingerprint)):
+            write(version, fp)
             assert main(["montecarlo", "--config", cfg_path]) == 0
             assert "resuming" not in capsys.readouterr().err
             with open(tmp_path / "mc.csv") as fh:
@@ -458,10 +483,12 @@ class TestMontecarloCommand:
         "interval not a pair", "interval of strings", "error not a string",
     ])
     def test_malformed_records_restart_the_run(self, tmp_path, capsys, how):
-        # records run_monte_carlo cannot continue are no checkpoint at all
+        # real records rewritten after they were saved no longer match the digest
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         run = build_montecarlo_run(load_yaml(cfg_path))
         records = short_run_records(run, 3)
+        ckpt = _checkpoint_path(run.out_path)
+        save_checkpoint(ckpt, _config_fingerprint(run), records)
         cell = records[0]["methods"]["double_oga"]["1"]
         if how == "records not a list":
             records = 5
@@ -485,12 +512,26 @@ class TestMontecarloCommand:
             cell["cis"]["0.95"] = ["0.1", "0.2"]
         else:
             records[0]["methods"]["double_oga"]["1"] = {"ok": False, "error": 5}
-        save_checkpoint(_checkpoint_path(run.out_path), _config_fingerprint(run),
-                        records)
+        rewrite_checkpoint_records(ckpt, records)
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert "resuming" not in capsys.readouterr().err
         with open(tmp_path / "mc.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 10
+
+    def test_an_edited_interval_is_not_resumed(self, tmp_path, capsys):
+        # well-formed records with one number changed: only the digest tells
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        clean = (tmp_path / "mc.csv").read_bytes()
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        records = short_run_records(run, 4)
+        ckpt = _checkpoint_path(run.out_path)
+        save_checkpoint(ckpt, _config_fingerprint(run), records)
+        records[0]["methods"]["double_oga"]["1"]["cis"]["0.95"] = [-1e9, 1e9]
+        rewrite_checkpoint_records(ckpt, records)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming" not in capsys.readouterr().err
+        assert (tmp_path / "mc.csv").read_bytes() == clean
 
     def test_changed_blas_threads_restart_the_run(self, tmp_path, capsys, monkeypatch):
         # records hash differently under 1 and 2 BLAS threads, so a checkpoint
@@ -1030,6 +1071,25 @@ class TestOverrideFlags:
             tables.append((tmp_path / "var.csv").read_bytes())
         assert main(["simulate", "--config", cfg_path]) == 0  # the file says 3
         assert (tmp_path / "var.csv").read_bytes() == tables[0] != tables[1]
+
+
+@pytest.mark.parametrize("command", ["estimate", "lpdid"])
+def test_failure_log_goes_into_a_new_output_directory(tmp_path, capsys, sim_csv,
+                                                      panel_csv, command):
+    # the log is written like a table, so the directories it needs are made
+    out = tmp_path / "newdir" / "sub" / "out.csv"
+    cfg = (estimate_cfg(tmp_path, sim_csv, output=str(out), horizons=[1, 200])
+           if command == "estimate" else
+           {"data": panel_csv, "output": str(out), "horizons": [1, 200]})
+    assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", cfg)]) == 4
+    log = Path(f"{out}.log")
+    labels = ["double_oga ", "conventional_lp "] if command == "estimate" else [""]
+    assert capsys.readouterr().err == (
+        f"estimation failed for {len(labels)} horizon(s); detail in {log}\n")
+    lines = log.read_text().splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        f"{label}horizon 200" for label in labels]
+    assert not out.exists()
 
 
 class TestOutputIsADirectory:
