@@ -14,7 +14,9 @@ Runs, with one BLAS thread, into a temporary directory (or DIR with --keep):
     12-replication run (the checkpoint's records line) and the checkpoint
     file that save_checkpoint writes for them;
   - lpdid on a generated 250-unit panel (perfbench/inputs.py), with both
-    methods, both variances, and time effects on and off.
+    methods, both variances, and time effects on and off;
+  - tuning.json: the tuned c_star and chosen set of every column of a few
+    hundred seeded random selection problems (tunings).
 and prints one "sha256 name" line per output file. Run it in two checkouts
 and diff what they print: a change that keeps every output bit prints the
 same lines.
@@ -44,6 +46,7 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,10 +55,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from hdlp.cli import _config_fingerprint, main, save_checkpoint  # noqa: E402
 from hdlp.config import build_montecarlo_run  # noqa: E402
 from hdlp.montecarlo import run_monte_carlo  # noqa: E402
+from hdlp.selection import OgaConfig, oga_hdaic_select  # noqa: E402
 from perfbench.inputs import PANEL_COVARIATES, write_panel  # noqa: E402
 
 PANEL_SEED, PANEL_UNITS = 0, 250
 SPIKE_ROWS = 5  # the rank-losing control is nonzero on this many rows
+TUNING_SEED, TUNINGS = 0, 300
 
 
 def bundled(name: str, **overrides) -> dict:
@@ -86,6 +91,48 @@ def with_spike(data: Path, out: Path):
     rows[0].append("spike")
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def tunings(path: Path, count: int = TUNINGS, seed: int = TUNING_SEED):
+    """Write to path, as JSON, the tuned c_star and chosen set (or the error
+    name) of every column of count seeded random problems: 12-80 rows and
+    2-8 candidate columns, white noise or persistent random walks, with and
+    without intercept, one to four columns of y, each on its own leading
+    rows, 2-7 c_star candidates and a held-out share of 0.1-0.3. A third of
+    the problems add a duplicated column, and a third a column nearly
+    spanned by another (its part outside it about 1e-6 of its norm) that y
+    loads on, so a training path picks it: the smallest pivot tuning meets.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n, p, k = (int(rng.integers(lo, hi)) for lo, hi in ((12, 81), (2, 9), (1, 5)))
+        intercept = bool(rng.random() < 0.5)
+        W = rng.standard_normal((n, p)) + intercept * rng.uniform(-1, 1, p)
+        if rng.random() < 0.3:
+            W = np.cumsum(W, axis=0) / np.sqrt(n)
+        Y = W @ (rng.standard_normal((p, k)) * (rng.random((p, 1)) < 0.6))
+        Y += rng.standard_normal((n, k))
+        extra, j = rng.integers(3), int(rng.integers(p))
+        if extra == 1:
+            W = np.column_stack([W, W[:, j]])
+        elif extra == 2:
+            a, e = W[:, j], rng.standard_normal(n)
+            e -= a * (a @ e) / (a @ a)
+            e *= np.linalg.norm(a) / np.linalg.norm(e)
+            W = np.column_stack([W, a + 1e-6 * e])
+            Y += np.outer(e, rng.uniform(0.5, 2.0, k)) / np.sqrt(n)
+        rows = rng.integers(max(3, n // 2), n + 1, size=k)
+        candidates = tuple(sorted({round(float(c), 2) for c in
+                                   rng.uniform(0.1, 12.0, int(rng.integers(2, 8)))}))
+        config = OgaConfig(c_star=candidates,
+                           eval_fraction=float(rng.choice([0.1, 0.2, 0.3])))
+        out.append([
+            type(path).__name__ if isinstance(path, Exception)
+            else [path.c_star_used, list(path.chosen_set)]
+            for path in oga_hdaic_select(W, Y, config, intercept, rows)
+        ])
+    path.write_text(json.dumps(out))
 
 
 def outputs(tmp: Path):
@@ -123,6 +170,8 @@ def outputs(tmp: Path):
     (tmp / "montecarlo_records.json").write_text(json.dumps(records))
     save_checkpoint(tmp / "montecarlo_checkpoint.ckpt", _config_fingerprint(mc_run),
                     records)
+
+    tunings(tmp / "tuning.json")
 
     panel = tmp / "panel.csv"
     write_panel(panel, PANEL_SEED, PANEL_UNITS)

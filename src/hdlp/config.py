@@ -103,10 +103,12 @@ def as_path(value, where):
 
 
 def as_output(value, where):
-    """A path as_path accepts that does not name an existing directory."""
+    """A path as_path accepts that names no directory and lies below no file."""
     path = as_path(value, where)
     if path.is_dir():
         _fail(where, "a file path, not an existing directory", value)
+    if any(up.exists() and not up.is_dir() for up in path.parents):
+        _fail(where, "a path whose existing parents are directories", value)
     return path
 
 

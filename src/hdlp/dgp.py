@@ -167,9 +167,9 @@ def build_section3_coefficients(design: Section3Design) -> VarDgpSpec:
     Repo rule (the published description leaves the exact entries open):
     row 1 is the AR(1) block; in row j >= 2 of lag matrix ell, every even
     1-based column holds (-1)**(ell+1) * a_{j-1}**ell / ell and odd columns
-    are zero. If the companion radius reaches 1, rows 2..n are scaled by
-    0.95**k with the smallest k in 1..20 restoring stationarity (the AR(1)
-    row keeps its designed persistence).
+    are zero. Rows 2..n are scaled by 0.95**k with the smallest k in 0..20
+    that puts the companion radius below 1 (the AR(1) row keeps its designed
+    persistence).
     """
     n, K = design.n, design.lags_dgp
     a = np.asarray(design.a)
@@ -185,17 +185,15 @@ def build_section3_coefficients(design: Section3Design) -> VarDgpSpec:
             B.append(b)
         return B
 
-    B = matrices(1.0)
-    if spectral_radius(companion_matrix(B)) >= 1.0:
-        for k in range(1, MAX_DAMPING_ROUNDS + 1):
-            B = matrices(DAMPING_BASE**k)
-            if spectral_radius(companion_matrix(B)) < 1.0:
-                break
-        else:
-            raise NonStationaryAfterDamping(
-                f"no stationary coefficient set within {MAX_DAMPING_ROUNDS} "
-                "damping rounds"
-            )
+    for k in range(MAX_DAMPING_ROUNDS + 1):  # round 0: the design as written
+        B = matrices(DAMPING_BASE**k)
+        if spectral_radius(companion_matrix(B)) < 1.0:
+            break
+    else:
+        raise NonStationaryAfterDamping(
+            f"no stationary coefficient set within {MAX_DAMPING_ROUNDS} "
+            "damping rounds"
+        )
     return VarDgpSpec(
         B=tuple(B),
         sigma=toeplitz_power_sigma(n, design.tau),

@@ -130,18 +130,17 @@ def orthogonalize(B, V) -> np.ndarray:
     return V
 
 
-def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray, going=None) -> np.ndarray:
+def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Grow each basis B[i] (its first m[i] rows; the rest are zero) by the
     unit residual of the series V[i] against it, in place, and advance m;
     return the indices of the bases that grew. V[i] is spanned, and B[i]
     left alone, when its residual norm is at most SPAN_RTOL times its own
-    norm (a zero series always is); with going, only marked bases grow.
+    norm, so a zero series holds its basis still.
     """
     norms = np.linalg.norm(V, axis=1)
     orthogonalize(B[:, : m.max(initial=0)], V[:, None, :])
     resid = np.linalg.norm(V, axis=1)
-    grow = resid > SPAN_RTOL * norms
-    new = np.flatnonzero(grow if going is None else going & grow)
+    new = np.flatnonzero(resid > SPAN_RTOL * norms)
     B[new, m[new]] = V[new] / resid[new, None]
     m[new] += 1
     return new

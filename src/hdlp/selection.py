@@ -19,9 +19,9 @@ its own leading rows of one shared design (rows), and the result is one
 entry per column, the path's result or the error that path alone would
 raise; one series is the batch y[:, None]. The paths advance in lockstep
 with one matrix product per step, so many short paths cost little more than
-one. Tuning and cutting run in the same style: the holdout systems of all
-training paths are stacked and solved in one call per path length, every
-holdout error curve comes from one sum of squares, and the criterion curves
+one. Tuning and cutting run in the same style: the holdout bases of all
+training paths are stacked and filled in one forward sweep, every holdout
+error curve comes from one sum of squares, and the criterion curves
 of every path and candidate are one array expression that repeats the
 scalar criterion's arithmetic exactly. A path that fails gets its error in
 its slot and leaves the others alone.
@@ -195,9 +195,9 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         j = np.argmax(gain >= best - tie, axis=1)
         # each pick joins its path's basis unless that basis spans it
         v = WT[j]
-        v *= inside
+        v *= inside & going[:, None]  # a stopped path's pick is zero: no growth
         alive[going, j[going]] = False  # picked, or spanned and never picked
-        new = extend(Q, m, v, going)
+        new = extend(Q, m, v)
         if not new.size:
             continue
         q = Q[new, m[new] - 1]
@@ -280,10 +280,9 @@ def oga_hdaic_select(
     Selects against each column of y on that column's rows, as oga_order
     runs them, and returns one SelectionPath per column, or the error that
     column's selection alone would raise (InsufficientSample for one row,
-    AllColumnsDegenerate, or from tuning InsufficientSample or a
-    LinAlgError). With a tuned c_star the training-row paths of every column
-    join the same lockstep run, and every column is tuned and cut in one
-    pass over arrays.
+    AllColumnsDegenerate, or from tuning InsufficientSample). With a tuned
+    c_star the training-row paths of every column join the same lockstep
+    run, and every column is tuned and cut in one pass over arrays.
     """
     W, Y, rows = _as_paths(W, y, rows)
     p, k = W.shape[1], Y.shape[1]
@@ -332,13 +331,16 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     for one training row) stays in its slot.
 
     On the n training rows X = [1, W[:, order]] (the 1 only with an
-    intercept) is Q R, R square. The holdout rows of that basis solve
-    X_te = Q_te R, and the fit at cut m projects on the intercept column of
-    Q plus its first m picks, so its holdout prediction is a running sum
-    over the columns of Q_te weighted by Q'y. Every path is stacked into
-    arrays padded to the longest path and the longest holdout: the systems
-    R'Z = X_te' are solved in one call per path length, and every holdout
-    error curve comes from one sum of squares with the padded rows masked.
+    intercept) is Q R, Q its Gram-Schmidt basis, so R = Q'X is upper
+    triangular. The holdout rows of that basis solve X_te = Q_te R, and the
+    fit at cut m projects on the intercept column of Q plus its first m
+    picks, so its holdout prediction is a running sum over the columns of
+    Q_te weighted by Q'y. Every path is stacked into arrays padded to the
+    longest path and the longest holdout; one forward sweep fills Q_te a
+    column at a time. Pivot R[j, j] is pick j's residual norm, which
+    oga_order admits only above SPAN_RTOL of its norm (the intercept's is
+    sqrt(n)); a padded column divides by 1 and adds zeros, as its Q'y is 0.
+    One sum of squares, padded rows masked, gives every holdout error curve.
     """
     out = [
         InsufficientSample(f"tuning c_star needs at least 3 rows, got {T}")
@@ -349,12 +351,11 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     if not live:
         return out
     ic = int(intercept)
-    live.sort(key=lambda i: len(out[i][0]))  # equal lengths side by side
     orders, sigma_sq, bases = zip(*(out[i] for i in live))
     size = ic + np.array([len(order) for order in orders])
     n = np.array([train[i] for i in live])
     held = np.array([rows[i] for i in live]) - n
-    L, D, H = len(live), int(size[-1]), int(held.max())
+    L, D, H = len(live), int(size.max()), int(held.max())
 
     picks = np.zeros((L, D), dtype=np.intp)
     Q = np.zeros((L, W.shape[0], D))  # each basis zero below its training rows
@@ -370,21 +371,12 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     y = Y[:, live].T
     y_te = np.take_along_axis(y, te, axis=1)
 
+    R = Q.transpose(0, 2, 1) @ X
+    pivot = np.where(np.arange(D) < size[:, None], np.diagonal(R, 0, 1, 2), 1.0)
     Q_te = np.zeros((L, H, D))
-    sizes, starts = np.unique(size, return_index=True)
-    for d, a, b in zip(sizes, starts, np.r_[starts[1:], L]):
-        R = Q[a:b, :, :d].transpose(0, 2, 1) @ X[a:b, :, :d]
-        B = X_te[a:b, :, :d].transpose(0, 2, 1)
-        try:
-            Z = np.linalg.solve(R.transpose(0, 2, 1), B)
-        except np.linalg.LinAlgError:
-            Z = np.zeros_like(B)
-            for g in range(b - a):
-                try:
-                    Z[g] = np.linalg.solve(R[g].T, B[g])
-                except np.linalg.LinAlgError as exc:
-                    out[live[a + g]] = exc
-        Q_te[a:b, :, :d] = Z.transpose(0, 2, 1)
+    for j in range(D):
+        fit = Q_te[:, :, :j] @ R[:, :j, j, None]
+        Q_te[:, :, j] = (X_te[:, :, j] - fit[:, :, 0]) / pivot[:, j, None]
     coef = (y[:, None, :] @ Q)[:, 0]  # Q'y over the training rows
     err = y_te[:, :, None] - np.cumsum(Q_te * coef[:, None, :], axis=2)[:, :, ic:]
     err *= kept[:, :, None]
@@ -396,7 +388,6 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     cuts = np.argmin(curves, axis=2)
     best = np.argmin(np.take_along_axis(mspe, cuts, axis=1), axis=1)
     for a, i in enumerate(live):
-        if not isinstance(out[i], Exception):
-            out[i] = float(by_size[best[a]])
+        out[i] = float(by_size[best[a]])
     return out
 

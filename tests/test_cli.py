@@ -15,12 +15,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdlp.cli
 import hdlp.lp
 from hdlp.cli import (
     CHECKPOINT_VERSION,
     _blas_threads,
     _checkpoint_path,
     _config_fingerprint,
+    _write_atomic,
+    load_checkpoint,
     main,
     read_long_csv,
     read_wide_csv,
@@ -389,6 +392,37 @@ class TestMontecarloCommand:
         )
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert (tmp_path / "mc.csv").read_bytes() == clean
+
+    def test_an_interrupted_run_resumes_from_its_periodic_checkpoint(
+            self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        clean = (tmp_path / "mc.csv").read_bytes()
+        (tmp_path / "mc.csv").unlink()
+
+        def stop_after_five(*args, progress, **kwargs):
+            def counted(done, total):
+                progress(done, total)
+                if done == 5:
+                    raise KeyboardInterrupt
+            return run_monte_carlo(*args, progress=counted, **kwargs)
+
+        monkeypatch.setattr(hdlp.cli, "CHECKPOINT_EVERY", 2)
+        monkeypatch.setattr(hdlp.cli, "run_monte_carlo", stop_after_five)
+        with pytest.raises(KeyboardInterrupt):
+            main(["montecarlo", "--config", cfg_path])
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        ckpt = _checkpoint_path(run.out_path)
+        saved = load_checkpoint(ckpt, _config_fingerprint(run))
+        assert saved == short_run_records(run, 4)
+        assert not (tmp_path / "mc.csv").exists()
+
+        monkeypatch.setattr(hdlp.cli, "run_monte_carlo", run_monte_carlo)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming from checkpoint with 4 replications" in capsys.readouterr().err
+        assert (tmp_path / "mc.csv").read_bytes() == clean
+        assert not ckpt.exists()
 
     def test_fingerprint_covers_every_field_that_changes_the_report(self, tmp_path):
         run = build_montecarlo_run(load_yaml(
@@ -1092,9 +1126,24 @@ def test_failure_log_goes_into_a_new_output_directory(tmp_path, capsys, sim_csv,
     assert not out.exists()
 
 
+def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "irf.csv"
+    target.write_bytes(b"old,table\r\n")
+
+    def broken(fh):
+        fh.write("half a table")
+        raise RuntimeError("the writer failed")
+
+    with pytest.raises(RuntimeError, match="the writer failed"):
+        _write_atomic(target, broken)
+    assert target.read_bytes() == b"old,table\r\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 class TestOutputIsADirectory:
-    """An output path that names an existing directory is a config error
-    naming its key (exit 2), raised before any file is written."""
+    """An output path that names an existing directory, or lies below an
+    existing file, is a config error naming its key (exit 2), raised before
+    any file is written."""
 
     @pytest.mark.parametrize("command, key, flag", [
         ("estimate", "output", False), ("estimate", "output", True),
@@ -1122,6 +1171,23 @@ class TestOutputIsADirectory:
         assert f" config.{key} must be a file path, not an existing directory" in (
             capsys.readouterr().err)
         assert set(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, key", [
+        ("estimate", "output"), ("simulate", "output"),
+        ("simulate", "true_irf_output"),
+    ])
+    def test_a_path_below_a_file_is_config_error(self, tmp_path, capsys, sim_csv,
+                                                command, key):
+        cfg = {"estimate": estimate_cfg(tmp_path, sim_csv),
+               "simulate": var_simulate_cfg(tmp_path)}[command]
+        (tmp_path / "afile").write_text("a file\n")
+        cfg[key] = str(tmp_path / "afile" / "irf.csv")
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        assert main([command, "--config", cfg_path]) == 2
+        assert (f" config.{key} must be a path whose existing parents are "
+                "directories") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
 
     def test_derived_sidecar_path(self, tmp_path, capsys):
         (tmp_path / "var_true_irf.csv").mkdir()  # where output var.csv puts it

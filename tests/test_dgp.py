@@ -18,8 +18,20 @@ from hdlp.dgp import (
     toeplitz_power_sigma,
     true_reduced_form_irf,
 )
-from hdlp.errors import NonStationarySpec
+from hdlp.errors import NonStationaryAfterDamping, NonStationarySpec
 from reference import simulate_var_per_lag, simulate_var_stacked
+
+
+def section3_matrices(design, damp):
+    """The design's lag matrices, rows 2..n scaled by damp, as the repo rule
+    in build_section3_coefficients writes them."""
+    a, B = np.asarray(design.a), []
+    for ell in range(1, design.lags_dgp + 1):
+        b = np.zeros((design.n, design.n))
+        b[0, 0] = design.rho if ell == 1 else 0.0
+        b[1:, 1::2] = ((-1.0) ** (ell + 1) * a**ell / ell * damp)[:, None]
+        B.append(b)
+    return B
 
 
 def random_stable_var(rng, n, K, scale=0.4):
@@ -65,6 +77,22 @@ class TestSection3Coefficients:
     def test_dense_design_damped_to_stationarity(self):
         spec = build_section3_coefficients(Section3Design.dense(0.5))
         assert spectral_radius(spec.companion) < 1.0
+
+    @pytest.mark.parametrize("make, rounds", [(Section3Design.sparse, 0),
+                                              (Section3Design.dense, 14)])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+    def test_damping_stops_at_the_first_stationary_round(self, make, rounds, rho):
+        design = make(rho)
+        spec = build_section3_coefficients(design)
+        for got, want in zip(spec.B, section3_matrices(design, 0.95**rounds)):
+            assert np.array_equal(got, want)
+        if rounds:
+            before = section3_matrices(design, 0.95 ** (rounds - 1))
+            assert spectral_radius(companion_matrix(before)) >= 1.0
+
+    def test_loadings_beyond_damping_raise(self):
+        with pytest.raises(NonStationaryAfterDamping):
+            build_section3_coefficients(Section3Design(a=(5.0,) * 9))
 
     def test_loading_vector_endpoints(self):
         a = alternating_decay_vector(0.4, 0.05, 9)

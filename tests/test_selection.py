@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -632,29 +633,39 @@ class TestBatchedTuning:
             if not isinstance(selected[i], AllColumnsDegenerate):
                 assert selected[i].c_star_used == want
 
-    def test_a_singular_holdout_system_fails_only_its_column(self, monkeypatch):
-        rng = np.random.default_rng(21)
-        W = rng.standard_normal((60, 8))
-        Y = W[:, :3] @ rng.standard_normal((3, 4)) + rng.standard_normal((60, 4))
-        candidates = (0.5, 2.0, 8.0)
-        want = select_c_star(W, Y, candidates)
-        solve, one_path_calls = np.linalg.solve, []
-
-        def second_system_singular(a, b):
-            if np.ndim(a) == 3:
-                raise np.linalg.LinAlgError("Singular matrix")
-            one_path_calls.append(1)
-            if len(one_path_calls) == 2:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", second_system_singular)
-        got = select_c_star(W, Y, candidates)
-        failed = [i for i, c in enumerate(got) if isinstance(c, np.linalg.LinAlgError)]
-        assert len(failed) == 1 and len(one_path_calls) == 4
-        assert [c for i, c in enumerate(got) if i not in failed] == [
-            c for i, c in enumerate(want) if i not in failed
-        ]
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_a_nearly_spanned_pick_tunes_like_the_one_path_oracle(self, intercept):
+        # column 6 is column 0 plus 1e-6 of a direction e that y loads on
+        # heavily, so every training path picks both, the later one with a
+        # pivot about 1e-6 of its norm, and the holdout error of every cut
+        # past it hangs on dividing by that pivot
+        rng = np.random.default_rng(24)
+        n = 60
+        W = rng.standard_normal((n, 6)) + intercept
+        a, e = W[:, 0], rng.standard_normal(n)
+        e -= a * (a @ e) / (a @ a)
+        e *= np.linalg.norm(a) / np.linalg.norm(e)
+        W = np.column_stack([W, a + 1e-6 * e])
+        Y = W[:, :3] @ rng.standard_normal((3, 3)) + rng.standard_normal((n, 3))
+        Y += np.outer(e, [5.0, 8.0, 6.0]) / np.sqrt(n)
+        candidates = (0.2, 1.0, 4.0, 16.0, 64.0)
+        cfg = OgaConfig(c_star=candidates)
+        n_train = int(0.8 * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = select_c_star(W, Y, candidates, cfg, intercept)
+            selected = oga_hdaic_select(W, Y, cfg, intercept)
+        for i in range(Y.shape[1]):
+            path = oga_order_one_path(W[:n_train], Y[:n_train, i],
+                                      max_steps(n_train, W.shape[1], cfg), intercept)
+            order, _, Q = path
+            later = max(order.index(0), order.index(6))  # the nearly spanned pick
+            x = W[:n_train, order[later]]
+            pivot = Q[:, int(intercept) + later] @ x
+            assert 1e-7 < abs(pivot) / np.linalg.norm(x) < 1e-5
+            want = holdout_c_star_one_path(W, Y[:, i], n_train, path, candidates,
+                                           intercept)
+            assert got[i] == want == selected[i].c_star_used
 
     def test_a_single_training_row_is_insufficient_sample(self):
         rng = np.random.default_rng(22)
