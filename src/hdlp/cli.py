@@ -205,9 +205,12 @@ def _write_estimates(out_path: Path, results: dict, levels, tail_header, tail) -
 
 
 def cmd_estimate(run: EstimateRun) -> int:
-    data = read_wide_csv(run.data_path)
+    data, spec = read_wide_csv(run.data_path), run.lp_spec
+    for name in (spec.response, spec.shock, *spec.contemporaneous, *spec.lagged):
+        if name not in data.columns:  # checked before any horizon is estimated
+            raise DataError(f"{run.data_path}: missing column {name!r}")
     return _write_estimates(
-        run.out_path, _irfs(data, run.lp_spec, run.oga, run.hac, run.methods),
+        run.out_path, _irfs(data, spec, run.oga, run.hac, run.methods),
         run.levels,
         ["n_selected_y", "n_selected_x", "n_union", "bandwidth", "c_star_y",
          "c_star_x", "effective_T"],

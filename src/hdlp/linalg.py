@@ -135,14 +135,20 @@ def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray) -> np.ndarray:
     unit residual of the series V[i] against it, in place, and advance m;
     return the indices of the bases that grew. V[i] is spanned, and B[i]
     left alone, when its residual norm is at most SPAN_RTOL times its own
-    norm, so a zero series holds its basis still.
+    norm, so a zero series holds its basis still. V comes back holding each
+    basis's new row, zero where none grew; row m[i] of every basis is
+    written, so each needs a free row.
     """
-    norms = np.linalg.norm(V, axis=1)
+    norms = np.sqrt(np.add.reduce(V * V, axis=1))
     orthogonalize(B[:, : m.max(initial=0)], V[:, None, :])
-    resid = np.linalg.norm(V, axis=1)
-    new = np.flatnonzero(resid > SPAN_RTOL * norms)
-    B[new, m[new]] = V[new] / resid[new, None]
-    m[new] += 1
+    resid = np.sqrt(np.add.reduce(V * V, axis=1))
+    grown = resid > SPAN_RTOL * norms
+    new = np.flatnonzero(grown)
+    V /= np.where(grown, resid, 1.0)[:, None]
+    if new.size < len(m):
+        np.copyto(V, 0.0, where=~grown[:, None])
+    B[np.arange(len(m)), m] = V
+    m += grown
     return new
 
 
@@ -185,6 +191,7 @@ def prefix_residuals(C, intercept: bool, V: np.ndarray, rows, failed) -> np.ndar
             L_inv = linalg.solve_triangular(L[:d, :d], np.eye(d), lower=True,
                                             check_finite=False)
             G, sq = L_inv @ D[:d], np.einsum("ij,ij->i", L_inv, L_inv)
+            del D  # a tall design's D is as large as G: keep one of them
             G = G[: np.count_nonzero(np.cumsum(sq) * PREFIX_EIG_TOL <= 1.0)]
             j = i + sum(1 for n in rows[i:] if n >= N - G.shape[0])
             served = np.repeat(rows[i:j], c)

@@ -39,8 +39,8 @@ class McDesign:
     """Everything one replication needs: the process, its length, the estimator.
 
     The truth is the response of series lp_spec.response to the innovation
-    of series lp_spec.shock; both must be series of dgp (y1 .. yn). Their
-    positions are read off the names, not passed, and frozen with them.
+    of series lp_spec.shock; every series lp_spec names must be one of dgp's
+    (y1 .. yn). Positions are read off the names, not passed, and frozen.
     """
 
     dgp: VarDgpSpec
@@ -53,12 +53,12 @@ class McDesign:
     innovation_index: int = field(init=False)
 
     def __post_init__(self):
-        names = self.dgp.names
-        for name in (self.lp_spec.response, self.lp_spec.shock):
+        names, spec = self.dgp.names, self.lp_spec
+        for name in (spec.response, spec.shock, *spec.contemporaneous, *spec.lagged):
             if name not in names:
                 raise ValueError(f"{name!r} is not a series of the VAR: {names}")
-        object.__setattr__(self, "response_index", names.index(self.lp_spec.response))
-        object.__setattr__(self, "innovation_index", names.index(self.lp_spec.shock))
+        object.__setattr__(self, "response_index", names.index(spec.response))
+        object.__setattr__(self, "innovation_index", names.index(spec.shock))
 
 
 def section3_mc_design(

@@ -157,7 +157,10 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
     step forms anyway for the candidates' norms (r_i loses its component
     along the new basis column q, so W'r_i loses W'q times q'r_i); they
     equal W_i'r_i up to rounding. The bases share one preallocated array.
-    A path whose pick turns out spanned retries without advancing.
+    A path whose pick turns out spanned retries without advancing. Every
+    step updates all k paths in place with whole-array operations: a path
+    that did not grow (a spanned pick, or a stopped path) contributes the
+    update q = 0, which leaves its state unchanged bit for bit.
     """
     W, Y, rows = _as_paths(W, y, rows)
     n, p = W.shape
@@ -169,58 +172,57 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
     inside = np.arange(n) < T[:, None]  # k x n: the rows each path uses
 
     floor, proj_sq = _candidate_norms(W, rows, intercept)
-    # path i's basis is Q[i, :m[i]], zero below its rows like its residual
-    Q = np.zeros((k, int(intercept) + int(steps.max(initial=0)), n))
+    # path i's basis is Q[i, :m[i]], zero below its rows like its residual,
+    # and its picks and residual variances fill its first m[i] - ic slots;
+    # a spare row and slot take what a step writes on a path that did not grow
+    ic, size = int(intercept), int(steps.max(initial=0)) + 1
+    Q = np.zeros((k, ic + size, n))
+    picks, sigma_sq = np.zeros((k, size), dtype=np.intp), np.zeros((k, size))
     R = np.where(inside, Y.T, 0.0)
     if intercept:
         Q[:, 0] = inside / np.sqrt(T)[:, None]
         R -= inside * (R.sum(axis=1) / T)[:, None]
-    m = np.full(k, int(intercept))
+    m = np.full(k, ic)
     tie = TIE_RTOL * np.einsum("kn,kn->k", R, R)[:, None]
 
     S = R @ W  # W'r_i per path, downdated as the residuals move
-    WT = np.ascontiguousarray(W.T)  # candidates as rows, for gathering picks
-    orders: list[list[int]] = [[] for _ in range(k)]
-    sigma_sq: list[list[float]] = [[] for _ in range(k)]
-    alive = proj_sq > floor
+    dead = ~(proj_sq > floor)  # picked, or spanned and never picked
+    gain, den = np.empty((2, k, p))
+    every = np.arange(k)
     while True:
-        going = (m - int(intercept) < steps) & alive.any(axis=1)
+        going = (m - ic < steps) & ~dead.all(axis=1)
         if not going.any():
             break
         # RSS drop of candidate j on path i is (W'r_i)_j^2 / proj_sq_ij
-        gain = S * S
-        gain /= np.maximum(proj_sq, 1e-300)
-        gain[~alive] = -np.inf
+        np.multiply(S, S, out=gain)
+        gain /= np.maximum(proj_sq, 1e-300, out=den)
+        gain[dead] = -np.inf
         best = gain.max(axis=1, keepdims=True)
-        j = np.argmax(gain >= best - tie, axis=1)
-        # each pick joins its path's basis unless that basis spans it
-        v = WT[j]
-        v *= inside & going[:, None]  # a stopped path's pick is zero: no growth
-        alive[going, j[going]] = False  # picked, or spanned and never picked
-        new = extend(Q, m, v)
-        if not new.size:
-            continue
-        q = Q[new, m[new] - 1]
-        r = R[new]
-        qr = np.einsum("kn,kn->k", q, r)[:, None]
-        r -= q * qr
-        R[new] = r
+        best -= tie
+        j = np.argmax(gain >= best, axis=1)
+        # each pick joins its path's basis unless that basis spans it; a
+        # stopped path's pick is zero, and it never goes again
+        q = W.T[j]
+        q *= inside & going[:, None]
+        dead[every, j] = True
+        slot = m - ic
+        picks[every, slot] = j
+        extend(Q, m, q)  # q: each path's new basis row, zero where none grew
+        qr = np.einsum("kn,kn->k", q, R)[:, None]
+        R -= q * qr
         c = q @ W  # W'q: downdates both W'r and the candidates' norms
-        S[new] -= c * qr
+        S -= c * qr
         c *= c
-        proj = proj_sq[new]
-        proj -= c
-        proj_sq[new] = np.maximum(proj, 0.0, out=proj)
-        alive[new] &= proj > floor[new]
-        rss = np.einsum("kn,kn->k", r, r)
-        for i, pick, s in zip(new, j[new], rss / T[new]):
-            orders[i].append(int(pick))
-            sigma_sq[i].append(float(s))
+        proj_sq -= c
+        np.maximum(proj_sq, 0.0, out=proj_sq)
+        dead |= ~(proj_sq > floor)
+        sigma_sq[every, slot] = np.einsum("kn,kn->k", R, R) / T
 
     return [
         AllColumnsDegenerate("no admissible column at the first step")
-        if steps[i] and not orders[i]
-        else (orders[i], sigma_sq[i], Q[i, : m[i], : rows[i]].T)
+        if steps[i] and m[i] == ic
+        else (picks[i, : m[i] - ic].tolist(), sigma_sq[i, : m[i] - ic].tolist(),
+              Q[i, : m[i], : rows[i]].T)
         for i in range(k)
     ]
 

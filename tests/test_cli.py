@@ -180,6 +180,21 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err == f"data error: {data}: column names must be unique; 'y' repeats\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("response", "nosuch"), ("shock", "nosuch"),
+        ("contemporaneous", ["nosuch"]), ("lagged", ["y", "x", "nosuch"]),
+    ])
+    def test_series_missing_from_the_csv_is_data_error(self, tmp_path, capsys,
+                                                        sim_csv, key, value):
+        # refused before any horizon is estimated: no table and no failure log
+        cfg_path = write_yaml(tmp_path / "cfg.yaml",
+                              estimate_cfg(tmp_path, sim_csv, **{key: value}))
+        assert main(["estimate", "--config", cfg_path]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {sim_csv}: missing column 'nosuch'\n")
+        assert not (tmp_path / "irf.csv").exists()
+        assert not (tmp_path / "irf.csv.log").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path, sim_csv):
         cfg = estimate_cfg(tmp_path, sim_csv)
         cfg["unexpected_key"] = 1
@@ -250,13 +265,6 @@ class TestEstimateCommand:
         assert [(r["method"], r["horizon"]) for r in rows] == [
             (method, str(h)) for method in ("double_oga", "conventional_lp")
             for h in range(1, 21)]
-
-    def test_unknown_column_is_computation_error(self, tmp_path, sim_csv):
-        cfg = estimate_cfg(tmp_path, sim_csv, response="nope")
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
-        assert main(["estimate", "--config", cfg_path]) == 4
-        assert not (tmp_path / "irf.csv").exists()
-        assert (tmp_path / "irf.csv.log").exists()
 
     def test_a_control_float64_cannot_square_is_logged(self, tmp_path, sim_csv):
         # every horizon of both methods fails with NonFinite, and the failure
@@ -592,15 +600,21 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", cfg_path]) == 4
         assert not (tmp_path / "mc.csv").exists()
 
-    @pytest.mark.parametrize("role", ["response", "shock"])
-    def test_series_outside_the_var_is_config_error(self, tmp_path, capsys, role):
+    @pytest.mark.parametrize("role, value", [
+        ("response", "y9"), ("shock", "y9"),
+        ("contemporaneous", ["y2", "y9"]), ("lagged", ["y1", "y2", "y9"]),
+    ])
+    def test_series_outside_the_var_is_config_error(self, tmp_path, capsys, role,
+                                                    value):
         cfg = small_var_mc_cfg(tmp_path)
-        cfg["estimation"][role] = "y9"  # the VAR has y1..y3
+        cfg["estimation"][role] = value  # the VAR has y1..y3
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main(["montecarlo", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid montecarlo config.estimation: ")
         assert "'y9' is not a series of the VAR" in err
+        assert "replications" not in err  # refused before any replication runs
+        assert not (tmp_path / "mc.csv").exists()
 
     def test_checkpoint_path_that_is_a_directory_is_config_error(self, tmp_path,
                                                                   capsys):

@@ -457,11 +457,15 @@ class TestBatchedKernel:
             V[i, : rows[i]] = bases[i] @ rng.standard_normal(bases[i].shape[1])
         m = np.array([Q.shape[1] for Q in bases])
         before = m.copy()
-        grown = extend(B, m, V.copy())
+        rows_out = V.copy()
+        grown = extend(B, m, rows_out)
         for i, (Q, r) in enumerate(zip(bases, rows)):
             q = gram_schmidt_extend(Q, V[i, :r])
             assert (i in grown) == (q is not None)
             assert m[i] == before[i] + (q is not None)
-            if q is not None:
+            if q is None:  # V hands back each new row, and zero where none grew
+                assert not rows_out[i].any() and not B[i, before[i]].any()
+            else:
                 np.testing.assert_allclose(B[i, before[i], :r], q, rtol=0, atol=1e-10)
                 assert not B[i, before[i], r:].any()
+                np.testing.assert_array_equal(rows_out[i], B[i, before[i]])

@@ -1255,7 +1255,7 @@ class TestFactorizationBudget:
             tracemalloc.stop()
         assert [est.rank for est in fits] == [5] * k
         assert [est.effective_T for est in fits] == [n - i for i in range(k)]
-        assert peak < 8 * size
+        assert peak < 5 * size
 
 
 class TestBugsPropagate:
