@@ -130,7 +130,7 @@ def tunings(path: Path, count: int = TUNINGS, seed: int = TUNING_SEED):
         out.append([
             type(path).__name__ if isinstance(path, Exception)
             else [path.c_star_used, list(path.chosen_set)]
-            for path in oga_hdaic_select(W, Y, config, intercept, rows)
+            for path in oga_hdaic_select(W, Y, config, intercept, rows)[0]
         ])
     path.write_text(json.dumps(out))
 

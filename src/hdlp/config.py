@@ -137,8 +137,9 @@ def as_levels(value, where):
 
 
 def as_methods(value, where):
-    """One method name or a list of distinct ones."""
-    methods = list_of(as_choice(METHODS))([value] if type(value) is str else value, where)
+    """One method name or a nonempty list of distinct ones."""
+    methods = list_of(as_choice(METHODS), nonempty=True)(
+        [value] if type(value) is str else value, where)
     if len(set(methods)) != len(methods):
         _fail(where, "a list of distinct methods", value)
     return methods

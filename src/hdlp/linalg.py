@@ -130,26 +130,23 @@ def orthogonalize(B, V) -> np.ndarray:
     return V
 
 
-def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray) -> np.ndarray:
+def extend(B: np.ndarray, m: np.ndarray, V: np.ndarray) -> None:
     """Grow each basis B[i] (its first m[i] rows; the rest are zero) by the
-    unit residual of the series V[i] against it, in place, and advance m;
-    return the indices of the bases that grew. V[i] is spanned, and B[i]
-    left alone, when its residual norm is at most SPAN_RTOL times its own
-    norm, so a zero series holds its basis still. V comes back holding each
-    basis's new row, zero where none grew; row m[i] of every basis is
-    written, so each needs a free row.
+    unit residual of the series V[i] against it, in place, and advance m.
+    V[i] is spanned, and B[i] left alone, when its residual norm is at most
+    SPAN_RTOL times its own norm, so a zero series holds its basis still. V
+    comes back holding each basis's new row, zero where none grew; row m[i]
+    of every basis is written, so each needs a free row.
     """
     norms = np.sqrt(np.add.reduce(V * V, axis=1))
     orthogonalize(B[:, : m.max(initial=0)], V[:, None, :])
     resid = np.sqrt(np.add.reduce(V * V, axis=1))
     grown = resid > SPAN_RTOL * norms
-    new = np.flatnonzero(grown)
     V /= np.where(grown, resid, 1.0)[:, None]
-    if new.size < len(m):
+    if not grown.all():
         np.copyto(V, 0.0, where=~grown[:, None])
     B[np.arange(len(m)), m] = V
     m += grown
-    return new
 
 
 def prefix_residuals(C, intercept: bool, V: np.ndarray, rows, failed) -> np.ndarray:

@@ -367,18 +367,19 @@ def _fit(datasets: list[LpDataset], method: str, oga_config: OgaConfig | None,
 def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
     """Double selection for every regression not yet failed: the residuals
     of y and x on its union basis (k x 2 x n), v and e off its paths' bases,
-    the union rank and the selections as LpEstimate fields. A
-    selection error fails its regression. The chosen bases sit in
-    zero-padded regressions x columns x rows arrays, so each residual is one
-    batched product, and the s-th outcome-only column of every union joins
-    it in one batched Gram-Schmidt step.
+    the union rank and the selections as LpEstimate fields. A selection
+    error fails its regression. Each chosen basis is a row block of the
+    selection's zero-padded paths x rows x columns array, so each residual
+    is one batched product on it; the unions start from a padded copy of
+    the shock paths' blocks, and the s-th outcome-only column of every
+    union joins it in one batched Gram-Schmidt step.
     """
     n = C.shape[0]
     k = len(rows)
     Z = np.empty((n, 2 * k))  # columns 2i and 2i + 1: y and x of regression i
     Z[:, 0::2], Z[:, 1::2] = Y.T, X.T
-    paths = oga_hdaic_select(C, Z, oga_config or OgaConfig(), intercept,
-                             np.repeat(rows, 2))
+    paths, Q = oga_hdaic_select(C, Z, oga_config or OgaConfig(), intercept,
+                                np.repeat(rows, 2))
     for i in range(k):  # the shock check, then the outcome path, then the shock's
         failed[i] = failed[i] or next(
             (s for s in paths[2 * i : 2 * i + 2] if isinstance(s, Exception)), None)
@@ -397,14 +398,13 @@ def _union_residuals(C, intercept, X, Y, rows, oga_config, failed):
         sets[i] = dict(selected_y=set_y, selected_x=set_x, union=union,
                        c_star_y=sy.c_star_used, c_star_x=sx.c_star_used)
         extra.append(sorted(set(set_y) - set(set_x)))
-    m = np.array([sx.basis.shape[1] for sx in sel_x])
+    ic = int(intercept)
+    m = ic + np.array([sx.chosen_m for sx in sel_x])
     n_extra = np.array([len(cols) for cols in extra])
-    B_y = np.zeros((len(live), max(sy.basis.shape[1] for sy in sel_y), n))
-    B = np.zeros((len(live), m.max() + n_extra.max(), n))  # the unions
-    for a, (i, sy, sx) in enumerate(zip(live, sel_y, sel_x)):
-        B_y[a, : sy.basis.shape[1], : rows[i]] = sy.basis.T
-        B[a, : m[a], : rows[i]] = sx.basis.T
-    e[live] = orthogonalize(B_y, Y[live][:, None, :])[:, 0]
+    at = 2 * np.array(live)  # each regression's outcome path; its shock path is next
+    e[live] = orthogonalize(Q[at, : ic + max(sy.chosen_m for sy in sel_y)],
+                            Y[live][:, None, :])[:, 0]
+    B = np.pad(Q[at + 1, : m.max()], ((0, 0), (0, n_extra.max()), (0, 0)))  # the unions
     v[live] = orthogonalize(B[:, : m.max()], X[live][:, None, :])[:, 0]
 
     inside = np.arange(n) < np.asarray(rows)[live, None]

@@ -19,18 +19,19 @@ its own leading rows of one shared design (rows), and the result is one
 entry per column, the path's result or the error that path alone would
 raise; one series is the batch y[:, None]. The paths advance in lockstep
 with one matrix product per step, so many short paths cost little more than
-one. Tuning and cutting run in the same style: the holdout bases of all
-training paths are stacked and filled in one forward sweep, every holdout
-error curve comes from one sum of squares, and the criterion curves
-of every path and candidate are one array expression that repeats the
-scalar criterion's arithmetic exactly. A path that fails gets its error in
-its slot and leaves the others alone.
+one, and stay in the arrays that run fills, padded past each path's end,
+through tuning and cutting to the caller's union basis. Tuning and cutting
+run in the same style: the holdout bases of all training paths are filled
+in one forward sweep, every holdout error curve comes from one sum of
+squares, and the criterion curves of every path and candidate are one
+array expression that repeats the scalar criterion's arithmetic exactly. A
+path that fails gets its error in its slot and leaves the others alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +89,15 @@ class OgaConfig:
 
 @dataclass(frozen=True)
 class SelectionPath:
-    """Result of one greedy run: ordering, criterion curve, chosen model, and
-    an orthonormal basis of the intercept, if any, and the chosen set (pick
-    order)."""
+    """Result of one greedy run: ordering, residual variances, criterion
+    curve, chosen model and penalty constant. Its orthonormal basis is a
+    row block of the array oga_hdaic_select returns with it."""
 
     ordered_indices: tuple[int, ...]
     sigma_sq_path: tuple[float, ...]
     hdaic_path: tuple[float, ...]
     chosen_m: int
     c_star_used: float
-    basis: np.ndarray = field(compare=False, repr=False)
 
     @property
     def chosen_set(self) -> tuple[int, ...]:
@@ -144,12 +144,14 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
     RSS, whose rounding is on the scale of the starting RSS however small
     the gains have become. A column whose component orthogonal to the
     current fit is at most SPAN_RTOL of its norm (a zero column, say) is
-    already spanned and never picked. Returns, per path, the ordering, the
-    per-step residual variances ||r_m||^2 / T and the orthonormal basis
-    built along the way (the constant unit column when intercept is set,
-    then one column per pick in pick order), or, for a path with no
-    admissible column at its first step, AllColumnsDegenerate. A path is
-    shorter than M when its admissible pool empties first.
+    already spanned and never picked. Returns the arrays the paths ran in,
+    (picks, sigma_sq, Q, length): path i's length[i] picks and per-step
+    residual variances ||r_m||^2 / T lead picks[i] and sigma_sq[i] (0 and
+    +inf after them), and Q[i] holds the orthonormal basis it built as rows
+    (the constant unit row when intercept is set, then one row per pick),
+    zero after them and below rows[i]. A path is shorter than M when its
+    admissible pool empties first, and of length 0 with a positive M when it
+    has no admissible column at its first step.
 
     The paths advance in lockstep on one design. Residuals are kept zero
     below each path's rows, so the scores W'r_i of every path are one
@@ -218,13 +220,10 @@ def oga_order(W, y, M, intercept: bool = False, rows=None):
         dead |= ~(proj_sq > floor)
         sigma_sq[every, slot] = np.einsum("kn,kn->k", R, R) / T
 
-    return [
-        AllColumnsDegenerate("no admissible column at the first step")
-        if steps[i] and m[i] == ic
-        else (picks[i, : m[i] - ic].tolist(), sigma_sq[i, : m[i] - ic].tolist(),
-              Q[i, : m[i], : rows[i]].T)
-        for i in range(k)
-    ]
+    length = m - ic
+    past = np.arange(size) >= length[:, None]
+    picks[past], sigma_sq[past] = 0, np.inf
+    return picks, sigma_sq, Q, length
 
 
 def _candidate_norms(W, rows, intercept: bool):
@@ -233,10 +232,10 @@ def _candidate_norms(W, rows, intercept: bool):
     norms themselves without one), both over the path's rows. They are read
     off one running sum of squares and of values down the rows, which starts
     from the totals over the shortest path's rows."""
-    rows = np.asarray(rows)
-    lo = rows.min()
-    totals = np.empty((rows.max() - lo + 1, 2, W.shape[1]))
-    head, rest = W[:lo], W[lo : rows.max()]
+    rows = np.asarray(rows, dtype=np.intp)
+    lo = rows.min(initial=W.shape[0])
+    totals = np.empty((W.shape[0] - lo + 1, 2, W.shape[1]))
+    head, rest = W[:lo], W[lo:]
     totals[0] = np.einsum("ij,ij->j", head, head), head.sum(axis=0)
     np.multiply(rest, rest, out=totals[1:, 0])
     totals[1:, 1] = rest
@@ -258,16 +257,6 @@ def _hdaic_curves(sigma_sq, p, T, c_star) -> np.ndarray:
     return (1.0 + c_star[:, :, None] * m * math.log(p) / T) * sigma_sq[:, None, :]
 
 
-def _padded(paths) -> np.ndarray:
-    """Criterion paths of different lengths as rows of one array, +inf past
-    each path's end, where no minimum can land; at least one column, so a
-    minimum over the steps of no paths is empty rather than undefined."""
-    out = np.full((len(paths), max(map(len, paths), default=1)), np.inf)
-    for i, path in enumerate(paths):
-        out[i, : len(path)] = path
-    return out
-
-
 def _budgets(counts, p: int, config: OgaConfig) -> list[int]:
     """max_steps per row count; 0 for one row, which cannot be selected
     on (its path then reports InsufficientSample)."""
@@ -280,11 +269,13 @@ def oga_hdaic_select(
     """Full selection: order greedily, then cut the path at the criterion minimum.
 
     Selects against each column of y on that column's rows, as oga_order
-    runs them, and returns one SelectionPath per column, or the error that
+    runs them. Returns one SelectionPath per column, or the error that
     column's selection alone would raise (InsufficientSample for one row,
-    AllColumnsDegenerate, or from tuning InsufficientSample). With a tuned
-    c_star the training-row paths of every column join the same lockstep
-    run, and every column is tuned and cut in one pass over arrays.
+    AllColumnsDegenerate, or from tuning InsufficientSample), and oga_order's
+    basis array Q, whose rows past each SelectionPath's chosen set are
+    zeroed. With a tuned c_star the training-row paths of every column join
+    the same lockstep run, and every column is tuned and cut in one pass
+    over arrays.
     """
     W, Y, rows = _as_paths(W, y, rows)
     p, k = W.shape[1], Y.shape[1]
@@ -293,31 +284,32 @@ def oga_hdaic_select(
         train = [_train_rows(T, config) for T in rows]
         paths = oga_order(W, np.hstack([Y, Y]), _budgets(rows + train, p, config),
                           intercept, rows + train)
-        c_star = _holdout_c_stars(W, Y, rows, train, paths[k:], candidates,
-                                  intercept)
+        c_star = _holdout_c_stars(W, Y, rows, train, [a[k:] for a in paths],
+                                  candidates, intercept)
     else:
         paths = oga_order(W, Y, _budgets(rows, p, config), intercept, rows)
         c_star = [float(config.c_star)] * k
+    picks, sigma_sq, Q, length = (a[:k] for a in paths)
     # a tuning error comes first, as tuning runs first on one column alone
     out = [c if isinstance(c, Exception)
            else InsufficientSample(f"selection needs at least 2 rows, got {T}")
-           if T < 2 else path for T, c, path in zip(rows, c_star, paths)]
-    ok = [i for i, path in enumerate(out) if not isinstance(path, Exception)]
-    sigma_sq = [paths[i][1] for i in ok]
+           if T < 2 else AllColumnsDegenerate("no admissible column at the first step")
+           if not n else None for T, c, n in zip(rows, c_star, length)]
+    ok = [i for i, path in enumerate(out) if path is None]
     c_ok = np.array([c_star[i] for i in ok], dtype=np.float64)[:, None]
-    curves = _hdaic_curves(_padded(sigma_sq), p, [rows[i] for i in ok], c_ok)[:, 0]
+    curves = _hdaic_curves(sigma_sq[ok], p, [rows[i] for i in ok], c_ok)[:, 0]
     m_hat = np.argmin(curves, axis=1) + 1
-    for i, s, curve, m in zip(ok, sigma_sq, curves, m_hat.tolist()):
-        order, _, Q = paths[i]
+    for i, curve, m in zip(ok, curves, m_hat.tolist()):
+        n = length[i]
         out[i] = SelectionPath(
-            ordered_indices=tuple(order),
-            sigma_sq_path=tuple(s),
-            hdaic_path=tuple(curve[: len(s)].tolist()),
+            ordered_indices=tuple(picks[i, :n].tolist()),
+            sigma_sq_path=tuple(sigma_sq[i, :n].tolist()),
+            hdaic_path=tuple(curve[:n].tolist()),
             chosen_m=m,
             c_star_used=c_star[i],
-            basis=Q[:, : int(intercept) + m],
         )
-    return out
+        Q[i, int(intercept) + m :] = 0.0
+    return out, Q
 
 
 def _train_rows(T: int, config: OgaConfig) -> int:
@@ -327,43 +319,41 @@ def _train_rows(T: int, config: OgaConfig) -> int:
 
 
 def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> list:
-    """Per column i of Y, the candidate whose cut of paths[i], a greedy path
-    on the first train[i] rows, predicts rows train[i]..rows[i] - 1 best;
-    ties go to the smaller candidate. A path's error (or InsufficientSample
-    for one training row) stays in its slot.
+    """Per column i of Y, the candidate whose cut of path i of paths,
+    oga_order's arrays for greedy paths on the first train[i] rows, predicts
+    rows train[i]..rows[i] - 1 best; ties go to the smaller candidate.
+    InsufficientSample for one training row, or AllColumnsDegenerate for a
+    path with no admissible column, stays in its slot.
 
     On the n training rows X = [1, W[:, order]] (the 1 only with an
     intercept) is Q R, Q its Gram-Schmidt basis, so R = Q'X is upper
     triangular. The holdout rows of that basis solve X_te = Q_te R, and the
     fit at cut m projects on the intercept column of Q plus its first m
     picks, so its holdout prediction is a running sum over the columns of
-    Q_te weighted by Q'y. Every path is stacked into arrays padded to the
-    longest path and the longest holdout; one forward sweep fills Q_te a
-    column at a time. Pivot R[j, j] is pick j's residual norm, which
+    Q_te weighted by Q'y. The paths' arrays are cut to the longest path and
+    the holdout rows padded to the longest holdout; one forward sweep fills
+    Q_te a column at a time. Pivot R[j, j] is pick j's residual norm, which
     oga_order admits only above SPAN_RTOL of its norm (the intercept's is
     sqrt(n)); a padded column divides by 1 and adds zeros, as its Q'y is 0.
     One sum of squares, padded rows masked, gives every holdout error curve.
     """
-    out = [
-        InsufficientSample(f"tuning c_star needs at least 3 rows, got {T}")
-        if n < 2 and not isinstance(path, Exception) else path
-        for T, n, path in zip(rows, train, paths)
-    ]
-    live = [i for i, path in enumerate(out) if not isinstance(path, Exception)]
+    picks, sigma_sq, Q, length = paths
+    out = [InsufficientSample(f"tuning c_star needs at least 3 rows, got {T}")
+           if n < 2 else AllColumnsDegenerate("no admissible column at the first step")
+           if not size else None for T, n, size in zip(rows, train, length)]
+    live = [i for i, c in enumerate(out) if c is None]
     if not live:
         return out
     ic = int(intercept)
-    orders, sigma_sq, bases = zip(*(out[i] for i in live))
-    size = ic + np.array([len(order) for order in orders])
+    size = ic + length[live]
     n = np.array([train[i] for i in live])
     held = np.array([rows[i] for i in live]) - n
     L, D, H = len(live), int(size.max()), int(held.max())
 
-    picks = np.zeros((L, D), dtype=np.intp)
-    Q = np.zeros((L, W.shape[0], D))  # each basis zero below its training rows
-    for a, (order, basis) in enumerate(zip(orders, bases)):
-        picks[a, ic : size[a]] = order
-        Q[a, : n[a], : size[a]] = basis
+    picks = np.pad(picks[live, : D - ic], ((0, 0), (ic, 0)))  # 0 for the intercept
+    # each basis as columns, zero below its training rows; a C-ordered copy,
+    # as the products below round by their operands' layout
+    Q = np.ascontiguousarray(Q[live, :D].transpose(0, 2, 1))
     X = W.T[picks].transpose(0, 2, 1)
     te = np.minimum(n[:, None] + np.arange(H), W.shape[0] - 1)
     kept = np.arange(H) < held[:, None]  # L x H: real holdout rows
@@ -385,7 +375,7 @@ def _holdout_c_stars(W, Y, rows, train, paths, candidates, intercept: bool) -> l
     mspe = np.einsum("lhm,lhm->lm", err, err) / held[:, None]
 
     by_size = np.sort(np.asarray(candidates, dtype=np.float64))
-    curves = _hdaic_curves(_padded(sigma_sq), W.shape[1], n,
+    curves = _hdaic_curves(sigma_sq[live], W.shape[1], n,
                            np.broadcast_to(by_size, (L, by_size.size)))
     cuts = np.argmin(curves, axis=2)
     best = np.argmin(np.take_along_axis(mspe, cuts, axis=1), axis=1)

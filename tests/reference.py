@@ -17,11 +17,11 @@ panel_row finds one cell of a panel with a plain mask over its unit and
 time columns, independent of the panel's keyed row lookup.
 
 The library's kernels take one column per path or series and return one
-result or error per column. order_one, select_one, newey_west_one and
-hac_one run one series as a batch of one and raise its error; bartlett_sum
-is the long-run variance of one series as it is defined. coverage,
-median_width and replication read one cell of a Monte Carlo report and run
-one replication as a block of one.
+result or error per column, except oga_order, which returns its lockstep
+arrays. order_one, select_one, newey_west_one and hac_one run one series as
+a batch of one and raise its error; bartlett_sum is the long-run variance of
+one series as it is defined. coverage, median_width and replication read
+one cell of a Monte Carlo report and run one replication as a block of one.
 """
 
 from __future__ import annotations
@@ -62,14 +62,20 @@ def one(results):
 
 
 def order_one(W, y, M, intercept: bool = False):
-    """oga_order on the one series y: (order, sigma_sq, Q), or its error raised."""
-    return one(oga_order(W, np.asarray(y, dtype=np.float64)[:, None], M, intercept))
+    """oga_order on the one series y: (order, sigma_sq, Q), Q its basis as
+    columns, or AllColumnsDegenerate raised when it has no admissible column."""
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    picks, sigma_sq, Q, [length] = oga_order(W, y, M, intercept)
+    if M and not length:
+        raise AllColumnsDegenerate("no admissible column at the first step")
+    return (picks[0, :length].tolist(), sigma_sq[0, :length].tolist(),
+            Q[0, : intercept + length].T)
 
 
 def select_one(W, y, config: OgaConfig, intercept: bool = False):
     """oga_hdaic_select on the one series y: its SelectionPath, or its error raised."""
     return one(oga_hdaic_select(W, np.asarray(y, dtype=np.float64)[:, None], config,
-                                intercept))
+                                intercept)[0])
 
 
 def newey_west_one(psi, K) -> float:
@@ -372,9 +378,10 @@ def select_c_star(
     rows=None,
 ):
     """The library's tuned c_star for y's columns on their own: the training
-    paths of every column in one lockstep oga_order run and one batched
-    holdout pass (_holdout_c_stars), as oga_hdaic_select tunes them. Ties
-    go to the smaller candidate; returns one c_star or error per column."""
+    paths of every column in one lockstep oga_order run, whose arrays go to
+    one batched holdout pass (_holdout_c_stars), as oga_hdaic_select tunes
+    them. Ties go to the smaller candidate; returns one c_star or error per
+    column."""
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("candidate set must be nonempty")

@@ -157,6 +157,7 @@ def _var(tmp_path):
     ("montecarlo", _montecarlo, ("design", "n"), 1.5),
     ("montecarlo", _montecarlo, ("checkpoint",), "no"),
     ("montecarlo", _montecarlo, ("estimation",), 5),
+    ("montecarlo", _montecarlo, ("methods",), []),
     ("estimate", _estimate, ("hac", "dof_correction"), "false"),
     ("estimate", _estimate, ("intercept",), "no"),
     ("estimate", _estimate, ("lags",), 2.7),
@@ -165,6 +166,7 @@ def _var(tmp_path):
     ("estimate", _estimate, ("response",), ["y2"]),
     ("estimate", _estimate, ("hac",), 5),
     ("estimate", _estimate, ("selection", "c_star"), "fast"),
+    ("estimate", _estimate, ("methods",), []),
     ("lpdid", _lpdid, ("time_effects",), "false"),
     ("simulate", _var, ("response",), "y9"),
     ("simulate", _var, ("innovation",), "x1"),

@@ -12,7 +12,6 @@ from hdlp.selection import (
     DEFAULT_C_STAR_CANDIDATES,
     OgaConfig,
     _hdaic_curves,
-    _padded,
     max_steps,
     oga_hdaic_select,
     oga_order,
@@ -222,6 +221,14 @@ def assert_same_span_basis(Q, W, order, intercept):
     np.testing.assert_allclose(X @ coef, Q, atol=1e-9)
 
 
+def padded_basis(Q, width, T):
+    """The basis in one path's slot Q of a lockstep basis array, as columns:
+    its first width rows on its first T columns, which are all that is
+    nonzero."""
+    assert not Q[width:].any() and not Q[:, T:].any()
+    return Q[:width, :T].T
+
+
 class TestLockstep:
     """A 2-D y runs one greedy path per column in lockstep on one design;
     each path equals the one-path oracle run on its own rows."""
@@ -262,40 +269,53 @@ class TestLockstep:
             Y = np.insert(Y, at, rng.standard_normal(n), axis=1)
             rows.insert(at, z)
             steps.insert(at, data.draw(st.integers(1, W.shape[1])))
-        paths = oga_order(W, Y, steps, intercept=intercept, rows=rows)
-        assert len(paths) == len(rows)
+        picks, sigma_sq, Q, length = oga_order(W, Y, steps, intercept=intercept,
+                                               rows=rows)
+        assert len(length) == len(rows)
         kept = []
         for i, (T, M) in enumerate(zip(rows, steps)):
+            m = length[i]
+            # past its end a path's variances are +inf and its basis rows zero
+            assert np.all(sigma_sq[i, m:] == np.inf)
+            basis = padded_basis(Q[i], intercept + m, T)
             try:
                 want = oga_order_one_path(W[:T], Y[:T, i], M, intercept)
             except AllColumnsDegenerate:
-                assert isinstance(paths[i], AllColumnsDegenerate)
+                assert m == 0  # every budget here is positive
                 continue
             kept.append(i)
-            order, sigma_sq, Q = paths[i]
-            assert order == want[0]
-            np.testing.assert_allclose(sigma_sq, want[1], rtol=1e-12)
-            assert_same_span_basis(Q, W, order, intercept)
+            assert picks[i, :m].tolist() == want[0] and m > 0
+            np.testing.assert_allclose(sigma_sq[i, :m], want[1], rtol=1e-12)
+            assert_same_span_basis(basis, W, want[0], intercept)
         if failing:
-            alone = oga_order(W, Y[:, kept], [steps[i] for i in kept],
-                              intercept=intercept, rows=[rows[i] for i in kept])
-            for i, path in zip(kept, alone):
-                assert path[0] == paths[i][0]
-                np.testing.assert_allclose(path[1], paths[i][1], rtol=1e-12)
+            a_picks, a_sigma_sq, _, a_length = oga_order(
+                W, Y[:, kept], [steps[i] for i in kept], intercept=intercept,
+                rows=[rows[i] for i in kept])
+            for a, i in enumerate(kept):
+                m = length[i]
+                assert a_length[a] == m
+                assert a_picks[a, :m].tolist() == picks[i, :m].tolist()
+                np.testing.assert_allclose(a_sigma_sq[a, :m], sigma_sq[i, :m],
+                                           rtol=1e-12)
 
     def test_a_batch_of_one_is_the_one_path_oracle(self):
         rng = np.random.default_rng(16)
         W = rng.standard_normal((30, 6))
         y = W[:, 1] - W[:, 4] + rng.standard_normal(30)
-        [(order, sigma_sq, Q)] = oga_order(W, y[:, None], [4], intercept=True)
+        picks, sigma_sq, Q, [m] = oga_order(W, y[:, None], [4], intercept=True)
         want = oga_order_one_path(W, y, 4, intercept=True)
+        order = picks[0, :m].tolist()
         assert order == want[0] == refit_greedy_oracle(W, y, 4, base=np.ones((30, 1)))
-        np.testing.assert_allclose(sigma_sq, want[1], rtol=1e-12)
-        assert_same_span_basis(Q, W, order, True)
-        [failed] = oga_order(np.zeros((30, 2)), y[:, None], 2)
-        assert isinstance(failed, AllColumnsDegenerate)
+        np.testing.assert_allclose(sigma_sq[0, :m], want[1], rtol=1e-12)
+        assert np.all(sigma_sq[0, m:] == np.inf)
+        assert_same_span_basis(padded_basis(Q[0], 1 + m, 30), W, order, True)
+        *_, [failed] = oga_order(np.zeros((30, 2)), y[:, None], 2)
+        assert failed == 0
         with pytest.raises(AllColumnsDegenerate):
             oga_order_one_path(np.zeros((30, 2)), y, 2)
+        # an empty batch is empty arrays
+        for empty in oga_order(W, np.empty((30, 0)), [], intercept=True):
+            assert len(empty) == 0
         with pytest.raises(DimensionMismatch):  # one series is y[:, None]
             oga_order(W, y, 4)
 
@@ -318,11 +338,14 @@ class TestLockstep:
         rows = [data.draw(st.integers(20, n), label="rows") for _ in range(k)]
         Y, rows = np.column_stack([Y, rng.standard_normal(n)]), rows + [5]
         cfg = OgaConfig(c_star=(0.5, 2.0, 8.0) if tuned else 2.0)
-        paths = oga_hdaic_select(W, Y, cfg, intercept, rows)
+        paths, Q = oga_hdaic_select(W, Y, cfg, intercept, rows)
         c_stars = select_c_star(W, Y, (0.5, 2.0, 8.0), cfg, intercept, rows)
         assert isinstance(paths[-1], AllColumnsDegenerate)
         assert isinstance(c_stars[-1], AllColumnsDegenerate)
         for i, T in enumerate(rows[:-1]):
+            # the basis rows past the chosen set are zero
+            assert_same_span_basis(padded_basis(Q[i], intercept + paths[i].chosen_m, T),
+                                   W, list(paths[i].chosen_set), intercept)
             alone = select_one(W[:T], Y[:T, i], cfg, intercept)
             assert paths[i].chosen_set == alone.chosen_set
             assert paths[i].c_star_used == alone.c_star_used
@@ -360,8 +383,10 @@ class TestHdaicCurves:
     @settings(max_examples=100, deadline=None)
     def test_equal_the_scalar_bit_for_bit(self, paths, p, T, c):
         T = T[: len(paths)]
-        curves = _hdaic_curves(_padded(paths), p, T,
-                               np.tile(np.array(c), (len(paths), 1)))
+        padded = np.full((len(paths), max(map(len, paths))), np.inf)
+        for row, path in zip(padded, paths):
+            row[: len(path)] = path
+        curves = _hdaic_curves(padded, p, T, np.tile(np.array(c), (len(paths), 1)))
         for path, rows, per_path in zip(paths, T, curves):
             for c_star, curve in zip(c, per_path):
                 want = [hdaic(s, m, p, rows, c_star) for m, s in enumerate(path, 1)]
@@ -385,7 +410,7 @@ class TestHdaicCurves:
         W = rng.standard_normal((n, p)) + intercept
         Y = W[:, :3] @ rng.standard_normal((3, k)) + rng.standard_normal((n, k))
         rows = [data.draw(st.integers(10, n), label="rows") for _ in range(k)]
-        paths = oga_hdaic_select(W, Y, OgaConfig(c_star=c_star), intercept, rows)
+        paths, _ = oga_hdaic_select(W, Y, OgaConfig(c_star=c_star), intercept, rows)
         for path, T in zip(paths, rows):
             want = [hdaic(s, m, p, T, path.c_star_used)
                     for m, s in enumerate(path.sigma_sq_path, 1)]
@@ -426,8 +451,8 @@ class TestOgaHdaicSelect:
         W = rng.standard_normal((40, p)) + with_base
         W = np.column_stack([W] + [2.0 * W[:, k % p] for k in range(n_dup)])
         y = W[:, 0] - W[:, -1] + rng.standard_normal(40)
-        path = select_one(W, y, OgaConfig(c_star=2.0), intercept=with_base)
-        Q = path.basis
+        [path], Q = oga_hdaic_select(W, y[:, None], OgaConfig(c_star=2.0), with_base)
+        Q = padded_basis(Q[0], with_base + path.chosen_m, 40)
         assert Q.shape == (40, with_base + path.chosen_m)
         np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
         X = W[:, list(path.chosen_set)]
@@ -452,7 +477,7 @@ class TestOgaHdaicSelect:
         y = W[:, 0] - 0.5 * W[:, -1] + rng.standard_normal(n)
         candidates = (0.5, 2.0, 8.0)
         cfg = OgaConfig(c_star=candidates if tuned else 2.0)
-        [path] = oga_hdaic_select(W, y[:, None], cfg, intercept)
+        [path], Q = oga_hdaic_select(W, y[:, None], cfg, intercept)
         order, sigma_sq, _ = oga_order_one_path(W, y, max_steps(n, p, cfg), intercept)
         c_star = 2.0
         if tuned:
@@ -464,7 +489,8 @@ class TestOgaHdaicSelect:
         np.testing.assert_allclose(path.sigma_sq_path, sigma_sq, rtol=1e-12)
         assert path.c_star_used == c_star
         assert path.chosen_m == select_hdaic(sigma_sq, p, n, c_star)
-        assert_same_span_basis(path.basis, W, list(path.chosen_set), intercept)
+        assert_same_span_basis(padded_basis(Q[0], intercept + path.chosen_m, n), W,
+                               list(path.chosen_set), intercept)
 
     def test_exact_single_column(self):
         rng = np.random.default_rng(9)
@@ -611,7 +637,7 @@ class TestBatchedTuning:
             rows.insert(at, z)
         cfg = OgaConfig(c_star=tuple(candidates), eval_fraction=eval_fraction)
         got = select_c_star(W, Y, candidates, cfg, intercept, rows)
-        selected = oga_hdaic_select(W, Y, cfg, intercept, rows)
+        selected, _ = oga_hdaic_select(W, Y, cfg, intercept, rows)
         assert len(got) == len(selected) == len(rows)
         for i, T in enumerate(rows):
             n_train = min(max(int((1.0 - eval_fraction) * T), 2), T - 1)
@@ -654,7 +680,7 @@ class TestBatchedTuning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = select_c_star(W, Y, candidates, cfg, intercept)
-            selected = oga_hdaic_select(W, Y, cfg, intercept)
+            selected, _ = oga_hdaic_select(W, Y, cfg, intercept)
         for i in range(Y.shape[1]):
             path = oga_order_one_path(W[:n_train], Y[:n_train, i],
                                       max_steps(n_train, W.shape[1], cfg), intercept)
@@ -677,7 +703,7 @@ class TestBatchedTuning:
             select_one(W[:2], Y[:2, 0], cfg)
         [short] = select_c_star(W[:2], Y[:2, :1], DEFAULT_C_STAR_CANDIDATES, cfg)
         assert isinstance(short, InsufficientSample)
-        tiny, whole = oga_hdaic_select(W, Y, cfg, rows=[2, 30])
+        (tiny, whole), _ = oga_hdaic_select(W, Y, cfg, rows=[2, 30])
         assert isinstance(tiny, InsufficientSample)
         alone = select_one(W, Y[:, 1], cfg)
         assert whole.chosen_set == alone.chosen_set
@@ -693,12 +719,16 @@ class TestBatchedTuning:
         Y = W[:, :2] @ rng.standard_normal((2, 2)) + rng.standard_normal((30, 2))
         cfg = OgaConfig(c_star=c_star)
         for rows in ([1, 30], [30, 1]):
-            paths = oga_hdaic_select(W, Y, cfg, intercept, rows)
+            paths, _ = oga_hdaic_select(W, Y, cfg, intercept, rows)
             short = rows.index(1)
             assert isinstance(paths[short], InsufficientSample)
-            [alone] = oga_hdaic_select(W, Y[:, 1 - short : 2 - short], cfg, intercept)
+            [alone], _ = oga_hdaic_select(W, Y[:, 1 - short : 2 - short], cfg,
+                                          intercept)
             whole = paths[1 - short]
             assert whole.chosen_set == alone.chosen_set
             assert whole.c_star_used == alone.c_star_used
             np.testing.assert_allclose(whole.sigma_sq_path, alone.sigma_sq_path,
                                        rtol=1e-12)
+        # an empty batch selects nothing
+        paths, Q = oga_hdaic_select(W, Y[:, :0], cfg, intercept)
+        assert paths == [] and len(Q) == 0
