@@ -10,7 +10,8 @@ Runs, with one BLAS thread, into a temporary directory (or DIR with --keep):
     design loses rank from horizon 6 on and is factored afresh there, and
     again with y3 and that control as the only controls and no lags, a
     tall design whose prefixes lose rank in the same way;
-  - montecarlo at 24 replications with both methods, plus the records of a
+  - montecarlo at 24 replications with both methods, once at the bundled
+    level and once at levels 0.5, 0.9, 0.95 and 0.99, plus the records of a
     12-replication run (the checkpoint's records line) and the checkpoint
     file that save_checkpoint writes for them;
   - lpdid on a generated 250-unit panel (perfbench/inputs.py), with both
@@ -163,6 +164,8 @@ def outputs(tmp: Path):
     mc = bundled("montecarlo.yaml", n_reps=24, checkpoint=False,
                  output=str(tmp / "montecarlo.csv"))
     run(tmp, "montecarlo", "montecarlo", mc)
+    run(tmp, "montecarlo", "montecarlo_levels", dict(
+        mc, levels=[0.5, 0.9, 0.95, 0.99], output=str(tmp / "montecarlo_levels.csv")))
     mc_run = build_montecarlo_run(dict(mc, n_reps=12))
     records = []
     run_monte_carlo(mc_run.design, mc_run.methods, 12, mc_run.levels, mc_run.seed,

@@ -45,7 +45,7 @@ from .lp import TimeSeriesMatrix, _irfs
 from .lpdid import PanelDataset, lpdid_estimate
 from .montecarlo import REPORT_COLUMNS, run_monte_carlo
 
-CHECKPOINT_VERSION = 8  # 8: two-line checkpoint, records checked by digest
+CHECKPOINT_VERSION = 9  # 9: records hold beta and se, not intervals per level
 CHECKPOINT_EVERY = 50
 
 
@@ -235,40 +235,27 @@ def _checkpoint_path(out_path: Path) -> Path:
     return out_path.with_suffix(out_path.suffix + ".ckpt")
 
 
-# fields that do not change the report, so a checkpoint survives edits to them
-_NOT_FINGERPRINTED = ("out_path", "parallelism", "checkpoint")
+# fields no record depends on, so a checkpoint survives edits to them: the
+# report applies levels and the replication count to the records it is given
+_NOT_FINGERPRINTED = ("out_path", "parallelism", "checkpoint", "levels", "n_reps")
 # the BLAS thread count moves a record's last bits, so a checkpoint keeps the
 # process's settings of these variables and resumes only under the same ones
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fingerprint_value(value):
-    """JSON-ready copy of value: dataclasses by field, arrays as nested lists,
-    floats at 17 significant digits."""
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _fingerprint_value(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+def _numpy_as_json(value):
+    """json.dumps default hook: numpy arrays and scalars as lists and numbers."""
     if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_fingerprint_value(v) for v in value]
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+        return value.tolist()
     raise TypeError(f"cannot fingerprint a {type(value).__name__}")
 
 
 def _config_fingerprint(run: MontecarloRun) -> str:
     """Identity of a run for checkpoint compatibility: every field of the run
-    that can change the report."""
-    payload = {
-        f.name: _fingerprint_value(getattr(run, f.name))
-        for f in dataclasses.fields(run) if f.name not in _NOT_FINGERPRINTED
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    that a record depends on, which is the design, the methods and the seed."""
+    payload = {name: value for name, value in dataclasses.asdict(run).items()
+               if name not in _NOT_FINGERPRINTED}
+    blob = json.dumps(payload, sort_keys=True, default=_numpy_as_json).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonStationaryAfterDamping, NonStationarySpec
-from .lp import LpSpec, TimeSeriesMatrix
+from .lp import LpSpec, TimeSeriesMatrix, _count
 
 # Coefficient-row loadings of the ten-variable designs: magnitudes decay
 # linearly between the endpoints, signs alternate starting positive.
@@ -267,7 +267,7 @@ def true_reduced_form_irf(
     top-left block; horizon 0 is the impact indicator. No orthogonalization:
     the innovation moves alone regardless of the innovation covariance.
     """
-    horizons = [int(h) for h in horizons]
+    horizons = [_count(h, "a horizon") for h in horizons]
     if not 0 <= response < spec.n or not 0 <= innovation < spec.n:
         raise DimensionMismatch("response and innovation must index variables")
     C = spec.companion

@@ -11,7 +11,7 @@ control, reads beta off the two residuals on one orthonormal basis of that
 set (Frisch-Waugh-Lovell), and scales the long-run (or by-cluster) variance
 of psi = v * u by the fourth power of the shock-residual second moment. It
 writes each regression's LpEstimate once, complete. Confidence intervals
-are not stored: LpEstimate.ci(level) reads them off beta and se.
+are not stored: ``interval`` reads them off beta and se, floats or arrays.
 
 An LpDataset's W holds the candidate controls only, and selections index
 its columns. The intercept is a flag: always in the projection, never a
@@ -32,6 +32,7 @@ is the batch of one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
@@ -94,10 +95,22 @@ class TimeSeriesMatrix:
             raise UnknownColumn(name) from None
 
 
+def _count(value, what: str) -> int:
+    """value as a nonnegative int, numpy integers included; a ValueError
+    names it when it is negative or no integer (a float, a string)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return count
+
+
 def _horizons(values) -> tuple[int, ...]:
     """The horizons as a tuple of ints; a ValueError says what is wrong with them."""
-    horizons = tuple(int(h) for h in values)
-    if not horizons or min(horizons) < 0 or len(set(horizons)) < len(horizons):
+    horizons = tuple(_count(h, "a horizon") for h in values)
+    if not horizons or len(set(horizons)) < len(horizons):
         raise ValueError("horizons must be nonempty, nonnegative and distinct")
     return horizons
 
@@ -119,8 +132,8 @@ class LpSpec:
         object.__setattr__(self, "horizons", _horizons(self.horizons))
         object.__setattr__(self, "contemporaneous", tuple(self.contemporaneous))
         object.__setattr__(self, "lagged", tuple(self.lagged))
-        if self.lags < 0 or self.lag_augment < 0:
-            raise ValueError("lag counts must be nonnegative")
+        for name in ("lags", "lag_augment"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.shock in self.contemporaneous:
             raise ValueError("the shock cannot also be a contemporaneous control")
 
@@ -200,8 +213,14 @@ class LpEstimate:
 
     def ci(self, level: float) -> tuple[float, float]:
         """The two-sided normal interval beta -/+ z * se at this level."""
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-        return self.beta - z * self.se, self.beta + z * self.se
+        return interval(self.beta, self.se, level)
+
+
+def interval(beta, se, level: float):
+    """The two-sided normal interval beta -/+ z * se at this level, of floats
+    or, elementwise, of arrays: the same bits either way."""
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return beta - z * se, beta + z * se
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +247,7 @@ def build_lp_dataset(
     shorter horizon: given anchor, a dataset of the same data and spec at a
     horizon <= h, they are views of its first rows.
     """
+    h = _count(h, "a horizon")
     depth = spec.lag_depth
     eff = data.n_rows - h - depth
     if eff < 8:

@@ -48,6 +48,7 @@ from .lp import (
     LpDataset,
     LpEstimate,
     _attempt,
+    _count,
     _fit,
     _horizons,
     _unwrap,
@@ -169,8 +170,8 @@ class LpDidSpec:
     def __post_init__(self):
         object.__setattr__(self, "horizons", _horizons(self.horizons))
         object.__setattr__(self, "extra_controls", tuple(self.extra_controls))
-        if self.outcome_lags < 0:
-            raise ValueError("outcome_lags must be nonnegative")
+        object.__setattr__(self, "outcome_lags",
+                           _count(self.outcome_lags, "outcome_lags"))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.variance not in (VARIANCE_HAC, VARIANCE_CLUSTER):

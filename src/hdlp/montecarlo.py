@@ -2,9 +2,11 @@
 
 Each replication simulates one dataset, estimates the shock coefficient at
 every horizon with each method (one build of its datasets for all), and
-records whether the interval contains the true response and how wide it is.
-Serial runs and pool workers alike simulate blocks of replications in one
-loop, then estimate them one by one. Per-replication seeds derive from
+records what the estimator returned: beta and se, or the error. The report
+forms each interval from them at each level and scores it against the true
+response, so a record does not depend on the levels asked for. Serial runs
+and pool workers alike simulate blocks of replications in one loop, then
+estimate them one by one. Per-replication seeds derive from
 (base_seed, replication) counter pairs, a replication's bits do not depend
 on its block, and records are reduced in replication order, so a report is
 bit-identical whatever the workers, block widths or resume point. Records
@@ -22,7 +24,7 @@ import numpy as np
 from .dgp import Section3Design, VarDgpSpec, build_section3_coefficients, \
     section3_lp_spec, simulate_var_block, true_reduced_form_irf
 from .hac import HacConfig
-from .lp import DEFAULT_LEVELS, DOUBLE_OGA, LpSpec, _irfs
+from .lp import DEFAULT_LEVELS, DOUBLE_OGA, METHODS, LpSpec, _irfs, interval
 from .selection import OgaConfig
 
 DEFAULT_METHODS = (DOUBLE_OGA,)
@@ -112,9 +114,10 @@ class McReport:
         return self.failures / total if total else 0.0
 
 
-def _block(design: McDesign, methods, levels, seed: int, reps):
+def _block(design: McDesign, methods, seed: int, reps):
     """Simulate the replications reps in one block, then estimate them one at
-    a time and yield each one's record, in order."""
+    a time and yield each one's record, in order: per method and horizon,
+    {"beta": b, "se": s}, or {"error": "Class: message"} if it failed."""
     datas = simulate_var_block(design.dgp, design.T, [(seed, rep) for rep in reps])
     for rep, data in zip(reps, datas):
         record = {"rep": rep, "methods": {}}
@@ -122,9 +125,8 @@ def _block(design: McDesign, methods, levels, seed: int, reps):
                                     methods).items():
             by_h = result.by_horizon()
             record["methods"][method] = {
-                str(h): {"ok": True, "cis": {str(level): list(by_h[h].ci(level))
-                                             for level in levels}}
-                if h in by_h else {"ok": False, "error": result.errors[h]}
+                str(h): {"beta": by_h[h].beta, "se": by_h[h].se} if h in by_h
+                else {"error": result.errors[h]}
                 for h in design.lp_spec.horizons}
         yield record
 
@@ -133,10 +135,22 @@ def _block_records(args) -> list:
     return list(_block(*args))
 
 
+def _checked(methods, levels):
+    """methods and levels as tuples, or a ValueError: each must be distinct,
+    a method one of METHODS and a level strictly between 0 and 1."""
+    methods, levels = tuple(methods), tuple(float(v) for v in levels)
+    if (not set(methods) <= set(METHODS) or len(set(methods)) < len(methods)
+            or len(set(levels)) < len(levels) or not all(0 < v < 1 for v in levels)):
+        raise ValueError(f"need distinct methods of {METHODS} and distinct levels "
+                         f"strictly between 0 and 1; got {methods} and {levels}")
+    return methods, levels
+
+
 def aggregate_records(design: McDesign, methods, levels, records) -> McReport:
-    """Reduce replication records (in replication order) to a report."""
-    methods = tuple(methods)
-    levels = tuple(float(v) for v in levels)
+    """Reduce replication records (in replication order) to a report: at each
+    level, the interval of every successful replication, by the formula
+    LpEstimate.ci uses, scored against the truth."""
+    methods, levels = _checked(methods, levels)
     horizons = design.lp_spec.horizons
     truth_arr = true_reduced_form_irf(
         design.dgp, design.response_index, design.innovation_index, horizons
@@ -148,14 +162,15 @@ def aggregate_records(design: McDesign, methods, levels, records) -> McReport:
     for method in methods:
         for h in horizons:
             entries = [rec["methods"][method][str(h)] for rec in records]
-            ok = [e for e in entries if e["ok"]]
+            ok = [e for e in entries if "error" not in e]
             failures += len(entries) - len(ok)
+            beta = np.array([e["beta"] for e in ok])
+            se = np.array([e["se"] for e in ok])
             for level in levels:
-                cis = [e["cis"][str(level)] for e in ok]
-                hits = sum(lo <= truth[h] <= hi for lo, hi in cis)
-                widths = [hi - lo for lo, hi in cis]
+                lo, hi = interval(beta, se, level)
+                hits = int(np.count_nonzero((lo <= truth[h]) & (truth[h] <= hi)))
                 coverage = hits / len(ok) if ok else float("nan")
-                width = float(np.median(widths)) if widths else float("nan")
+                width = float(np.median(hi - lo)) if ok else float("nan")
                 cells[(method, h, level)] = McCell(coverage, width, len(ok))
     return McReport(
         n_reps=len(records), methods=methods, horizons=horizons,
@@ -173,7 +188,8 @@ def run_monte_carlo(
     records: list | None = None,
     progress=None,
 ) -> McReport:
-    """Run the experiment and aggregate.
+    """Run the experiment and aggregate. methods and levels are checked
+    (_checked) before any replication is simulated.
 
     records, when given, holds the completed records of replications
     0..k-1 (entries past n_reps are dropped); the run appends the rest to
@@ -182,15 +198,14 @@ def run_monte_carlo(
     """
     if n_reps < 1:
         raise ValueError("need at least one replication")
-    methods = tuple(methods)
-    levels = tuple(float(v) for v in levels)
+    methods, levels = _checked(methods, levels)
 
     records = [] if records is None else records
     del records[n_reps:]
     pending = range(len(records), n_reps)
     # narrower blocks when that gives every worker one
     width = max(1, min(BLOCK, -(-len(pending) // max(1, parallelism))))
-    tasks = [(design, methods, levels, seed, pending[i : i + width])
+    tasks = [(design, methods, seed, pending[i : i + width])
              for i in range(0, len(pending), width)]
 
     def collect(blocks):

@@ -21,25 +21,28 @@ result or error per column, except oga_order, which returns its lockstep
 arrays. order_one, select_one, newey_west_one and hac_one run one series as
 a batch of one and raise its error; bartlett_sum is the long-run variance of
 one series as it is defined. coverage, median_width and replication read
-one cell of a Monte Carlo report and run one replication as a block of one.
+one cell of a Monte Carlo report and run one replication as a block of one;
+per_level_report is the reduction of records to a report as it was done on
+intervals stored per level, one Python float at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import math
 
 import numpy as np
 import scipy.linalg
 
-from hdlp.dgp import VarDgpSpec, _generator
+from hdlp.dgp import VarDgpSpec, _generator, true_reduced_form_irf
 from hdlp.errors import AllColumnsDegenerate, DimensionMismatch, NonFinite
 from hdlp.hac import hac_variance, newey_west
 from hdlp.linalg import PREFIX_EIG_TOL, SPAN_RTOL
 from hdlp.lp import TimeSeriesMatrix
 from hdlp.lpdid import PanelDataset
-from hdlp.montecarlo import McDesign, McReport, _block
+from hdlp.montecarlo import McCell, McDesign, McReport, _block
 from hdlp.selection import (
     TIE_RTOL,
     OgaConfig,
@@ -106,9 +109,40 @@ def median_width(report: McReport, method: str, horizon: int, level: float) -> f
     return report.cells[(method, horizon, float(level))].median_width
 
 
-def replication(design: McDesign, methods, levels, seed: int, rep: int) -> dict:
-    """One replication's record: simulated, estimated and scored as a block of one."""
-    return next(_block(design, methods, levels, seed, [rep]))
+def replication(design: McDesign, methods, seed: int, rep: int) -> dict:
+    """One replication's record: simulated and estimated as a block of one."""
+    return next(_block(design, methods, seed, [rep]))
+
+
+def per_level_report(design: McDesign, methods, levels, records) -> McReport:
+    """The report as it was reduced from records that held each success's
+    interval at each level: the intervals formed one float at a time, the
+    way LpEstimate.ci forms one, then hits and widths summed in Python."""
+    levels = tuple(float(v) for v in levels)
+    horizons = design.lp_spec.horizons
+    truth_arr = true_reduced_form_irf(
+        design.dgp, design.response_index, design.innovation_index, horizons
+    )
+    truth = {h: float(v) for h, v in zip(horizons, truth_arr)}
+    z = {level: NormalDist().inv_cdf(0.5 + level / 2.0) for level in levels}
+    cells, failures = {}, 0
+    for method in methods:
+        for h in horizons:
+            entries = [rec["methods"][method][str(h)] for rec in records]
+            ok = [e for e in entries if "error" not in e]
+            failures += len(entries) - len(ok)
+            for level in levels:
+                cis = [(e["beta"] - z[level] * e["se"], e["beta"] + z[level] * e["se"])
+                       for e in ok]
+                hits = sum(lo <= truth[h] <= hi for lo, hi in cis)
+                widths = [hi - lo for lo, hi in cis]
+                coverage = hits / len(ok) if ok else float("nan")
+                width = float(np.median(widths)) if widths else float("nan")
+                cells[(method, h, level)] = McCell(coverage, width, len(ok))
+    return McReport(
+        n_reps=len(records), methods=tuple(methods), horizons=horizons,
+        levels=levels, truth=truth, cells=cells, failures=failures,
+    )
 
 
 def _as_design(X) -> np.ndarray:

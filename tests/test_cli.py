@@ -392,7 +392,7 @@ class TestMontecarloCommand:
         # craft a mid-run checkpoint: first 4 replications only
         run = build_montecarlo_run(load_yaml(cfg_path))
         records = [
-            replication(run.design, run.methods, run.levels, run.seed, rep)
+            replication(run.design, run.methods, run.seed, rep)
             for rep in range(4)
         ]
         save_checkpoint(
@@ -431,6 +431,26 @@ class TestMontecarloCommand:
         assert "resuming from checkpoint with 4 replications" in capsys.readouterr().err
         assert (tmp_path / "mc.csv").read_bytes() == clean
         assert not ckpt.exists()
+
+    def test_resumes_after_levels_and_n_reps_change(self, tmp_path, capsys):
+        # records do not depend on the levels or the run length, so neither
+        # is in the fingerprint: a saved prefix serves the edited run
+        cfg = small_var_mc_cfg(tmp_path, n_reps=12, levels=[0.9, 0.95])
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        clean = (tmp_path / "mc.csv").read_bytes()
+        (tmp_path / "mc.csv").unlink()
+
+        old = build_montecarlo_run(load_yaml(write_yaml(
+            tmp_path / "old.yaml", dict(cfg, n_reps=10, levels=[0.95]))))
+        run = build_montecarlo_run(load_yaml(cfg_path))
+        assert _config_fingerprint(old) == _config_fingerprint(run)
+        save_checkpoint(_checkpoint_path(old.out_path), _config_fingerprint(old),
+                        short_run_records(old, 10))
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", cfg_path]) == 0
+        assert "resuming from checkpoint with 10 replications" in capsys.readouterr().err
+        assert (tmp_path / "mc.csv").read_bytes() == clean
 
     def test_fingerprint_covers_every_field_that_changes_the_report(self, tmp_path):
         run = build_montecarlo_run(load_yaml(
@@ -476,7 +496,7 @@ class TestMontecarloCommand:
         for path in paths:
             changed = _config_fingerprint(replaced(run, path)) != base
             assert changed == (path[0] not in ("out_path", "parallelism",
-                                               "checkpoint")), path
+                                               "checkpoint", "levels", "n_reps")), path
 
     def test_stale_checkpoint_ignored(self, tmp_path, capsys):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
@@ -498,10 +518,11 @@ class TestMontecarloCommand:
         # version-3 per-path greedy kernel, the version-4 per-horizon tail,
         # the version-5 no-selection residuals off the full range basis, the
         # version-6 ones off the range basis of a tall design or the
-        # version-7 one-line file whose records were checked by shape
+        # version-7 one-line file whose records were checked by shape, or the
+        # version-8 records that held an interval per level
         for version, fp in ((CHECKPOINT_VERSION, "stale"), (1, fingerprint),
                             (3, fingerprint), (4, fingerprint), (5, fingerprint),
-                            (6, fingerprint), (7, fingerprint)):
+                            (6, fingerprint), (7, fingerprint), (8, fingerprint)):
             write(version, fp)
             assert main(["montecarlo", "--config", cfg_path]) == 0
             assert "resuming" not in capsys.readouterr().err
@@ -521,8 +542,8 @@ class TestMontecarloCommand:
 
     @pytest.mark.parametrize("how", [
         "records not a list", "record not a dict", "rep only", "misnumbered",
-        "repeated", "method missing", "horizon missing", "level missing",
-        "interval not a pair", "interval of strings", "error not a string",
+        "repeated", "method missing", "horizon missing", "se missing",
+        "beta and error", "beta a string", "error not a string",
     ])
     def test_malformed_records_restart_the_run(self, tmp_path, capsys, how):
         # real records rewritten after they were saved no longer match the digest
@@ -546,21 +567,21 @@ class TestMontecarloCommand:
             del records[1]["methods"]["conventional_lp"]
         elif how == "horizon missing":
             del records[2]["methods"]["double_oga"]["5"]
-        elif how == "level missing":
-            cell["cis"].clear()
-        elif how == "interval not a pair":
-            cell["cis"]["0.95"].pop()
-        elif how == "interval of strings":
-            cell["cis"]["0.95"] = ["0.1", "0.2"]
+        elif how == "se missing":
+            del cell["se"]
+        elif how == "beta and error":
+            cell["error"] = "DegenerateShock: shock series is constant"
+        elif how == "beta a string":
+            cell["beta"] = str(cell["beta"])
         else:
-            records[0]["methods"]["double_oga"]["1"] = {"ok": False, "error": 5}
+            records[0]["methods"]["double_oga"]["1"] = {"error": 5}
         rewrite_checkpoint_records(ckpt, records)
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert "resuming" not in capsys.readouterr().err
         with open(tmp_path / "mc.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 10
 
-    def test_an_edited_interval_is_not_resumed(self, tmp_path, capsys):
+    def test_an_edited_estimate_is_not_resumed(self, tmp_path, capsys):
         # well-formed records with one number changed: only the digest tells
         cfg_path = write_yaml(tmp_path / "cfg.yaml", small_var_mc_cfg(tmp_path))
         assert main(["montecarlo", "--config", cfg_path]) == 0
@@ -569,7 +590,7 @@ class TestMontecarloCommand:
         records = short_run_records(run, 4)
         ckpt = _checkpoint_path(run.out_path)
         save_checkpoint(ckpt, _config_fingerprint(run), records)
-        records[0]["methods"]["double_oga"]["1"]["cis"]["0.95"] = [-1e9, 1e9]
+        records[0]["methods"]["double_oga"]["1"]["beta"] = 1e9
         rewrite_checkpoint_records(ckpt, records)
         assert main(["montecarlo", "--config", cfg_path]) == 0
         assert "resuming" not in capsys.readouterr().err

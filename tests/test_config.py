@@ -247,12 +247,12 @@ class TestSimulateSeries:
 
 
 def test_bundled_montecarlo_checkpoint_still_resumes():
-    # digest of the run the bundled config described before the schema
-    # tables: parsing changes must not move it (the checkpoint version, not
-    # the fingerprint, retires records of an older simulator)
+    # digest of the bundled run since the fingerprint covers only what a
+    # record depends on: parsing changes must not move it (the checkpoint
+    # version, not the fingerprint, retires records of an older simulator)
     run = build_montecarlo_run(load_yaml(REPO / "configs/montecarlo.yaml"))
     assert _config_fingerprint(run) == (
-        "eb832546734fe1260509a26c93d02b344aa488c24e01f9bec86ef8ba5d81e612"
+        "d5336e39d5420fe696e488de17616631665623888b2eddab1752aa955f75dff7"
     )
 
 

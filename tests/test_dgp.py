@@ -248,6 +248,11 @@ class TestTrueReducedFormIrf:
         assert true_reduced_form_irf(spec, 0, 0, (0,))[0] == 1.0
         assert true_reduced_form_irf(spec, 1, 0, (0,))[0] == 0.0
 
+    def test_negative_horizon_is_named(self):
+        spec = VarDgpSpec(B=(0.3 * np.eye(2),), sigma=np.eye(2))
+        with pytest.raises(ValueError, match="must be a nonnegative integer, got -1"):
+            true_reduced_form_irf(spec, 1, 0, [2, -1])
+
     def test_matches_impulse_propagation(self):
         # deterministic forward iteration from a unit impulse
         rng = np.random.default_rng(7)

@@ -191,6 +191,13 @@ class TestBuildLpDataset:
         with pytest.raises(UnknownColumn):
             build_lp_dataset(data, spec, 1)
 
+    def test_negative_horizon_is_named(self):
+        data = make_data(np.random.default_rng(6), 20, 1, names=("y",))
+        spec = LpSpec(response="y", shock="y", horizons=(1,), lagged=("y",), lags=1)
+        with pytest.raises(ValueError, match="horizon must be a nonnegative integer, "
+                                             "got -1"):
+            build_lp_dataset(data, spec, -1)
+
     def test_hand_made_dataset_shapes_are_checked(self):
         rng = np.random.default_rng(27)
         x, W = rng.standard_normal(60), rng.standard_normal((60, 3))
@@ -201,6 +208,43 @@ class TestBuildLpDataset:
         with pytest.raises(DimensionMismatch, match="1 column names for 3 columns"):
             LpDataset(y=x, column_map=names[:1], **kw)
         assert LpDataset(y=x, column_map=names, **kw).W is W
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (LpSpec, {"horizons": ()}, "horizons must be nonempty"),
+        (LpSpec, {"horizons": (2, 1, 2)}, "horizons must be nonempty"),
+        (LpSpec, {"horizons": (1, -1)}, "a horizon must be a nonnegative integer, "
+                                         "got -1"),
+        (LpSpec, {"horizons": (1.5, 2)}, "a horizon must be a nonnegative integer, "
+                                         "got 1.5"),
+        (LpSpec, {"horizons": ("1",)}, "a horizon must be a nonnegative integer, "
+                                       "got '1'"),
+        (LpSpec, {"lags": -1}, "lags must be a nonnegative integer, got -1"),
+        (LpSpec, {"lags": 1.5}, "lags must be a nonnegative integer, got 1.5"),
+        (LpSpec, {"lag_augment": 2.0},
+         "lag_augment must be a nonnegative integer, got 2.0"),
+        (LpSpec, {"contemporaneous": ("x",)}, "shock cannot also be"),
+        (LpDidSpec, {"horizons": (0, 0.5)}, "a horizon must be a nonnegative integer"),
+        (LpDidSpec, {"outcome_lags": -1},
+         "outcome_lags must be a nonnegative integer, got -1"),
+        (LpDidSpec, {"outcome_lags": 1.5},
+         "outcome_lags must be a nonnegative integer, got 1.5"),
+        (LpDidSpec, {"method": "lasso"}, "unknown method 'lasso'"),
+    ])
+    def test_malformed_spec_is_value_error(self, make, kwargs, message):
+        base = {"response": "y", "shock": "x"} if make is LpSpec else {}
+        with pytest.raises(ValueError, match=message):
+            make(**{**base, "horizons": (1,), **kwargs})
+
+    def test_numpy_integers_pass_as_ints(self):
+        spec = LpSpec(response="y", shock="x", horizons=np.arange(3),
+                      lags=np.int32(2), lag_augment=np.int64(1))
+        did = LpDidSpec(horizons=(np.uint8(1),), outcome_lags=np.int16(2))
+        for value in (*spec.horizons, spec.lags, spec.lag_augment, *did.horizons,
+                      did.outcome_lags):
+            assert type(value) is int
+        assert (spec.horizons, spec.lag_depth, did.outcome_lags) == ((0, 1, 2), 3, 2)
 
 
 class TestDoubleOgaLp:

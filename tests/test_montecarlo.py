@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import hdlp.lp
+import hdlp.montecarlo
 from hdlp.dgp import Section3Design, VarDgpSpec, toeplitz_power_sigma
 from hdlp.hac import HacConfig
 from hdlp.lp import CONVENTIONAL_LP, DOUBLE_OGA, LpSpec
 from hdlp.montecarlo import McDesign, run_monte_carlo, section3_mc_design
 from hdlp.selection import OgaConfig
-from reference import coverage, replication
+from reference import coverage, per_level_report, replication
 
 
 def small_design(n_horizons=3, lags=2):
@@ -117,6 +118,48 @@ class TestRunMonteCarlo:
             design, lp_spec=dataclasses.replace(design.lp_spec, response="y3"))
         assert (moved.response_index, design.response_index) == (2, 1)
 
+    def test_rows_equal_the_per_level_reduction(self):
+        # at 28 lags conventional_lp runs out of degrees of freedom from
+        # horizon 4 on, while double_oga fits every horizon
+        design = small_design(n_horizons=6, lags=28)
+        methods, levels = (DOUBLE_OGA, CONVENTIONAL_LP), (0.5, 0.9, 0.95, 0.99)
+        records = []
+        report = run_monte_carlo(design, methods=methods, n_reps=12, levels=levels,
+                                 seed=4, records=records)
+        expected = per_level_report(design, methods, levels,
+                                    json.loads(json.dumps(records)))
+        assert 0 < report.failures == expected.failures < 12 * 6
+        assert {tuple(cell) for record in records
+                for cells in record["methods"].values()
+                for cell in cells.values()} == {("beta", "se"), ("error",)}
+        assert [tuple(map(repr, row)) for row in report.rows()] == [
+            tuple(map(repr, row)) for row in expected.rows()]
+        assert len(report.rows()) == 2 * 6 * 4
+
+    @pytest.mark.parametrize("kwargs", [
+        {"methods": ("double_oga", "lasso")},
+        {"methods": (DOUBLE_OGA, DOUBLE_OGA)},
+        {"levels": (0.95, 0.95)},
+        {"levels": (1.0,)},
+        {"levels": (0.0, 0.5)},
+        {"levels": (float("nan"),)},
+    ])
+    def test_bad_methods_or_levels_refused_before_any_simulation(self, monkeypatch,
+                                                                 kwargs):
+        calls = []
+        simulate = hdlp.montecarlo.simulate_var_block
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(hdlp.montecarlo, "simulate_var_block", counted)
+        with pytest.raises(ValueError):
+            run_monte_carlo(small_design(), n_reps=2, seed=1, **kwargs)
+        assert not calls
+        run_monte_carlo(small_design(), n_reps=1, seed=1)
+        assert len(calls) == 1  # the counter sees a valid run
+
     @pytest.mark.parametrize("role", ["response", "shock"])
     def test_series_outside_the_var_is_refused(self, role):
         design = small_design()
@@ -193,7 +236,7 @@ def test_one_dataset_build_per_horizon_for_both_methods(monkeypatch):
 
     monkeypatch.setattr(hdlp.lp, "build_lp_dataset", counted)
     record = replication(small_design(n_horizons=20),
-                         (DOUBLE_OGA, CONVENTIONAL_LP), (0.95,), 0, 0)
+                         (DOUBLE_OGA, CONVENTIONAL_LP), 0, 0)
     assert horizons == list(range(1, 21))
-    assert all(cell["ok"] for cells in record["methods"].values()
+    assert all(cell.keys() == {"beta", "se"} for cells in record["methods"].values()
                for cell in cells.values())
