@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonStationaryAfterDamping, NonStationarySpec
-from .lp import LpSpec, TimeSeriesMatrix, _count
+from .errors import DimensionMismatch, NonStationaryAfterDamping, NonStationarySpec, _count
+from .lp import LpSpec, TimeSeriesMatrix
 
 # Coefficient-row loadings of the ten-variable designs: magnitudes decay
 # linearly between the endpoints, signs alternate starting positive.
@@ -98,7 +98,8 @@ class VarDgpSpec:
             for b in B:
                 b[0, :] = 0.0
             B[0][0, 0] = self.y1_rho
-        for name, value in (("B", B), ("sigma", sigma), ("n", n), ("K", len(B))):
+        for name, value in (("B", B), ("sigma", sigma), ("n", n), ("K", len(B)),
+                            ("burn_in", _count(self.burn_in, "burn_in"))):
             object.__setattr__(self, name, value)
         radius = spectral_radius(companion_matrix(self.B))
         if radius > 1.0 + 1e-9:
@@ -242,7 +243,7 @@ def simulate_var_block(spec: VarDgpSpec, T: int, seeds) -> list[TimeSeriesMatrix
     window, which numpy runs as one matrix-vector product per replication,
     so a replication's bits do not depend on its block or its place there.
     """
-    total = T + spec.burn_in
+    total = _count(T, "T") + spec.burn_in
     chol = np.linalg.cholesky(spec.sigma)
     K, n, width = spec.K, spec.n, len(seeds)
     u = np.stack([_generator(seed).standard_normal((total, n)) @ chol.T

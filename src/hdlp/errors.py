@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+every spec and config."""
+
+import operator
 
 
 class HdlpError(Exception):
@@ -59,3 +62,16 @@ class ConfigError(HdlpError, ValueError):
 
 class DataError(HdlpError, ValueError):
     """Invalid or malformed input data (CLI exit code 3)."""
+
+
+def _count(value, what: str, least: int = 0) -> int:
+    """value as an int of at least least, numpy integers included; a
+    ValueError names it when it is smaller or no integer (a float, a string)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        bound = f"at least {least} and an integer" if least else "a nonnegative integer"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return count

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooLarge, DegenerateShock, DimensionMismatch, InsufficientSample
+from .errors import (BandwidthTooLarge, DegenerateShock, DimensionMismatch,
+                     InsufficientSample, _count)
 
 PSI_FINAL_U = "final_u"
 PSI_FIRST_STAGE_E = "first_stage_e"
@@ -47,8 +48,8 @@ class HacConfig:
     dof_correction: bool = True
 
     def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth < 1:
-            raise ValueError("bandwidth must be at least 1")
+        if self.bandwidth is not None:
+            object.__setattr__(self, "bandwidth", _count(self.bandwidth, "bandwidth", 1))
         if self.psi_source not in (PSI_FINAL_U, PSI_FIRST_STAGE_E):
             raise ValueError(f"unknown psi_source {self.psi_source!r}")
 

@@ -32,7 +32,6 @@ is the batch of one.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
@@ -46,6 +45,7 @@ from .errors import (
     InsufficientSample,
     NonFinite,
     UnknownColumn,
+    _count,
 )
 from .hac import PSI_FIRST_STAGE_E, HacConfig, dots, hac_variance
 from .linalg import SPAN_RTOL, extend, orthogonalize, prefix_residuals
@@ -93,18 +93,6 @@ class TimeSeriesMatrix:
             return self.columns.index(name)
         except ValueError:
             raise UnknownColumn(name) from None
-
-
-def _count(value, what: str) -> int:
-    """value as a nonnegative int, numpy integers included; a ValueError
-    names it when it is negative or no integer (a float, a string)."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
-    return count
 
 
 def _horizons(values) -> tuple[int, ...]:

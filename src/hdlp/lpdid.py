@@ -38,6 +38,7 @@ from .errors import (
     NonAbsorbingTreatment,
     NonFinite,
     NoTreatedUnits,
+    _count,
 )
 from .hac import HacConfig
 from .linalg import SPAN_RTOL
@@ -48,7 +49,6 @@ from .lp import (
     LpDataset,
     LpEstimate,
     _attempt,
-    _count,
     _fit,
     _horizons,
     _unwrap,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dgp import Section3Design, VarDgpSpec, build_section3_coefficients, \
     section3_lp_spec, simulate_var_block, true_reduced_form_irf
+from .errors import _count
 from .hac import HacConfig
 from .lp import DEFAULT_LEVELS, DOUBLE_OGA, METHODS, LpSpec, _irfs, interval
 from .selection import OgaConfig
@@ -55,6 +56,7 @@ class McDesign:
     innovation_index: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "T", _count(self.T, "T"))
         names, spec = self.dgp.names, self.lp_spec
         for name in (spec.response, spec.shock, *spec.contemporaneous, *spec.lagged):
             if name not in names:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample
+from .errors import AllColumnsDegenerate, DimensionMismatch, InsufficientSample, _count
 from .linalg import SPAN_RTOL, extend
 
 DEFAULT_C_STAR_CANDIDATES = (1.6, 1.8, 2.0, 2.2, 2.4)
@@ -68,8 +68,9 @@ class OgaConfig:
                 raise ValueError("c_star candidates must be positive and nonempty")
         elif self.c_star is not None and self.c_star <= 0:
             raise ValueError("c_star must be positive")
-        if self.max_steps_override is not None and self.max_steps_override < 1:
-            raise ValueError("max_steps_override must be at least 1")
+        if self.max_steps_override is not None:
+            object.__setattr__(self, "max_steps_override",
+                               _count(self.max_steps_override, "max_steps_override", 1))
         if self.mbar_scale <= 0:
             raise ValueError("mbar_scale must be positive")
         if self.delta_assumed <= 1:

@@ -1,11 +1,17 @@
 import contextlib
 import copy
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -1173,6 +1179,65 @@ def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
         _write_atomic(target, broken)
     assert target.read_bytes() == b"old,table\r\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+# run in a fresh interpreter on an estimate config: prints how often ctypes
+# opened the process's own libc by the end of `import hdlp.cli` and in all,
+# and the minor page faults of the second of two runs of the command
+FAULTS_CHILD = """
+import ctypes, json, resource, sys
+opened = []
+class Counted(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        opened.append(name)
+        super().__init__(name, *args, **kwargs)
+ctypes.CDLL = Counted
+import hdlp.cli
+at_import = opened.count(None)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert hdlp.cli.main(["estimate", "--config", sys.argv[1]]) == 0
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([at_import, opened.count(None), faults]))
+"""
+
+
+def no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestFreedMemory:
+    """main keeps freed memory in the process; importing the package does not."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_a_steady_tuned_estimate_takes_few_page_faults(self, tmp_path):
+        # the benchmark's shape: T=300, 10 series, 21 lags, 219 candidates;
+        # with glibc's default thresholds a run takes 650-830 faults
+        names = [f"y{i}" for i in range(1, 11)]
+        data = write_wide_csv(tmp_path / "wide.csv", names,
+                              np.random.default_rng(0).standard_normal((300, 10)))
+        cfg = estimate_cfg(tmp_path, data, methods=["double_oga"], response="y2",
+                           shock="y1", contemporaneous=names[1:], lagged=names,
+                           lags=12, lag_augment=9, horizons={"from": 1, "to": 20},
+                           selection={"c_star": "auto"})
+        path = filter(None, [str(Path(hdlp.cli.__file__).parents[1]),
+                             os.environ.get("PYTHONPATH")])
+        done = subprocess.run(
+            [sys.executable, "-c", FAULTS_CHILD, write_yaml(tmp_path / "cfg.yaml", cfg)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        at_import, in_all, faults = json.loads(done.stdout)
+        assert (at_import, in_all) == (0, 2)
+        assert faults < 100
+
+    @pytest.mark.parametrize("lookup", [no_libc, lambda name: types.SimpleNamespace()],
+                             ids=["no libc", "no mallopt"])
+    def test_nothing_happens_where_libc_has_no_mallopt(self, monkeypatch, lookup):
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or lookup(name))
+        assert hdlp.cli._keep_freed_memory() is None
+        assert opened == [None]
 
 
 class TestOutputIsADirectory:

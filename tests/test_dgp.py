@@ -131,6 +131,12 @@ class TestVarDgpSpec:
         moved = dataclasses.replace(spec, B=(0.4 * np.eye(3),), sigma=np.eye(3))
         assert (moved.n, moved.K, spec.n) == (3, 1, 2)
 
+    def test_fractional_burn_in_is_refused_and_numpy_integers_pass(self):
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer, got 1.5"):
+            VarDgpSpec(B=(0.4 * np.eye(2),), sigma=np.eye(2), burn_in=1.5)
+        spec = VarDgpSpec(B=(0.4 * np.eye(2),), sigma=np.eye(2), burn_in=np.int16(5))
+        assert type(spec.burn_in) is int
+
     def test_y1_rho_overwrites_first_row(self):
         B = (np.full((3, 3), 0.1),)
         spec = VarDgpSpec(B=B, sigma=np.eye(3), y1_rho=0.5)
@@ -144,6 +150,13 @@ class TestSimulateVar:
                           burn_in=10)
         data = simulate_var(spec, 10_000, seed=0)
         assert np.var(data.values) == pytest.approx(1.0, rel=0.10)
+
+    def test_fractional_length_is_refused_and_numpy_integers_pass(self):
+        spec = VarDgpSpec(B=(0.4 * np.eye(2),), sigma=np.eye(2), burn_in=5)
+        with pytest.raises(ValueError, match="T must be a nonnegative integer, got 50.5"):
+            simulate_var(spec, 50.5, seed=0)
+        assert np.array_equal(simulate_var(spec, np.int64(50), seed=0).values,
+                              simulate_var(spec, 50, seed=0).values)
 
     def test_seed_determinism(self):
         spec = VarDgpSpec(B=(0.4 * np.eye(2),),

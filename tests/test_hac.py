@@ -196,6 +196,12 @@ class TestHacConfig:
         with pytest.raises(ValueError):
             HacConfig(bandwidth=0)
 
+    def test_fractional_bandwidth_is_refused_and_numpy_integers_pass(self):
+        with pytest.raises(ValueError,
+                           match="bandwidth must be at least 1 and an integer, got 2.5"):
+            HacConfig(bandwidth=2.5)
+        assert type(HacConfig(bandwidth=np.int64(3)).bandwidth) is int
+
     def test_rejects_unknown_psi_source(self):
         with pytest.raises(ValueError):
             HacConfig(psi_source="whatever")

@@ -160,6 +160,13 @@ class TestRunMonteCarlo:
         run_monte_carlo(small_design(), n_reps=1, seed=1)
         assert len(calls) == 1  # the counter sees a valid run
 
+    def test_fractional_length_is_refused_and_numpy_integers_pass(self):
+        design = small_design()
+        with pytest.raises(ValueError, match="T must be a nonnegative integer, got 120.5"):
+            McDesign(dgp=design.dgp, T=120.5, lp_spec=design.lp_spec)
+        moved = McDesign(dgp=design.dgp, T=np.int64(120), lp_spec=design.lp_spec)
+        assert type(moved.T) is int
+
     @pytest.mark.parametrize("role", ["response", "shock"])
     def test_series_outside_the_var_is_refused(self, role):
         design = small_design()

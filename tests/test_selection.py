@@ -71,6 +71,12 @@ class TestMaxSteps:
         with pytest.raises(ValueError, match="max_steps_override must be at least 1"):
             OgaConfig(max_steps_override=cap)
 
+    def test_fractional_override_is_refused_and_numpy_integers_pass(self):
+        with pytest.raises(ValueError, match="max_steps_override must be at least 1 "
+                                             "and an integer, got 2.5"):
+            OgaConfig(max_steps_override=2.5)
+        assert type(OgaConfig(max_steps_override=np.int32(3)).max_steps_override) is int
+
 
 class TestOgaOrder:
     def test_orthogonal_design_ranks_by_signal(self):
